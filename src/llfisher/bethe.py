@@ -422,14 +422,19 @@ def norm_sq(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> N
 
 
 def dnorm_sq_dc(spec: StateSpec, params: ModelParams, rel_step: float = 1e-5) -> float:
-    """d(norm^2)/dc along the solution branch, by central finite difference.
+    """d(norm^2)/dc along the solution branch, by finite differences.
 
-    Differencing two full solves is robust and avoids third-derivative
-    tensor code; the step follows the coupling scale.
+    Differencing full solves is robust and avoids third-derivative
+    tensor code; the step h follows the coupling scale.  The stencil is
+    central, and below c = h, where it would cross c = 0, the
+    second-order forward stencil (-3 f(c) + 4 f(c + h) - f(c + 2h)) / 2h.
     """
     h = rel_step * max(params.c, 1.0)
-    lo = ModelParams(params.c - h, params.L)
-    hi = ModelParams(params.c + h, params.L)
-    n_lo = norm_sq(solve_bethe(spec, lo).k, lo, spec.bc).norm_sq
-    n_hi = norm_sq(solve_bethe(spec, hi).k, hi, spec.bc).norm_sq
-    return (n_hi - n_lo) / (2.0 * h)
+
+    def n2(c: float) -> float:
+        at = ModelParams(c, params.L)
+        return norm_sq(solve_bethe(spec, at).k, at, spec.bc).norm_sq
+
+    if params.c < h:
+        return (-3.0 * n2(params.c) + 4.0 * n2(params.c + h) - n2(params.c + 2.0 * h)) / (2.0 * h)
+    return (n2(params.c + h) - n2(params.c - h)) / (2.0 * h)

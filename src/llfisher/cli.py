@@ -7,7 +7,8 @@ produce byte-identical files.  Every CSV row carries the hash of the
 resolved configuration and the package version.
 
 Exit codes: 0 success, 2 invalid arguments, 3 solver failure, 4 bracket
-without an interior maximum.
+without an interior maximum, 5 size cap exceeded, 6 failed numerical
+health check.
 """
 
 from __future__ import annotations
@@ -41,11 +42,14 @@ from .imaging import (
     save_shots,
     uniform_grid,
 )
+from .integrals import NumericalHealthError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_BRACKET = 4
+EXIT_RESOURCE = 5
+EXIT_NUMERICS = 6
 
 
 def _fmt(value: float) -> str:
@@ -358,6 +362,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BracketError as exc:
         print(f"bracket error: {exc}", file=sys.stderr)
         return EXIT_BRACKET
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except NumericalHealthError as exc:
+        print(f"numerical check failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICS
 
 
 if __name__ == "__main__":

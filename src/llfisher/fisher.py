@@ -14,11 +14,15 @@ ansatz psi~ and its ordered-domain norm square NS, both reduce to
 
 with all inner products over 0 < x_1 < ... < x_N < L.  Expanding the
 permutation sums turns the QFI into a double sum over coefficient pairs
-weighted by the closed-form simplex integrals I, I^1_l and I^11_mn of
-the wavenumber differences; that assembly is exact up to the Bethe
-residual.  The CFI either equals the QFI outright (real or purely
-imaginary phase class, where the position measurement is optimal) or is
-integrated numerically on the ordered simplex.
+(t, s) weighted by the simplex integrals I, I^1_l and I^11_mn of the
+wavenumber difference lambda = kappa_t - kappa_s.  Each is a divided
+difference of exp at the nodes -i L sum_{m>=j} lambda_m and 0, with the
+moment nodes repeated (Hermite-Genocchi; see ``integrals``), and one
+batched matrix-exponential call evaluates them for every distinct
+lambda of a table.  The assembly is exact up to the Bethe residual and
+the rounding of that kernel.  The CFI either equals the QFI outright
+(real or purely imaginary phase class, where the position measurement
+is optimal) or is integrated numerically on the ordered simplex.
 
 An independent fidelity-overlap estimate,
 QFI ~ 8 (1 - |<psi_{c-d/2}|psi_{c+d/2}>|) / d^2, cross-checks the
@@ -43,10 +47,9 @@ from .bethe import (
     solve_bethe,
 )
 from .integrals import (
-    DEGENERACY_RTOL,
-    DEFAULT_TERM_CAP,
-    _simplex_exp_raw,
+    NumericalHealthError,
     default_order,
+    simplex_exp_integral,
     simplex_quadrature,
 )
 from .wavefunction import (
@@ -58,6 +61,9 @@ from .wavefunction import (
 )
 
 QFI_IMAG_RTOL = 1e-8
+# Wavenumber quantum, relative to the largest |kappa|, within which two
+# pair-bundle wavenumber vectors share one set of simplex integrals.
+DEGENERACY_RTOL = 1e-9
 WORKERS_ENV = "LLFISHER_WORKERS"
 
 
@@ -70,37 +76,13 @@ class BracketError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _bundle(lam: np.ndarray, L: float, zero_tol: float):
-    """I, I^1_l and I^11_mn for one wavenumber vector lambda.
-
-    I^11 is symmetric in (m, n), so only the upper triangle is computed.
-    """
-    n = lam.size
-    zeros = [0] * n
-    i00 = _simplex_exp_raw(lam, zeros, L, zero_tol, DEFAULT_TERM_CAP)
-    i1 = np.empty(n, dtype=complex)
-    for l in range(n):
-        powers = zeros.copy()
-        powers[l] = 1
-        i1[l] = _simplex_exp_raw(lam, powers, L, zero_tol, DEFAULT_TERM_CAP)
-    i11 = np.empty((n, n), dtype=complex)
-    for m in range(n):
-        for nn in range(m, n):
-            powers = zeros.copy()
-            powers[m] += 1
-            powers[nn] += 1
-            val = _simplex_exp_raw(lam, powers, L, zero_tol, DEFAULT_TERM_CAP)
-            i11[m, nn] = val
-            i11[nn, m] = val
-    return i00, i1, i11
-
-
 def _pair_bundles(kappa_a: np.ndarray, kappa_b: np.ndarray, L: float, full: bool):
     """Simplex-integral bundles for every pair row_a x row_b, deduplicated.
 
     Pairs sharing one wavenumber vector (to within the degeneracy
     quantum) share a bundle, and opposite vectors share it through
-    I(-lambda) = conj(I(lambda)), which halves the recursion count.
+    I(-lambda) = conj(I(lambda)), which halves the kernel's batch.  The
+    distinct vectors go to ``simplex_exp_integral`` in one call.
     Returns pair-shaped arrays i00 (ra, rb) and, when ``full``, i1
     (ra, rb, n) and i11 (ra, rb, n, n).
     """
@@ -118,31 +100,22 @@ def _pair_bundles(kappa_a: np.ndarray, kappa_b: np.ndarray, L: float, full: bool
     lead = keys[np.arange(keys.shape[0]), lead_pos]
     flip = lead < 0
     keys[flip] = -keys[flip]
-    uniq, first_occ, inverse = np.unique(
+    _, first_occ, inverse = np.unique(
         keys, axis=0, return_index=True, return_inverse=True
     )
     inverse = inverse.reshape(-1)  # shape differs across numpy 2.x versions
     reps = np.where(flip[first_occ, None], -lam_all[first_occ], lam_all[first_occ])
 
-    n_unique = reps.shape[0]
-    i00_u = np.empty(n_unique, dtype=complex)
-    i1_u = np.empty((n_unique, n), dtype=complex) if full else None
-    i11_u = np.empty((n_unique, n, n), dtype=complex) if full else None
-    for u in range(n_unique):
-        if full:
-            i00_u[u], i1_u[u], i11_u[u] = _bundle(reps[u], L, zero_tol)
-        else:
-            i00_u[u] = _simplex_exp_raw(reps[u], [0] * n, L, zero_tol, DEFAULT_TERM_CAP)
+    bundles = simplex_exp_integral(reps, L, moments=full)
 
     def expand(values: np.ndarray) -> np.ndarray:
         out = values[inverse]
         out[flip] = np.conj(out[flip])
         return out.reshape((r_a, r_b) + values.shape[1:])
 
-    i00 = expand(i00_u)
     if not full:
-        return i00, None, None
-    return i00, expand(i1_u), expand(i11_u)
+        return expand(bundles), None, None
+    return tuple(expand(values) for values in bundles)
 
 
 def _inner_products(table: AmplitudeTable, L: float):
@@ -183,7 +156,7 @@ def _qfi_with_residue(spec: StateSpec, params: ModelParams, allow_large_n: bool 
     qfi_c = 4.0 / n2 * (dd - abs(nd) ** 2 / n2)
     residue = abs(qfi_c.imag) / max(abs(qfi_c.real), 1e-30)
     if residue > QFI_IMAG_RTOL:
-        raise RuntimeError(
+        raise NumericalHealthError(
             f"QFI assembly left a relative imaginary residue {residue:.3e}"
         )
     return float(qfi_c.real), residue
@@ -211,23 +184,36 @@ def qfi_overlap_oracle(
     """Fidelity-based QFI estimate, 8 (1 - |<psi_-|psi_+>|) / delta^2.
 
     The two states are solved at c -+ delta/2, which centers the stencil
-    and makes the estimate second-order accurate.  Fully independent of
-    the analytic derivative pipeline (no dA/dc, dk/dc or I^1, I^11).
+    and makes the estimate second-order accurate.  Below c = delta/2 the
+    stencil would cross c = 0, so the pairs (c, c + delta) and
+    (c, c + 2 delta), centred at c + delta/2 and c + delta, are
+    extrapolated linearly back to c, which keeps second order.  Fully
+    independent of the analytic derivative pipeline (no dA/dc, dk/dc or
+    I^1, I^11).
     """
     if delta is None:
         delta = 1e-4 * max(params.c, 1.0)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    lo = ModelParams(params.c - delta / 2.0, params.L)
-    hi = ModelParams(params.c + delta / 2.0, params.L)
-    sol_lo = solve_bethe(spec, lo)
-    sol_hi = solve_bethe(spec, hi)
-    tab_lo = amplitudes(sol_lo, lo, spec.bc)
-    tab_hi = amplitudes(sol_hi, hi, spec.bc)
-    n2_lo = norm_sq(sol_lo.k, lo, spec.bc).norm_sq
-    n2_hi = norm_sq(sol_hi.k, hi, spec.bc).norm_sq
-    overlap = abs(ordered_overlap(tab_lo, tab_hi, params.L)) / math.sqrt(n2_lo * n2_hi)
-    return 8.0 * (1.0 - overlap) / delta**2
+
+    def state(c: float):
+        at = ModelParams(c, params.L)
+        solution = solve_bethe(spec, at)
+        return amplitudes(solution, at, spec.bc), norm_sq(solution.k, at, spec.bc).norm_sq
+
+    def infidelity(a, b) -> float:
+        """8 (1 - |<psi_a|psi_b>|) of two normalized states."""
+        (tab_a, n2_a), (tab_b, n2_b) = a, b
+        overlap = abs(ordered_overlap(tab_a, tab_b, params.L)) / math.sqrt(n2_a * n2_b)
+        return 8.0 * (1.0 - overlap)
+
+    c = params.c
+    if c >= delta / 2.0:
+        return infidelity(state(c - delta / 2.0), state(c + delta / 2.0)) / delta**2
+    base = state(c)
+    near = infidelity(base, state(c + delta)) / delta**2
+    far = infidelity(base, state(c + 2.0 * delta)) / (2.0 * delta) ** 2
+    return 2.0 * near - far
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +395,7 @@ def _sweep_point(payload):
         else:
             params = ModelParams(fixed_value, value)
         return ("ok", fisher_report(spec, params, force_quadrature=force_quadrature))
-    except Exception as exc:  # per-point failures recorded, sweep continues
+    except (ValueError, RuntimeError) as exc:  # numerical failures; the sweep continues
         return ("error", f"{type(exc).__name__}: {exc}")
 
 

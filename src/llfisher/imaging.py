@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bethe import ModelParams, StateSpec, dnorm_sq_dc, norm_sq, solve_bethe
-from .integrals import ResourceLimitError, box_quadrature
+from .integrals import NumericalHealthError, ResourceLimitError, box_quadrature
 from .wavefunction import amplitudes, eval_batch
 
 DEFAULT_BOX_ORDER = 16
@@ -212,7 +212,7 @@ def image_distribution(
 
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:
-        raise RuntimeError(
+        raise NumericalHealthError(
             f"absorption-image probabilities sum to {total:.9f}; "
             "increase the quadrature order or check the grid"
         )

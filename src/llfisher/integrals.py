@@ -1,22 +1,33 @@
 """Nested integrals over ordered simplices and pixel boxes.
 
-The analytic workhorse is the N-fold nested integral of an
-exponential-polynomial integrand over the ordered domain
-0 < x_1 < x_2 < ... < x_N < L,
+The analytic workhorse is the N-fold integral of a plane wave, and of its
+first and second coordinate moments, over the ordered simplex
+0 < x_1 < ... < x_N < L:
 
-    I = int_0^L dx_N int_0^{x_N} dx_{N-1} ... int_0^{x_2} dx_1
-        x_m^alpha x_n^beta exp(-i sum_j lambda_j x_j),
+    I       = int e^{-i lambda.x},
+    I^1_l   = int x_l e^{-i lambda.x},
+    I^11_ml = int x_m x_l e^{-i lambda.x}.
 
-which is evaluated symbolically from the innermost variable outward.
-Each level holds a list of terms coeff * x^p * exp(-i mu x); one level of
-integration maps a term onto a few terms in the next variable through
+In the N + 1 gaps between 0, x_1, ..., x_N and L the exponent is linear,
+so by the Hermite-Genocchi formula the integral is a divided difference
+of exp.  With 0-based indices (n = N) and the nodes
 
-    int x^p e^{ikx} dx = -p! (i/k)^{p+1} e^{ikx} sum_{s=0}^p (-ikx)^s / s!
+    z_j = -i L sum_{m >= j} lambda_m  (j < n),   z_n = 0,
 
-with the exact polynomial branch x^(p+1)/(p+1) taken whenever the
-accumulated wavenumber is (numerically) zero.  Wavenumbers appearing at
-level j are partial tail sums of lambda plus the inherited exponent, so
-the term count stays small after merging like terms.
+it reads
+
+    I       = L^n     exp[z_0, ..., z_n],
+    I^1_l   = L^{n+1} sum_{i <= l} exp[z, z_i],
+    I^11_ml = L^{n+2} sum_{i <= m, j <= l} c_ij exp[z, z_i, z_j],
+
+with c_ii = 2 and c_ij = 1 otherwise: x_l is the sum of the first l + 1
+gaps, and differentiating with respect to a node repeats it.  The divided
+difference exp[w_0, ..., w_k] is entry (0, k) of the exponential of the
+bidiagonal matrix with diagonal w and ones above it (Opitz 1964; McCurdy,
+Ng & Parlett, Math. Comp. 43, 1984).  One batched matrix exponential,
+scaling and squaring with the degree-13 Pade approximant (Higham, SIAM J.
+Matrix Anal. Appl. 26, 2005), therefore yields every integral, confluent
+nodes included, without case splits.
 
 Iterated Gauss-Legendre rules over the same ordered domain, and tensor
 rules over axis-aligned boxes, provide the independent numerical oracle
@@ -26,213 +37,153 @@ used throughout the test suite and the direct CFI quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-# Relative threshold below which a level wavenumber is treated as exactly
-# zero (the polynomial branch).  Near-zero wavenumbers arise when two
-# permutations carry equal quasimomenta at some position; they must not
-# hit the 1/mu closed form.
-DEGENERACY_RTOL = 1e-9
-
-# For 0 < |mu| * x_max below this, the closed form loses eps/(mu x)^depth
-# to cancellation, so the exponential is expanded in a truncated series
-# instead; at the cutoff both branches are accurate to machine precision.
-TAYLOR_CUTOFF = 0.5
-TAYLOR_ABS_TOL = 1e-18
-TAYLOR_MAX_TERMS = 30
-
-# Safety cap on the symbolic term list; generously above anything the
-# supported particle numbers can produce.
-DEFAULT_TERM_CAP = 100_000
+# Matrix entries per batched expm step: 128 KiB per complex array, small
+# enough to stay in cache, and a bound on the kernel's working set whatever
+# the number of wavenumber vectors.
+EXPM_CHUNK = 8192
 
 DEFAULT_SIMPLEX_ORDER = 48
 DEFAULT_SIMPLEX_ORDER_4D = 24
+
+# Higham (2005): the degree-13 Pade coefficients, and theta_13, the 1-norm
+# up to which the unscaled approximant is accurate to double precision.
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
 class ResourceLimitError(RuntimeError):
     """A computation would exceed a configured size cap."""
 
 
-@dataclass(frozen=True)
-class ExpPolyTerm:
-    """One integrand term  coeff * x**power * exp(-1j * wavenumber * x)."""
+class NumericalHealthError(RuntimeError):
+    """An integration result failed its accuracy check.
 
-    coeff: complex
-    power: int
-    wavenumber: float
-
-    def __post_init__(self) -> None:
-        if self.power < 0:
-            raise ValueError("power must be a non-negative integer")
-        if not np.isfinite(self.coeff):
-            raise ValueError("coefficient must be finite")
-
-
-@dataclass(frozen=True)
-class SimplexIntegralRequest:
-    """Specification of one nested simplex integral.
-
-    ``lam`` holds lambda_1..lambda_N; ``alpha``/``beta`` are the powers on
-    coordinates ``m``/``n`` (1-based particle indices, omitted when the
-    matching power is zero).
+    Raised when the QFI assembly leaves an imaginary residue or the
+    absorption-image probabilities do not sum to one.
     """
 
-    lam: tuple
-    L: float
-    alpha: int = 0
-    beta: int = 0
-    m: Optional[int] = None
-    n: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        n_dim = len(self.lam)
-        if n_dim < 1:
-            raise ValueError("lambda must have at least one component")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("powers must be non-negative")
-        if self.alpha > 0 and not (self.m and 1 <= self.m <= n_dim):
-            raise ValueError("index m required and in 1..N when alpha > 0")
-        if self.beta > 0 and not (self.n and 1 <= self.n <= n_dim):
-            raise ValueError("index n required and in 1..N when beta > 0")
+def _expm_upper(a: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of a stack of upper-triangular matrices, (B, m, m).
 
-
-def _closed_form_pieces(coeff: complex, power: int, mu: float):
-    """Antiderivative of coeff*x^p*exp(-i mu x) for mu != 0.
-
-    Returns (per-power coefficients c_s for s=0..p, base) such that
-    F(x) = sum_s c_s x^s exp(-i mu x) and F(0) = base.
+    Scaling and squaring with the [13/13] Pade approximant; each matrix
+    gets its own scaling power, so one large node does not cost the rest
+    of the batch extra squarings.  The Pade denominator is upper
+    triangular like ``a``, so it is inverted by back substitution.
     """
-    base = -coeff * math.factorial(power) * (-1j / mu) ** (power + 1)
-    coeffs = [base * (1j * mu) ** s / math.factorial(s) for s in range(power + 1)]
-    return coeffs, base
+    m = a.shape[-1]
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore"):
+        s = np.maximum(0.0, np.ceil(np.log2(norm / _THETA13))).astype(int)
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    b = _PADE13
+    eye = np.eye(m)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    )
+    den = v - u
+    r = v + u
+    for i in range(m - 1, -1, -1):
+        r[:, i : i + 1] -= den[:, i : i + 1, i + 1 :] @ r[:, i + 1 :]
+        r[:, i] /= den[:, i, i, None]
+    for k in range(int(s.max(initial=0))):
+        sel = s > k
+        r[sel] = r[sel] @ r[sel]
+    return r
 
 
-def antiderivative(term: ExpPolyTerm, x: float, zero_tol: float = 1e-12) -> complex:
-    """Antiderivative of ``term`` evaluated at ``x``.
+def _divided_differences(w: np.ndarray) -> np.ndarray:
+    """Rows exp[w_0], exp[w_0, w_1], ..., exp[w_0, ..., w_k] per node row of w.
 
-    Three regimes: the exact polynomial branch x^(p+1)/(p+1) when the
-    wavenumber is flagged degenerate (|mu| <= zero_tol), a truncated
-    series for 0 < |mu x| below the cancellation cutoff, and the closed
-    exponential form above it.  The first two vanish at x = 0 while the
-    closed form carries its natural constant, so take differences within
-    one regime when forming definite integrals (the nested-integral
-    recursion does its own consistently-normalized bookkeeping).
+    The first row of expm of the bidiagonal matrix with diagonal w and
+    ones above it.  Every row is first shifted by the centre mu of its
+    nodes' imaginary parts, which halves the matrix norm; exp[w] =
+    e^mu exp[w - mu] restores it.
     """
-    mu = term.wavenumber
-    if abs(mu) <= zero_tol:
-        return term.coeff * x ** (term.power + 1) / (term.power + 1)
-    if abs(mu) * abs(x) <= TAYLOR_CUTOFF:
-        return sum(c * x**p for c, p in _taylor_coeffs(term.coeff, term.power, mu, abs(x)))
-    coeffs, _ = _closed_form_pieces(term.coeff, term.power, mu)
-    poly = sum(c * x**s for s, c in enumerate(coeffs))
-    return poly * np.exp(-1j * mu * x)
+    rows, m = w.shape
+    mu = 0.5j * (w.imag.max(axis=1) + w.imag.min(axis=1))
+    diag = np.arange(m)
+    a = np.zeros((rows, m, m), dtype=complex)
+    a[:, diag, diag] = w - mu[:, None]
+    a[:, diag[:-1], diag[1:]] = 1.0
+    return np.exp(mu)[:, None] * _expm_upper(a)[:, 0, :]
 
 
-def _taylor_coeffs(coeff: complex, power: int, mu: float, span: float):
-    """Series antiderivative of coeff*x^p*e^{-i mu x} for small |mu|*span.
+def _simplex_block(lam: np.ndarray, L: float, moments: bool):
+    """simplex_exp_integral for a (rows, n) block of wavenumber vectors."""
+    rows, n = lam.shape
+    tails = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
+    z = np.concatenate([-1j * L * tails, np.zeros((rows, 1))], axis=1)
+    if not moments:
+        return L**n * _divided_differences(z)[:, n]
 
-    Yields (c_t, p_t) with F(x) = sum_t c_t x^{p_t} and F(0) = 0; the
-    series is truncated once the bound (|mu| span)^t / t! drops below
-    TAYLOR_ABS_TOL, which machine-exactly represents the integrand on
-    [0, span].
+    # one node row (z, z_i, z_j) per pair i <= j: entry n is exp[z],
+    # n + 1 is exp[z, z_i] and n + 2 is exp[z, z_i, z_j]
+    ii, jj = np.triu_indices(n)
+    w = np.concatenate(
+        [np.broadcast_to(z[:, None, :], (rows, ii.size, n + 1)), z[:, ii, None], z[:, jj, None]],
+        axis=2,
+    )
+    dd = _divided_differences(w.reshape(-1, n + 3)).reshape(rows, ii.size, n + 3)
+    d1 = dd[:, ii == jj, n + 1]
+    d2 = np.empty((rows, n, n), dtype=complex)
+    d2[:, ii, jj] = dd[:, :, n + 2]
+    d2[:, jj, ii] = dd[:, :, n + 2]
+    d2 *= 1.0 + np.eye(n)
+    i00 = L**n * dd[:, 0, n]
+    i1 = L ** (n + 1) * np.cumsum(d1, axis=1)
+    i11 = L ** (n + 2) * np.cumsum(np.cumsum(d2, axis=1), axis=2)
+    return i00, i1, i11
+
+
+def simplex_exp_integral(lam, L: float, moments: bool = False):
+    """Ordered-simplex integrals of e^{-i lambda.x} for a batch of wavenumbers.
+
+    ``lam`` has shape (..., N); every leading index is one wavenumber
+    vector lambda_1..lambda_N.  Returns I with the leading shape, and with
+    ``moments`` the triple (I, I^1, I^11) where I^1[..., l] and
+    I^11[..., m, l] carry the coordinate moments x_l and x_m x_l (see the
+    module docstring for the divided-difference formulas).  The vectors
+    are processed in blocks of about EXPM_CHUNK matrix entries.
     """
-    out = []
-    z = coeff
-    bound = 1.0
-    ratio = abs(mu) * span
-    for t in range(TAYLOR_MAX_TERMS + 1):
-        out.append((z / (power + t + 1), power + t + 1))
-        bound *= ratio / (t + 1)
-        if bound < TAYLOR_ABS_TOL:
-            break
-        z *= -1j * mu / (t + 1)
-    return out
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim == 0 or lam.shape[-1] < 1:
+        raise ValueError("lambda must have at least one component")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("lambda must be finite")
+    if not (L > 0 and math.isfinite(L)):
+        raise ValueError("L must be positive and finite")
+    lead, n = lam.shape[:-1], lam.shape[-1]
+    lam = lam.reshape(-1, n)
 
-
-def _definite(coeff: complex, power: int, mu: float, upper: float, zero_tol: float) -> complex:
-    """int_0^upper coeff * x^p * exp(-i mu x) dx."""
-    if abs(mu) <= zero_tol:
-        return coeff * upper ** (power + 1) / (power + 1)
-    if abs(mu) * upper <= TAYLOR_CUTOFF:
-        return sum(c * upper**p for c, p in _taylor_coeffs(coeff, power, mu, upper))
-    coeffs, base = _closed_form_pieces(coeff, power, mu)
-    poly = sum(c * upper**s for s, c in enumerate(coeffs))
-    return poly * np.exp(-1j * mu * upper) - base
-
-
-def simplex_exp_integral(req: SimplexIntegralRequest, term_cap: int = DEFAULT_TERM_CAP) -> complex:
-    """Nested integral of x_m^alpha x_n^beta e^{-i lambda.x} over the ordered simplex.
-
-    Integration proceeds innermost to outermost; every level integrates
-    its term list (closed form, small-wavenumber series, or polynomial
-    branch as appropriate), substitutes the limits {0, x_next},
-    multiplies in the next level's own x^p e^{-i lambda x} factor and
-    merges like terms keyed on (power, quantized wavenumber).
-    """
-    lam = np.asarray(req.lam, dtype=float)
-    n_dim = lam.size
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    zero_tol = DEGENERACY_RTOL * scale
-
-    powers = [0] * n_dim
-    if req.alpha:
-        powers[req.m - 1] += req.alpha
-    if req.beta:
-        powers[req.n - 1] += req.beta
-
-    return _simplex_exp_raw(lam, powers, req.L, zero_tol, term_cap)
-
-
-def _simplex_exp_raw(
-    lam: np.ndarray, powers: Sequence[int], L: float, zero_tol: float, term_cap: int
-) -> complex:
-    """Core recursion shared by the public entry point and the QFI kernel."""
-    n_dim = lam.size
-    # terms: dict key (power, quantized mu) -> [coeff, mu]
-    terms = {(powers[0], round(lam[0] / zero_tol)): [1.0 + 0.0j, float(lam[0])]}
-
-    for level in range(1, n_dim):
-        p_next = powers[level]
-        lam_next = float(lam[level])
-        merged: dict = {}
-
-        def _add(coeff: complex, power: int, mu: float) -> None:
-            key = (power, round(mu / zero_tol))
-            slot = merged.get(key)
-            if slot is None:
-                merged[key] = [coeff, mu]
-            else:
-                slot[0] += coeff
-
-        for (power, _), (coeff, mu) in terms.items():
-            if abs(mu) <= zero_tol:
-                # polynomial branch; antiderivative vanishes at 0
-                _add(coeff / (power + 1), power + 1 + p_next, lam_next)
-            elif abs(mu) * L <= TAYLOR_CUTOFF:
-                # series branch: exponential absorbed into the polynomial
-                for c_t, p_t in _taylor_coeffs(coeff, power, mu, L):
-                    _add(c_t, p_t + p_next, lam_next)
-            else:
-                coeffs, base = _closed_form_pieces(coeff, power, mu)
-                for s, c_s in enumerate(coeffs):
-                    _add(c_s, s + p_next, mu + lam_next)
-                _add(-base, p_next, lam_next)
-
-        if len(merged) > term_cap:
-            raise ResourceLimitError(
-                f"simplex integral term list exceeded cap ({len(merged)} > {term_cap})"
-            )
-        terms = merged
-
-    total = 0.0 + 0.0j
-    for (power, _), (coeff, mu) in terms.items():
-        total += _definite(coeff, power, mu, L, zero_tol)
-    return total
+    entries = (n + 3) ** 2 * n * (n + 1) // 2 if moments else (n + 1) ** 2
+    step = max(1, EXPM_CHUNK // entries)
+    blocks = [
+        _simplex_block(lam[s : s + step], L, moments) for s in range(0, max(len(lam), 1), step)
+    ]
+    if not moments:
+        return np.concatenate(blocks).reshape(lead)
+    shapes = ((), (n,), (n, n))
+    return tuple(
+        np.concatenate(part).reshape(lead + shape) for part, shape in zip(zip(*blocks), shapes)
+    )
 
 
 # ---------------------------------------------------------------------------

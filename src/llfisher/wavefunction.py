@@ -16,9 +16,8 @@ bosonic extension to [0, L]^N sorts the coordinates first.
 
 Amplitude tables carry every coefficient together with its analytic
 c-derivative (product rule through dk/dc), so pointwise values and
-d(psi)/dc come out of a single pass over the table.  Terms are summed
-with compensated (Kahan) accumulation for N >= 4, where the N! or 2^N N!
-unimodular-weighted contributions start cancelling destructively.
+d(psi)/dc come out of a single pass over the table, summed by one matrix
+product per chunk of points.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from .bethe import BetheSolution, BoundaryCondition, ModelParams, StateSpec
 # the wait.
 MAX_N_PERIODIC = 5
 MAX_N_HARD_WALL = 4
-
-KAHAN_MIN_N = 4
 
 
 class DegenerateStateError(ValueError):
@@ -178,13 +175,6 @@ def amplitudes(
     )
 
 
-def _kahan_accumulate(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    y = term - comp
-    t = total + y
-    comp[...] = (t - total) - y
-    total[...] = t
-
-
 def eval_batch(table: AmplitudeTable, points: np.ndarray, chunk: int = 200_000):
     """(psi~, d psi~/dc) at a batch of ordered points, shape (M, N).
 
@@ -202,28 +192,11 @@ def eval_batch(table: AmplitudeTable, points: np.ndarray, chunk: int = 200_000):
     max_rows = max(1, chunk // max(1, table.n_terms))
     for start in range(0, m_total, max_rows):
         block = points[start : start + max_rows]
-        if table.n < KAHAN_MIN_N:
-            phases = np.exp(1j * (block @ table.kappa.T))
-            vals = phases @ w_amp
-            dvals = phases @ w_damp + 1j * (
-                ((block @ table.dkappa.T) * phases) @ w_amp
-            )
-        else:
-            m = block.shape[0]
-            vals = np.zeros(m, dtype=complex)
-            dvals = np.zeros(m, dtype=complex)
-            comp_v = np.zeros(m, dtype=complex)
-            comp_d = np.zeros(m, dtype=complex)
-            for t in range(table.n_terms):
-                phase = np.exp(1j * (block @ table.kappa[t]))
-                _kahan_accumulate(vals, comp_v, w_amp[t] * phase)
-                _kahan_accumulate(
-                    dvals,
-                    comp_d,
-                    (w_damp[t] + 1j * w_amp[t] * (block @ table.dkappa[t])) * phase,
-                )
-        values[start : start + max_rows] = vals
-        dvalues[start : start + max_rows] = dvals
+        phases = np.exp(1j * (block @ table.kappa.T))
+        values[start : start + max_rows] = phases @ w_amp
+        dvalues[start : start + max_rows] = phases @ w_damp + 1j * (
+            ((block @ table.dkappa.T) * phases) @ w_amp
+        )
     return values, dvalues
 
 

@@ -212,3 +212,36 @@ def test_imaging_sample_requires_seed(capsys):
     )
     assert code == 2
     assert "seed" in err
+
+
+def test_imaging_over_image_cap_exits_5(capsys):
+    # 1000 pixels give 502,503 two-atom images, above the default cap
+    code, _, err = run(
+        capsys, "imaging", "--bc", "periodic", "-N", "2", "--ground",
+        "-c", "0.2", "-L", "10", "--pixels", "1000",
+    )
+    assert code == 5
+    assert err.startswith("resource limit:")
+
+
+def test_imaging_probability_sum_check_exits_6(capsys):
+    # a 2-point box rule misses the probability sum by 2e-4
+    code, _, err = run(
+        capsys, "imaging", "--bc", "periodic", "-N", "2", "--ground",
+        "-c", "0.2", "-L", "10", "--pixels", "2", "--order", "2",
+    )
+    assert code == 6
+    assert err.startswith("numerical check failed:")
+
+
+def test_lmax_qfi_residue_check_exits_6(capsys, monkeypatch):
+    import llfisher.fisher
+
+    # any residue fails a negative tolerance
+    monkeypatch.setattr(llfisher.fisher, "QFI_IMAG_RTOL", -1.0)
+    code, _, err = run(
+        capsys, "lmax", "--bc", "hardwall", "-N", "2", "--ground",
+        "-c", "0.2", "--bracket", "10", "150",
+    )
+    assert code == 6
+    assert "imaginary residue" in err

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import llfisher.fisher
 from llfisher.bethe import (
     BoundaryCondition,
     ModelParams,
+    SolverError,
     StateSpec,
     ground_state,
     norm_sq,
@@ -131,6 +133,14 @@ def test_oracle_richardson_consistency():
     assert err_small < 0.5 * err_big
 
 
+def test_oracle_one_sided_near_zero_coupling():
+    # the centred stencil would solve at c - delta/2 < 0
+    params = ModelParams(1e-6, 10.0)
+    for spec in (ground_state(PER, 2), ground_state(HW, 3)):
+        analytic = qfi_analytic(spec, params)
+        assert qfi_overlap_oracle(spec, params) == pytest.approx(analytic, rel=1e-3)
+
+
 def test_oracle_rejects_bad_delta():
     with pytest.raises(ValueError):
         qfi_overlap_oracle(ground_state(PER, 2), ModelParams(1.0, 1.0), delta=0.0)
@@ -165,6 +175,14 @@ def test_general_ring_state_gap_is_small_and_nonnegative():
     assert report.cfi <= report.qfi * (1 + 1e-9)
     assert report.phase_variance_term >= 0.0
     assert report.phase_variance_term < 0.1 * report.qfi
+
+
+def test_cfi_quadrature_near_zero_coupling():
+    # d(norm^2)/dc takes the one-sided stencil below c = 1e-5
+    spec = StateSpec(PER, 3, (-1.0, 1.0, 2.0))
+    tiny = cfi(spec, ModelParams(1e-6, 1.0))
+    assert tiny == pytest.approx(cfi(spec, ModelParams(1e-4, 1.0)), rel=1e-4)
+    assert tiny <= qfi_analytic(spec, ModelParams(1e-6, 1.0))
 
 
 def test_report_invariants():
@@ -253,3 +271,21 @@ def test_sweep_parallel_matches_sequential(monkeypatch):
     for seq, par in zip(sequential.reports, parallel.reports):
         assert par.qfi == seq.qfi
         assert par.cfi == seq.cfi
+
+
+def test_sweep_error_keeps_class_name(monkeypatch):
+    def failing(*args, **kwargs):
+        raise SolverError("no convergence")
+
+    monkeypatch.setattr(llfisher.fisher, "fisher_report", failing)
+    result = sweep(ground_state(PER, 2), "c", [0.5, 1.0], fixed_value=1.0)
+    assert result.errors == {0: "SolverError: no convergence", 1: "SolverError: no convergence"}
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bad call")
+
+    monkeypatch.setattr(llfisher.fisher, "fisher_report", broken)
+    with pytest.raises(TypeError, match="bad call"):
+        sweep(ground_state(PER, 2), "c", [0.5, 1.0], fixed_value=1.0)

@@ -264,3 +264,14 @@ def test_shot_file_roundtrip(tmp_path):
     assert header["c"] == params.c
     first = path.read_text().splitlines()[0]
     assert json.loads(first)["format"] == "llfisher-shots"
+
+
+def test_distribution_near_zero_coupling():
+    # dP/dc needs d(norm^2)/dc, which takes the one-sided stencil below c = 1e-5
+    spec = ground_state(PER, 2)
+    grid = uniform_grid(10.0, 4)
+    tiny = image_distribution(spec, ModelParams(1e-6, 10.0), grid)
+    ref = image_distribution(spec, ModelParams(1e-4, 10.0), grid)
+    assert abs(tiny.probs.sum() - 1.0) < 1e-9
+    assert imaging_cfi(tiny) == pytest.approx(imaging_cfi(ref), rel=1e-3)
+    assert imaging_cfi(tiny) <= cfi(spec, ModelParams(1e-6, 10.0))

@@ -1,22 +1,21 @@
-"""Closed-form simplex integrals against independent quadrature oracles."""
+"""Divided-difference simplex integrals against independent oracles.
+
+The kernel is checked against adaptive scipy quadrature, iterated
+Gauss-Legendre rules, scipy.linalg.expm and mpmath partial fractions;
+none of them evaluates a matrix exponential with the kernel's code.
+"""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from llfisher.integrals import (
-    ExpPolyTerm,
-    ResourceLimitError,
-    SimplexIntegralRequest,
-    antiderivative,
-    box_quadrature,
-    simplex_exp_integral,
-    simplex_quadrature,
-)
+import llfisher.integrals as integrals
+from llfisher.integrals import box_quadrature, simplex_exp_integral, simplex_quadrature
 
 
 def nested_quad(lam, L, power_idx=None):
@@ -36,59 +35,79 @@ def nested_quad(lam, L, power_idx=None):
     return re + 1j * im
 
 
+def nodes(lam, L):
+    """z_j = -i L sum_{m>=j} lambda_m, then z_n = 0."""
+    tails = np.cumsum(np.asarray(lam, dtype=float)[::-1])[::-1]
+    return list(-1j * L * tails) + [0.0]
+
+
+def moments_from(dd, lam, L):
+    """I, I^1, I^11 from a divided-difference function of a node list."""
+    n = len(lam)
+    z = nodes(lam, L)
+    d1 = np.array([dd(z + [z[i]]) for i in range(n)])
+    d2 = np.array(
+        [[(2 if i == j else 1) * dd(z + [z[i], z[j]]) for j in range(n)] for i in range(n)]
+    )
+    return (
+        L**n * dd(z),
+        L ** (n + 1) * np.cumsum(d1),
+        L ** (n + 2) * d2.cumsum(axis=0).cumsum(axis=1),
+    )
+
+
+def max_rel(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
 # ---------------------------------------------------------------------------
-# antiderivative
+# N = 1: the integral over [0, x] is the antiderivative vanishing at 0
 # ---------------------------------------------------------------------------
 
 
 def test_antiderivative_plain_exponential():
-    term = ExpPolyTerm(1.0, 0, 2.0)
     x = 0.7
-    expected = np.exp(-1j * 2.0 * x) / (-1j * 2.0)
-    assert abs(antiderivative(term, x) - expected) < 1e-14
+    expected = (np.exp(-1j * 2.0 * x) - 1.0) / (-1j * 2.0)
+    assert abs(simplex_exp_integral([2.0], x) - expected) < 1e-14
 
 
 def test_antiderivative_constant_integrand():
-    term = ExpPolyTerm(1.0, 0, 0.0)
-    assert antiderivative(term, 0.9) == pytest.approx(0.9)
+    assert simplex_exp_integral([0.0], 0.9) == pytest.approx(0.9)
 
 
 def test_antiderivative_matches_adaptive_quadrature():
-    # definite integral of x^2 e^{-3ix} over [0.25, 1]; both endpoints sit
-    # in the closed-form regime so the difference is a definite integral
-    term = ExpPolyTerm(1.0, 2, 3.0)
-    got = antiderivative(term, 1.0) - antiderivative(term, 0.25)
+    # int_0.25^1 x^2 e^{-3ix} dx is the difference of two second moments
+    def second_moment(upper):
+        return simplex_exp_integral([3.0], upper, moments=True)[2][0, 0]
+
+    got = second_moment(1.0) - second_moment(0.25)
     re = integrate.quad(lambda x: x**2 * math.cos(3 * x), 0.25, 1, epsabs=1e-13)[0]
     im = integrate.quad(lambda x: -(x**2) * math.sin(3 * x), 0.25, 1, epsabs=1e-13)[0]
     assert abs(got - (re + 1j * im)) < 1e-10
 
 
 def test_antiderivative_series_window_definite_integral():
-    # small |mu x|: differences of the series branch are machine-accurate
-    # definite integrals (the closed form would cancel catastrophically)
+    # small |mu x|, where a closed form 1/mu expression cancels catastrophically
     mu = 1e-6
-    term = ExpPolyTerm(1.0, 1, mu)
-    got = antiderivative(term, 1.0) - antiderivative(term, 0.5)
+
+    def first_moment(upper):
+        return simplex_exp_integral([mu], upper, moments=True)[1][0]
+
+    got = first_moment(1.0) - first_moment(0.5)
     re = integrate.quad(lambda x: x * math.cos(mu * x), 0.5, 1, epsabs=1e-14)[0]
     im = integrate.quad(lambda x: -x * math.sin(mu * x), 0.5, 1, epsabs=1e-14)[0]
     assert abs(got - (re + 1j * im)) < 1e-13
 
 
-def test_antiderivative_rejects_bad_terms():
-    with pytest.raises(ValueError):
-        ExpPolyTerm(1.0, -1, 0.0)
-
-
 @pytest.mark.parametrize("power", [0, 1, 2])
 def test_degenerate_branch_continuity(power):
-    # definite integral value must not jump as mu crosses the flag threshold
-    zero_tol = 1e-9
-    x = 1.0
-    above = ExpPolyTerm(1.0, power, zero_tol * 1.01)
-    below = ExpPolyTerm(1.0, power, zero_tol * 0.99)
-    val_above = antiderivative(above, x, zero_tol) - antiderivative(above, 0.0, zero_tol)
-    val_below = antiderivative(below, x, zero_tol) - antiderivative(below, 0.0, zero_tol)
-    assert abs(val_above - val_below) < 1e-8
+    # no jump where a 1e-9 wavenumber used to switch to a polynomial branch
+    def value(mu):
+        i00, i1, i11 = simplex_exp_integral([mu], 1.0, moments=True)
+        return (i00, i1[0], i11[0, 0])[power]
+
+    assert abs(value(1e-9 * 1.01) - value(1e-9 * 0.99)) < 1e-8
+    assert abs(value(1e-9) - value(0.0)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -98,33 +117,30 @@ def test_degenerate_branch_continuity(power):
 
 @pytest.mark.parametrize("n_dim", [1, 2, 3, 4])
 def test_simplex_volume(n_dim):
-    req = SimplexIntegralRequest(lam=(0.0,) * n_dim, L=1.3)
     expected = 1.3**n_dim / math.factorial(n_dim)
-    assert simplex_exp_integral(req) == pytest.approx(expected, rel=1e-13)
+    assert simplex_exp_integral((0.0,) * n_dim, 1.3) == pytest.approx(expected, rel=1e-13)
 
 
 def test_single_exponential():
     lam = 2.7
     L = 1.9
-    req = SimplexIntegralRequest(lam=(lam,), L=L)
     expected = (np.exp(-1j * lam * L) - 1.0) / (-1j * lam)
-    assert abs(simplex_exp_integral(req) - expected) < 1e-13
+    assert abs(simplex_exp_integral([lam], L) - expected) < 1e-13
 
 
 def test_two_dim_vs_nested_adaptive():
     lam = (1.3, -0.4)
-    got = simplex_exp_integral(SimplexIntegralRequest(lam=lam, L=1.0))
+    got = simplex_exp_integral(lam, 1.0)
     want = nested_quad(lam, 1.0)
     assert abs(got - want) < 1e-9
 
 
 def test_power_factors_vs_nested_adaptive():
     lam = (0.9, -2.2)
-    got = simplex_exp_integral(
-        SimplexIntegralRequest(lam=lam, L=1.0, alpha=1, m=1, beta=1, n=2)
-    )
+    _, _, i11 = simplex_exp_integral(lam, 1.0, moments=True)
     want = nested_quad(lam, 1.0, power_idx={0: 1, 1: 1})
-    assert abs(got - want) < 1e-9
+    assert abs(i11[0, 1] - want) < 1e-9
+    assert i11[1, 0] == i11[0, 1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -132,10 +148,11 @@ def test_power_factors_vs_nested_adaptive():
     lam=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3),
 )
 def test_conjugation(lam):
-    L = 1.0
-    fwd = simplex_exp_integral(SimplexIntegralRequest(lam=tuple(lam), L=L))
-    rev = simplex_exp_integral(SimplexIntegralRequest(lam=tuple(-v for v in lam), L=L))
-    assert abs(rev - np.conj(fwd)) < 1e-10 * max(1.0, abs(fwd))
+    # the pair-bundle dedup reuses every integral of lambda for -lambda
+    fwd = simplex_exp_integral(lam, 1.0, moments=True)
+    rev = simplex_exp_integral([-v for v in lam], 1.0, moments=True)
+    for f, r in zip(fwd, rev):
+        assert np.max(np.abs(r - np.conj(f))) < 1e-10 * max(1.0, np.max(np.abs(f)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -147,15 +164,13 @@ def test_conjugation(lam):
 def test_agrees_with_simplex_quadrature(lam, alpha, beta):
     n_dim = len(lam)
     L = 1.0
-    req = SimplexIntegralRequest(
-        lam=tuple(lam),
-        L=L,
-        alpha=alpha,
-        beta=beta,
-        m=1 if alpha else None,
-        n=n_dim if beta else None,
-    )
-    got = simplex_exp_integral(req)
+    i00, i1, i11 = simplex_exp_integral(lam, L, moments=True)
+    if alpha and beta:
+        got = i11[0, n_dim - 1]
+    elif alpha or beta:
+        got = i1[0 if alpha else n_dim - 1]
+    else:
+        got = i00
 
     lam_arr = np.asarray(lam)
 
@@ -171,21 +186,101 @@ def test_agrees_with_simplex_quadrature(lam, alpha, beta):
     assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
+def test_moments_vs_simplex_quadrature_large_box():
+    # every first and second moment at once, at a QFI-sized box
+    lam = np.array([0.7, -1.1, 0.25])
+    L = 10.0
+    i00, i1, i11 = simplex_exp_integral(lam, L, moments=True)
+    pts, wts = integrals.simplex_nodes(3, L, 48)
+    phase = wts * np.exp(-1j * pts @ lam)
+    assert abs(i00 - phase.sum()) < 1e-9 * abs(i00)
+    assert max_rel(i1, pts.T @ phase) < 1e-9
+    assert max_rel(i11, np.einsum("p,pm,pl->ml", phase, pts, pts)) < 1e-9
+
+
+def expm_divided_difference(w):
+    """exp[w_0..w_k] as entry (0, k) of scipy's expm of the bidiagonal matrix."""
+    m = len(w)
+    a = np.diag(np.asarray(w, dtype=complex)) + np.diag(np.ones(m - 1), 1)
+    return scipy.linalg.expm(a)[0, -1]
+
+
+@pytest.mark.parametrize("L", [1.0, 10.0, 90.0])
+def test_kernel_matches_scipy_expm(L):
+    rng = np.random.default_rng(11)
+    for n in range(1, 6):
+        lam = rng.uniform(-1.5, 1.5, n)
+        want = moments_from(expm_divided_difference, lam, L)
+        got = simplex_exp_integral(lam, L, moments=True)
+        for g, w in zip(got, want):
+            assert max_rel(g, w) < 1e-12
+
+
+def mp_divided_difference(w):
+    """exp[w_0..w_k] by partial fractions in 260-digit arithmetic.
+
+    Confluent nodes are split by distinct 1e-30 offsets; the partial
+    fractions then lose at most 30 digits per repeated node and the offsets
+    move the value by about 1e-30 relative.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(260):
+        pts = [mp.mpc(complex(x)) + mp.mpf(10) ** -30 * (j + 1) for j, x in enumerate(w)]
+        total = mp.mpc(0)
+        for j, wj in enumerate(pts):
+            den = mp.mpc(1)
+            for i, wi in enumerate(pts):
+                if i != j:
+                    den *= wj - wi
+            total += mp.exp(wj) / den
+        return complex(total)
+
+
+MP_CASES = [
+    ((0.8,), "generic"),
+    ((0.0,), "zero"),
+    ((0.0, 1.3), "lambda_1 = 0"),
+    ((-0.6, 0.6), "zero tail sum"),
+    ((0.9, -2.1, 0.4), "generic"),
+    ((0.0, 0.5, -0.5), "lambda_1 = 0, zero tail sum"),
+    ((1.2, -0.3, 0.7, -1.9), "generic"),
+    ((0.3, -1.1, 0.0, 1.1), "zero tail sum"),
+    ((0.5, -0.8, 1.6, -0.2, -0.9), "generic"),
+    ((0.0, 0.7, -1.4, 0.3, 0.4), "lambda_1 = 0, zero tail sum"),
+]
+
+
+@pytest.mark.parametrize("L", [1.0, 10.0, 90.0])
+@pytest.mark.parametrize("lam,case", MP_CASES)
+def test_kernel_matches_mpmath(lam, case, L):
+    want = moments_from(mp_divided_difference, lam, L)
+    got = simplex_exp_integral(lam, L, moments=True)
+    for g, w in zip(got, want):
+        assert max_rel(g, w) < 1e-12, case
+
+
+def test_batch_shapes_and_chunking(monkeypatch):
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(-3.0, 3.0, size=(2, 5, 3))
+    whole = simplex_exp_integral(lam, 4.0, moments=True)
+    assert [v.shape for v in whole] == [(2, 5), (2, 5, 3), (2, 5, 3, 3)]
+    monkeypatch.setattr(integrals, "EXPM_CHUNK", 200)  # two vectors per block
+    chunked = simplex_exp_integral(lam, 4.0, moments=True)
+    for a, b in zip(whole, chunked):
+        np.testing.assert_array_equal(a, b)
+    single = simplex_exp_integral(lam[1, 2], 4.0)
+    assert single.shape == () and single == whole[0][1, 2]
+
+
 def test_request_validation():
     with pytest.raises(ValueError):
-        SimplexIntegralRequest(lam=(), L=1.0)
+        simplex_exp_integral([], 1.0)
     with pytest.raises(ValueError):
-        SimplexIntegralRequest(lam=(1.0,), L=-1.0)
+        simplex_exp_integral([1.0], -1.0)
     with pytest.raises(ValueError):
-        SimplexIntegralRequest(lam=(1.0, 2.0), L=1.0, alpha=1)  # missing m
+        simplex_exp_integral([1.0, np.nan], 1.0)
     with pytest.raises(ValueError):
-        SimplexIntegralRequest(lam=(1.0, 2.0), L=1.0, beta=1, n=5)  # n out of range
-
-
-def test_term_cap():
-    req = SimplexIntegralRequest(lam=(1.0, 2.0, 3.0, 4.0), L=1.0)
-    with pytest.raises(ResourceLimitError):
-        simplex_exp_integral(req, term_cap=1)
+        simplex_exp_integral(1.0, 1.0)  # needs a wavenumber axis
 
 
 # ---------------------------------------------------------------------------

@@ -250,16 +250,35 @@ def test_dvalue_dc_against_resolved_difference(bc, n, c, L):
     assert np.max(np.abs(dvals - numeric)) < 1e-5 * scale
 
 
-def test_kahan_path_matches_plain_summation():
-    # N = 4 takes the compensated branch; cross-check against a direct sum
-    params = ModelParams(0.8, 1.0)
-    spec, sol, table = make(PER, 4, params)
+@pytest.mark.parametrize(
+    "bc,n,c,L",
+    [(HW, 4, 0.2, 10.0), (PER, 5, 0.2, 10.0), (HW, 4, 5.0, 1.0)],
+    ids=["box4", "ring5", "box4-strong"],
+)
+def test_eval_batch_matches_mpmath_sum(bc, n, c, L):
+    # the plain matrix-product sum over the 2^N N! (or N!) terms stays at
+    # machine precision against a 30-digit sum of the same table
+    mp = pytest.importorskip("mpmath")
+    params = ModelParams(c, L)
+    spec, sol, table = make(bc, n, params)
     rng = np.random.default_rng(7)
-    pts = np.sort(rng.uniform(0, 1, size=(16, 4)), axis=1)
+    pts = np.sort(rng.uniform(0, L, size=(8, n)), axis=1)
     vals, dvals = eval_batch(table, pts)
     w_amp = table.weight * table.amp
-    direct = np.exp(1j * pts @ table.kappa.T) @ w_amp
-    assert np.max(np.abs(vals - direct)) < 1e-10 * np.max(np.abs(direct))
+    w_damp = table.weight * table.damp
+    ref = np.empty(len(pts), dtype=complex)
+    dref = np.empty(len(pts), dtype=complex)
+    with mp.workdps(30):
+        for p, x in enumerate(pts):
+            val = dval = mp.mpc(0)
+            for t in range(table.n_terms):
+                phase = mp.expj(mp.fdot(x, table.kappa[t]))
+                val += mp.mpc(w_amp[t]) * phase
+                slope = mp.fdot(x, table.dkappa[t])
+                dval += (mp.mpc(w_damp[t]) + 1j * mp.mpc(w_amp[t]) * slope) * phase
+            ref[p], dref[p] = complex(val), complex(dval)
+    assert np.max(np.abs(vals - ref)) < 4e-15 * np.max(np.abs(ref))
+    assert np.max(np.abs(dvals - dref)) < 4e-15 * np.max(np.abs(dref))
 
 
 # ---------------------------------------------------------------------------
