@@ -195,6 +195,17 @@ def bethe_residual(k: np.ndarray, spec: StateSpec, params: ModelParams) -> np.nd
     return L * k - np.pi * qn + terms.sum(axis=1)
 
 
+def _gaudin_assembly(a: np.ndarray, b: np.ndarray, diag: float) -> np.ndarray:
+    """b - a off the diagonal, and diag plus the row sums of a + b on it.
+
+    ``a`` and ``b`` are the difference and sum kernels with zeroed
+    diagonals (``b`` is zero on the ring).
+    """
+    out = b - a
+    np.fill_diagonal(out, diag + (a + b).sum(axis=1))
+    return out
+
+
 def gaudin_matrix(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> np.ndarray:
     """Jacobian of the Bethe residual; also the norm (Gaudin/Hessian) matrix.
 
@@ -207,7 +218,7 @@ def gaudin_matrix(k: Sequence[float], params: ModelParams, bc: BoundaryCondition
     if bc is BoundaryCondition.PERIODIC:
         off = 2.0 * c / (diff_sq + c * c) if c > 0 else np.zeros_like(diff_sq)
         np.fill_diagonal(off, 0.0)
-        return np.diag(L + off.sum(axis=1)) - off
+        return _gaudin_assembly(off, np.zeros_like(off), L)
     sum_sq = (k[:, None] + k[None, :]) ** 2
     if c > 0:
         a = c / (diff_sq + c * c)
@@ -216,11 +227,8 @@ def gaudin_matrix(k: Sequence[float], params: ModelParams, bc: BoundaryCondition
         a = np.zeros_like(diff_sq)
         b = np.zeros_like(sum_sq)
     np.fill_diagonal(a, 0.0)
-    b_off = b.copy()
-    np.fill_diagonal(b_off, 0.0)
-    out = -a + b
-    np.fill_diagonal(out, L + (a + b_off).sum(axis=1))
-    return out
+    np.fill_diagonal(b, 0.0)
+    return _gaudin_assembly(a, b, L)
 
 
 def _residual_scale(k: np.ndarray, L: float) -> float:
@@ -421,20 +429,52 @@ def norm_sq(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> N
     return NormData(matrix=matrix, norm_sq=prefactor * det)
 
 
-def dnorm_sq_dc(spec: StateSpec, params: ModelParams, rel_step: float = 1e-5) -> float:
-    """d(norm^2)/dc along the solution branch, by finite differences.
+def _dgaudin_dc(k: np.ndarray, dk: np.ndarray, params: ModelParams, bc: BoundaryCondition):
+    """Total c-derivative of :func:`gaudin_matrix` along the solution branch.
 
-    Differencing full solves is robust and avoids third-derivative
-    tensor code; the step h follows the coupling scale.  The stencil is
-    central, and below c = h, where it would cross c = 0, the
-    second-order forward stencil (-3 f(c) + 4 f(c + h) - f(c + 2h)) / 2h.
+    Every kernel entry has the form c / (u^2 + c^2) (twice that on the
+    ring), whose derivative through c and u(c) is
+    (u^2 - c^2 - 2 c u u') / (u^2 + c^2)^2; L drops out.
     """
-    h = rel_step * max(params.c, 1.0)
+    c = params.c
 
-    def n2(c: float) -> float:
-        at = ModelParams(c, params.L)
-        return norm_sq(solve_bethe(spec, at).k, at, spec.bc).norm_sq
+    def kernel_dc(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+        den = u * u + c * c
+        np.fill_diagonal(den, 1.0)  # the diagonal is discarded; avoids 0/0 at c = 0
+        out = (u * u - c * c - 2.0 * c * u * du) / (den * den)
+        np.fill_diagonal(out, 0.0)
+        return out
 
-    if params.c < h:
-        return (-3.0 * n2(params.c) + 4.0 * n2(params.c + h) - n2(params.c + 2.0 * h)) / (2.0 * h)
-    return (n2(params.c + h) - n2(params.c - h)) / (2.0 * h)
+    a = kernel_dc(k[:, None] - k[None, :], dk[:, None] - dk[None, :])
+    if bc is BoundaryCondition.PERIODIC:
+        return _gaudin_assembly(2.0 * a, np.zeros_like(a), 0.0)
+    b = kernel_dc(k[:, None] + k[None, :], dk[:, None] + dk[None, :])
+    return _gaudin_assembly(a, b, 0.0)
+
+
+def dnorm_sq_dc(spec: StateSpec, params: ModelParams) -> float:
+    """d(norm^2)/dc along the solution branch, analytically.
+
+    From one solve, k and dk/dc give the logarithmic derivative of each
+    factor of :func:`norm_sq`: with u = k_j -+ k_l,
+
+        d ln(1 + c^2/u^2)/dc = 2 c (u - c u') / (u (u^2 + c^2)),
+        d ln det H / dc      = tr(H^-1 dH/dc),
+
+    and d(norm^2)/dc is norm^2 times their sum.  Where quasimomenta
+    collapse as sqrt(c) (ground states near c = 0), the kernel derivative
+    in dH/dc cancels from O(c) terms to O(c^2), and the rounding of k
+    bounds the relative accuracy to about 1e-8 at c = 1e-6.
+    """
+    solution = solve_bethe(spec, params)
+    k, dk = solution.k, solution.dk_dc
+    c = params.c
+    data = norm_sq(k, params, spec.bc)
+    dlog = float(np.trace(np.linalg.solve(data.matrix, _dgaudin_dc(k, dk, params, spec.bc))))
+    j, l = np.triu_indices(k.size, 1)
+    pairs = [(k[j] - k[l], dk[j] - dk[l])]
+    if spec.bc is BoundaryCondition.HARD_WALL:
+        pairs.append((k[j] + k[l], dk[j] + dk[l]))
+    for u, du in pairs:
+        dlog += float(np.sum(2.0 * c * (u - c * du) / (u * (u * u + c * c))))
+    return data.norm_sq * dlog

@@ -241,13 +241,12 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
         "c": args.c,
         "L": args.L,
         "pixels": args.pixels,
-        "order": args.order,
     }
     chash = _config_hash(config)
     lines = ["n_pixels,imaging_cfi,cfi,ratio,config_hash,version"]
     last_dist = None
     for npix in args.pixels:
-        dist = image_distribution(spec, params, uniform_grid(args.L, npix), order=args.order)
+        dist = image_distribution(spec, params, uniform_grid(args.L, npix))
         last_dist = dist
         f_img = imaging_cfi(dist)
         lines.append(
@@ -280,9 +279,7 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
         span = 6.0 / max(np.sqrt(args.sample * f_last), 1e-12)
         lo = max(args.c - span, 0.02 * args.c)
         c_grid = np.linspace(lo, args.c + span, 21)
-        c_hat, loglik = mle_estimate(
-            shots, spec, last_dist.grid, c_grid, args.L, order=args.order
-        )
+        c_hat, loglik = mle_estimate(shots, spec, last_dist.grid, c_grid, args.L)
         summary = {
             "config_hash": chash,
             "version": __version__,
@@ -338,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_img.add_argument("-c", type=float, required=True)
     p_img.add_argument("-L", type=float, required=True)
     p_img.add_argument("--pixels", type=int, nargs="+", required=True)
-    p_img.add_argument("--order", type=int, default=16, help="box quadrature order")
     p_img.add_argument("--sample", type=int, help="draw this many shots from the last grid")
     p_img.add_argument("--seed", type=int, help="shot RNG seed")
     p_img.add_argument("--shots-out", help="shot file path (default shots.ndjson)")

@@ -15,9 +15,23 @@ cube.  The classical Fisher information of this measurement,
 sum_n (dP/dc)^2 / P, converges to the position-measurement CFI as the
 pixels shrink.
 
-dP/dc is assembled from the analytic coupling derivative of the ansatz;
-a finite-difference version of the same distribution serves as the test
-oracle rather than the production path.
+P is exact.  Each occupied bin [lo, hi] (clipped to [0, L]) holds a run
+of r atoms at coordinates s..s+r-1; ordering the atoms within every run
+makes the box an ordered product of sub-simplices of width hi - lo, and
+the r! orderings per run times zeta_n give N!.  With
+psi~ = sum_a w_a e^{i kappa_a.x} and lambda = kappa_a - kappa_b, the
+plane wave factorizes over the runs, x = lo + y inside each:
+
+    P = sum_{a,b} conj(w_a) w_b
+        prod_runs e^{-i lo sum_run lambda} I(lambda_run, hi - lo) / NS,
+
+with I the ordered-simplex integral of ``integrals.simplex_exp_integral``
+and NS the ordered-domain norm square.  dP/dc follows from the same runs:
+the coefficient derivatives dw, and the dkappa.x term of d_c psi~, whose
+coordinate x_l = lo + y_l brings in the first moment I^1 of its run.
+Gauss-Legendre box quadrature (``integrals.box_quadrature``) of the same
+density serves as the test oracle, and finite differences of P check
+dP/dc.
 """
 
 from __future__ import annotations
@@ -32,12 +46,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bethe import ModelParams, StateSpec, dnorm_sq_dc, norm_sq, solve_bethe
-from .integrals import NumericalHealthError, ResourceLimitError, box_quadrature
-from .wavefunction import amplitudes, eval_batch
+from .fisher import _pair_bundles
+from .integrals import NumericalHealthError, ResourceLimitError
+from .wavefunction import AmplitudeTable, amplitudes
 
-DEFAULT_BOX_ORDER = 16
 DEFAULT_IMAGE_CAP = 200_000
 PROB_FLOOR = 1e-300
+# Largest accepted |sum P - 1|.  The exact box integrals sum to one within
+# a few 1e-16 on the tested states and grids; a larger deviation means a
+# wrong grid or a broken kernel, not rounding.
+PROB_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -157,64 +175,140 @@ def _bin_intervals(grid: PixelGrid, L: float):
     return intervals
 
 
+class _RunProducts:
+    """Exact box integrals of |psi~|^2 for one solved state, image by image.
+
+    A run of r atoms in one bin occupies coordinates s..s+r-1, and its
+    factor depends on a pair of table rows only through their kappa
+    entries on those slots.  The distinct length-r sub-rows are collected
+    once, so every (run size, bin width) needs one table of pair
+    integrals, built on first use from ``_pair_bundles`` and shared by
+    all run starts and images.  With ``derivative`` the table also holds
+    the first moments contracted with the sub-rows' dkappa.
+    """
+
+    def __init__(self, table: AmplitudeTable, intervals: list, derivative: bool):
+        self.table = table
+        self.intervals = intervals
+        self.derivative = derivative
+        self.w_amp = table.weight * table.amp
+        self.w_damp = table.weight * table.damp
+        n, rows = table.n, table.n_terms
+        self.index = {}
+        self.sub_rows = {}
+        for r in range(1, n + 1):
+            starts = range(n - r + 1)
+            kap = np.concatenate([table.kappa[:, s : s + r] for s in starts])
+            dkap = np.concatenate([table.dkappa[:, s : s + r] for s in starts])
+            uniq, first, inverse = np.unique(
+                kap, axis=0, return_index=True, return_inverse=True
+            )
+            self.index[r] = inverse.reshape(len(starts), rows)
+            self.sub_rows[r] = (uniq, dkap[first])
+        self._tables = {}
+
+    def _pair_tables(self, size: int, width: float):
+        """Run integral and dkappa-contracted first moment per sub-row pair."""
+        key = (size, width)
+        if key not in self._tables:
+            kap, dkap = self.sub_rows[size]
+            i00, i1, _ = _pair_bundles(kap, kap, width, full=self.derivative)
+            moment = np.einsum("uvj,vj->uv", i1, dkap) if self.derivative else None
+            self._tables[key] = (i00, moment)
+        return self._tables[key]
+
+    def box_integrals(self, counts: tuple):
+        """(int |psi~|^2, 2 Re int psi~* d_c psi~) over the image's ordered box.
+
+        Runs are integrated in the shifted coordinate y = x - lo; the
+        shift is the corner phase e^{i kappa.lo} on every table row, and
+        the first moment of x_l is lo_l I + I^1 in the run of x_l.  The
+        second entry is None without ``derivative``; a bin outside the
+        support gives (0, 0).
+        """
+        table = self.table
+        lo = np.empty(table.n)
+        runs = []
+        start = 0
+        for bin_idx, count in enumerate(counts):
+            if count == 0:
+                continue
+            if self.intervals[bin_idx] is None:
+                return 0.0, 0.0
+            a, b = self.intervals[bin_idx]
+            lo[start : start + count] = a
+            rows = np.ix_(self.index[count][start], self.index[count][start])
+            i00, moment = self._pair_tables(count, b - a)
+            runs.append((i00[rows], None if moment is None else moment[rows]))
+            start += count
+
+        phase = np.exp(1j * (table.kappa @ lo))
+        u = self.w_amp * phase
+        u_conj = np.conj(u)
+        box = runs[0][0]
+        for i00, _ in runs[1:]:
+            box = box * i00
+        p_raw = float((u_conj @ (box @ u)).real)
+        if not self.derivative:
+            return p_raw, None
+
+        du = self.w_damp * phase + 1j * (table.dkappa @ lo) * u
+        moments = 0.0
+        for k, (_, moment) in enumerate(runs):
+            term = moment
+            for m, (i00, _) in enumerate(runs):
+                if m != k:
+                    term = term * i00
+            moments = moments + term
+        overlap = u_conj @ (box @ du) + 1j * (u_conj @ (moments @ u))
+        return p_raw, 2.0 * float(overlap.real)
+
+
+def _image_probabilities(
+    spec: StateSpec, params: ModelParams, grid: PixelGrid, images, derivative: bool
+):
+    """P for each image, and dP/dc with ``derivative`` (else None).
+
+    zeta times the product of run-size factorials is N!, which cancels
+    the N! of the bosonic normalization: P is the ordered-box integral of
+    |psi~|^2 over the ordered-domain norm square.
+    """
+    solution = solve_bethe(spec, params)
+    table = amplitudes(solution, params, spec.bc)
+    n2 = norm_sq(solution.k, params, spec.bc).norm_sq
+    runs = _RunProducts(table, _bin_intervals(grid, params.L), derivative)
+    values = [runs.box_integrals(image.counts) for image in images]
+    probs = np.array([p for p, _ in values]) / n2
+    if not derivative:
+        return probs, None
+    dlog_n2 = dnorm_sq_dc(spec, params) / n2
+    dprobs = np.array([dp for _, dp in values]) / n2 - probs * dlog_n2
+    return probs, dprobs
+
+
 def image_distribution(
     spec: StateSpec,
     params: ModelParams,
     grid: PixelGrid,
-    order: int = DEFAULT_BOX_ORDER,
     cap: int = DEFAULT_IMAGE_CAP,
 ) -> ImageDistribution:
     """Probability table of all absorption images and its c-derivative.
 
-    Every image maps to one ascending box; the box integral of the
-    normalized |psi|^2 times the multinomial multiplicity gives P, and
-    the analytic derivative of the normalized density gives dP/dc.
+    Every image maps to one ascending box, whose exact integral of the
+    normalized |psi|^2 times the multinomial multiplicity gives P; the
+    analytic derivative of the normalized density gives dP/dc.
     """
     if not grid.covers(params.L):
         warnings.warn(
             "pixel grid does not cover [0, L]; outer bins will carry weight",
             stacklevel=2,
         )
-    solution = solve_bethe(spec, params)
-    table = amplitudes(solution, params, spec.bc)
-    n2 = norm_sq(solution.k, params, spec.bc).norm_sq
-    dn2 = dnorm_sq_dc(spec, params)
-    norm_full = math.factorial(spec.n) * n2
-
-    def f_prob(points: np.ndarray) -> np.ndarray:
-        vals, _ = eval_batch(table, np.sort(points, axis=1))
-        return (vals.real**2 + vals.imag**2) / norm_full
-
-    def f_dprob(points: np.ndarray) -> np.ndarray:
-        vals, dvals = eval_batch(table, np.sort(points, axis=1))
-        density = vals.real**2 + vals.imag**2
-        return (2.0 * (np.conj(vals) * dvals).real - density * (dn2 / n2)) / norm_full
-
-    intervals = _bin_intervals(grid, params.L)
     images = enumerate_images(spec.n, grid.n_pixels, cap=cap)
-    probs = np.zeros(len(images))
-    dprobs = np.zeros(len(images))
-    for idx, image in enumerate(images):
-        box = []
-        dead = False
-        for bin_idx, count in enumerate(image.counts):
-            if count == 0:
-                continue
-            if intervals[bin_idx] is None:
-                dead = True
-                break
-            box.extend([intervals[bin_idx]] * count)
-        if dead:
-            continue
-        zeta = multiplicity(image)
-        probs[idx] = zeta * box_quadrature(f_prob, box, order)
-        dprobs[idx] = zeta * box_quadrature(f_dprob, box, order)
-
+    probs, dprobs = _image_probabilities(spec, params, grid, images, derivative=True)
     total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise NumericalHealthError(
-            f"absorption-image probabilities sum to {total:.9f}; "
-            "increase the quadrature order or check the grid"
+            f"absorption-image probabilities sum to {total:.15f}; check the grid"
         )
     return ImageDistribution(
         grid=grid,
@@ -249,13 +343,14 @@ def mle_estimate(
     grid: PixelGrid,
     c_grid: Sequence[float],
     L: float,
-    order: int = DEFAULT_BOX_ORDER,
 ):
     """Maximum-likelihood coupling estimate from recorded shots.
 
     The log-likelihood is evaluated on ``c_grid`` and the best grid point
     refined by a three-point parabolic fit.  Returns (c_hat, loglik) with
-    one log-likelihood value per grid point.
+    one log-likelihood value per grid point.  Each grid point evaluates
+    P of the distinct observed images only: P is normalized analytically,
+    so the rest of the distribution is never needed.
     """
     c_values = np.asarray(c_grid, dtype=float)
     if c_values.size == 0:
@@ -265,16 +360,21 @@ def mle_estimate(
     n_atoms = {img.n_atoms for img in images}
     if n_atoms and n_atoms != {spec.n}:
         raise ValueError("shot images are inconsistent with the particle count")
+    n_bins = {len(img.counts) for img in images}
+    if n_bins and n_bins != {grid.n_bins}:
+        raise ValueError(
+            f"shot images must have {grid.n_bins} bins to match the pixel grid"
+        )
 
     tallies = Counter(images)
+    observed = list(tallies)
+    counts = np.array([tallies[img] for img in observed], dtype=float)
     loglik = np.empty(c_values.size)
     for i, c in enumerate(c_values):
-        dist = image_distribution(spec, ModelParams(float(c), L), grid, order=order)
-        lookup = {img: p for img, p in zip(dist.images, dist.probs)}
-        total = 0.0
-        for img, count in tallies.items():
-            total += count * math.log(max(lookup.get(img, 0.0), PROB_FLOOR))
-        loglik[i] = total
+        probs, _ = _image_probabilities(
+            spec, ModelParams(float(c), L), grid, observed, derivative=False
+        )
+        loglik[i] = float(np.sum(counts * np.log(np.maximum(probs, PROB_FLOOR))))
 
     best = int(np.argmax(loglik))
     if c_values.size == 1:

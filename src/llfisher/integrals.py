@@ -36,6 +36,7 @@ used throughout the test suite and the direct CFI quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -191,12 +192,16 @@ def simplex_exp_integral(lam, L: float, moments: bool = False):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
 def _gauss01(order: int):
-    """Gauss-Legendre nodes/weights mapped to [0, 1]."""
+    """Gauss-Legendre nodes/weights mapped to [0, 1], read-only and cached."""
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
     t, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (t + 1.0), 0.5 * w
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def simplex_nodes(n_dim: int, L: float, order: int):

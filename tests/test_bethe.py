@@ -22,6 +22,8 @@ from llfisher.bethe import (
     type1_excitation,
     type2_excitation,
 )
+from llfisher.fisher import _inner_products
+from llfisher.wavefunction import amplitudes
 
 PER = BoundaryCondition.PERIODIC
 HW = BoundaryCondition.HARD_WALL
@@ -315,6 +317,39 @@ def test_dnorm_sq_dc_against_five_point_stencil():
         + n2(params.c - 2 * h)
     ) / (12 * h)
     assert got == pytest.approx(stencil, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "spec,c,L",
+    [
+        (ground_state(PER, 3), 0.7, 2.0),
+        (ground_state(HW, 3), 0.5, 5.0),
+        (StateSpec(PER, 3, (-1.0, 1.0, 2.0)), 2.0, 1.0),
+        # free momenta distinct at c = 0, so the branch is regular there
+        (StateSpec(PER, 2, (-1.5, 0.5)), 0.0, 3.0),
+        (StateSpec(HW, 3, (1.0, 3.0, 5.0)), 0.0, 3.0),
+        (StateSpec(PER, 2, (-1.5, 0.5)), 1e-6, 3.0),
+        (StateSpec(HW, 3, (1.0, 3.0, 5.0)), 1e-6, 3.0),
+    ],
+)
+def test_dnorm_sq_dc_matches_inner_product(spec, c, L):
+    # d(norm^2)/dc = 2 Re <psi~|d_c psi~>, assembled from the pair bundles
+    params = ModelParams(c, L)
+    table = amplitudes(solve_bethe(spec, params), params, spec.bc)
+    _, nd, _ = _inner_products(table, L)
+    assert dnorm_sq_dc(spec, params) == pytest.approx(2.0 * nd.real, rel=1e-10)
+
+
+@pytest.mark.parametrize("bc", [PER, HW])
+def test_dnorm_sq_dc_collapsing_ground_state(bc):
+    # at c = 1e-6 the ground-state quasimomenta collapse as sqrt(c): the
+    # Gaudin-kernel derivative (u^2 - c^2 - 2 c u u') cancels to O(c^2)
+    # from O(c) terms, so the rounding of k limits agreement to ~1e-8
+    spec = ground_state(bc, 3)
+    params = ModelParams(1e-6, 10.0)
+    table = amplitudes(solve_bethe(spec, params), params, spec.bc)
+    _, nd, _ = _inner_products(table, params.L)
+    assert dnorm_sq_dc(spec, params) == pytest.approx(2.0 * nd.real, rel=1e-7)
 
 
 def test_dnorm_relative_derivative_saturates_at_strong_coupling():

@@ -200,9 +200,10 @@ def test_imaging_sample_writes_shots_and_mle(tmp_path, capsys):
     assert abs(summary["c_hat"] - 0.5) <= 0.36
 
     # identical config + seed reproduces the files byte for byte
-    first = shots_file.read_bytes()
+    outputs = (shots_file, mle_file, tmp_path / "img.csv")
+    first = [path.read_bytes() for path in outputs]
     assert run(capsys, *args)[0] == 0
-    assert shots_file.read_bytes() == first
+    assert [path.read_bytes() for path in outputs] == first
 
 
 def test_imaging_sample_requires_seed(capsys):
@@ -224,11 +225,14 @@ def test_imaging_over_image_cap_exits_5(capsys):
     assert err.startswith("resource limit:")
 
 
-def test_imaging_probability_sum_check_exits_6(capsys):
-    # a 2-point box rule misses the probability sum by 2e-4
+def test_imaging_probability_sum_check_exits_6(capsys, monkeypatch):
+    import llfisher.imaging
+
+    # any deviation fails a negative tolerance
+    monkeypatch.setattr(llfisher.imaging, "PROB_SUM_TOL", -1.0)
     code, _, err = run(
         capsys, "imaging", "--bc", "periodic", "-N", "2", "--ground",
-        "-c", "0.2", "-L", "10", "--pixels", "2", "--order", "2",
+        "-c", "0.2", "-L", "10", "--pixels", "2",
     )
     assert code == 6
     assert err.startswith("numerical check failed:")

@@ -2,15 +2,25 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from llfisher.bethe import BoundaryCondition, ModelParams, ground_state, norm_sq, solve_bethe
+from llfisher.bethe import (
+    BoundaryCondition,
+    ModelParams,
+    StateSpec,
+    ground_state,
+    norm_sq,
+    solve_bethe,
+)
 from llfisher.fisher import cfi
 from llfisher.imaging import (
     AbsorptionImage,
     PixelGrid,
+    _bin_intervals,
+    _image_probabilities,
     enumerate_images,
     image_distribution,
     imaging_cfi,
@@ -96,9 +106,11 @@ def test_povm_completeness(bc):
     assert np.all(dist.probs >= 0.0)
 
 
-@pytest.mark.parametrize("bc", [PER, HW])
-def test_dprob_matches_distribution_differencing(bc):
-    spec = ground_state(bc, 2)
+@pytest.mark.parametrize(
+    "bc,n", [(PER, 2), (HW, 2), (HW, 3)], ids=[str(PER), str(HW), "box3"]
+)
+def test_dprob_matches_distribution_differencing(bc, n):
+    spec = ground_state(bc, n)
     c, L = 0.7, 2.0
     grid = uniform_grid(L, 4)
     dist = image_distribution(spec, ModelParams(c, L), grid)
@@ -106,7 +118,9 @@ def test_dprob_matches_distribution_differencing(bc):
     hi = image_distribution(spec, ModelParams(c + h, L), grid)
     lo = image_distribution(spec, ModelParams(c - h, L), grid)
     numeric = (hi.probs - lo.probs) / (2 * h)
-    assert np.max(np.abs(dist.dprobs - numeric)) < 1e-4
+    # the O(h^2) stencil error is about 1e-10 here
+    assert np.max(np.abs(dist.dprobs - numeric)) < 1e-8
+    assert abs(dist.dprobs.sum()) < 1e-13
 
 
 def test_partition_of_unity_against_norm():
@@ -135,6 +149,74 @@ def test_partition_of_unity_against_norm():
     assert total == pytest.approx(math.factorial(spec.n) * n2, rel=1e-6)
 
 
+def _box_oracle(spec, params, grid, images, order):
+    """P of each image by Gauss-Legendre box quadrature of the normalized density."""
+    sol = solve_bethe(spec, params)
+    table = amplitudes(sol, params, spec.bc)
+    norm_full = math.factorial(spec.n) * norm_sq(sol.k, params, spec.bc).norm_sq
+
+    def density(points):
+        vals, _ = eval_batch(table, np.sort(points, axis=1))
+        return (vals.real**2 + vals.imag**2) / norm_full
+
+    intervals = _bin_intervals(grid, params.L)
+    out = []
+    for image in images:
+        box = []
+        for bin_idx, count in enumerate(image.counts):
+            box.extend([intervals[bin_idx]] * count)
+        if None in box:
+            out.append(0.0)
+        else:
+            out.append(multiplicity(image) * box_quadrature(density, box, order).real)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "spec,params,grid",
+    [
+        (ground_state(PER, 2), ModelParams(0.7, 2.0), uniform_grid(2.0, 8)),
+        (ground_state(HW, 3), ModelParams(0.5, 5.0), uniform_grid(5.0, 4)),
+        # oversized grid: clipped end pixels are narrower than the rest
+        (ground_state(HW, 2), ModelParams(1.0, 2.0), PixelGrid(-0.5, 0.75, 4)),
+        # partial grid: both outer bins are live, with their own widths
+        (StateSpec(PER, 3, (-1.0, 1.0, 2.0)), ModelParams(0.7, 2.0), PixelGrid(0.3, 0.5, 3)),
+    ],
+    ids=["ring2", "box3", "oversized", "partial"],
+)
+def test_exact_probabilities_match_box_quadrature(spec, params, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the partial grid warns by design
+        dist = image_distribution(spec, params, grid)
+    oracle = _box_oracle(spec, params, grid, dist.images, order=24)
+    assert np.max(np.abs(dist.probs - oracle)) <= 1e-10 * np.max(oracle)
+    live = oracle > 1e-6
+    assert np.all(np.abs(dist.probs - oracle)[live] <= 1e-10 * oracle[live])
+    assert abs(dist.probs.sum() - 1.0) < 1e-12
+
+
+def test_exact_probabilities_match_box_quadrature_box4():
+    # one image per run structure; a 4-D order-24 rule costs seconds per
+    # image, and orders 12, 16 and 24 agree to 1e-15 on these boxes
+    spec = ground_state(HW, 4)
+    params = ModelParams(0.5, 10.0)
+    grid = uniform_grid(10.0, 4)
+    images = [
+        AbsorptionImage(c)
+        for c in [
+            (0, 4, 0, 0, 0, 0),
+            (0, 0, 3, 1, 0, 0),
+            (0, 2, 2, 0, 0, 0),
+            (0, 1, 2, 0, 1, 0),
+            (0, 1, 1, 1, 1, 0),
+        ]
+    ]
+    probs, dprobs = _image_probabilities(spec, params, grid, images, derivative=False)
+    assert dprobs is None
+    oracle = _box_oracle(spec, params, grid, images, order=12)
+    assert np.all(np.abs(probs - oracle) <= 1e-10 * oracle)
+
+
 def test_imaging_cfi_below_position_cfi():
     spec = ground_state(PER, 2)
     params = ModelParams(0.5, 4.0)
@@ -155,7 +237,7 @@ def test_three_particle_box_distribution():
     reference = cfi(spec, params)
     ratios = []
     for n_pix in (4, 8):
-        dist = image_distribution(spec, params, uniform_grid(5.0, n_pix), order=12)
+        dist = image_distribution(spec, params, uniform_grid(5.0, n_pix))
         assert abs(dist.probs.sum() - 1.0) < 1e-8
         ratios.append(imaging_cfi(dist) / reference)
     assert 0.0 < ratios[0] < ratios[1] < 1.0
@@ -253,6 +335,26 @@ def test_mle_validates_inputs():
         mle_estimate(bad, spec, dist.grid, [0.5], params.L)
 
 
+def test_mle_rejects_images_of_another_grid():
+    # four-bin shots on a six-bin grid used to score log(PROB_FLOOR) each
+    # and drag the estimate to the grid edge
+    spec, params, dist = make_dist()
+    shots = sample_images(dist, 50, seed=8) + [AbsorptionImage((0, 1, 1, 0))] * 5
+    with pytest.raises(ValueError, match="bins"):
+        mle_estimate(shots, spec, dist.grid, [0.3, 0.5, 0.7], params.L)
+
+
+def test_mle_loglik_matches_distribution():
+    spec, params, dist = make_dist()
+    shots = sample_images(dist, 300, seed=10)
+    c_grid = [0.05, 0.3, 0.5, 0.8, 2.0]
+    _, loglik = mle_estimate(shots, spec, dist.grid, c_grid, params.L)
+    for value, c in zip(loglik, c_grid):
+        at = image_distribution(spec, ModelParams(c, params.L), dist.grid).entries
+        want = sum(math.log(at[img][0]) for img in shots)
+        assert value == pytest.approx(want, rel=1e-12)
+
+
 def test_shot_file_roundtrip(tmp_path):
     spec, params, dist = make_dist()
     shots = sample_images(dist, 25, seed=12)
@@ -267,7 +369,7 @@ def test_shot_file_roundtrip(tmp_path):
 
 
 def test_distribution_near_zero_coupling():
-    # dP/dc needs d(norm^2)/dc, which takes the one-sided stencil below c = 1e-5
+    # dP/dc needs d(norm^2)/dc where the quasimomenta collapse as sqrt(c)
     spec = ground_state(PER, 2)
     grid = uniform_grid(10.0, 4)
     tiny = image_distribution(spec, ModelParams(1e-6, 10.0), grid)

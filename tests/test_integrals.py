@@ -311,6 +311,13 @@ def test_simplex_quadrature_rejects_low_order():
         simplex_quadrature(lambda pts: np.ones(pts.shape[0]), 1, 1.0, order=1)
 
 
+def test_gauss_rule_is_cached_and_read_only():
+    t, w = integrals._gauss01(7)
+    assert integrals._gauss01(7)[0] is t
+    assert not t.flags.writeable and not w.flags.writeable
+    assert w.sum() == pytest.approx(1.0, rel=1e-14)
+
+
 def test_box_quadrature_volume():
     box = [(0.0, 0.5), (1.0, 1.75), (2.0, 4.0)]
     got = box_quadrature(lambda pts: np.ones(pts.shape[0]), box, order=4)
