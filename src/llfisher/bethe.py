@@ -107,13 +107,20 @@ class StateSpec:
 
 @dataclass(frozen=True)
 class BetheSolution:
-    """Solved quasimomenta with their c-derivatives and scalar invariants."""
+    """Solved quasimomenta with their c-derivatives and scalar invariants.
+
+    ``norm_sq`` is the squared norm of the unnormalized ansatz over the
+    ordered domain (:func:`norm_sq`) and ``dnorm_sq_dc`` its derivative
+    along the solution branch (:func:`dnorm_sq_dc`).
+    """
 
     k: np.ndarray
     dk_dc: np.ndarray
     energy: float
     momentum: float
     residual: float
+    norm_sq: float
+    dnorm_sq_dc: float
 
     def __post_init__(self) -> None:
         self.k.setflags(write=False)
@@ -122,14 +129,6 @@ class BetheSolution:
     @property
     def n(self) -> int:
         return self.k.size
-
-
-@dataclass(frozen=True)
-class NormData:
-    """Gaudin/Hessian matrix and the squared norm of the unnormalized ansatz."""
-
-    matrix: np.ndarray
-    norm_sq: float
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +324,10 @@ def dk_dc(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> np.
     return out
 
 
-def momentum(spec: StateSpec, solution: BetheSolution) -> float:
-    """Total momentum (ring) or its pseudo-momentum analogue (box).
-
-    On the ring this is sum(k_j) = (2 pi / L) sum(I_j); in the box the
-    conserved label (pi / L) sum(I_j - j + 1) computed at solve time is
-    returned, since L is not recoverable from the solution alone.
-    """
-    if spec.bc is BoundaryCondition.PERIODIC:
-        return float(np.sum(solution.k))
-    return solution.momentum
-
-
 def momentum_of(spec: StateSpec, params: ModelParams) -> float:
-    """Momentum of the state labelled by ``spec`` (independent of c)."""
+    """Total momentum (2 pi / L) sum(I_j) of a ring state, or the box's
+    conserved pseudo-momentum label (pi / L) sum(I_j - j + 1); both are
+    independent of c."""
     if spec.bc is BoundaryCondition.PERIODIC:
         return float(2.0 * np.pi * np.sum(spec.qn_array) / params.L)
     j = np.arange(1, spec.n + 1, dtype=float)
@@ -354,6 +343,8 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
     c = 0 the analytic free-gas values are returned when the state maps
     to distinct free momenta, and a ValueError is raised otherwise (the
     Bethe parametrization is singular there; use a small c > 0 instead).
+    The solution carries dk/dc, the norm and its c-derivative, all from
+    the Gaudin matrix at the solved quasimomenta.
     """
     c, L = params.c, params.L
     if c == 0.0:
@@ -364,9 +355,7 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
                 "solve at a small positive c instead"
             )
         unit = 2.0 * np.pi / L if spec.bc is BoundaryCondition.PERIODIC else np.pi / L
-        k = unit * free_n
-        deriv = dk_dc(k, params, spec.bc)
-        return _finish(spec, params, k, deriv, 0.0)
+        return _finish(spec, params, unit * free_n, 0.0)
 
     anchor = _strong_coupling_anchor(spec, L)
     try:
@@ -383,19 +372,20 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
         raise SolverError("solved quasimomenta are not strictly increasing", rnorm)
     if spec.bc is BoundaryCondition.HARD_WALL and k[0] <= 0:
         raise SolverError("box quasimomenta must be positive", rnorm)
+    return _finish(spec, params, k, rnorm)
+
+
+def _finish(spec: StateSpec, params: ModelParams, k: np.ndarray, rnorm: float) -> BetheSolution:
     deriv = dk_dc(k, params, spec.bc)
-    return _finish(spec, params, k, deriv, rnorm)
-
-
-def _finish(
-    spec: StateSpec, params: ModelParams, k: np.ndarray, deriv: np.ndarray, rnorm: float
-) -> BetheSolution:
+    n2 = norm_sq(k, params, spec.bc)
     return BetheSolution(
         k=np.array(k, dtype=float),
         dk_dc=np.array(deriv, dtype=float),
         energy=float(np.sum(k * k)),
         momentum=momentum_of(spec, params),
         residual=float(rnorm),
+        norm_sq=n2,
+        dnorm_sq_dc=dnorm_sq_dc(k, deriv, n2, params, spec.bc),
     )
 
 
@@ -404,19 +394,20 @@ def _finish(
 # ---------------------------------------------------------------------------
 
 
-def norm_sq(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> NormData:
+def norm_sq(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> float:
     """Squared norm of the unnormalized ansatz over the ordered domain.
 
     Ring:  prod_{j<l} (1 + c^2/(k_j-k_l)^2) det H
     Box:   2^N prod_{j<l} [1 + c^2/(k_j-k_l)^2][1 + c^2/(k_j+k_l)^2] det H
 
     with H the matrix from :func:`gaudin_matrix`.  This equals the
-    integral of |psi~|^2 over 0 < x_1 < ... < x_N < L.
+    integral of |psi~|^2 over 0 < x_1 < ... < x_N < L when ``k`` solves
+    the Bethe equations; ``solve_bethe`` stores it as
+    ``BetheSolution.norm_sq``.
     """
     k = np.asarray(k, dtype=float)
     c = params.c
-    matrix = gaudin_matrix(k, params, bc)
-    det = float(np.linalg.det(matrix))
+    det = float(np.linalg.det(gaudin_matrix(k, params, bc)))
     prefactor = 1.0
     n = k.size
     for j in range(n):
@@ -426,7 +417,7 @@ def norm_sq(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> N
                 prefactor *= 1.0 + c * c / (k[j] + k[l]) ** 2
     if bc is BoundaryCondition.HARD_WALL:
         prefactor *= 2.0**n
-    return NormData(matrix=matrix, norm_sq=prefactor * det)
+    return prefactor * det
 
 
 def _dgaudin_dc(k: np.ndarray, dk: np.ndarray, params: ModelParams, bc: BoundaryCondition):
@@ -452,10 +443,17 @@ def _dgaudin_dc(k: np.ndarray, dk: np.ndarray, params: ModelParams, bc: Boundary
     return _gaudin_assembly(a, b, 0.0)
 
 
-def dnorm_sq_dc(spec: StateSpec, params: ModelParams) -> float:
+def dnorm_sq_dc(
+    k: Sequence[float],
+    dk: Sequence[float],
+    n2: float,
+    params: ModelParams,
+    bc: BoundaryCondition,
+) -> float:
     """d(norm^2)/dc along the solution branch, analytically.
 
-    From one solve, k and dk/dc give the logarithmic derivative of each
+    Solved quasimomenta ``k``, their derivatives ``dk`` = dk/dc and the
+    norm square ``n2`` at k give the logarithmic derivative of each
     factor of :func:`norm_sq`: with u = k_j -+ k_l,
 
         d ln(1 + c^2/u^2)/dc = 2 c (u - c u') / (u (u^2 + c^2)),
@@ -465,16 +463,17 @@ def dnorm_sq_dc(spec: StateSpec, params: ModelParams) -> float:
     collapse as sqrt(c) (ground states near c = 0), the kernel derivative
     in dH/dc cancels from O(c) terms to O(c^2), and the rounding of k
     bounds the relative accuracy to about 1e-8 at c = 1e-6.
+    ``solve_bethe`` stores it as ``BetheSolution.dnorm_sq_dc``.
     """
-    solution = solve_bethe(spec, params)
-    k, dk = solution.k, solution.dk_dc
+    k = np.asarray(k, dtype=float)
+    dk = np.asarray(dk, dtype=float)
     c = params.c
-    data = norm_sq(k, params, spec.bc)
-    dlog = float(np.trace(np.linalg.solve(data.matrix, _dgaudin_dc(k, dk, params, spec.bc))))
+    matrix = gaudin_matrix(k, params, bc)
+    dlog = float(np.trace(np.linalg.solve(matrix, _dgaudin_dc(k, dk, params, bc))))
     j, l = np.triu_indices(k.size, 1)
     pairs = [(k[j] - k[l], dk[j] - dk[l])]
-    if spec.bc is BoundaryCondition.HARD_WALL:
+    if bc is BoundaryCondition.HARD_WALL:
         pairs.append((k[j] + k[l], dk[j] + dk[l]))
     for u, du in pairs:
         dlog += float(np.sum(2.0 * c * (u - c * du) / (u * (u * u + c * c))))
-    return data.norm_sq * dlog
+    return n2 * dlog

@@ -28,7 +28,6 @@ from .bethe import (
     SolverError,
     StateSpec,
     ground_state,
-    norm_sq,
     solve_bethe,
     type1_excitation,
     type2_excitation,
@@ -136,7 +135,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _build_state(args)
     params = ModelParams(args.c, args.L)
     solution = solve_bethe(spec, params)
-    norm = norm_sq(solution.k, params, spec.bc)
     payload = {
         "config_hash": _config_hash({**_state_payload(args), "c": args.c, "L": args.L}),
         "version": __version__,
@@ -150,7 +148,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "energy": solution.energy,
         "momentum": solution.momentum,
         "residual": solution.residual,
-        "norm_sq": norm.norm_sq,
+        "norm_sq": solution.norm_sq,
     }
     _write_text(args.output, json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK

@@ -22,7 +22,10 @@ batched matrix-exponential call evaluates them for every distinct
 lambda of a table.  The assembly is exact up to the Bethe residual and
 the rounding of that kernel.  The CFI either equals the QFI outright
 (real or purely imaginary phase class, where the position measurement
-is optimal) or is integrated numerically on the ordered simplex.
+is optimal) or is integrated numerically on the ordered simplex.  A
+state point is solved once: NS and d NS/dc come with the Bethe solution,
+and ``fisher_report`` hands the same solution and amplitude table to
+both the QFI assembly and the CFI quadrature.
 
 An independent fidelity-overlap estimate,
 QFI ~ 8 (1 - |<psi_{c-d/2}|psi_{c+d/2}>|) / d^2, cross-checks the
@@ -39,13 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bethe import (
-    ModelParams,
-    StateSpec,
-    dnorm_sq_dc,
-    norm_sq,
-    solve_bethe,
-)
+from .bethe import BetheSolution, ModelParams, StateSpec, solve_bethe
 from .integrals import (
     NumericalHealthError,
     default_order,
@@ -65,6 +62,8 @@ QFI_IMAG_RTOL = 1e-8
 # pair-bundle wavenumber vectors share one set of simplex integrals.
 DEGENERACY_RTOL = 1e-9
 WORKERS_ENV = "LLFISHER_WORKERS"
+# Phase classes whose position measurement is optimal (CFI = QFI).
+SATURATED_CLASSES = (PhaseClass.REAL, PhaseClass.IMAGINARY)
 
 
 class BracketError(RuntimeError):
@@ -148,11 +147,10 @@ def _inner_products(table: AmplitudeTable, L: float):
     return complex(nn), complex(nd), complex(dd)
 
 
-def _qfi_with_residue(spec: StateSpec, params: ModelParams, allow_large_n: bool = False):
-    solution = solve_bethe(spec, params)
-    table = amplitudes(solution, params, spec.bc, allow_large_n=allow_large_n)
-    n2 = norm_sq(solution.k, params, spec.bc).norm_sq
-    _, nd, dd = _inner_products(table, params.L)
+def _qfi_with_residue(solution: BetheSolution, table: AmplitudeTable):
+    """QFI of one solved state from its amplitude table, and its imaginary residue."""
+    n2 = solution.norm_sq
+    _, nd, dd = _inner_products(table, table.L)
     qfi_c = 4.0 / n2 * (dd - abs(nd) ** 2 / n2)
     residue = abs(qfi_c.imag) / max(abs(qfi_c.real), 1e-30)
     if residue > QFI_IMAG_RTOL:
@@ -164,7 +162,9 @@ def _qfi_with_residue(spec: StateSpec, params: ModelParams, allow_large_n: bool 
 
 def qfi_analytic(spec: StateSpec, params: ModelParams, allow_large_n: bool = False) -> float:
     """QFI of the coupling via the exact permutation-pair expansion."""
-    value, _ = _qfi_with_residue(spec, params, allow_large_n)
+    solution = solve_bethe(spec, params)
+    table = amplitudes(solution, params, spec.bc, allow_large_n=allow_large_n)
+    value, _ = _qfi_with_residue(solution, table)
     return value
 
 
@@ -199,7 +199,7 @@ def qfi_overlap_oracle(
     def state(c: float):
         at = ModelParams(c, params.L)
         solution = solve_bethe(spec, at)
-        return amplitudes(solution, at, spec.bc), norm_sq(solution.k, at, spec.bc).norm_sq
+        return amplitudes(solution, at, spec.bc), solution.norm_sq
 
     def infidelity(a, b) -> float:
         """8 (1 - |<psi_a|psi_b>|) of two normalized states."""
@@ -221,19 +221,17 @@ def qfi_overlap_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _cfi_quadrature(spec: StateSpec, params: ModelParams, order: int) -> float:
+def _cfi_quadrature(solution: BetheSolution, table: AmplitudeTable) -> float:
     """CFI by direct quadrature of 4 (d_c |psi|)^2 on the ordered simplex.
 
     Uses the pointwise identity d_c|psi| = Re(psi* d_c psi)/|psi| on the
     normalized wavefunction; nodes of |psi| are measure-zero and guarded.
+    The rule is ``default_order(N)`` points per simplex dimension.
     """
-    solution = solve_bethe(spec, params)
-    table = amplitudes(solution, params, spec.bc)
-    n2 = norm_sq(solution.k, params, spec.bc).norm_sq
-    dn2 = dnorm_sq_dc(spec, params)
+    n2 = solution.norm_sq
     norm = math.sqrt(n2)
-    dnorm = dn2 / (2.0 * norm)
-    sym = math.sqrt(math.factorial(spec.n))
+    dnorm = solution.dnorm_sq_dc / (2.0 * norm)
+    sym = math.sqrt(math.factorial(table.n))
 
     def integrand(points: np.ndarray) -> np.ndarray:
         vals, dvals = eval_batch(table, points)
@@ -245,26 +243,21 @@ def _cfi_quadrature(spec: StateSpec, params: ModelParams, order: int) -> float:
         out = 4.0 * radial * radial / safe
         return np.where(abs_sq < 1e-300, 0.0, out)
 
-    value = simplex_quadrature(integrand, spec.n, params.L, order)
-    return float(math.factorial(spec.n) * value.real)
+    value = simplex_quadrature(integrand, table.n, table.L, default_order(table.n))
+    return float(math.factorial(table.n) * value.real)
 
 
-def cfi(
-    spec: StateSpec,
-    params: ModelParams,
-    force_quadrature: bool = False,
-    order: Optional[int] = None,
-) -> float:
+def cfi(spec: StateSpec, params: ModelParams) -> float:
     """CFI of the N-particle position measurement for the coupling.
 
     States whose global phase is c-independent (real/imaginary class)
     saturate CFI = QFI, so the analytic QFI is returned directly; the
     general ring states go through the simplex quadrature.
     """
-    cls = global_phase_class(spec)
-    if cls in (PhaseClass.REAL, PhaseClass.IMAGINARY) and not force_quadrature:
+    if global_phase_class(spec) in SATURATED_CLASSES:
         return qfi_analytic(spec, params)
-    return _cfi_quadrature(spec, params, order or default_order(spec.n))
+    solution = solve_bethe(spec, params)
+    return _cfi_quadrature(solution, amplitudes(solution, params, spec.bc))
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +277,19 @@ class FisherReport:
     method: dict
 
 
-def fisher_report(
-    spec: StateSpec,
-    params: ModelParams,
-    force_quadrature: bool = False,
-    order: Optional[int] = None,
-) -> FisherReport:
+def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
+    """QFI and CFI of one state point from one solve and one amplitude table."""
     cls = global_phase_class(spec)
-    qfi_value, residue = _qfi_with_residue(spec, params)
-    saturated = cls in (PhaseClass.REAL, PhaseClass.IMAGINARY)
-    if saturated and not force_quadrature:
+    solution = solve_bethe(spec, params)
+    table = amplitudes(solution, params, spec.bc)
+    qfi_value, residue = _qfi_with_residue(solution, table)
+    if cls in SATURATED_CLASSES:
         cfi_value = qfi_value
         route = "analytic"
         used_order = None
     else:
-        used_order = order or default_order(spec.n)
-        cfi_value = _cfi_quadrature(spec, params, used_order)
+        used_order = default_order(spec.n)
+        cfi_value = _cfi_quadrature(solution, table)
         route = "quadrature"
     return FisherReport(
         qfi=qfi_value,
@@ -325,13 +315,17 @@ def lmax(
     """System size maximizing the CFI at fixed coupling, by golden section.
 
     Returns (L_max, F_max).  Raises BracketError when the maximum sits at
-    a bracket edge, i.e. the bracket holds no interior maximum.
+    a bracket edge, i.e. the bracket holds no interior maximum, and
+    ValueError unless ``tol`` (default 1e-3 max(1, hi)) is finite and
+    positive.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (hi > lo > 0):
         raise ValueError("bracket must satisfy 0 < lo < hi")
     if tol is None:
         tol = 1e-3 * max(1.0, hi)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
     def objective(L: float) -> float:
         return cfi(spec, ModelParams(c, L))
@@ -387,14 +381,9 @@ class SweepResult:
         return "mixed"
 
 
-def _sweep_point(payload):
-    spec, axis, value, fixed_value, force_quadrature = payload
+def _sweep_point(spec: StateSpec, params: ModelParams):
     try:
-        if axis == "c":
-            params = ModelParams(value, fixed_value)
-        else:
-            params = ModelParams(fixed_value, value)
-        return ("ok", fisher_report(spec, params, force_quadrature=force_quadrature))
+        return ("ok", fisher_report(spec, params))
     except (ValueError, RuntimeError) as exc:  # numerical failures; the sweep continues
         return ("error", f"{type(exc).__name__}: {exc}")
 
@@ -404,12 +393,13 @@ def sweep(
     axis: str,
     grid: Sequence[float],
     fixed_value: float,
-    force_quadrature: bool = False,
 ) -> SweepResult:
     """Fisher reports along a strictly increasing c- or L-grid.
 
-    Grid points are independent; with LLFISHER_WORKERS > 1 they run in a
-    process pool, results reduced in grid order either way.
+    Every point's ModelParams is built first, so a (c, L) outside the
+    domain raises ValueError before any point runs.  Grid points are
+    independent; with LLFISHER_WORKERS > 1 they run in a process pool,
+    results reduced in grid order either way.
     """
     if axis not in ("c", "L"):
         raise ValueError("axis must be 'c' or 'L'")
@@ -419,13 +409,17 @@ def sweep(
     if np.any(np.diff(grid_arr) <= 0):
         raise ValueError("sweep grid must be strictly increasing")
 
-    payloads = [(spec, axis, float(v), float(fixed_value), force_quadrature) for v in grid_arr]
+    if axis == "c":
+        points = [ModelParams(float(v), float(fixed_value)) for v in grid_arr]
+    else:
+        points = [ModelParams(float(fixed_value), float(v)) for v in grid_arr]
+    specs = [spec] * len(points)
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_point, payloads))
+            outcomes = list(pool.map(_sweep_point, specs, points))
     else:
-        outcomes = [_sweep_point(p) for p in payloads]
+        outcomes = list(map(_sweep_point, specs, points))
 
     reports = []
     errors = {}

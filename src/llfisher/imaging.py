@@ -26,7 +26,8 @@ plane wave factorizes over the runs, x = lo + y inside each:
         prod_runs e^{-i lo sum_run lambda} I(lambda_run, hi - lo) / NS,
 
 with I the ordered-simplex integral of ``integrals.simplex_exp_integral``
-and NS the ordered-domain norm square.  dP/dc follows from the same runs:
+and NS the ordered-domain norm square, read with d NS/dc off the one
+Bethe solution of the state point.  dP/dc follows from the same runs:
 the coefficient derivatives dw, and the dkappa.x term of d_c psi~, whose
 coordinate x_l = lo + y_l brings in the first moment I^1 of its run.
 Gauss-Legendre box quadrature (``integrals.box_quadrature``) of the same
@@ -45,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bethe import ModelParams, StateSpec, dnorm_sq_dc, norm_sq, solve_bethe
+from .bethe import ModelParams, StateSpec, solve_bethe
 from .fisher import _pair_bundles
 from .integrals import NumericalHealthError, ResourceLimitError
 from .wavefunction import AmplitudeTable, amplitudes
@@ -275,13 +276,13 @@ def _image_probabilities(
     """
     solution = solve_bethe(spec, params)
     table = amplitudes(solution, params, spec.bc)
-    n2 = norm_sq(solution.k, params, spec.bc).norm_sq
+    n2 = solution.norm_sq
     runs = _RunProducts(table, _bin_intervals(grid, params.L), derivative)
     values = [runs.box_integrals(image.counts) for image in images]
     probs = np.array([p for p, _ in values]) / n2
     if not derivative:
         return probs, None
-    dlog_n2 = dnorm_sq_dc(spec, params) / n2
+    dlog_n2 = solution.dnorm_sq_dc / n2
     dprobs = np.array([dp for _, dp in values]) / n2 - probs * dlog_n2
     return probs, dprobs
 
@@ -350,18 +351,21 @@ def mle_estimate(
     refined by a three-point parabolic fit.  Returns (c_hat, loglik) with
     one log-likelihood value per grid point.  Each grid point evaluates
     P of the distinct observed images only: P is normalized analytically,
-    so the rest of the distribution is never needed.
+    so the rest of the distribution is never needed.  Raises ValueError
+    without shots.
     """
+    if len(images) == 0:
+        raise ValueError("no shots")
     c_values = np.asarray(c_grid, dtype=float)
     if c_values.size == 0:
         raise ValueError("c grid is empty")
     if np.any(np.diff(c_values) <= 0):
         raise ValueError("c grid must be strictly increasing")
     n_atoms = {img.n_atoms for img in images}
-    if n_atoms and n_atoms != {spec.n}:
+    if n_atoms != {spec.n}:
         raise ValueError("shot images are inconsistent with the particle count")
     n_bins = {len(img.counts) for img in images}
-    if n_bins and n_bins != {grid.n_bins}:
+    if n_bins != {grid.n_bins}:
         raise ValueError(
             f"shot images must have {grid.n_bins} bins to match the pixel grid"
         )

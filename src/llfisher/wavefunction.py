@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -78,13 +77,6 @@ class AmplitudeTable:
     @property
     def n_terms(self) -> int:
         return self.amp.size
-
-
-@dataclass(frozen=True)
-class PointEval:
-    value: complex
-    dvalue_dc: complex
-    at: tuple
 
 
 def _coefficient(kappa: np.ndarray, dkappa: np.ndarray, c: float, hard_wall: bool):
@@ -200,31 +192,7 @@ def eval_batch(table: AmplitudeTable, points: np.ndarray, chunk: int = 200_000):
     return values, dvalues
 
 
-def eval_ordered(table: AmplitudeTable, solution: BetheSolution, x: Iterable[float]) -> PointEval:
-    """Ansatz value and c-derivative at one ordered point x_1 <= ... <= x_N."""
-    x_arr = np.asarray(tuple(x), dtype=float)
-    if x_arr.size != table.n:
-        raise ValueError(f"point must have {table.n} coordinates")
-    if np.any(np.diff(x_arr) < 0):
-        raise ValueError("coordinates must be in ascending order; use eval_symmetric")
-    vals, dvals = eval_batch(table, x_arr[None, :])
-    return PointEval(value=complex(vals[0]), dvalue_dc=complex(dvals[0]), at=tuple(x_arr))
-
-
-def eval_symmetric(
-    table: AmplitudeTable, solution: BetheSolution, x: Iterable[float]
-) -> PointEval:
-    """Bosonic (symmetric) extension: sort the coordinates, then evaluate."""
-    x_arr = np.asarray(tuple(x), dtype=float)
-    L = table.L
-    if np.any(x_arr < -1e-12 * L) or np.any(x_arr > L * (1 + 1e-12)):
-        raise ValueError("coordinates must lie in [0, L]")
-    ordered = np.sort(x_arr)
-    out = eval_ordered(table, solution, ordered)
-    return PointEval(value=out.value, dvalue_dc=out.dvalue_dc, at=tuple(x_arr))
-
-
-def global_phase_class(spec: StateSpec, solution: BetheSolution | None = None) -> PhaseClass:
+def global_phase_class(spec: StateSpec) -> PhaseClass:
     """Classify the coupling dependence of the wavefunction's global phase.
 
     Box states are real (even N) or purely imaginary (odd N) outright.

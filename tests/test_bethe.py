@@ -15,7 +15,6 @@ from llfisher.bethe import (
     dnorm_sq_dc,
     gaudin_matrix,
     ground_state,
-    momentum,
     momentum_of,
     norm_sq,
     solve_bethe,
@@ -270,14 +269,14 @@ def test_dk_dc_matches_resolve_finite_difference(spec, params):
 
 def test_norm_single_particle_ring():
     params = ModelParams(1.0, 2.0)
-    assert norm_sq([0.0], params, PER).norm_sq == pytest.approx(2.0)
+    assert norm_sq([0.0], params, PER) == pytest.approx(2.0)
 
 
 def test_norm_single_particle_box():
     # |2 sin(kx)|^2 integrates to 2L for k = pi I / L
     L = 1.7
     params = ModelParams(0.5, L)
-    assert norm_sq([np.pi / L], params, HW).norm_sq == pytest.approx(2 * L)
+    assert norm_sq([np.pi / L], params, HW) == pytest.approx(2 * L)
 
 
 @pytest.mark.parametrize(
@@ -291,23 +290,37 @@ def test_norm_single_particle_box():
 )
 def test_norm_positive_on_grid(spec, params):
     sol = solve_bethe(spec, params)
-    data = norm_sq(sol.k, params, spec.bc)
-    assert data.norm_sq > 0
-    assert np.linalg.det(data.matrix) > 0
+    assert norm_sq(sol.k, params, spec.bc) > 0
+    assert np.linalg.det(gaudin_matrix(sol.k, params, spec.bc)) > 0
+
+
+def test_solution_carries_norm_and_its_derivative(call_counts):
+    # the solve stores the closed forms at its own k and dk/dc, and
+    # dnorm_sq_dc evaluates from them without solving again
+    spec = StateSpec(PER, 3, (-1.0, 1.0, 2.0))
+    params = ModelParams(0.7, 2.0)
+    sol = solve_bethe(spec, params)
+    assert sol.norm_sq == norm_sq(sol.k, params, spec.bc)
+
+    counts = call_counts("solve_bethe")
+    got = dnorm_sq_dc(sol.k, sol.dk_dc, sol.norm_sq, params, spec.bc)
+    assert got == sol.dnorm_sq_dc
+    assert counts["solve_bethe"] == 0
 
 
 def test_dnorm_sq_dc_single_ring_particle():
-    assert dnorm_sq_dc(ground_state(PER, 1), ModelParams(1.0, 2.0)) == pytest.approx(0.0)
+    sol = solve_bethe(ground_state(PER, 1), ModelParams(1.0, 2.0))
+    assert sol.dnorm_sq_dc == pytest.approx(0.0)
 
 
 def test_dnorm_sq_dc_against_five_point_stencil():
     spec = ground_state(PER, 2)
     params = ModelParams(1.0, 1.0)
-    got = dnorm_sq_dc(spec, params)
+    got = solve_bethe(spec, params).dnorm_sq_dc
 
     def n2(c):
         p = ModelParams(c, params.L)
-        return norm_sq(solve_bethe(spec, p).k, p, spec.bc).norm_sq
+        return norm_sq(solve_bethe(spec, p).k, p, spec.bc)
 
     h = 1e-3
     stencil = (
@@ -335,9 +348,9 @@ def test_dnorm_sq_dc_against_five_point_stencil():
 def test_dnorm_sq_dc_matches_inner_product(spec, c, L):
     # d(norm^2)/dc = 2 Re <psi~|d_c psi~>, assembled from the pair bundles
     params = ModelParams(c, L)
-    table = amplitudes(solve_bethe(spec, params), params, spec.bc)
-    _, nd, _ = _inner_products(table, L)
-    assert dnorm_sq_dc(spec, params) == pytest.approx(2.0 * nd.real, rel=1e-10)
+    sol = solve_bethe(spec, params)
+    _, nd, _ = _inner_products(amplitudes(sol, params, spec.bc), L)
+    assert sol.dnorm_sq_dc == pytest.approx(2.0 * nd.real, rel=1e-10)
 
 
 @pytest.mark.parametrize("bc", [PER, HW])
@@ -347,16 +360,16 @@ def test_dnorm_sq_dc_collapsing_ground_state(bc):
     # from O(c) terms, so the rounding of k limits agreement to ~1e-8
     spec = ground_state(bc, 3)
     params = ModelParams(1e-6, 10.0)
-    table = amplitudes(solve_bethe(spec, params), params, spec.bc)
-    _, nd, _ = _inner_products(table, params.L)
-    assert dnorm_sq_dc(spec, params) == pytest.approx(2.0 * nd.real, rel=1e-7)
+    sol = solve_bethe(spec, params)
+    _, nd, _ = _inner_products(amplitudes(sol, params, spec.bc), params.L)
+    assert sol.dnorm_sq_dc == pytest.approx(2.0 * nd.real, rel=1e-7)
 
 
 def test_dnorm_relative_derivative_saturates_at_strong_coupling():
     spec = ground_state(PER, 2)
     params = ModelParams(1e6, 1.0)
-    n2 = norm_sq(solve_bethe(spec, params).k, params, spec.bc).norm_sq
-    assert abs(dnorm_sq_dc(spec, params)) / n2 < 1e-5
+    sol = solve_bethe(spec, params)
+    assert abs(sol.dnorm_sq_dc) / sol.norm_sq < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +379,20 @@ def test_dnorm_relative_derivative_saturates_at_strong_coupling():
 
 def test_momentum_values():
     params = ModelParams(1.0, 2.0)
+    # ring: the solved sum(k_j) is 2 pi sum(I_j) / L at any c
     ground = ground_state(PER, 2)
-    assert momentum(ground, solve_bethe(ground, params)) == pytest.approx(0.0, abs=1e-12)
+    assert np.sum(solve_bethe(ground, params).k) == pytest.approx(0.0, abs=1e-12)
+    assert momentum_of(ground, params) == 0.0
 
     moved = StateSpec(PER, 2, (-0.5, 2.5))
-    got = momentum(moved, solve_bethe(moved, params))
-    assert got == pytest.approx(4.0 * np.pi / params.L, rel=1e-12)
+    sol = solve_bethe(moved, params)
+    assert np.sum(sol.k) == pytest.approx(4.0 * np.pi / params.L, rel=1e-12)
+    assert sol.momentum == pytest.approx(np.sum(sol.k), rel=1e-12)
 
     # box pseudo-momentum (pi/L) sum(I_j - j + 1): N pi / L for the ground
     # state, and the type-I/type-II pairing [1,2,6] <-> [2,3,4] shares 6 pi / L
     box = ground_state(HW, 3)
-    assert momentum(box, solve_bethe(box, params)) == pytest.approx(
+    assert solve_bethe(box, params).momentum == pytest.approx(
         3.0 * np.pi / params.L
     )
     assert momentum_of(type2_excitation(HW, 3, 1), params) == pytest.approx(

@@ -130,6 +130,20 @@ def test_fisher_flags_failed_points_but_continues(tmp_path, capsys):
     assert any("error:" in line for line in lines)
 
 
+def test_fisher_out_of_domain_fixed_value_exits_2(tmp_path, capsys):
+    # a negative coupling is an argument error (as for lmax and imaging),
+    # not one failed row per point
+    out_file = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys, "fisher", "--bc", "periodic", "-N", "2", "--ground",
+        "--axis", "L", "--start", "1", "--stop", "2", "--num", "2",
+        "--fixed", "-1", "-o", str(out_file),
+    )
+    assert code == 2
+    assert "interaction strength" in err
+    assert not out_file.exists()
+
+
 # ---------------------------------------------------------------------------
 # lmax
 # ---------------------------------------------------------------------------
@@ -153,6 +167,17 @@ def test_lmax_without_interior_maximum_exits_4(capsys):
     )
     assert code == 4
     assert "bracket" in err.lower()
+
+
+def test_lmax_nan_tolerance_exits_2(capsys):
+    # a NaN tolerance used to end the search at once and print the midpoint
+    code, out, err = run(
+        capsys, "lmax", "--bc", "hardwall", "-N", "2", "--ground",
+        "-c", "0.2", "--bracket", "10", "150", "--tol", "nan",
+    )
+    assert code == 2
+    assert out == ""
+    assert "tolerance" in err
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from llfisher.bethe import (
 )
 from llfisher.fisher import (
     BracketError,
+    _cfi_quadrature,
     cfi,
     fisher_report,
     lmax,
@@ -104,7 +105,7 @@ def test_same_state_overlap_is_normalized():
         spec = ground_state(bc, n)
         sol = solve_bethe(spec, params)
         table = amplitudes(sol, params, bc)
-        n2 = norm_sq(sol.k, params, bc).norm_sq
+        n2 = norm_sq(sol.k, params, bc)
         ov = ordered_overlap(table, table, params.L) / n2
         assert abs(ov - 1.0) < 1e-10
 
@@ -117,7 +118,7 @@ def test_overlap_sum_equals_determinant_norm():
         spec = ground_state(bc, n)
         sol = solve_bethe(spec, params)
         table = amplitudes(sol, params, bc)
-        n2 = norm_sq(sol.k, params, bc).norm_sq
+        n2 = norm_sq(sol.k, params, bc)
         ov = ordered_overlap(table, table, params.L)
         assert ov.real == pytest.approx(n2, rel=1e-10)
         assert abs(ov.imag) < 1e-10 * n2
@@ -162,7 +163,8 @@ def test_forced_quadrature_cfi_matches_analytic():
     for bc in (PER, HW):
         spec = ground_state(bc, 2)
         analytic = qfi_analytic(spec, params)
-        quad = cfi(spec, params, force_quadrature=True)
+        sol = solve_bethe(spec, params)
+        quad = _cfi_quadrature(sol, amplitudes(sol, params, bc))
         assert quad == pytest.approx(analytic, rel=1e-4)
 
 
@@ -178,11 +180,21 @@ def test_general_ring_state_gap_is_small_and_nonnegative():
 
 
 def test_cfi_quadrature_near_zero_coupling():
-    # d(norm^2)/dc takes the one-sided stencil below c = 1e-5
+    # the quadrature stays continuous as c -> 0 on a state whose free momenta are distinct
     spec = StateSpec(PER, 3, (-1.0, 1.0, 2.0))
     tiny = cfi(spec, ModelParams(1e-6, 1.0))
     assert tiny == pytest.approx(cfi(spec, ModelParams(1e-4, 1.0)), rel=1e-4)
     assert tiny <= qfi_analytic(spec, ModelParams(1e-6, 1.0))
+
+
+def test_fisher_report_solves_and_tabulates_once(call_counts):
+    # one Bethe solve and one amplitude table feed both the QFI assembly
+    # and the CFI quadrature of a general-class state
+    counts = call_counts("solve_bethe", "amplitudes")
+    report = fisher_report(StateSpec(PER, 3, (-1.0, 1.0, 2.0)), ModelParams(1.0, 1.0))
+    assert report.method["cfi_route"] == "quadrature"
+    assert report.method["quadrature_order"] is not None
+    assert counts == {"solve_bethe": 1, "amplitudes": 1}
 
 
 def test_report_invariants():
@@ -212,6 +224,23 @@ def test_lmax_bracket_errors():
         lmax(spec, 0.2, (150.0, 250.0))  # maximum near 52.7 lies outside
     with pytest.raises(ValueError):
         lmax(spec, 0.2, (10.0, 5.0))
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_lmax_rejects_bad_tolerance(monkeypatch, tol):
+    # a cheap objective that gives up instead of letting a search that
+    # never meets its tolerance run forever
+    calls = []
+
+    def parabola(spec, params):
+        calls.append(params.L)
+        if len(calls) > 500:
+            raise RuntimeError("golden section did not stop")
+        return -((params.L - 50.0) ** 2)
+
+    monkeypatch.setattr(llfisher.fisher, "cfi", parabola)
+    with pytest.raises(ValueError, match="tolerance"):
+        lmax(ground_state(PER, 2), 0.2, (10.0, 150.0), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +289,18 @@ def test_sweep_validation():
         sweep(spec, "c", [1.0, 0.5], fixed_value=1.0)
     with pytest.raises(ValueError):
         sweep(spec, "x", [1.0], fixed_value=1.0)
+
+
+def test_sweep_rejects_out_of_domain_points_up_front(monkeypatch):
+    # a negative fixed coupling is an argument error, not a point failure
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(llfisher.fisher, "fisher_report", unreachable)
+    with pytest.raises(ValueError, match="interaction strength"):
+        sweep(ground_state(PER, 2), "L", [1.0, 2.0], fixed_value=-1.0)
+    with pytest.raises(ValueError, match="system size"):
+        sweep(ground_state(PER, 2), "c", [1.0, 2.0], fixed_value=0.0)
 
 
 def test_sweep_parallel_matches_sequential(monkeypatch):

@@ -130,7 +130,7 @@ def test_partition_of_unity_against_norm():
     params = ModelParams(1.0, 1.0)
     sol = solve_bethe(spec, params)
     table = amplitudes(sol, params, spec.bc)
-    n2 = norm_sq(sol.k, params, spec.bc).norm_sq
+    n2 = norm_sq(sol.k, params, spec.bc)
 
     def density(points):
         vals, _ = eval_batch(table, np.sort(points, axis=1))
@@ -153,7 +153,7 @@ def _box_oracle(spec, params, grid, images, order):
     """P of each image by Gauss-Legendre box quadrature of the normalized density."""
     sol = solve_bethe(spec, params)
     table = amplitudes(sol, params, spec.bc)
-    norm_full = math.factorial(spec.n) * norm_sq(sol.k, params, spec.bc).norm_sq
+    norm_full = math.factorial(spec.n) * norm_sq(sol.k, params, spec.bc)
 
     def density(points):
         vals, _ = eval_batch(table, np.sort(points, axis=1))
@@ -215,6 +215,13 @@ def test_exact_probabilities_match_box_quadrature_box4():
     assert dprobs is None
     oracle = _box_oracle(spec, params, grid, images, order=12)
     assert np.all(np.abs(probs - oracle) <= 1e-10 * oracle)
+
+
+def test_image_distribution_solves_once(call_counts):
+    # P and dP/dc both read the norm and its derivative off one solution
+    counts = call_counts("solve_bethe")
+    image_distribution(ground_state(HW, 2), ModelParams(1.0, 1.0), uniform_grid(1.0, 4))
+    assert counts["solve_bethe"] == 1
 
 
 def test_imaging_cfi_below_position_cfi():
@@ -333,6 +340,13 @@ def test_mle_validates_inputs():
     bad = [AbsorptionImage((1, 0, 0, 0, 0, 0))]
     with pytest.raises(ValueError):
         mle_estimate(bad, spec, dist.grid, [0.5], params.L)
+
+
+def test_mle_rejects_empty_shots():
+    # with no data every grid point has log-likelihood 0; that is no estimate
+    spec, params, dist = make_dist()
+    with pytest.raises(ValueError, match="no shots"):
+        mle_estimate([], spec, dist.grid, [0.1, 0.2, 0.3], params.L)
 
 
 def test_mle_rejects_images_of_another_grid():

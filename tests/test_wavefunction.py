@@ -19,8 +19,6 @@ from llfisher.wavefunction import (
     PhaseClass,
     amplitudes,
     eval_batch,
-    eval_ordered,
-    eval_symmetric,
     global_phase_class,
 )
 
@@ -122,6 +120,8 @@ def test_coincident_quasimomenta_rejected():
         energy=2.0,
         momentum=0.0,
         residual=0.0,
+        norm_sq=1.0,
+        dnorm_sq_dc=0.0,
     )
     with pytest.raises(DegenerateStateError):
         amplitudes(fake, ModelParams(1.0, 1.0), PER)
@@ -135,10 +135,9 @@ def test_coincident_quasimomenta_rejected():
 def test_single_particle_value_is_one():
     params = ModelParams(2.0, 1.0)
     spec, sol, table = make(PER, 1, params)
-    for x in (0.0, 0.3, 0.99):
-        out = eval_ordered(table, sol, (x,))
-        assert abs(out.value - 1.0) < 1e-14
-        assert abs(out.dvalue_dc) < 1e-14
+    vals, dvals = eval_batch(table, [[0.0], [0.3], [0.99]])
+    assert np.max(np.abs(vals - 1.0)) < 1e-14
+    assert np.max(np.abs(dvals)) < 1e-14
 
 
 def test_box_boundary_zeros():
@@ -147,9 +146,8 @@ def test_box_boundary_zeros():
     rng = np.random.default_rng(5)
     sample = np.sort(rng.uniform(0, 1, size=(64, 2)), axis=1)
     scale = np.max(np.abs(eval_batch(table, sample)[0]))
-    at_zero = eval_ordered(table, sol, (0.0, 0.6)).value
+    at_zero, at_l = eval_batch(table, [[0.0, 0.6], [0.4, 1.0]])[0]
     assert abs(at_zero) < 1e-10 * scale
-    at_l = eval_ordered(table, sol, (0.4, 1.0)).value
     assert abs(at_l) < 1e-10 * scale
 
 
@@ -171,36 +169,14 @@ def test_box_odd_n_is_purely_imaginary():
     assert np.max(np.abs(vals.real)) < 1e-9 * np.max(np.abs(vals))
 
 
-def test_symmetric_extension_matches_ordered_and_permutes():
-    params = ModelParams(1.0, 1.0)
-    spec, sol, table = make(PER, 2, params)
-    a = eval_symmetric(table, sol, (0.3, 0.7))
-    b = eval_ordered(table, sol, (0.3, 0.7))
-    assert a.value == b.value
-    c = eval_symmetric(table, sol, (0.7, 0.3))
-    assert c.value == a.value
-    assert c.dvalue_dc == a.dvalue_dc
-
-
-def test_eval_validation_errors():
-    params = ModelParams(1.0, 1.0)
-    spec, sol, table = make(PER, 2, params)
-    with pytest.raises(ValueError):
-        eval_ordered(table, sol, (0.7, 0.3))
-    with pytest.raises(ValueError):
-        eval_symmetric(table, sol, (0.2, 1.4))
-    with pytest.raises(ValueError):
-        eval_ordered(table, sol, (0.1, 0.2, 0.3))
-
-
 def test_continuity_at_coincidence():
     params = ModelParams(1.0, 1.0)
     spec, sol, table = make(PER, 3, params)
     eps = 1e-9
-    below = eval_symmetric(table, sol, (0.2, 0.5 - eps, 0.5))
-    above = eval_symmetric(table, sol, (0.2, 0.5 + eps, 0.5))
-    scale = max(abs(below.value), 1.0)
-    assert abs(below.value - above.value) < 1e-6 * scale
+    # x_2 crosses x_3 = 0.5: the bosonic extension orders the coordinates
+    below, above = eval_batch(table, [[0.2, 0.5 - eps, 0.5], [0.2, 0.5, 0.5 + eps]])[0]
+    scale = max(abs(below), 1.0)
+    assert abs(below - above) < 1e-6 * scale
 
 
 @pytest.mark.parametrize(
@@ -211,7 +187,7 @@ def test_norm_against_quadrature(bc, n, c, L):
     # ordered-domain integral of |psi~|^2 reproduces the determinant norm
     params = ModelParams(c, L)
     spec, sol, table = make(bc, n, params)
-    target = norm_sq(sol.k, params, bc).norm_sq
+    target = norm_sq(sol.k, params, bc)
 
     def density(points):
         vals, _ = eval_batch(table, points)
