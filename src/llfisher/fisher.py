@@ -17,15 +17,17 @@ permutation sums turns the QFI into a double sum over coefficient pairs
 (t, s) weighted by the simplex integrals I, I^1_l and I^11_mn of the
 wavenumber difference lambda = kappa_t - kappa_s.  Each is a divided
 difference of exp at the nodes -i L sum_{m>=j} lambda_m and 0, with the
-moment nodes repeated (Hermite-Genocchi; see ``integrals``), and one
-batched matrix-exponential call evaluates them for every distinct
-lambda of a table.  The assembly is exact up to the Bethe residual and
-the rounding of that kernel.  The CFI either equals the QFI outright
-(real or purely imaginary phase class, where the position measurement
-is optimal) or is integrated numerically on the ordered simplex.  A
-state point is solved once: NS and d NS/dc come with the Bethe solution,
-and ``fisher_report`` hands the same solution and amplitude table to
-both the QFI assembly and the CFI quadrature.
+moment nodes repeated (Hermite-Genocchi; see ``integrals``).  One batched
+matrix-exponential call at moment order 2 evaluates them for every
+distinct lambda of a table, each matrix holding I, two first moments and
+three second moments; the overlap oracle asks for order 0, I alone.  The
+assembly is exact up to the Bethe residual and the rounding of that
+kernel.  The CFI either equals the QFI outright (real or purely
+imaginary phase class, where the position measurement is optimal) or is
+integrated numerically on the ordered simplex.  A state point is solved
+once: NS and d NS/dc come with the Bethe solution, and ``fisher_report``
+hands the same solution and amplitude table to both the QFI assembly and
+the CFI quadrature.
 
 An independent fidelity-overlap estimate,
 QFI ~ 8 (1 - |<psi_{c-d/2}|psi_{c+d/2}>|) / d^2, cross-checks the
@@ -52,6 +54,7 @@ from .integrals import (
 from .wavefunction import (
     AmplitudeTable,
     PhaseClass,
+    _check_particle_cap,
     amplitudes,
     eval_batch,
     global_phase_class,
@@ -75,15 +78,15 @@ class BracketError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _pair_bundles(kappa_a: np.ndarray, kappa_b: np.ndarray, L: float, full: bool):
+def _pair_bundles(kappa_a: np.ndarray, kappa_b: np.ndarray, L: float, order: int):
     """Simplex-integral bundles for every pair row_a x row_b, deduplicated.
 
     Pairs sharing one wavenumber vector (to within the degeneracy
     quantum) share a bundle, and opposite vectors share it through
     I(-lambda) = conj(I(lambda)), which halves the kernel's batch.  The
-    distinct vectors go to ``simplex_exp_integral`` in one call.
-    Returns pair-shaped arrays i00 (ra, rb) and, when ``full``, i1
-    (ra, rb, n) and i11 (ra, rb, n, n).
+    distinct vectors go to ``simplex_exp_integral`` in one call at the
+    moment ``order`` (0, 1 or 2).  Returns the order + 1 pair-shaped
+    arrays i00 (ra, rb), then i1 (ra, rb, n), then i11 (ra, rb, n, n).
     """
     n = kappa_a.shape[1]
     r_a, r_b = kappa_a.shape[0], kappa_b.shape[0]
@@ -105,15 +108,15 @@ def _pair_bundles(kappa_a: np.ndarray, kappa_b: np.ndarray, L: float, full: bool
     inverse = inverse.reshape(-1)  # shape differs across numpy 2.x versions
     reps = np.where(flip[first_occ, None], -lam_all[first_occ], lam_all[first_occ])
 
-    bundles = simplex_exp_integral(reps, L, moments=full)
+    bundles = simplex_exp_integral(reps, L, order)
+    if order == 0:
+        bundles = (bundles,)
 
     def expand(values: np.ndarray) -> np.ndarray:
         out = values[inverse]
         out[flip] = np.conj(out[flip])
         return out.reshape((r_a, r_b) + values.shape[1:])
 
-    if not full:
-        return expand(bundles), None, None
     return tuple(expand(values) for values in bundles)
 
 
@@ -123,7 +126,7 @@ def _inner_products(table: AmplitudeTable, L: float):
     Assembled from the coefficient table and the simplex-integral
     bundles; the pair reduction is a deterministic einsum.
     """
-    i00, i1_ts, i11_ts = _pair_bundles(table.kappa, table.kappa, L, full=True)
+    i00, i1_ts, i11_ts = _pair_bundles(table.kappa, table.kappa, L, order=2)
 
     w_amp = table.weight * table.amp
     w_damp = table.weight * table.damp
@@ -160,10 +163,10 @@ def _qfi_with_residue(solution: BetheSolution, table: AmplitudeTable):
     return float(qfi_c.real), residue
 
 
-def qfi_analytic(spec: StateSpec, params: ModelParams, allow_large_n: bool = False) -> float:
+def qfi_analytic(spec: StateSpec, params: ModelParams) -> float:
     """QFI of the coupling via the exact permutation-pair expansion."""
     solution = solve_bethe(spec, params)
-    table = amplitudes(solution, params, spec.bc, allow_large_n=allow_large_n)
+    table = amplitudes(solution, params, spec.bc)
     value, _ = _qfi_with_residue(solution, table)
     return value
 
@@ -172,7 +175,7 @@ def ordered_overlap(
     table_a: AmplitudeTable, table_b: AmplitudeTable, L: float
 ) -> complex:
     """<psi~_a | psi~_b> over the ordered domain, from two coefficient tables."""
-    i00, _, _ = _pair_bundles(table_a.kappa, table_b.kappa, L, full=False)
+    (i00,) = _pair_bundles(table_a.kappa, table_b.kappa, L, order=0)
     w_a = np.conj(table_a.weight * table_a.amp)
     w_b = table_b.weight * table_b.amp
     return complex(np.einsum("t,s,ts->", w_a, w_b, i00))
@@ -396,10 +399,11 @@ def sweep(
 ) -> SweepResult:
     """Fisher reports along a strictly increasing c- or L-grid.
 
-    Every point's ModelParams is built first, so a (c, L) outside the
-    domain raises ValueError before any point runs.  Grid points are
-    independent; with LLFISHER_WORKERS > 1 they run in a process pool,
-    results reduced in grid order either way.
+    The particle cap is checked and every point's ModelParams is built
+    first, so a state above the cap or a (c, L) outside the domain raises
+    ValueError before any point runs.  Grid points are independent; with
+    LLFISHER_WORKERS > 1 they run in a process pool, results reduced in
+    grid order either way.
     """
     if axis not in ("c", "L"):
         raise ValueError("axis must be 'c' or 'L'")
@@ -408,6 +412,7 @@ def sweep(
         raise ValueError("sweep grid is empty")
     if np.any(np.diff(grid_arr) <= 0):
         raise ValueError("sweep grid must be strictly increasing")
+    _check_particle_cap(spec.n, spec.bc)
 
     if axis == "c":
         points = [ModelParams(float(v), float(fixed_value)) for v in grid_arr]

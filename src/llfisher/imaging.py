@@ -29,7 +29,9 @@ with I the ordered-simplex integral of ``integrals.simplex_exp_integral``
 and NS the ordered-domain norm square, read with d NS/dc off the one
 Bethe solution of the state point.  dP/dc follows from the same runs:
 the coefficient derivatives dw, and the dkappa.x term of d_c psi~, whose
-coordinate x_l = lo + y_l brings in the first moment I^1 of its run.
+coordinate x_l = lo + y_l brings in the first moment I^1 of its run.  The
+run tables ask the kernel for moment order 1 (I and I^1) when dP/dc is
+wanted and order 0 (I alone) for P, as in the MLE.
 Gauss-Legendre box quadrature (``integrals.box_quadrature``) of the same
 density serves as the test oracle, and finite differences of P check
 dP/dc.
@@ -184,8 +186,9 @@ class _RunProducts:
     entries on those slots.  The distinct length-r sub-rows are collected
     once, so every (run size, bin width) needs one table of pair
     integrals, built on first use from ``_pair_bundles`` and shared by
-    all run starts and images.  With ``derivative`` the table also holds
-    the first moments contracted with the sub-rows' dkappa.
+    all run starts and images.  With ``derivative`` the table is built at
+    moment order 1 and also holds the first moments contracted with the
+    sub-rows' dkappa; without it, at order 0.
     """
 
     def __init__(self, table: AmplitudeTable, intervals: list, derivative: bool):
@@ -213,8 +216,8 @@ class _RunProducts:
         key = (size, width)
         if key not in self._tables:
             kap, dkap = self.sub_rows[size]
-            i00, i1, _ = _pair_bundles(kap, kap, width, full=self.derivative)
-            moment = np.einsum("uvj,vj->uv", i1, dkap) if self.derivative else None
+            i00, *i1 = _pair_bundles(kap, kap, width, order=int(self.derivative))
+            moment = np.einsum("uvj,vj->uv", i1[0], dkap) if self.derivative else None
             self._tables[key] = (i00, moment)
         return self._tables[key]
 

@@ -22,12 +22,28 @@ it reads
 
 with c_ii = 2 and c_ij = 1 otherwise: x_l is the sum of the first l + 1
 gaps, and differentiating with respect to a node repeats it.  The divided
-difference exp[w_0, ..., w_k] is entry (0, k) of the exponential of the
-bidiagonal matrix with diagonal w and ones above it (Opitz 1964; McCurdy,
-Ng & Parlett, Math. Comp. 43, 1984).  One batched matrix exponential,
-scaling and squaring with the degree-13 Pade approximant (Higham, SIAM J.
-Matrix Anal. Appl. 26, 2005), therefore yields every integral, confluent
-nodes included, without case splits.
+difference exp[w_p, ..., w_q] over a window of consecutive nodes is entry
+(p, q) of the exponential of the bidiagonal matrix with diagonal w and
+ones above it (Opitz 1964; McCurdy, Ng & Parlett, Math. Comp. 43, 1984).
+One batched matrix exponential, scaling and squaring with the degree-13
+Pade approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), therefore
+yields every integral, confluent nodes included, without case splits.
+
+The moment order k (0, 1 or 2) is the number of extra nodes on each side
+of z in a node row
+
+    (z_{w_0}, ..., z_{w_{k-1}}, z_0, ..., z_n, z_{w_k}, ..., z_{w_{2k-1}}),
+
+set by a walk w of 2k indices.  Every window that holds all of z and m <= k
+of the extra nodes is read: window (k - u, n + k + v) gives
+exp[z, z_{w_{k-u}}, ..., z_{w_{k+v-1}}].  Order 0 is the row z alone.  At
+order 1 a row (z_b, z, z_c) gives the first moments of b and c.  At order
+2 a row (z_a, z_b, z, z_c, z_d) gives I from window (2, n+2), the first
+moments of b and c from (1, n+2) and (2, n+3), and the second moments of
+the three walk edges (a, b), (b, c) and (c, d) from (0, n+2), (1, n+3)
+and (2, n+4).  A greedy cover, built once per (n, k), picks the walks so
+that every moment appears in some row: ceil(n (n+1) / 6) rows of size
+n + 5 for the n (n+1) / 2 second moments when n <= 5.
 
 Iterated Gauss-Legendre rules over the same ordered domain, and tensor
 rules over axis-aligned boxes, provide the independent numerical oracle
@@ -37,6 +53,7 @@ used throughout the test suite and the direct CFI quadrature.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -111,11 +128,11 @@ def _expm_upper(a: np.ndarray) -> np.ndarray:
 
 
 def _divided_differences(w: np.ndarray) -> np.ndarray:
-    """Rows exp[w_0], exp[w_0, w_1], ..., exp[w_0, ..., w_k] per node row of w.
+    """Tables exp[w_p, ..., w_q] at (p, q), p <= q, per node row of w.
 
-    The first row of expm of the bidiagonal matrix with diagonal w and
-    ones above it.  Every row is first shifted by the centre mu of its
-    nodes' imaginary parts, which halves the matrix norm; exp[w] =
+    The exponential of the bidiagonal matrix with diagonal w and ones
+    above it, (rows, m, m).  Every row is first shifted by the centre mu
+    of its nodes' imaginary parts, which halves the matrix norm; exp[w] =
     e^mu exp[w - mu] restores it.
     """
     rows, m = w.shape
@@ -124,46 +141,104 @@ def _divided_differences(w: np.ndarray) -> np.ndarray:
     a = np.zeros((rows, m, m), dtype=complex)
     a[:, diag, diag] = w - mu[:, None]
     a[:, diag[:-1], diag[1:]] = 1.0
-    return np.exp(mu)[:, None] * _expm_upper(a)[:, 0, :]
+    return np.exp(mu)[:, None, None] * _expm_upper(a)
 
 
-def _simplex_block(lam: np.ndarray, L: float, moments: bool):
+def _window_keys(walk: tuple, order: int):
+    """(moment key, first row position, extra-node count) of every window a walk's row holds.
+
+    The window holds z and the extra nodes walk[start : start + size]; the
+    key is their sorted tuple: () for I, (i,) for the first moment of i,
+    (i, j) for the pair i <= j.
+    """
+    for size in range(order + 1):
+        for start in range(order - size, order + 1):
+            yield tuple(sorted(walk[start : start + size])), start, size
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(n: int, order: int):
+    """Node rows and read-off windows for n wavenumbers at a moment order.
+
+    Returns (nodes, windows).  ``nodes`` is a read-only (rows, n + 1 +
+    2 order) index array into (z_0, ..., z_n); ``windows[m]`` holds
+    read-only (row, p, q) index arrays of the windows that give the
+    moments of m extra nodes, in the order () for m = 0, (i,) for i < n,
+    and (i, j) for i <= j in ``np.triu_indices(n)`` order.  The walks are
+    chosen greedily: each next walk covers the most still-missing second
+    moments, then first moments (first such walk in lexicographic order).
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    wanted = [[()], [(i,) for i in range(n)], pairs][: order + 1]
+    missing = {key for keys in wanted for key in keys}
+    candidates = list(itertools.product(range(n), repeat=2 * order))
+
+    def covers(walk):
+        return {key for key, _, _ in _window_keys(walk, order)}
+
+    def gain(walk):
+        new = covers(walk) & missing
+        return tuple(sum(len(key) == size for key in new) for size in range(order, -1, -1))
+
+    walks = []
+    while missing:
+        walk = max(candidates, key=gain)
+        walks.append(walk)
+        missing -= covers(walk)
+
+    found = {}
+    for row, walk in enumerate(walks):
+        for key, start, size in _window_keys(walk, order):
+            found.setdefault(key, (row, start, start + n + size))
+    centre = list(range(n + 1))
+    nodes = np.array([list(w[:order]) + centre + list(w[order:]) for w in walks], dtype=int)
+    windows = tuple(
+        tuple(np.array(idx, dtype=int) for idx in zip(*(found[key] for key in keys)))
+        for keys in wanted
+    )
+    nodes.setflags(write=False)
+    for window in windows:
+        for idx in window:
+            idx.setflags(write=False)
+    return nodes, windows
+
+
+def _simplex_block(lam: np.ndarray, L: float, order: int):
     """simplex_exp_integral for a (rows, n) block of wavenumber vectors."""
     rows, n = lam.shape
     tails = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
     z = np.concatenate([-1j * L * tails, np.zeros((rows, 1))], axis=1)
-    if not moments:
-        return L**n * _divided_differences(z)[:, n]
+    nodes, windows = _layout(n, order)
+    dd = _divided_differences(z[:, nodes].reshape(-1, nodes.shape[1]))
+    dd = dd.reshape((rows,) + nodes.shape + nodes.shape[1:])
+    d = [dd[:, r, p, q] for r, p, q in windows]
 
-    # one node row (z, z_i, z_j) per pair i <= j: entry n is exp[z],
-    # n + 1 is exp[z, z_i] and n + 2 is exp[z, z_i, z_j]
-    ii, jj = np.triu_indices(n)
-    w = np.concatenate(
-        [np.broadcast_to(z[:, None, :], (rows, ii.size, n + 1)), z[:, ii, None], z[:, jj, None]],
-        axis=2,
-    )
-    dd = _divided_differences(w.reshape(-1, n + 3)).reshape(rows, ii.size, n + 3)
-    d1 = dd[:, ii == jj, n + 1]
-    d2 = np.empty((rows, n, n), dtype=complex)
-    d2[:, ii, jj] = dd[:, :, n + 2]
-    d2[:, jj, ii] = dd[:, :, n + 2]
-    d2 *= 1.0 + np.eye(n)
-    i00 = L**n * dd[:, 0, n]
-    i1 = L ** (n + 1) * np.cumsum(d1, axis=1)
-    i11 = L ** (n + 2) * np.cumsum(np.cumsum(d2, axis=1), axis=2)
-    return i00, i1, i11
+    out = [L**n * d[0][:, 0]]
+    if order >= 1:
+        out.append(L ** (n + 1) * np.cumsum(d[1], axis=1))
+    if order == 2:
+        ii, jj = np.triu_indices(n)
+        d2 = np.empty((rows, n, n), dtype=complex)
+        d2[:, ii, jj] = d[2]
+        d2[:, jj, ii] = d[2]
+        d2 *= 1.0 + np.eye(n)
+        out.append(L ** (n + 2) * np.cumsum(np.cumsum(d2, axis=1), axis=2))
+    return out
 
 
-def simplex_exp_integral(lam, L: float, moments: bool = False):
+def simplex_exp_integral(lam, L: float, order: int = 0):
     """Ordered-simplex integrals of e^{-i lambda.x} for a batch of wavenumbers.
 
     ``lam`` has shape (..., N); every leading index is one wavenumber
-    vector lambda_1..lambda_N.  Returns I with the leading shape, and with
-    ``moments`` the triple (I, I^1, I^11) where I^1[..., l] and
-    I^11[..., m, l] carry the coordinate moments x_l and x_m x_l (see the
-    module docstring for the divided-difference formulas).  The vectors
-    are processed in blocks of about EXPM_CHUNK matrix entries.
+    vector lambda_1..lambda_N.  Returns I with the leading shape at
+    ``order`` 0, the pair (I, I^1) at order 1 and the triple (I, I^1,
+    I^11) at order 2, where I^1[..., l] and I^11[..., m, l] carry the
+    coordinate moments x_l and x_m x_l (see the module docstring for the
+    divided-difference formulas and the node rows).  The vectors are
+    processed in blocks of about EXPM_CHUNK matrix entries.
     """
+    if order not in (0, 1, 2):
+        raise ValueError(f"moment order must be 0, 1 or 2, got {order!r}")
     lam = np.asarray(lam, dtype=float)
     if lam.ndim == 0 or lam.shape[-1] < 1:
         raise ValueError("lambda must have at least one component")
@@ -174,17 +249,16 @@ def simplex_exp_integral(lam, L: float, moments: bool = False):
     lead, n = lam.shape[:-1], lam.shape[-1]
     lam = lam.reshape(-1, n)
 
-    entries = (n + 3) ** 2 * n * (n + 1) // 2 if moments else (n + 1) ** 2
-    step = max(1, EXPM_CHUNK // entries)
+    rows, m = _layout(n, order)[0].shape
+    step = max(1, EXPM_CHUNK // (rows * m * m))
     blocks = [
-        _simplex_block(lam[s : s + step], L, moments) for s in range(0, max(len(lam), 1), step)
+        _simplex_block(lam[s : s + step], L, order) for s in range(0, max(len(lam), 1), step)
     ]
-    if not moments:
-        return np.concatenate(blocks).reshape(lead)
     shapes = ((), (n,), (n, n))
-    return tuple(
+    parts = tuple(
         np.concatenate(part).reshape(lead + shape) for part, shape in zip(zip(*blocks), shapes)
     )
+    return parts[0] if order == 0 else parts
 
 
 # ---------------------------------------------------------------------------

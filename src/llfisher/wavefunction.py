@@ -31,8 +31,8 @@ import numpy as np
 from .bethe import BetheSolution, BoundaryCondition, ModelParams, StateSpec
 
 # Particle-number caps reflecting the ~N!^2 / 2^(2N) N!^2 cost of the
-# downstream double-permutation sums; override explicitly if you accept
-# the wait.
+# downstream double-permutation sums; ``amplitudes(..., allow_large_n=True)``
+# lifts them for a caller who accepts the wait.
 MAX_N_PERIODIC = 5
 MAX_N_HARD_WALL = 4
 
@@ -109,6 +109,13 @@ def _coefficient(kappa: np.ndarray, dkappa: np.ndarray, c: float, hard_wall: boo
     return amp, amp * logder
 
 
+def _check_particle_cap(n: int, bc: BoundaryCondition) -> None:
+    """Raise ValueError when N exceeds the particle cap of its boundary condition."""
+    cap = MAX_N_PERIODIC if bc is BoundaryCondition.PERIODIC else MAX_N_HARD_WALL
+    if n > cap:
+        raise ValueError(f"N = {n} exceeds the particle cap of {cap} for {bc.value} states")
+
+
 def amplitudes(
     solution: BetheSolution,
     params: ModelParams,
@@ -117,16 +124,13 @@ def amplitudes(
 ) -> AmplitudeTable:
     """Build the full coefficient table of a solved state.
 
-    N! rows on the ring, 2^N N! in the box.  Raises unless N is within
-    the default cap (see module docstring) or ``allow_large_n`` is set.
+    N! rows on the ring, 2^N N! in the box.  Raises ValueError unless N
+    is within the particle cap (MAX_N_PERIODIC, MAX_N_HARD_WALL) or
+    ``allow_large_n`` is set.
     """
     n = solution.n
-    cap = MAX_N_PERIODIC if bc is BoundaryCondition.PERIODIC else MAX_N_HARD_WALL
-    if n > cap and not allow_large_n:
-        raise ValueError(
-            f"N={n} exceeds the default cap {cap} for {bc.value}; "
-            "pass allow_large_n=True to override"
-        )
+    if not allow_large_n:
+        _check_particle_cap(n, bc)
 
     k = solution.k
     dk = solution.dk_dc

@@ -144,6 +144,21 @@ def test_fisher_out_of_domain_fixed_value_exits_2(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_fisher_above_particle_cap_exits_2(tmp_path, capsys):
+    # the cap is an argument error known before any point runs, not one
+    # failed row per point, and the message names no library keyword
+    out_file = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys, "fisher", "--bc", "periodic", "-N", "6", "--ground",
+        "--axis", "L", "--start", "5", "--stop", "6", "--num", "2",
+        "--fixed", "0.2", "-o", str(out_file),
+    )
+    assert code == 2
+    assert "particle cap of 5" in err
+    assert "allow_large_n" not in err
+    assert not out_file.exists()
+
+
 # ---------------------------------------------------------------------------
 # lmax
 # ---------------------------------------------------------------------------
@@ -250,6 +265,18 @@ def test_imaging_over_image_cap_exits_5(capsys):
     assert err.startswith("resource limit:")
 
 
+def test_imaging_above_particle_cap_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "imaging.csv"
+    code, _, err = run(
+        capsys, "imaging", "--bc", "hardwall", "-N", "5", "--ground",
+        "-c", "0.2", "-L", "10", "--pixels", "2", "-o", str(out_file),
+    )
+    assert code == 2
+    assert "particle cap of 4" in err
+    assert "allow_large_n" not in err
+    assert not out_file.exists()
+
+
 def test_imaging_probability_sum_check_exits_6(capsys, monkeypatch):
     import llfisher.imaging
 
@@ -261,6 +288,17 @@ def test_imaging_probability_sum_check_exits_6(capsys, monkeypatch):
     )
     assert code == 6
     assert err.startswith("numerical check failed:")
+
+
+def test_lmax_above_particle_cap_exits_2(capsys):
+    code, out, err = run(
+        capsys, "lmax", "--bc", "periodic", "-N", "6", "--ground",
+        "-c", "0.2", "--bracket", "10", "150",
+    )
+    assert code == 2
+    assert out == ""
+    assert "particle cap of 5" in err
+    assert "allow_large_n" not in err
 
 
 def test_lmax_qfi_residue_check_exits_6(capsys, monkeypatch):

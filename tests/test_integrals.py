@@ -78,7 +78,7 @@ def test_antiderivative_constant_integrand():
 def test_antiderivative_matches_adaptive_quadrature():
     # int_0.25^1 x^2 e^{-3ix} dx is the difference of two second moments
     def second_moment(upper):
-        return simplex_exp_integral([3.0], upper, moments=True)[2][0, 0]
+        return simplex_exp_integral([3.0], upper, order=2)[2][0, 0]
 
     got = second_moment(1.0) - second_moment(0.25)
     re = integrate.quad(lambda x: x**2 * math.cos(3 * x), 0.25, 1, epsabs=1e-13)[0]
@@ -91,7 +91,7 @@ def test_antiderivative_series_window_definite_integral():
     mu = 1e-6
 
     def first_moment(upper):
-        return simplex_exp_integral([mu], upper, moments=True)[1][0]
+        return simplex_exp_integral([mu], upper, order=2)[1][0]
 
     got = first_moment(1.0) - first_moment(0.5)
     re = integrate.quad(lambda x: x * math.cos(mu * x), 0.5, 1, epsabs=1e-14)[0]
@@ -103,7 +103,7 @@ def test_antiderivative_series_window_definite_integral():
 def test_degenerate_branch_continuity(power):
     # no jump where a 1e-9 wavenumber used to switch to a polynomial branch
     def value(mu):
-        i00, i1, i11 = simplex_exp_integral([mu], 1.0, moments=True)
+        i00, i1, i11 = simplex_exp_integral([mu], 1.0, order=2)
         return (i00, i1[0], i11[0, 0])[power]
 
     assert abs(value(1e-9 * 1.01) - value(1e-9 * 0.99)) < 1e-8
@@ -137,7 +137,7 @@ def test_two_dim_vs_nested_adaptive():
 
 def test_power_factors_vs_nested_adaptive():
     lam = (0.9, -2.2)
-    _, _, i11 = simplex_exp_integral(lam, 1.0, moments=True)
+    _, _, i11 = simplex_exp_integral(lam, 1.0, order=2)
     want = nested_quad(lam, 1.0, power_idx={0: 1, 1: 1})
     assert abs(i11[0, 1] - want) < 1e-9
     assert i11[1, 0] == i11[0, 1]
@@ -149,8 +149,8 @@ def test_power_factors_vs_nested_adaptive():
 )
 def test_conjugation(lam):
     # the pair-bundle dedup reuses every integral of lambda for -lambda
-    fwd = simplex_exp_integral(lam, 1.0, moments=True)
-    rev = simplex_exp_integral([-v for v in lam], 1.0, moments=True)
+    fwd = simplex_exp_integral(lam, 1.0, order=2)
+    rev = simplex_exp_integral([-v for v in lam], 1.0, order=2)
     for f, r in zip(fwd, rev):
         assert np.max(np.abs(r - np.conj(f))) < 1e-10 * max(1.0, np.max(np.abs(f)))
 
@@ -164,7 +164,7 @@ def test_conjugation(lam):
 def test_agrees_with_simplex_quadrature(lam, alpha, beta):
     n_dim = len(lam)
     L = 1.0
-    i00, i1, i11 = simplex_exp_integral(lam, L, moments=True)
+    i00, i1, i11 = simplex_exp_integral(lam, L, order=2)
     if alpha and beta:
         got = i11[0, n_dim - 1]
     elif alpha or beta:
@@ -190,7 +190,7 @@ def test_moments_vs_simplex_quadrature_large_box():
     # every first and second moment at once, at a QFI-sized box
     lam = np.array([0.7, -1.1, 0.25])
     L = 10.0
-    i00, i1, i11 = simplex_exp_integral(lam, L, moments=True)
+    i00, i1, i11 = simplex_exp_integral(lam, L, order=2)
     pts, wts = integrals.simplex_nodes(3, L, 48)
     phase = wts * np.exp(-1j * pts @ lam)
     assert abs(i00 - phase.sum()) < 1e-9 * abs(i00)
@@ -205,15 +205,75 @@ def expm_divided_difference(w):
     return scipy.linalg.expm(a)[0, -1]
 
 
+def at_each_order(lam, L):
+    """(order, moments) for orders 0, 1 and 2, the moments always as a tuple."""
+    for order in (0, 1, 2):
+        got = simplex_exp_integral(lam, L, order)
+        yield order, (got,) if order == 0 else got
+
+
 @pytest.mark.parametrize("L", [1.0, 10.0, 90.0])
 def test_kernel_matches_scipy_expm(L):
     rng = np.random.default_rng(11)
     for n in range(1, 6):
         lam = rng.uniform(-1.5, 1.5, n)
         want = moments_from(expm_divided_difference, lam, L)
-        got = simplex_exp_integral(lam, L, moments=True)
-        for g, w in zip(got, want):
-            assert max_rel(g, w) < 1e-12
+        for order, got in at_each_order(lam, L):
+            assert len(got) == order + 1
+            for g, w in zip(got, want):
+                assert max_rel(g, w) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_window_of_a_confluent_row_matches_scipy_expm(n):
+    # rows with repeated nodes: every entry (p, q), p <= q, of the table
+    # is the divided difference over the window p..q
+    lam = np.random.default_rng(n).uniform(-1.5, 1.5, n)
+    z = np.array(nodes(lam, 10.0), dtype=complex)
+    rows = z[integrals._layout(n, 2)[0]]
+    got = integrals._divided_differences(rows)
+    for w, table in zip(rows, got):
+        want = scipy.linalg.expm(np.diag(w) + np.diag(np.ones(len(w) - 1), 1))
+        upper = np.triu_indices(len(w))
+        assert max_rel(table[upper], want[upper]) < 1e-12
+
+
+def window_contents(n, order):
+    """{moment key: sorted node indices of its window} from the cached layout."""
+    rows, windows = integrals._layout(n, order)
+    keys = [[()], [(i,) for i in range(n)], list(zip(*np.triu_indices(n)))][: order + 1]
+    return {
+        tuple(int(i) for i in key): sorted(rows[r, p : q + 1])
+        for level, (r_idx, p_idx, q_idx) in zip(keys, windows)
+        for key, r, p, q in zip(level, r_idx, p_idx, q_idx)
+    }
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_layout_windows_cover_every_moment(n, order):
+    # each window holds all of z_0..z_n plus exactly the moment's nodes
+    contents = window_contents(n, order)
+    wanted = [()]
+    if order >= 1:
+        wanted += [(i,) for i in range(n)]
+    if order == 2:
+        wanted += [(i, j) for i in range(n) for j in range(i, n)]
+    assert sorted(contents) == sorted(wanted)
+    for key, window in contents.items():
+        assert window == sorted(list(range(n + 1)) + list(key))
+    assert integrals._layout(n, order) is integrals._layout(n, order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_layout_row_counts(n):
+    # three second moments per order-2 row, two first moments per order-1 row
+    rows = [integrals._layout(n, order)[0] for order in (0, 1, 2)]
+    assert [r.shape for r in rows] == [
+        (1, n + 1),
+        (math.ceil(n / 2), n + 3),
+        (math.ceil(n * (n + 1) / 6), n + 5),
+    ]
 
 
 def mp_divided_difference(w):
@@ -254,20 +314,35 @@ MP_CASES = [
 @pytest.mark.parametrize("lam,case", MP_CASES)
 def test_kernel_matches_mpmath(lam, case, L):
     want = moments_from(mp_divided_difference, lam, L)
-    got = simplex_exp_integral(lam, L, moments=True)
-    for g, w in zip(got, want):
-        assert max_rel(g, w) < 1e-12, case
+    for order, got in at_each_order(lam, L):
+        for g, w in zip(got, want):
+            assert max_rel(g, w) < 1e-12, (case, order)
 
 
 def test_batch_shapes_and_chunking(monkeypatch):
     rng = np.random.default_rng(5)
-    lam = rng.uniform(-3.0, 3.0, size=(2, 5, 3))
-    whole = simplex_exp_integral(lam, 4.0, moments=True)
-    assert [v.shape for v in whole] == [(2, 5), (2, 5, 3), (2, 5, 3, 3)]
-    monkeypatch.setattr(integrals, "EXPM_CHUNK", 200)  # two vectors per block
-    chunked = simplex_exp_integral(lam, 4.0, moments=True)
-    for a, b in zip(whole, chunked):
-        np.testing.assert_array_equal(a, b)
+    lam = rng.uniform(-3.0, 3.0, size=(3, 5, 3))
+    block = integrals._simplex_block
+    for order, whole in at_each_order(lam, 4.0):
+        assert [v.shape for v in whole] == [(3, 5), (3, 5, 3), (3, 5, 3, 3)][: order + 1]
+
+        # a chunk just over two vectors' matrix entries: blocks of two,
+        # and the fifteenth vector alone in a ragged last block
+        rows, m = integrals._layout(3, order)[0].shape
+        sizes = []
+
+        def spy(lam_block, L, order):
+            sizes.append(len(lam_block))
+            return block(lam_block, L, order)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(integrals, "EXPM_CHUNK", 2 * rows * m * m + 1)
+            patch.setattr(integrals, "_simplex_block", spy)
+            chunked = simplex_exp_integral(lam, 4.0, order)
+        assert sizes == [2] * 7 + [1]
+        chunked = (chunked,) if order == 0 else chunked
+        for a, b in zip(whole, chunked):
+            np.testing.assert_array_equal(a, b)
     single = simplex_exp_integral(lam[1, 2], 4.0)
     assert single.shape == () and single == whole[0][1, 2]
 
@@ -281,6 +356,10 @@ def test_request_validation():
         simplex_exp_integral([1.0, np.nan], 1.0)
     with pytest.raises(ValueError):
         simplex_exp_integral(1.0, 1.0)  # needs a wavenumber axis
+    with pytest.raises(ValueError, match="order"):
+        simplex_exp_integral([1.0], 1.0, 3)
+    with pytest.raises(TypeError):
+        simplex_exp_integral([1.0], 1.0, moments=True)  # the keyword is order
 
 
 # ---------------------------------------------------------------------------
