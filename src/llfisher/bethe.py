@@ -109,9 +109,11 @@ class StateSpec:
 class BetheSolution:
     """Solved quasimomenta with their c-derivatives and scalar invariants.
 
-    ``norm_sq`` is the squared norm of the unnormalized ansatz over the
-    ordered domain (:func:`norm_sq`) and ``dnorm_sq_dc`` its derivative
-    along the solution branch (:func:`dnorm_sq_dc`).
+    ``norm_sq`` is the squared norm of the unnormalized ansatz, in the
+    unit-modulus amplitude gauge of ``wavefunction``, over the ordered
+    domain: det H on the ring and 2^N det H in the box (:func:`norm_sq`).
+    ``dnorm_sq_dc`` is its derivative along the solution branch,
+    norm_sq * tr(H^-1 dH/dc) (:func:`dnorm_sq_dc`).
     """
 
     k: np.ndarray
@@ -397,27 +399,21 @@ def _finish(spec: StateSpec, params: ModelParams, k: np.ndarray, rnorm: float) -
 def norm_sq(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> float:
     """Squared norm of the unnormalized ansatz over the ordered domain.
 
-    Ring:  prod_{j<l} (1 + c^2/(k_j-k_l)^2) det H
-    Box:   2^N prod_{j<l} [1 + c^2/(k_j-k_l)^2][1 + c^2/(k_j+k_l)^2] det H
+    Ring:  det H
+    Box:   2^N det H
 
-    with H the matrix from :func:`gaudin_matrix`.  This equals the
-    integral of |psi~|^2 over 0 < x_1 < ... < x_N < L when ``k`` solves
-    the Bethe equations; ``solve_bethe`` stores it as
+    with H the matrix from :func:`gaudin_matrix`.  This is the
+    Gaudin-Korepin norm without its prefactor prod_{j<l} (1 + c^2/u^2)
+    over u = k_j - k_l (and k_j + k_l in the box): the amplitude factors
+    of ``wavefunction`` have modulus one, so that prefactor is 1.  It
+    equals the integral of |psi~|^2 over 0 < x_1 < ... < x_N < L when
+    ``k`` solves the Bethe equations; ``solve_bethe`` stores it as
     ``BetheSolution.norm_sq``.
     """
-    k = np.asarray(k, dtype=float)
-    c = params.c
     det = float(np.linalg.det(gaudin_matrix(k, params, bc)))
-    prefactor = 1.0
-    n = k.size
-    for j in range(n):
-        for l in range(j + 1, n):
-            prefactor *= 1.0 + c * c / (k[j] - k[l]) ** 2
-            if bc is BoundaryCondition.HARD_WALL:
-                prefactor *= 1.0 + c * c / (k[j] + k[l]) ** 2
     if bc is BoundaryCondition.HARD_WALL:
-        prefactor *= 2.0**n
-    return prefactor * det
+        return 2.0 ** len(k) * det
+    return det
 
 
 def _dgaudin_dc(k: np.ndarray, dk: np.ndarray, params: ModelParams, bc: BoundaryCondition):
@@ -453,27 +449,15 @@ def dnorm_sq_dc(
     """d(norm^2)/dc along the solution branch, analytically.
 
     Solved quasimomenta ``k``, their derivatives ``dk`` = dk/dc and the
-    norm square ``n2`` at k give the logarithmic derivative of each
-    factor of :func:`norm_sq`: with u = k_j -+ k_l,
-
-        d ln(1 + c^2/u^2)/dc = 2 c (u - c u') / (u (u^2 + c^2)),
-        d ln det H / dc      = tr(H^-1 dH/dc),
-
-    and d(norm^2)/dc is norm^2 times their sum.  Where quasimomenta
-    collapse as sqrt(c) (ground states near c = 0), the kernel derivative
-    in dH/dc cancels from O(c) terms to O(c^2), and the rounding of k
-    bounds the relative accuracy to about 1e-8 at c = 1e-6.
-    ``solve_bethe`` stores it as ``BetheSolution.dnorm_sq_dc``.
+    norm square ``n2`` at k give d(norm^2)/dc = n2 tr(H^-1 dH/dc), the
+    derivative of the determinant in :func:`norm_sq` (the box's 2^N is
+    constant).  Where quasimomenta collapse as sqrt(c) (ground states
+    near c = 0), the kernel derivative in dH/dc cancels from O(c) terms
+    to O(c^2), and the rounding of k bounds the relative accuracy to
+    about 1e-8 at c = 1e-6.  ``solve_bethe`` stores it as
+    ``BetheSolution.dnorm_sq_dc``.
     """
     k = np.asarray(k, dtype=float)
     dk = np.asarray(dk, dtype=float)
-    c = params.c
     matrix = gaudin_matrix(k, params, bc)
-    dlog = float(np.trace(np.linalg.solve(matrix, _dgaudin_dc(k, dk, params, bc))))
-    j, l = np.triu_indices(k.size, 1)
-    pairs = [(k[j] - k[l], dk[j] - dk[l])]
-    if bc is BoundaryCondition.HARD_WALL:
-        pairs.append((k[j] + k[l], dk[j] + dk[l]))
-    for u, du in pairs:
-        dlog += float(np.sum(2.0 * c * (u - c * du) / (u * (u * u + c * c))))
-    return n2 * dlog
+    return n2 * float(np.trace(np.linalg.solve(matrix, _dgaudin_dc(k, dk, params, bc))))

@@ -6,9 +6,9 @@ order and floats at 17 significant digits, so identical configurations
 produce byte-identical files.  Every CSV row carries the hash of the
 resolved configuration and the package version.
 
-Exit codes: 0 success, 2 invalid arguments, 3 solver failure, 4 bracket
-without an interior maximum, 5 size cap exceeded, 6 failed numerical
-health check.
+Exit codes: 0 success, 2 invalid arguments or an output file that cannot
+be written, 3 solver failure, 4 bracket without an interior maximum,
+5 size cap exceeded, 6 failed numerical health check.
 """
 
 from __future__ import annotations
@@ -233,6 +233,11 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
     params = ModelParams(args.c, args.L)
     if any(p < 1 for p in args.pixels):
         raise ValueError("pixel counts must be >= 1")
+    if args.sample is not None:
+        if args.sample < 1:
+            raise ValueError("--sample must be >= 1")
+        if args.seed is None:
+            raise ValueError("--sample requires --seed")
     reference = cfi(spec, params)
     config = {
         **_state_payload(args),
@@ -261,9 +266,7 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
         )
     _write_text(args.output, "\n".join(lines) + "\n")
 
-    if args.sample:
-        if args.seed is None:
-            raise ValueError("--sample requires --seed")
+    if args.sample is not None:
         shots = sample_images(last_dist, args.sample, args.seed)
         shots_path = args.shots_out or "shots.ndjson"
         save_shots(
@@ -347,7 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError,) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

@@ -365,5 +365,9 @@ def box_quadrature(
 
 
 def default_order(n_dim: int) -> int:
-    """Quadrature order used by the oracles: 48 points/dim up to 3-D, 24 at 4-D."""
+    """Simplex quadrature order: 48 points/dim up to 3-D, 24 at 4-D.
+
+    Used by the CFI quadrature (``fisher._cfi_quadrature``, reported by
+    ``fisher_report``) and by the test oracles.
+    """
     return DEFAULT_SIMPLEX_ORDER if n_dim <= 3 else DEFAULT_SIMPLEX_ORDER_4D

@@ -4,15 +4,25 @@ On the ordered domain 0 <= x_1 <= ... <= x_N <= L the unnormalized
 eigenfunction is a permutation sum of plane waves,
 
   ring:  psi~(x) = sum_P A(P) exp(i sum_j k_{P_j} x_j),
-         A(P) = prod_{j<l} (1 + i c / (k_{P_j} - k_{P_l})),
+         A(P) = prod_{j<l} f(k_{P_j} - k_{P_l}),
 
   box:   psi~(x) = sum_{eps, P} pi_eps A(eps, P)
                    exp(i sum_j eps_j k_{P_j} x_j),
-         A(eps, P) = prod_{j<l} [1 - i c / (kap_j + kap_l)]
-                               [1 + i c / (kap_j - kap_l)],
+         A(eps, P) = prod_{j<l} f(kap_j - kap_l) f(-(kap_j + kap_l)),
+
+  f(u) = sign(u) (u + i c) / |u + i c|,
 
 with kap_j = eps_j k_{P_j}, eps_j = +-1 and pi_eps = prod_j eps_j.  The
 bosonic extension to [0, L]^N sorts the coordinates first.
+
+f(u) is the textbook factor 1 + i c/u divided by its modulus
+|u + i c|/|u|.  The pair moduli |kap_j -+ kap_l| are the same in every
+row, so this gauge rescales psi~ by a positive function of c alone: the
+QFI, the CFI and the image probabilities do not change, and the norm
+square becomes det H (2^N det H in the box; see ``bethe.norm_sq``).
+Each factor's log-derivative, d ln f/dc = i Im((u' + i)/(u + i c)) with
+u' = du/dc, stays bounded as c grows, so dA/dc carries no uniform
+N(N-1)/(2c) A term for the QFI assembly to cancel at strong coupling.
 
 Amplitude tables carry every coefficient together with its analytic
 c-derivative (product rule through dk/dc), so pointwise values and
@@ -53,10 +63,12 @@ class PhaseClass(enum.Enum):
 class AmplitudeTable:
     """All ansatz coefficients of one solved state, with c-derivatives.
 
-    Each row is one term of the permutation (and, in the box, sign) sum:
+    Each row is one term of the permutation (and, in the box, sign) sum,
+    sign vectors major and permutations minor:
     ``kappa`` holds the signed quasimomenta entering the exponent,
     ``weight`` the sign prefactor pi_eps (all ones on the ring), ``amp``
-    and ``damp`` the coefficient A and dA/dc.
+    the unit-modulus coefficient A (module docstring) and ``damp`` its
+    derivative dA/dc = A sum i Im((u' + i)/(u + i c)) over its factors.
     """
 
     bc: BoundaryCondition
@@ -77,36 +89,6 @@ class AmplitudeTable:
     @property
     def n_terms(self) -> int:
         return self.amp.size
-
-
-def _coefficient(kappa: np.ndarray, dkappa: np.ndarray, c: float, hard_wall: bool):
-    """A and dA/dc for one signed-momentum row, by product rule.
-
-    Every factor is 1 + ic/u with real u != 0, so it cannot vanish and
-    the logarithmic derivative is safe.
-    """
-    n = kappa.size
-    scale = max(1.0, float(np.max(np.abs(kappa))))
-    amp = 1.0 + 0.0j
-    logder = 0.0 + 0.0j
-    for j in range(n):
-        for l in range(j + 1, n):
-            u = kappa[j] - kappa[l]
-            if abs(u) < 1e-14 * scale:
-                raise DegenerateStateError("coincident quasimomenta in amplitude product")
-            du = dkappa[j] - dkappa[l]
-            f = 1.0 + 1j * c / u
-            amp *= f
-            logder += (1j / u - 1j * c * du / (u * u)) / f
-            if hard_wall:
-                v = kappa[j] + kappa[l]
-                if abs(v) < 1e-14 * scale:
-                    raise DegenerateStateError("vanishing quasimomentum sum in amplitude product")
-                dv = dkappa[j] + dkappa[l]
-                g = 1.0 - 1j * c / v
-                amp *= g
-                logder += (-1j / v + 1j * c * dv / (v * v)) / g
-    return amp, amp * logder
 
 
 def _check_particle_cap(n: int, bc: BoundaryCondition) -> None:
@@ -132,42 +114,44 @@ def amplitudes(
     if not allow_large_n:
         _check_particle_cap(n, bc)
 
-    k = solution.k
-    dk = solution.dk_dc
-    perm_list = list(itertools.permutations(range(n)))
+    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
     if bc is BoundaryCondition.PERIODIC:
-        sign_list = [np.ones(n)]
+        sign_set = np.ones((1, n))
     else:
-        sign_list = [np.array(s, dtype=float) for s in itertools.product((1.0, -1.0), repeat=n)]
+        sign_set = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    # rows run over every permutation within each sign vector
+    signs = np.repeat(sign_set, len(perms), axis=0)
+    perms = np.tile(perms, (len(sign_set), 1))
+    kappa = signs * solution.k[perms]
+    dkappa = signs * solution.dk_dc[perms]
 
-    rows_p, rows_s, rows_w = [], [], []
-    rows_a, rows_da, rows_kap, rows_dkap = [], [], [], []
-    for signs in sign_list:
-        pi_eps = float(np.prod(signs))
-        for perm in perm_list:
-            perm_arr = np.array(perm, dtype=int)
-            kap = signs * k[perm_arr]
-            dkap = signs * dk[perm_arr]
-            amp, damp = _coefficient(kap, dkap, params.c, bc is BoundaryCondition.HARD_WALL)
-            rows_p.append(perm_arr)
-            rows_s.append(signs)
-            rows_w.append(pi_eps)
-            rows_a.append(amp)
-            rows_da.append(damp)
-            rows_kap.append(kap)
-            rows_dkap.append(dkap)
+    # pair arguments u of the factors f(u): kap_j - kap_l, and in the box
+    # also -(kap_j + kap_l)
+    j, l = np.triu_indices(n, 1)
+    u = kappa[:, j] - kappa[:, l]
+    du = dkappa[:, j] - dkappa[:, l]
+    if bc is BoundaryCondition.HARD_WALL:
+        u = np.hstack([u, -(kappa[:, j] + kappa[:, l])])
+        du = np.hstack([du, -(dkappa[:, j] + dkappa[:, l])])
+    scale = max(1.0, float(np.max(np.abs(solution.k))))
+    if np.any(np.abs(u) < 1e-14 * scale):
+        raise DegenerateStateError("coincident quasimomenta or vanishing quasimomentum sum")
 
+    c = params.c
+    amp = np.prod(np.sign(u) * (u + 1j * c) / np.hypot(u, c), axis=1)
+    # d ln f/dc = i Im((u' + i)/(u + ic)) = i (u - c u')/(u^2 + c^2)
+    logder = np.sum((u - c * du) / (u * u + c * c), axis=1)
     return AmplitudeTable(
         bc=bc,
         n=n,
         L=params.L,
-        perms=np.array(rows_p, dtype=int),
-        signs=np.array(rows_s, dtype=float),
-        weight=np.array(rows_w, dtype=float),
-        amp=np.array(rows_a, dtype=complex),
-        damp=np.array(rows_da, dtype=complex),
-        kappa=np.array(rows_kap, dtype=float),
-        dkappa=np.array(rows_dkap, dtype=float),
+        perms=perms,
+        signs=signs,
+        weight=np.prod(signs, axis=1),
+        amp=amp,
+        damp=1j * logder * amp,
+        kappa=kappa,
+        dkappa=dkappa,
     )
 
 

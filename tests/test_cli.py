@@ -50,6 +50,18 @@ def test_solve_duplicate_quantum_numbers_exits_2(capsys):
     assert "increasing" in err
 
 
+def test_solve_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "solve", "--bc", "periodic", "-N", "2", "--ground",
+        "-c", "1", "-L", "1", "-o", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_state_selector_must_be_unique(capsys):
     code, _, err = run(
         capsys, "solve", "--bc", "periodic", "-N", "2", "--ground", "--type1", "1",
@@ -159,6 +171,19 @@ def test_fisher_above_particle_cap_exits_2(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_fisher_box_strong_coupling_rows_are_ok(tmp_path, capsys):
+    out_file = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys, "fisher", "--bc", "hardwall", "-N", "3", "--ground",
+        "--axis", "L", "--start", "1e4", "--stop", "1e5", "--num", "2",
+        "--fixed", "1", "-o", str(out_file),
+    )
+    assert code == 0
+    assert err == ""
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[2:]]
+    assert [r[7] for r in rows] == ["ok", "ok"]
+
+
 # ---------------------------------------------------------------------------
 # lmax
 # ---------------------------------------------------------------------------
@@ -253,6 +278,33 @@ def test_imaging_sample_requires_seed(capsys):
     )
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "sample_args", [("--sample", "0", "--seed", "1"), ("--sample", "3")], ids=["zero", "no-seed"]
+)
+def test_imaging_bad_sample_exits_2_before_writing(tmp_path, capsys, sample_args):
+    outputs = [tmp_path / name for name in ("img.csv", "shots.ndjson", "mle.json")]
+    code, out, err = run(
+        capsys, "imaging", "--bc", "periodic", "-N", "2", "--ground",
+        "-c", "0.5", "-L", "4", "--pixels", "4", *sample_args,
+        "-o", str(outputs[0]), "--shots-out", str(outputs[1]), "--mle-out", str(outputs[2]),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not any(path.exists() for path in outputs)
+
+
+def test_imaging_unwritable_shot_file_exits_2(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "imaging", "--bc", "periodic", "-N", "2", "--ground",
+        "-c", "0.5", "-L", "4", "--pixels", "4", "--sample", "5", "--seed", "1",
+        "--shots-out", str(tmp_path / "missing" / "x"), "--mle-out", str(tmp_path / "mle.json"),
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "mle.json").exists()
 
 
 def test_imaging_over_image_cap_exits_5(capsys):

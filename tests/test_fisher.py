@@ -1,5 +1,8 @@
 """QFI/CFI assembly, oracles, optimal system size and sweeps."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from llfisher.bethe import (
 from llfisher.fisher import (
     BracketError,
     _cfi_quadrature,
+    _inner_products,
     cfi,
     fisher_report,
     lmax,
@@ -25,7 +29,7 @@ from llfisher.fisher import (
     qfi_overlap_oracle,
     sweep,
 )
-from llfisher.wavefunction import amplitudes
+from llfisher.wavefunction import AmplitudeTable, amplitudes
 
 PER = BoundaryCondition.PERIODIC
 HW = BoundaryCondition.HARD_WALL
@@ -82,6 +86,61 @@ def test_box_states_have_distinct_qfi():
     values = sorted(values)
     gaps = np.diff(values) / np.abs(values[:-1])
     assert np.all(gaps > 1e-6)
+
+
+def _divide_by_c_qfi(spec, params):
+    """QFI with every ansatz factor 1 + ic/u divided by c, built row by row.
+
+    Each factor 1/c + i/u has a log-derivative without a uniform 1/c
+    term, so the assembly does not cancel at strong coupling.  The table
+    and its norm (the ordered-domain overlap, not the closed form) come
+    from no amplitude or norm code of the package.
+    """
+    sol = solve_bethe(spec, params)
+    k, dk, c, n = sol.k, sol.dk_dc, params.c, spec.n
+    if spec.bc is PER:
+        sign_sets = [(1.0,) * n]
+    else:
+        sign_sets = list(itertools.product((1.0, -1.0), repeat=n))
+    rows = []
+    for signs in sign_sets:
+        for perm in itertools.permutations(range(n)):
+            kap = [s * k[p] for s, p in zip(signs, perm)]
+            dkap = [s * dk[p] for s, p in zip(signs, perm)]
+            amp, logder = 1.0 + 0.0j, 0.0j
+            for j, l in itertools.combinations(range(n), 2):
+                args = [(kap[j] - kap[l], dkap[j] - dkap[l])]
+                if spec.bc is HW:
+                    args.append((-(kap[j] + kap[l]), -(dkap[j] + dkap[l])))
+                for u, du in args:
+                    f = 1.0 / c + 1j / u
+                    amp *= f
+                    logder += (-1.0 / c**2 - 1j * du / u**2) / f
+            rows.append((perm, signs, math.prod(signs), amp, amp * logder, kap, dkap))
+    perms, signs, weight, amp, damp, kappa, dkappa = (np.array(col) for col in zip(*rows))
+    table = AmplitudeTable(spec.bc, n, params.L, perms, signs, weight, amp, damp, kappa, dkappa)
+    nn, nd, dd = _inner_products(table, params.L)
+    return (4.0 / nn.real * (dd - abs(nd) ** 2 / nn.real)).real
+
+
+def test_ring_qfi_settles_at_strong_coupling():
+    # Tonks-Girardeau limit: QFI c^4 = a + b/c + O(1/c^2) at L = 1.  The
+    # b/c term is physical (3.7e-6 relative between c = 1e7 and 1e9), so
+    # c = 1e9 is checked against the 1/c extrapolation from 1e7 and 1e8
+    spec = ground_state(PER, 3)
+    q7, q8, q9 = (qfi_analytic(spec, ModelParams(c, 1.0)) * c**4 for c in (1e7, 1e8, 1e9))
+    limit = (10.0 * q8 - q7) / 9.0
+    assert q9 == pytest.approx(q7, rel=1e-5)
+    assert q9 == pytest.approx(limit + (q8 - limit) / 10.0, rel=1e-9)
+    assert q9 == pytest.approx(_divide_by_c_qfi(spec, ModelParams(1e9, 1.0)) * 1e36, rel=1e-8)
+
+
+@pytest.mark.parametrize("c", [1e4, 1e5])
+def test_box_qfi_matches_divide_by_c_gauge_at_strong_coupling(c):
+    spec = ground_state(HW, 3)
+    params = ModelParams(c, 1.0)
+    expected = _divide_by_c_qfi(spec, params)
+    assert qfi_analytic(spec, params) == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize(

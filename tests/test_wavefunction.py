@@ -51,8 +51,9 @@ def test_ring_pair_exchange_ratio():
     k1, k2 = sol.k
     c = params.c
     by_perm = {tuple(p): a for p, a in zip(map(tuple, table.perms), table.amp)}
-    # identity coefficient is the bare product over ordered momenta
-    assert abs(by_perm[(0, 1)] - (1 + 1j * c / (k1 - k2))) < 1e-14
+    # identity coefficient is the unit-modulus factor over ordered momenta
+    u = k1 - k2
+    assert abs(by_perm[(0, 1)] - np.sign(u) * (u + 1j * c) / abs(u + 1j * c)) < 1e-14
     ratio = by_perm[(1, 0)] / by_perm[(0, 1)]
     expected = (k2 - k1 + 1j * c) / (k2 - k1 - 1j * c)
     assert abs(ratio - expected) < 1e-12
