@@ -3,15 +3,19 @@
 Units are hbar = 2m = 1 throughout, so the energy of a state is
 E = sum_j k_j^2 with quasimomenta k_j of dimension 1/length.
 
-The quasimomenta solve the logarithmic Bethe equations
+Both boundaries share one form of the logarithmic Bethe equations,
 
-  ring:  L k_j = 2 pi I_j - 2 sum_l  atan((k_j - k_l)/c)
-  box:   L k_j =   pi I_j -   sum_{l != j} [atan((k_j - k_l)/c)
-                                            + atan((k_j + k_l)/c)]
+  L k_j = g (pi I_j - sum_p sum_{l != j} atan(u_p[j, l] / c)),
 
-for a strictly increasing set of quantum numbers I_j (half-odd-integers
-for even N on the ring, integers otherwise; positive integers in the
-box).  The Jacobian of either system is the Gaudin/Hessian matrix that
+with g = 2 on the ring and 1 in the box, and pair arguments
+u_p[j, l] = k_j + s_p k_l: the differences (s = -1) on the ring, plus in
+the box the sums (s = +1) from the walls' mirror images -k_l (Gaudin,
+Phys. Rev. A 4, 386 (1971)).  The stack u is linear in k, so the same
+construction on dk/dc gives du/dc.  The quantum numbers I_j increase
+strictly: half-odd-integers for even N on the ring, integers otherwise,
+positive integers in the box.  The ground state (I_j = j in the box) and
+the type-I and type-II branches have the same labels on the ring, less
+(N + 1)/2.  The Jacobian of the system is the Gaudin/Hessian matrix that
 also enters the norm formula, so Newton iterations get an exact Jacobian
 for free and the same matrix feeds the quasimomentum derivatives dk/dc
 and the determinant norm of the unnormalized ansatz.
@@ -134,31 +138,48 @@ class BetheSolution:
 
 
 # ---------------------------------------------------------------------------
+# the boundary
+# ---------------------------------------------------------------------------
+
+_RING_SIGNS = np.array([-1.0]).reshape(1, 1, 1)
+_BOX_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+
+
+def _bethe_factor(bc: BoundaryCondition) -> float:
+    """g in L k_j = g (pi I_j - ...): 2 on the ring, 1 in the box."""
+    return 2.0 if bc is BoundaryCondition.PERIODIC else 1.0
+
+
+def _pair_signs(bc: BoundaryCondition) -> np.ndarray:
+    """s_p = d u_p[j, l] / d k_l, shape (P, 1, 1): (-1,) ring, (-1, +1) box."""
+    return _RING_SIGNS if bc is BoundaryCondition.PERIODIC else _BOX_SIGNS
+
+
+def _label_shift(bc: BoundaryCondition, n: int) -> float:
+    """Ring labels are the box labels minus (N + 1)/2."""
+    return (n + 1) / 2 if bc is BoundaryCondition.PERIODIC else 0.0
+
+
+# ---------------------------------------------------------------------------
 # state constructors
 # ---------------------------------------------------------------------------
 
 
+def _from_box_labels(bc: BoundaryCondition, n: int, labels) -> StateSpec:
+    shift = _label_shift(bc, n)
+    return StateSpec(bc, n, tuple(float(b) - shift for b in labels))
+
+
 def ground_state(bc: BoundaryCondition, n: int) -> StateSpec:
-    """Lowest-energy state: I symmetric around 0 (ring) or I_j = j (box)."""
-    if n < 1:
-        raise ValueError(f"particle count must be >= 1, got {n}")
-    if bc is BoundaryCondition.PERIODIC:
-        qn = [-(n - 1) / 2 + j for j in range(n)]
-    else:
-        qn = [float(j + 1) for j in range(n)]
-    return StateSpec(bc, n, tuple(qn))
+    """Lowest-energy state: I_j = j (box), shifted to be symmetric around 0 (ring)."""
+    return _from_box_labels(bc, n, range(1, n + 1))
 
 
 def type1_excitation(bc: BoundaryCondition, n: int, q: int) -> StateSpec:
     """Particle-like branch: top quantum number pushed up by q >= 1."""
     if q < 1:
         raise ValueError(f"type-I label q must be >= 1, got {q}")
-    base = list(ground_state(bc, n).quantum_numbers)
-    if bc is BoundaryCondition.PERIODIC:
-        base[-1] = (n - 1) / 2 + q
-    else:
-        base[-1] = float(n + q)
-    return StateSpec(bc, n, tuple(base))
+    return _from_box_labels(bc, n, [*range(1, n), n + q])
 
 
 def type2_excitation(bc: BoundaryCondition, n: int, q: int) -> StateSpec:
@@ -169,11 +190,7 @@ def type2_excitation(bc: BoundaryCondition, n: int, q: int) -> StateSpec:
     """
     if not 1 <= q <= n - 1:
         raise ValueError(f"type-II label q must be in [1, N-1], got {q}")
-    if bc is BoundaryCondition.PERIODIC:
-        qn = [-(n - 1) / 2 + (j - 1) if j < q else -(n - 1) / 2 + j for j in range(1, n + 1)]
-    else:
-        qn = [float(j) if j < q else float(j + 1) for j in range(1, n + 1)]
-    return StateSpec(bc, n, tuple(qn))
+    return _from_box_labels(bc, n, [j if j < q else j + 1 for j in range(1, n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +198,42 @@ def type2_excitation(bc: BoundaryCondition, n: int, q: int) -> StateSpec:
 # ---------------------------------------------------------------------------
 
 
+def _pair_arguments(k: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The (P, N, N) stack u_p[j, l] = k_j + s_p k_l."""
+    return k[:, None] + signs * k
+
+
+def _set_diagonals(a: np.ndarray, value: float) -> None:
+    """Set the (j, j) entries of a C-contiguous (..., N, N) array in place."""
+    n = a.shape[-1]
+    a.reshape(-1, n * n)[:, :: n + 1] = value
+
+
+def _kernel_denominator(u: np.ndarray, c: float) -> np.ndarray:
+    """u^2 + c^2 with infinite diagonals: every kernel over it is exactly 0
+    on the excluded j = l entries, with no 0/0 there at c = 0."""
+    den = u * u + c * c
+    _set_diagonals(den, np.inf)
+    return den
+
+
 def bethe_residual(k: np.ndarray, spec: StateSpec, params: ModelParams) -> np.ndarray:
     """Residual of the logarithmic Bethe equations at quasimomenta ``k``."""
     k = np.asarray(k, dtype=float)
-    qn = spec.qn_array
-    c, L = params.c, params.L
-    diff = k[:, None] - k[None, :]
-    if spec.bc is BoundaryCondition.PERIODIC:
-        return L * k - 2.0 * np.pi * qn + 2.0 * np.arctan(diff / c).sum(axis=1)
-    # box: the l = j term of the difference sum vanishes identically
-    summ = k[:, None] + k[None, :]
-    terms = np.arctan(diff / c) + np.arctan(summ / c)
-    np.fill_diagonal(terms, 0.0)
-    return L * k - np.pi * qn + terms.sum(axis=1)
+    g = _bethe_factor(spec.bc)
+    terms = np.arctan(_pair_arguments(k, _pair_signs(spec.bc)) / params.c).sum(axis=0)
+    _set_diagonals(terms, 0.0)
+    return params.L * k - g * np.pi * spec.qn_array + g * terms.sum(axis=1)
 
 
-def _gaudin_assembly(a: np.ndarray, b: np.ndarray, diag: float) -> np.ndarray:
-    """b - a off the diagonal, and diag plus the row sums of a + b on it.
+def _gaudin_assembly(kernel: np.ndarray, signs: np.ndarray, diag: float) -> np.ndarray:
+    """sum_p s_p kernel_p off the diagonal, diag + its row sums over p and l on it.
 
-    ``a`` and ``b`` are the difference and sum kernels with zeroed
-    diagonals (``b`` is zero on the ring).
+    ``kernel`` is the (P, N, N) stack g d atan(u_p / c) / du_p, or its
+    c-derivative, with zero diagonals.
     """
-    out = b - a
-    np.fill_diagonal(out, diag + (a + b).sum(axis=1))
+    out = (signs * kernel).sum(axis=0)
+    _set_diagonals(out, diag + kernel.sum(axis=0).sum(axis=1))
     return out
 
 
@@ -214,26 +244,14 @@ def gaudin_matrix(k: Sequence[float], params: ModelParams, bc: BoundaryCondition
     the 2/c - 2/c cancellation of the textbook form at small c.
     """
     k = np.asarray(k, dtype=float)
-    c, L = params.c, params.L
-    diff_sq = (k[:, None] - k[None, :]) ** 2
-    if bc is BoundaryCondition.PERIODIC:
-        off = 2.0 * c / (diff_sq + c * c) if c > 0 else np.zeros_like(diff_sq)
-        np.fill_diagonal(off, 0.0)
-        return _gaudin_assembly(off, np.zeros_like(off), L)
-    sum_sq = (k[:, None] + k[None, :]) ** 2
-    if c > 0:
-        a = c / (diff_sq + c * c)
-        b = c / (sum_sq + c * c)
-    else:
-        a = np.zeros_like(diff_sq)
-        b = np.zeros_like(sum_sq)
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(b, 0.0)
-    return _gaudin_assembly(a, b, L)
+    c = params.c
+    signs = _pair_signs(bc)
+    kernel = _bethe_factor(bc) * c / _kernel_denominator(_pair_arguments(k, signs), c)
+    return _gaudin_assembly(kernel, signs, params.L)
 
 
 def _residual_scale(k: np.ndarray, L: float) -> float:
-    return max(1.0, L * float(np.max(np.abs(k))) if k.size else 1.0)
+    return max(1.0, L * float(np.abs(k).max()) if k.size else 1.0)
 
 
 def _polish(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndarray, rnorm: float):
@@ -247,7 +265,7 @@ def _polish(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndarray, 
         step = np.linalg.solve(gaudin_matrix(k, params, spec.bc), f)
         k_try = k - step
         f_try = bethe_residual(k_try, spec, params)
-        r_try = float(np.max(np.abs(f_try)))
+        r_try = float(np.abs(f_try).max())
         if r_try >= rnorm:
             break
         k, f, rnorm = k_try, f_try, r_try
@@ -258,7 +276,7 @@ def _newton(spec: StateSpec, params: ModelParams, k0: np.ndarray):
     """Damped Newton with the analytic Jacobian and residual line search."""
     k = np.array(k0, dtype=float)
     f = bethe_residual(k, spec, params)
-    rnorm = float(np.max(np.abs(f)))
+    rnorm = float(np.abs(f).max())
     for _ in range(MAX_ITERATIONS):
         tol = RESIDUAL_RTOL * _residual_scale(k, params.L)
         if rnorm <= tol:
@@ -268,7 +286,7 @@ def _newton(spec: StateSpec, params: ModelParams, k0: np.ndarray):
         for _ in range(60):
             k_try = k - damping * step
             f_try = bethe_residual(k_try, spec, params)
-            r_try = float(np.max(np.abs(f_try)))
+            r_try = float(np.abs(f_try).max())
             if r_try < rnorm:
                 break
             damping *= 0.5
@@ -287,79 +305,66 @@ def _newton(spec: StateSpec, params: ModelParams, k0: np.ndarray):
     )
 
 
-def _strong_coupling_anchor(spec: StateSpec, L: float) -> np.ndarray:
-    qn = spec.qn_array
-    if spec.bc is BoundaryCondition.PERIODIC:
-        return 2.0 * np.pi * qn / L
-    return np.pi * qn / L
-
-
 def _free_momentum_integers(spec: StateSpec) -> np.ndarray:
-    """Integers n_j with k_j -> 2 pi n_j / L (ring) or pi n_j / L (box) at c = 0."""
-    qn = spec.qn_array
+    """Integers n_j with k_j -> g pi n_j / L at c = 0.
+
+    n_j is the box label I_j + shift minus j plus the lowest free mode,
+    which is 0 on the ring (plane waves) and 1 in the box (standing waves).
+    """
+    lowest = 0.0 if spec.bc is BoundaryCondition.PERIODIC else 1.0
     j = np.arange(1, spec.n + 1, dtype=float)
-    if spec.bc is BoundaryCondition.PERIODIC:
-        return qn - j + (spec.n + 1) / 2
-    return qn - j + 1
+    return spec.qn_array + _label_shift(spec.bc, spec.n) - j + lowest
 
 
 def dk_dc(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> np.ndarray:
     """Quasimomentum derivatives dk_j/dc from the differentiated Bethe equations.
 
-    Implicit differentiation gives H . dk/dc = -(d residual/d c); the
-    right-hand side has the closed form below and H is the Gaudin matrix.
+    Implicit differentiation gives H . dk/dc = -(d residual/d c)
+    = g sum_p sum_{l != j} u_p / (u_p^2 + c^2), with H the Gaudin matrix
+    assembled from the same pair arguments.
     """
     k = np.asarray(k, dtype=float)
-    c = params.c
-    diff = k[:, None] - k[None, :]
-    denom = c * c + diff * diff
-    np.fill_diagonal(denom, 1.0)  # diagonal is discarded; avoids 0/0 at c = 0
-    if bc is BoundaryCondition.PERIODIC:
-        rhs_terms = 2.0 * diff / denom
-        np.fill_diagonal(rhs_terms, 0.0)
-    else:
-        summ = k[:, None] + k[None, :]
-        rhs_terms = diff / denom + summ / (c * c + summ * summ)
-        np.fill_diagonal(rhs_terms, 0.0)
-    rhs = rhs_terms.sum(axis=1)
-    out = np.linalg.solve(gaudin_matrix(k, params, bc), rhs)
-    return out
+    c, g, signs = params.c, _bethe_factor(bc), _pair_signs(bc)
+    u = _pair_arguments(k, signs)
+    den = _kernel_denominator(u, c)
+    rhs = g * (u / den).sum(axis=0).sum(axis=1)
+    return np.linalg.solve(_gaudin_assembly(g * c / den, signs, params.L), rhs)
 
 
 def momentum_of(spec: StateSpec, params: ModelParams) -> float:
-    """Total momentum (2 pi / L) sum(I_j) of a ring state, or the box's
-    conserved pseudo-momentum label (pi / L) sum(I_j - j + 1); both are
-    independent of c."""
-    if spec.bc is BoundaryCondition.PERIODIC:
-        return float(2.0 * np.pi * np.sum(spec.qn_array) / params.L)
-    j = np.arange(1, spec.n + 1, dtype=float)
-    return float(np.pi * np.sum(spec.qn_array - j + 1) / params.L)
+    """g pi sum(n_j) / L over the free-gas integers n_j: the total momentum
+    (2 pi / L) sum(I_j) of a ring state, or the box's conserved
+    pseudo-momentum label (pi / L) sum(I_j - j + 1); both are independent
+    of c."""
+    return float(
+        _bethe_factor(spec.bc) * np.pi * _free_momentum_integers(spec).sum() / params.L
+    )
 
 
 def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
     """Solve the Bethe equations for ``spec`` at coupling/size ``params``.
 
-    Newton starts from the strong-coupling anchor k_j = 2 pi I_j / L
-    (ring) or pi I_j / L (box); if that stalls, continuation from
-    c L = 10 walks down to the target coupling in geometric steps.  At
-    c = 0 the analytic free-gas values are returned when the state maps
-    to distinct free momenta, and a ValueError is raised otherwise (the
-    Bethe parametrization is singular there; use a small c > 0 instead).
-    The solution carries dk/dc, the norm and its c-derivative, all from
-    the Gaudin matrix at the solved quasimomenta.
+    Newton starts from the strong-coupling anchor k_j = g pi I_j / L; if
+    that stalls, continuation from c L = 10 walks down to the target
+    coupling in geometric steps.  At c = 0 the analytic free-gas values
+    are returned when the state maps to distinct free momenta, and a
+    ValueError is raised otherwise (the Bethe parametrization is singular
+    there; use a small c > 0 instead).  The solution carries dk/dc, the
+    norm and its c-derivative, all from the Gaudin matrix at the solved
+    quasimomenta.
     """
     c, L = params.c, params.L
+    unit = _bethe_factor(spec.bc) * np.pi
     if c == 0.0:
         free_n = _free_momentum_integers(spec)
-        if np.any(np.diff(free_n) <= 0):
+        if (free_n[1:] <= free_n[:-1]).any():
             raise ValueError(
                 "state is degenerate at c = 0 (free momenta coincide); "
                 "solve at a small positive c instead"
             )
-        unit = 2.0 * np.pi / L if spec.bc is BoundaryCondition.PERIODIC else np.pi / L
-        return _finish(spec, params, unit * free_n, 0.0)
+        return _finish(spec, params, unit / L * free_n, 0.0)
 
-    anchor = _strong_coupling_anchor(spec, L)
+    anchor = unit * spec.qn_array / L
     try:
         k, rnorm = _newton(spec, params, anchor)
     except SolverError:
@@ -370,7 +375,7 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
         for c_step in c_path:
             k, rnorm = _newton(spec, ModelParams(c_step, L), k)
 
-    if np.any(np.diff(k) <= 0):
+    if (k[1:] <= k[:-1]).any():
         raise SolverError("solved quasimomenta are not strictly increasing", rnorm)
     if spec.bc is BoundaryCondition.HARD_WALL and k[0] <= 0:
         raise SolverError("box quasimomenta must be positive", rnorm)
@@ -383,7 +388,7 @@ def _finish(spec: StateSpec, params: ModelParams, k: np.ndarray, rnorm: float) -
     return BetheSolution(
         k=np.array(k, dtype=float),
         dk_dc=np.array(deriv, dtype=float),
-        energy=float(np.sum(k * k)),
+        energy=float((k * k).sum()),
         momentum=momentum_of(spec, params),
         residual=float(rnorm),
         norm_sq=n2,
@@ -416,27 +421,20 @@ def norm_sq(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> f
     return det
 
 
-def _dgaudin_dc(k: np.ndarray, dk: np.ndarray, params: ModelParams, bc: BoundaryCondition):
-    """Total c-derivative of :func:`gaudin_matrix` along the solution branch.
+def _gaudin_and_dc(k: np.ndarray, dk: np.ndarray, params: ModelParams, bc: BoundaryCondition):
+    """:func:`gaudin_matrix` H and its total c-derivative along the solution branch.
 
-    Every kernel entry has the form c / (u^2 + c^2) (twice that on the
-    ring), whose derivative through c and u(c) is
-    (u^2 - c^2 - 2 c u u') / (u^2 + c^2)^2; L drops out.
+    Every kernel entry has the form g c / (u^2 + c^2), whose derivative
+    through c and u(c) is g (u^2 - c^2 - 2 c u u') / (u^2 + c^2)^2, with
+    u' = du/dc the pair arguments of dk/dc; L drops out.
     """
-    c = params.c
-
-    def kernel_dc(u: np.ndarray, du: np.ndarray) -> np.ndarray:
-        den = u * u + c * c
-        np.fill_diagonal(den, 1.0)  # the diagonal is discarded; avoids 0/0 at c = 0
-        out = (u * u - c * c - 2.0 * c * u * du) / (den * den)
-        np.fill_diagonal(out, 0.0)
-        return out
-
-    a = kernel_dc(k[:, None] - k[None, :], dk[:, None] - dk[None, :])
-    if bc is BoundaryCondition.PERIODIC:
-        return _gaudin_assembly(2.0 * a, np.zeros_like(a), 0.0)
-    b = kernel_dc(k[:, None] + k[None, :], dk[:, None] + dk[None, :])
-    return _gaudin_assembly(a, b, 0.0)
+    c, g, signs = params.c, _bethe_factor(bc), _pair_signs(bc)
+    u = _pair_arguments(k, signs)
+    du = _pair_arguments(dk, signs)
+    den = _kernel_denominator(u, c)
+    matrix = _gaudin_assembly(g * c / den, signs, params.L)
+    kernel = g * (u * u - c * c - 2.0 * c * u * du) / (den * den)
+    return matrix, _gaudin_assembly(kernel, signs, 0.0)
 
 
 def dnorm_sq_dc(
@@ -459,5 +457,5 @@ def dnorm_sq_dc(
     """
     k = np.asarray(k, dtype=float)
     dk = np.asarray(dk, dtype=float)
-    matrix = gaudin_matrix(k, params, bc)
-    return n2 * float(np.trace(np.linalg.solve(matrix, _dgaudin_dc(k, dk, params, bc))))
+    matrix, dmatrix = _gaudin_and_dc(k, dk, params, bc)
+    return n2 * float(np.trace(np.linalg.solve(matrix, dmatrix)))

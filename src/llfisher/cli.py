@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,11 +36,11 @@ from .bethe import (
 )
 from .fisher import BracketError, cfi, lmax, sweep
 from .imaging import (
+    _shots_text,
     image_distribution,
     imaging_cfi,
     mle_estimate,
     sample_images,
-    save_shots,
     uniform_grid,
 )
 from .integrals import NumericalHealthError, ResourceLimitError
@@ -112,6 +114,22 @@ def _write_text(path: Optional[str], text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _check_writable(paths: Sequence[Optional[str]]) -> None:
+    """Raise the OSError of the first file path that cannot be opened for writing.
+
+    Each path is opened for appending, which truncates nothing; a file
+    that this creates is removed again.  None and "-" stand for stdout.
+    """
+    for path in paths:
+        if path is None or path == "-":
+            continue
+        existed = os.path.exists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def _add_state_options(parser: argparse.ArgumentParser) -> None:
@@ -238,6 +256,13 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
             raise ValueError("--sample must be >= 1")
         if args.seed is None:
             raise ValueError("--sample requires --seed")
+    # every output is checked before the work and written after it, so a
+    # bad path or a failure on the way leaves no partial output behind
+    shots_path = args.shots_out or "shots.ndjson"
+    paths = [args.output]
+    if args.sample is not None:
+        paths += [shots_path, args.mle_out or "mle.json"]
+    _check_writable(paths)
     reference = cfi(spec, params)
     config = {
         **_state_payload(args),
@@ -264,17 +289,12 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
                 ]
             )
         )
-    _write_text(args.output, "\n".join(lines) + "\n")
+    texts = ["\n".join(lines) + "\n"]
 
     if args.sample is not None:
         shots = sample_images(last_dist, args.sample, args.seed)
-        shots_path = args.shots_out or "shots.ndjson"
-        save_shots(
-            shots_path,
-            shots,
-            args.seed,
-            meta={"config_hash": chash, "version": __version__, "c": args.c, "L": args.L},
-        )
+        meta = {"config_hash": chash, "version": __version__, "c": args.c, "L": args.L}
+        texts.append(_shots_text(shots, args.seed, meta))
         # grid spans +-6 Cramer-Rao sigma of this configuration
         f_last = imaging_cfi(last_dist)
         span = 6.0 / max(np.sqrt(args.sample * f_last), 1e-12)
@@ -292,9 +312,9 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
             "c_grid": list(c_grid),
             "loglik": list(loglik),
         }
-        mle_path = args.mle_out or "mle.json"
-        with open(mle_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary, indent=2, sort_keys=True))
+        texts.append(json.dumps(summary, indent=2, sort_keys=True))
+    for path, text in zip(paths, texts):
+        _write_text(path, text)
     return EXIT_OK
 
 
@@ -345,26 +365,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except BracketError as exc:
-        print(f"bracket error: {exc}", file=sys.stderr)
-        return EXIT_BRACKET
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except NumericalHealthError as exc:
-        print(f"numerical check failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
+    with warnings.catch_warnings():
+        # each library warning once per call, as one line without its source
+        warnings.simplefilter("default")
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except SolverError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
+        except BracketError as exc:
+            print(f"bracket error: {exc}", file=sys.stderr)
+            return EXIT_BRACKET
+        except ResourceLimitError as exc:
+            print(f"resource limit: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
+        except NumericalHealthError as exc:
+            print(f"numerical check failed: {exc}", file=sys.stderr)
+            return EXIT_NUMERICS
 
 
 if __name__ == "__main__":

@@ -59,6 +59,8 @@ PROB_FLOOR = 1e-300
 # a few 1e-16 on the tested states and grids; a larger deviation means a
 # wrong grid or a broken kernel, not rounding.
 PROB_SUM_TOL = 1e-10
+# Relative slack of ``PixelGrid.covers`` at the ends of [0, L].
+_COVER_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ class PixelGrid:
     def n_bins(self) -> int:
         return self.n_pixels + 2
 
-    def covers(self, L: float, tol: float = 1e-9) -> bool:
-        return self.a0 <= tol * L and self.edges[-1] >= L * (1.0 - tol)
+    def covers(self, L: float) -> bool:
+        return self.a0 <= _COVER_RTOL * L and self.edges[-1] >= L * (1.0 - _COVER_RTOL)
 
 
 def uniform_grid(L: float, n_pixels: int) -> PixelGrid:
@@ -294,7 +296,6 @@ def image_distribution(
     spec: StateSpec,
     params: ModelParams,
     grid: PixelGrid,
-    cap: int = DEFAULT_IMAGE_CAP,
 ) -> ImageDistribution:
     """Probability table of all absorption images and its c-derivative.
 
@@ -307,7 +308,7 @@ def image_distribution(
             "pixel grid does not cover [0, L]; outer bins will carry weight",
             stacklevel=2,
         )
-    images = enumerate_images(spec.n, grid.n_pixels, cap=cap)
+    images = enumerate_images(spec.n, grid.n_pixels)
     probs, dprobs = _image_probabilities(spec, params, grid, images, derivative=True)
     total = probs.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
@@ -414,13 +415,17 @@ def save_shots(
     meta: Optional[dict] = None,
 ) -> None:
     """Write shots as line-delimited JSON with a provenance header."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_shots_text(images, seed, meta))
+
+
+def _shots_text(images: Sequence[AbsorptionImage], seed: int, meta: Optional[dict]) -> str:
     header = {"format": "llfisher-shots", "version": 1, "seed": seed}
     if meta:
         header.update(meta)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for img in images:
-            fh.write(json.dumps(list(img.counts)) + "\n")
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps(list(img.counts)) for img in images]
+    return "\n".join(lines) + "\n"
 
 
 def load_shots(path: str):

@@ -46,6 +46,9 @@ from .bethe import BetheSolution, BoundaryCondition, ModelParams, StateSpec
 MAX_N_PERIODIC = 5
 MAX_N_HARD_WALL = 4
 
+# Phase-matrix entries (points x terms) that ``eval_batch`` builds at once.
+_EVAL_CHUNK = 200_000
+
 
 class DegenerateStateError(ValueError):
     """Two quasimomenta coincide; the ansatz coefficients are singular."""
@@ -155,7 +158,7 @@ def amplitudes(
     )
 
 
-def eval_batch(table: AmplitudeTable, points: np.ndarray, chunk: int = 200_000):
+def eval_batch(table: AmplitudeTable, points: np.ndarray):
     """(psi~, d psi~/dc) at a batch of ordered points, shape (M, N).
 
     Points are processed in chunks to bound the (M, n_terms) phase
@@ -169,7 +172,7 @@ def eval_batch(table: AmplitudeTable, points: np.ndarray, chunk: int = 200_000):
     w_amp = table.weight * table.amp
     w_damp = table.weight * table.damp
 
-    max_rows = max(1, chunk // max(1, table.n_terms))
+    max_rows = max(1, _EVAL_CHUNK // max(1, table.n_terms))
     for start in range(0, m_total, max_rows):
         block = points[start : start + max_rows]
         phases = np.exp(1j * (block @ table.kappa.T))

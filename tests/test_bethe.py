@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from llfisher.bethe import (
     BoundaryCondition,
+    _gaudin_and_dc,
     ModelParams,
     SolverError,
     StateSpec,
@@ -221,6 +222,50 @@ def test_gaudin_matches_finite_difference_jacobian(spec, params):
     assert np.max(np.abs(analytic - numeric)) < 1e-6
     assert np.allclose(analytic, analytic.T)
     assert np.linalg.det(analytic) > 0
+
+
+@pytest.mark.parametrize("bc", [PER, HW], ids=["ring", "box"])
+@pytest.mark.parametrize("c", [1e-3, 1.0, 100.0])
+@pytest.mark.parametrize("branch", ["ground", "type1"])
+def test_dgaudin_dc_matches_central_difference(bc, c, branch):
+    # dH/dc along the branch: the Gaudin matrix of the re-solved k at c +- h
+    spec = ground_state(bc, 3) if branch == "ground" else type1_excitation(bc, 3, 2)
+    L = 2.0
+    sol = solve_bethe(spec, ModelParams(c, L))
+    matrix, got = _gaudin_and_dc(sol.k, sol.dk_dc, ModelParams(c, L), bc)
+    assert np.array_equal(matrix, gaudin_matrix(sol.k, ModelParams(c, L), bc))
+
+    def matrix(cc):
+        params = ModelParams(cc, L)
+        return gaudin_matrix(solve_bethe(spec, params).k, params, bc)
+
+    h = 1e-4 * c
+    numeric = (matrix(c + h) - matrix(c - h)) / (2 * h)
+    assert np.max(np.abs(got - numeric)) < 1e-6 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize(
+    "spec", [StateSpec(PER, 3, (-2.0, 0.0, 2.0)), StateSpec(HW, 3, (1.0, 3.0, 5.0))],
+    ids=["ring", "box"],
+)
+def test_zero_coupling_kernels(spec):
+    # at c = 0 every pair kernel vanishes exactly, and dk/dc is the
+    # first-order shift (g / L) sum_{l != j} sum_p 1 / u_p[j, l]
+    L = 3.0
+    params = ModelParams(0.0, L)
+    k = solve_bethe(spec, params).k
+    assert np.array_equal(gaudin_matrix(k, params, spec.bc), L * np.eye(3))
+    got = dk_dc(k, params, spec.bc)
+    assert np.all(np.isfinite(got))
+    diff = k[:, None] - k[None, :]
+    np.fill_diagonal(diff, np.inf)
+    if spec.bc is PER:
+        expected = 2.0 / L * np.sum(1.0 / diff, axis=1)
+    else:
+        summ = k[:, None] + k[None, :]
+        np.fill_diagonal(summ, np.inf)
+        expected = 1.0 / L * np.sum(1.0 / diff + 1.0 / summ, axis=1)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

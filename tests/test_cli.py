@@ -307,6 +307,36 @@ def test_imaging_unwritable_shot_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "mle.json").exists()
 
 
+def test_imaging_unwritable_mle_file_writes_nothing(tmp_path, capsys):
+    # the CSV path exists already: checking it must not truncate it
+    csv_file = tmp_path / "img.csv"
+    csv_file.write_text("old\n")
+    code, out, err = run(
+        capsys, "imaging", "--bc", "periodic", "-N", "2", "--ground",
+        "-c", "0.5", "-L", "4", "--pixels", "4", "--sample", "5", "--seed", "1",
+        "-o", str(csv_file), "--shots-out", str(tmp_path / "shots.ndjson"),
+        "--mle-out", str(tmp_path / "missing" / "mle.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "mle.json" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.csv"]
+    assert csv_file.read_text() == "old\n"
+
+
+def test_library_warning_prints_one_line(tmp_path, capsys):
+    # five shots with seed 1 put the likelihood maximum on the edge of the c grid
+    code, _, err = run(
+        capsys, "imaging", "--bc", "periodic", "-N", "2", "--ground",
+        "-c", "0.5", "-L", "4", "--pixels", "4", "--sample", "5", "--seed", "1",
+        "-o", str(tmp_path / "img.csv"), "--shots-out", str(tmp_path / "shots.ndjson"),
+        "--mle-out", str(tmp_path / "mle.json"),
+    )
+    assert code == 0
+    assert err == "warning: likelihood maximum at the edge of the c grid\n"
+    assert (tmp_path / "mle.json").exists()
+
+
 def test_imaging_over_image_cap_exits_5(capsys):
     # 1000 pixels give 502,503 two-atom images, above the default cap
     code, _, err = run(
