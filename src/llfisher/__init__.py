@@ -14,12 +14,9 @@ from .bethe import (
     SolverError,
     StateSpec,
     bethe_residual,
-    dk_dc,
-    dnorm_sq_dc,
     gaudin_matrix,
     ground_state,
     momentum_of,
-    norm_sq,
     solve_bethe,
     type1_excitation,
     type2_excitation,
@@ -88,8 +85,6 @@ __all__ = [
     "bethe_residual",
     "box_quadrature",
     "cfi",
-    "dk_dc",
-    "dnorm_sq_dc",
     "enumerate_images",
     "fisher_report",
     "gaudin_matrix",
@@ -102,7 +97,6 @@ __all__ = [
     "mle_estimate",
     "momentum_of",
     "multiplicity",
-    "norm_sq",
     "ordered_overlap",
     "qfi_analytic",
     "qfi_overlap_oracle",

@@ -15,10 +15,13 @@ construction on dk/dc gives du/dc.  The quantum numbers I_j increase
 strictly: half-odd-integers for even N on the ring, integers otherwise,
 positive integers in the box.  The ground state (I_j = j in the box) and
 the type-I and type-II branches have the same labels on the ring, less
-(N + 1)/2.  The Jacobian of the system is the Gaudin/Hessian matrix that
-also enters the norm formula, so Newton iterations get an exact Jacobian
-for free and the same matrix feeds the quasimomentum derivatives dk/dc
-and the determinant norm of the unnormalized ansatz.
+(N + 1)/2.  The Jacobian of the system is the Gaudin/Hessian matrix H
+that also enters the norm formula, so Newton iterations get an exact
+Jacobian for free.  At the solved quasimomenta ``solve_bethe`` builds one
+Gaudin system, H with its pair arguments, and derives from it dk/dc, the
+norm square NS of the unnormalized ansatz (det H, 2^N det H in the box)
+and dNS/dc = NS tr(H^-1 dH/dc) (Korepin, Commun. Math. Phys. 86, 391
+(1982)).
 """
 
 from __future__ import annotations
@@ -99,6 +102,8 @@ class StateSpec:
         qn = np.asarray(self.quantum_numbers, dtype=float)
         if qn.size != self.n:
             raise ValueError("need exactly one quantum number per particle")
+        if not np.all(np.isfinite(qn)):
+            raise ValueError(f"quantum numbers must be finite, got {self.quantum_numbers}")
         if np.any(np.diff(qn) <= 0):
             raise ValueError("quantum numbers must be strictly increasing")
         _check_half_integer_grid(qn, self.n, self.bc)
@@ -113,11 +118,14 @@ class StateSpec:
 class BetheSolution:
     """Solved quasimomenta with their c-derivatives and scalar invariants.
 
-    ``norm_sq`` is the squared norm of the unnormalized ansatz, in the
-    unit-modulus amplitude gauge of ``wavefunction``, over the ordered
-    domain: det H on the ring and 2^N det H in the box (:func:`norm_sq`).
+    ``solve_bethe`` derives ``dk_dc``, ``norm_sq`` and ``dnorm_sq_dc``
+    from one Gaudin system, H = :func:`gaudin_matrix` at ``k``.
+    ``norm_sq`` is the integral of |psi~|^2 over the ordered domain
+    0 < x_1 < ... < x_N < L, det H on the ring and 2^N det H in the box:
+    the Gaudin-Korepin norm without its prefactor prod_{j<l} (1 + c^2/u^2),
+    which the unit-modulus amplitude factors of ``wavefunction`` make 1.
     ``dnorm_sq_dc`` is its derivative along the solution branch,
-    norm_sq * tr(H^-1 dH/dc) (:func:`dnorm_sq_dc`).
+    norm_sq tr(H^-1 dH/dc).
     """
 
     k: np.ndarray
@@ -316,21 +324,6 @@ def _free_momentum_integers(spec: StateSpec) -> np.ndarray:
     return spec.qn_array + _label_shift(spec.bc, spec.n) - j + lowest
 
 
-def dk_dc(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> np.ndarray:
-    """Quasimomentum derivatives dk_j/dc from the differentiated Bethe equations.
-
-    Implicit differentiation gives H . dk/dc = -(d residual/d c)
-    = g sum_p sum_{l != j} u_p / (u_p^2 + c^2), with H the Gaudin matrix
-    assembled from the same pair arguments.
-    """
-    k = np.asarray(k, dtype=float)
-    c, g, signs = params.c, _bethe_factor(bc), _pair_signs(bc)
-    u = _pair_arguments(k, signs)
-    den = _kernel_denominator(u, c)
-    rhs = g * (u / den).sum(axis=0).sum(axis=1)
-    return np.linalg.solve(_gaudin_assembly(g * c / den, signs, params.L), rhs)
-
-
 def momentum_of(spec: StateSpec, params: ModelParams) -> float:
     """g pi sum(n_j) / L over the free-gas integers n_j: the total momentum
     (2 pi / L) sum(I_j) of a ring state, or the box's conserved
@@ -350,8 +343,9 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
     are returned when the state maps to distinct free momenta, and a
     ValueError is raised otherwise (the Bethe parametrization is singular
     there; use a small c > 0 instead).  The solution carries dk/dc, the
-    norm and its c-derivative, all from the Gaudin matrix at the solved
-    quasimomenta.
+    norm and its c-derivative, all from one Gaudin system at the solved
+    quasimomenta; SolverError is raised when that norm is not finite and
+    positive in double precision.
     """
     c, L = params.c, params.L
     unit = _bethe_factor(spec.bc) * np.pi
@@ -382,80 +376,48 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
     return _finish(spec, params, k, rnorm)
 
 
+def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
+    """The Gaudin matrix H at solved quasimomenta, det H, dk/dc and dH/dc.
+
+    One pair stack u and one denominator u^2 + c^2 give H (as in
+    :func:`gaudin_matrix`) and, by implicit differentiation of the Bethe
+    equations, H . dk/dc = g sum_p sum_{l != j} u_p / (u_p^2 + c^2).  Every
+    kernel entry g c / (u^2 + c^2) of H has the c-derivative
+    g (u^2 - c^2 - 2 c u u') / (u^2 + c^2)^2 along the solution branch,
+    with u' = du/dc the pair arguments of dk/dc; L drops out of dH/dc.
+    Where quasimomenta collapse as sqrt(c) (ground states near c = 0),
+    this kernel cancels from O(c) terms to O(c^2), and the rounding of k
+    bounds its relative accuracy to about 1e-8 at c = 1e-6.
+
+    Raises SolverError unless det H is finite and positive, before the
+    squared denominators of dH/dc can overflow: quasimomenta that far out
+    of range give a norm that double precision cannot hold.
+    """
+    c, g, signs = params.c, _bethe_factor(bc), _pair_signs(bc)
+    u = _pair_arguments(k, signs)
+    den = _kernel_denominator(u, c)
+    matrix = _gaudin_assembly(g * c / den, signs, params.L)
+    det = float(np.linalg.det(matrix))
+    if not (math.isfinite(det) and det > 0):
+        raise SolverError(
+            f"Gaudin determinant {det:.3e} is not finite and positive: "
+            "the norm of this state is out of floating-point range"
+        )
+    dk = np.linalg.solve(matrix, g * (u / den).sum(axis=0).sum(axis=1))
+    du = _pair_arguments(dk, signs)
+    kernel = g * (u * u - c * c - 2.0 * c * u * du) / (den * den)
+    return matrix, det, dk, _gaudin_assembly(kernel, signs, 0.0)
+
+
 def _finish(spec: StateSpec, params: ModelParams, k: np.ndarray, rnorm: float) -> BetheSolution:
-    deriv = dk_dc(k, params, spec.bc)
-    n2 = norm_sq(k, params, spec.bc)
+    matrix, det, deriv, dmatrix = _gaudin_system(k, params, spec.bc)
+    n2 = 2.0 ** spec.n * det if spec.bc is BoundaryCondition.HARD_WALL else det
     return BetheSolution(
         k=np.array(k, dtype=float),
-        dk_dc=np.array(deriv, dtype=float),
+        dk_dc=deriv,
         energy=float((k * k).sum()),
         momentum=momentum_of(spec, params),
         residual=float(rnorm),
         norm_sq=n2,
-        dnorm_sq_dc=dnorm_sq_dc(k, deriv, n2, params, spec.bc),
+        dnorm_sq_dc=n2 * float(np.trace(np.linalg.solve(matrix, dmatrix))),
     )
-
-
-# ---------------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------------
-
-
-def norm_sq(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> float:
-    """Squared norm of the unnormalized ansatz over the ordered domain.
-
-    Ring:  det H
-    Box:   2^N det H
-
-    with H the matrix from :func:`gaudin_matrix`.  This is the
-    Gaudin-Korepin norm without its prefactor prod_{j<l} (1 + c^2/u^2)
-    over u = k_j - k_l (and k_j + k_l in the box): the amplitude factors
-    of ``wavefunction`` have modulus one, so that prefactor is 1.  It
-    equals the integral of |psi~|^2 over 0 < x_1 < ... < x_N < L when
-    ``k`` solves the Bethe equations; ``solve_bethe`` stores it as
-    ``BetheSolution.norm_sq``.
-    """
-    det = float(np.linalg.det(gaudin_matrix(k, params, bc)))
-    if bc is BoundaryCondition.HARD_WALL:
-        return 2.0 ** len(k) * det
-    return det
-
-
-def _gaudin_and_dc(k: np.ndarray, dk: np.ndarray, params: ModelParams, bc: BoundaryCondition):
-    """:func:`gaudin_matrix` H and its total c-derivative along the solution branch.
-
-    Every kernel entry has the form g c / (u^2 + c^2), whose derivative
-    through c and u(c) is g (u^2 - c^2 - 2 c u u') / (u^2 + c^2)^2, with
-    u' = du/dc the pair arguments of dk/dc; L drops out.
-    """
-    c, g, signs = params.c, _bethe_factor(bc), _pair_signs(bc)
-    u = _pair_arguments(k, signs)
-    du = _pair_arguments(dk, signs)
-    den = _kernel_denominator(u, c)
-    matrix = _gaudin_assembly(g * c / den, signs, params.L)
-    kernel = g * (u * u - c * c - 2.0 * c * u * du) / (den * den)
-    return matrix, _gaudin_assembly(kernel, signs, 0.0)
-
-
-def dnorm_sq_dc(
-    k: Sequence[float],
-    dk: Sequence[float],
-    n2: float,
-    params: ModelParams,
-    bc: BoundaryCondition,
-) -> float:
-    """d(norm^2)/dc along the solution branch, analytically.
-
-    Solved quasimomenta ``k``, their derivatives ``dk`` = dk/dc and the
-    norm square ``n2`` at k give d(norm^2)/dc = n2 tr(H^-1 dH/dc), the
-    derivative of the determinant in :func:`norm_sq` (the box's 2^N is
-    constant).  Where quasimomenta collapse as sqrt(c) (ground states
-    near c = 0), the kernel derivative in dH/dc cancels from O(c) terms
-    to O(c^2), and the rounding of k bounds the relative accuracy to
-    about 1e-8 at c = 1e-6.  ``solve_bethe`` stores it as
-    ``BetheSolution.dnorm_sq_dc``.
-    """
-    k = np.asarray(k, dtype=float)
-    dk = np.asarray(dk, dtype=float)
-    matrix, dmatrix = _gaudin_and_dc(k, dk, params, bc)
-    return n2 * float(np.trace(np.linalg.solve(matrix, dmatrix)))

@@ -37,8 +37,6 @@ analytic assembly without sharing its derivative code paths.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,7 +62,6 @@ QFI_IMAG_RTOL = 1e-8
 # Wavenumber quantum, relative to the largest |kappa|, within which two
 # pair-bundle wavenumber vectors share one set of simplex integrals.
 DEGENERACY_RTOL = 1e-9
-WORKERS_ENV = "LLFISHER_WORKERS"
 # Phase classes whose position measurement is optimal (CFI = QFI).
 SATURATED_CLASSES = (PhaseClass.REAL, PhaseClass.IMAGINARY)
 
@@ -319,12 +316,12 @@ def lmax(
 
     Returns (L_max, F_max).  Raises BracketError when the maximum sits at
     a bracket edge, i.e. the bracket holds no interior maximum, and
-    ValueError unless ``tol`` (default 1e-3 max(1, hi)) is finite and
-    positive.
+    ValueError unless the bracket edges are finite with 0 < lo < hi and
+    ``tol`` (default 1e-3 max(1, hi)) is finite and positive.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (hi > lo > 0):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+    if not (math.isfinite(hi) and hi > lo > 0):
+        raise ValueError(f"bracket must be finite with 0 < lo < hi, got ({lo}, {hi})")
     if tol is None:
         tol = 1e-3 * max(1.0, hi)
     if not (math.isfinite(tol) and tol > 0):
@@ -384,13 +381,6 @@ class SweepResult:
         return "mixed"
 
 
-def _sweep_point(spec: StateSpec, params: ModelParams):
-    try:
-        return ("ok", fisher_report(spec, params))
-    except (ValueError, RuntimeError) as exc:  # numerical failures; the sweep continues
-        return ("error", f"{type(exc).__name__}: {exc}")
-
-
 def sweep(
     spec: StateSpec,
     axis: str,
@@ -401,9 +391,7 @@ def sweep(
 
     The particle cap is checked and every point's ModelParams is built
     first, so a state above the cap or a (c, L) outside the domain raises
-    ValueError before any point runs.  Grid points are independent; with
-    LLFISHER_WORKERS > 1 they run in a process pool, results reduced in
-    grid order either way.
+    ValueError before any point runs.  Points are evaluated in grid order.
     """
     if axis not in ("c", "L"):
         raise ValueError("axis must be 'c' or 'L'")
@@ -418,22 +406,14 @@ def sweep(
         points = [ModelParams(float(v), float(fixed_value)) for v in grid_arr]
     else:
         points = [ModelParams(float(fixed_value), float(v)) for v in grid_arr]
-    specs = [spec] * len(points)
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_point, specs, points))
-    else:
-        outcomes = list(map(_sweep_point, specs, points))
-
     reports = []
     errors = {}
-    for idx, (status, item) in enumerate(outcomes):
-        if status == "ok":
-            reports.append(item)
-        else:
+    for idx, params in enumerate(points):
+        try:
+            reports.append(fisher_report(spec, params))
+        except (ValueError, RuntimeError) as exc:  # numerical failures; the sweep continues
             reports.append(None)
-            errors[idx] = item
+            errors[idx] = f"{type(exc).__name__}: {exc}"
     return SweepResult(
         axis=axis, grid=tuple(float(v) for v in grid_arr), reports=tuple(reports), errors=errors
     )

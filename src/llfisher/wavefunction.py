@@ -19,7 +19,7 @@ f(u) is the textbook factor 1 + i c/u divided by its modulus
 |u + i c|/|u|.  The pair moduli |kap_j -+ kap_l| are the same in every
 row, so this gauge rescales psi~ by a positive function of c alone: the
 QFI, the CFI and the image probabilities do not change, and the norm
-square becomes det H (2^N det H in the box; see ``bethe.norm_sq``).
+square becomes det H (2^N det H in the box; see ``bethe.BetheSolution``).
 Each factor's log-derivative, d ln f/dc = i Im((u' + i)/(u + i c)) with
 u' = du/dc, stays bounded as c grows, so dA/dc carries no uniform
 N(N-1)/(2c) A term for the QFI assembly to cancel at strong coupling.

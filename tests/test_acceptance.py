@@ -16,7 +16,6 @@ from llfisher.bethe import (
     ModelParams,
     StateSpec,
     ground_state,
-    norm_sq,
     solve_bethe,
     type2_excitation,
 )
@@ -131,7 +130,7 @@ def test_criterion_05_oracle_equivalences():
         spec = ground_state(bc, n)
         sol = solve_bethe(spec, params)
         table = amplitudes(sol, params, bc)
-        target = norm_sq(sol.k, params, bc)
+        target = sol.norm_sq
 
         def density(points):
             vals, _ = eval_batch(table, points)

@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from llfisher.bethe import (
     BoundaryCondition,
-    _gaudin_and_dc,
     ModelParams,
     SolverError,
     StateSpec,
+    _finish,
+    _gaudin_system,
     bethe_residual,
-    dk_dc,
-    dnorm_sq_dc,
     gaudin_matrix,
     ground_state,
     momentum_of,
-    norm_sq,
     solve_bethe,
     type1_excitation,
     type2_excitation,
@@ -75,6 +73,9 @@ def test_statespec_validation():
         StateSpec(HW, 2, (1.5, 2.5))  # box numbers must be integers
     with pytest.raises(ValueError):
         StateSpec(PER, 0, ())
+    for bc, labels in [(PER, (np.nan,)), (PER, (np.nan, np.nan)), (HW, (1.0, np.inf))]:
+        with pytest.raises(ValueError, match="finite"):
+            StateSpec(bc, len(labels), labels)
 
 
 def test_modelparams_validation():
@@ -232,8 +233,9 @@ def test_dgaudin_dc_matches_central_difference(bc, c, branch):
     spec = ground_state(bc, 3) if branch == "ground" else type1_excitation(bc, 3, 2)
     L = 2.0
     sol = solve_bethe(spec, ModelParams(c, L))
-    matrix, got = _gaudin_and_dc(sol.k, sol.dk_dc, ModelParams(c, L), bc)
+    matrix, _, dk, got = _gaudin_system(sol.k, ModelParams(c, L), bc)
     assert np.array_equal(matrix, gaudin_matrix(sol.k, ModelParams(c, L), bc))
+    assert np.array_equal(dk, sol.dk_dc)
 
     def matrix(cc):
         params = ModelParams(cc, L)
@@ -253,9 +255,9 @@ def test_zero_coupling_kernels(spec):
     # first-order shift (g / L) sum_{l != j} sum_p 1 / u_p[j, l]
     L = 3.0
     params = ModelParams(0.0, L)
-    k = solve_bethe(spec, params).k
+    sol = solve_bethe(spec, params)
+    k, got = sol.k, sol.dk_dc
     assert np.array_equal(gaudin_matrix(k, params, spec.bc), L * np.eye(3))
-    got = dk_dc(k, params, spec.bc)
     assert np.all(np.isfinite(got))
     diff = k[:, None] - k[None, :]
     np.fill_diagonal(diff, np.inf)
@@ -274,8 +276,8 @@ def test_zero_coupling_kernels(spec):
 
 
 def test_dk_dc_single_ring_particle_is_zero():
-    params = ModelParams(2.0, 1.5)
-    assert dk_dc([0.0], params, PER) == pytest.approx([0.0])
+    sol = solve_bethe(ground_state(PER, 1), ModelParams(2.0, 1.5))
+    assert sol.dk_dc == pytest.approx([0.0])
 
 
 def test_dk_dc_ground_state_antisymmetry():
@@ -313,15 +315,15 @@ def test_dk_dc_matches_resolve_finite_difference(spec, params):
 
 
 def test_norm_single_particle_ring():
-    params = ModelParams(1.0, 2.0)
-    assert norm_sq([0.0], params, PER) == pytest.approx(2.0)
+    sol = solve_bethe(ground_state(PER, 1), ModelParams(1.0, 2.0))
+    assert sol.norm_sq == pytest.approx(2.0)
 
 
 def test_norm_single_particle_box():
     # |2 sin(kx)|^2 integrates to 2L for k = pi I / L
     L = 1.7
-    params = ModelParams(0.5, L)
-    assert norm_sq([np.pi / L], params, HW) == pytest.approx(2 * L)
+    sol = solve_bethe(ground_state(HW, 1), ModelParams(0.5, L))
+    assert sol.norm_sq == pytest.approx(2 * L)
 
 
 @pytest.mark.parametrize(
@@ -334,23 +336,31 @@ def test_norm_single_particle_box():
     ],
 )
 def test_norm_positive_on_grid(spec, params):
+    # NS = det H on the ring and 2^N det H in the box, H at the solved k
     sol = solve_bethe(spec, params)
-    assert norm_sq(sol.k, params, spec.bc) > 0
-    assert np.linalg.det(gaudin_matrix(sol.k, params, spec.bc)) > 0
+    det = float(np.linalg.det(gaudin_matrix(sol.k, params, spec.bc)))
+    assert det > 0
+    assert sol.norm_sq == (2.0 ** spec.n if spec.bc is HW else 1.0) * det
 
 
-def test_solution_carries_norm_and_its_derivative(call_counts):
-    # the solve stores the closed forms at its own k and dk/dc, and
-    # dnorm_sq_dc evaluates from them without solving again
+def test_finish_builds_one_gaudin_system(call_counts):
+    # dk/dc, the norm and its derivative share one Gaudin system: one
+    # pair stack for k and one for dk/dc, one assembly each for H and dH/dc
     spec = StateSpec(PER, 3, (-1.0, 1.0, 2.0))
     params = ModelParams(0.7, 2.0)
     sol = solve_bethe(spec, params)
-    assert sol.norm_sq == norm_sq(sol.k, params, spec.bc)
+    counts = call_counts("_pair_arguments", "_gaudin_assembly")
+    again = _finish(spec, params, sol.k, sol.residual)
+    assert counts == {"_pair_arguments": 2, "_gaudin_assembly": 2}
+    assert np.array_equal(again.dk_dc, sol.dk_dc)
+    assert (again.norm_sq, again.dnorm_sq_dc) == (sol.norm_sq, sol.dnorm_sq_dc)
 
-    counts = call_counts("solve_bethe")
-    got = dnorm_sq_dc(sol.k, sol.dk_dc, sol.norm_sq, params, spec.bc)
-    assert got == sol.dnorm_sq_dc
-    assert counts["solve_bethe"] == 0
+
+def test_underflowing_norm_raises_solver_error():
+    # at L = 1e-90 the ring N = 4 ground state solves, but det H ~ L^4
+    # underflows to 0, which would divide the QFI by zero
+    with pytest.raises(SolverError, match="not finite and positive"):
+        solve_bethe(ground_state(PER, 4), ModelParams(1.0, 1e-90))
 
 
 def test_dnorm_sq_dc_single_ring_particle():
@@ -365,7 +375,7 @@ def test_dnorm_sq_dc_against_five_point_stencil():
 
     def n2(c):
         p = ModelParams(c, params.L)
-        return norm_sq(solve_bethe(spec, p).k, p, spec.bc)
+        return solve_bethe(spec, p).norm_sq
 
     h = 1e-3
     stencil = (

@@ -394,3 +394,42 @@ def test_lmax_qfi_residue_check_exits_6(capsys, monkeypatch):
     )
     assert code == 6
     assert "imaginary residue" in err
+
+
+# ---------------------------------------------------------------------------
+# documented exit codes at the edges of the input domain
+# ---------------------------------------------------------------------------
+
+RING4 = ("--bc", "periodic", "-N", "4", "--ground")
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,prefix",
+    [
+        # det H underflows to 0 at L = 1e-90; the QFI used to divide by it
+        (("fisher", *RING4, "--axis", "L", "--start", "1e-90", "--stop", "1e-90",
+          "--num", "1", "--fixed", "1"), 3, "all sweep points failed"),
+        (("lmax", *RING4, "-c", "1", "--bracket", "1e-90", "2e-90"), 3, "solver failure:"),
+        (("imaging", *RING4, "-c", "1", "-L", "1e-90", "--pixels", "2"), 3, "solver failure:"),
+        (("solve", *RING4, "-c", "1", "-L", "1e-90"), 3, "solver failure:"),
+        # non-finite quantum numbers
+        (("solve", "--bc", "periodic", "-N", "1", "-I", "nan", "-c", "1", "-L", "1"),
+         2, "error: quantum numbers must be finite"),
+        (("solve", "--bc", "periodic", "-N", "2", "-I", "nan", "nan", "-c", "1", "-L", "1"),
+         2, "error: quantum numbers must be finite"),
+        # an infinite bracket edge, with and without an explicit tolerance
+        (("lmax", "--bc", "hardwall", "-N", "2", "--ground", "-c", "0.2",
+          "--bracket", "10", "inf"), 2, "error: bracket"),
+        (("lmax", "--bc", "hardwall", "-N", "2", "--ground", "-c", "0.2",
+          "--bracket", "10", "inf", "--tol", "0.1"), 2, "error: bracket"),
+    ],
+    ids=["fisher-underflow", "lmax-underflow", "imaging-underflow", "solve-underflow",
+         "solve-nan", "solve-nan-pair", "lmax-inf", "lmax-inf-tol"],
+)
+def test_domain_edges_exit_with_documented_code(capsys, argv, exit_code, prefix):
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
+    if argv[0] == "fisher":
+        assert ",error:SolverError: " in out

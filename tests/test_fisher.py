@@ -13,7 +13,6 @@ from llfisher.bethe import (
     SolverError,
     StateSpec,
     ground_state,
-    norm_sq,
     solve_bethe,
     type1_excitation,
 )
@@ -164,7 +163,7 @@ def test_same_state_overlap_is_normalized():
         spec = ground_state(bc, n)
         sol = solve_bethe(spec, params)
         table = amplitudes(sol, params, bc)
-        n2 = norm_sq(sol.k, params, bc)
+        n2 = sol.norm_sq
         ov = ordered_overlap(table, table, params.L) / n2
         assert abs(ov - 1.0) < 1e-10
 
@@ -177,7 +176,7 @@ def test_overlap_sum_equals_determinant_norm():
         spec = ground_state(bc, n)
         sol = solve_bethe(spec, params)
         table = amplitudes(sol, params, bc)
-        n2 = norm_sq(sol.k, params, bc)
+        n2 = sol.norm_sq
         ov = ordered_overlap(table, table, params.L)
         assert ov.real == pytest.approx(n2, rel=1e-10)
         assert abs(ov.imag) < 1e-10 * n2
@@ -283,6 +282,10 @@ def test_lmax_bracket_errors():
         lmax(spec, 0.2, (150.0, 250.0))  # maximum near 52.7 lies outside
     with pytest.raises(ValueError):
         lmax(spec, 0.2, (10.0, 5.0))
+    # an infinite edge used to be reported as a bad tolerance or system size
+    for tol in (None, 0.1):
+        with pytest.raises(ValueError, match="bracket"):
+            lmax(spec, 0.2, (10.0, float("inf")), tol=tol)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
@@ -360,17 +363,6 @@ def test_sweep_rejects_out_of_domain_points_up_front(monkeypatch):
         sweep(ground_state(PER, 2), "L", [1.0, 2.0], fixed_value=-1.0)
     with pytest.raises(ValueError, match="system size"):
         sweep(ground_state(PER, 2), "c", [1.0, 2.0], fixed_value=0.0)
-
-
-def test_sweep_parallel_matches_sequential(monkeypatch):
-    spec = ground_state(PER, 2)
-    grid = [0.5, 1.0, 1.5]
-    sequential = sweep(spec, "c", grid, fixed_value=1.0)
-    monkeypatch.setenv("LLFISHER_WORKERS", "2")
-    parallel = sweep(spec, "c", grid, fixed_value=1.0)
-    for seq, par in zip(sequential.reports, parallel.reports):
-        assert par.qfi == seq.qfi
-        assert par.cfi == seq.cfi
 
 
 def test_sweep_error_keeps_class_name(monkeypatch):

@@ -12,7 +12,6 @@ from llfisher.bethe import (
     ModelParams,
     StateSpec,
     ground_state,
-    norm_sq,
     solve_bethe,
 )
 from llfisher.fisher import cfi
@@ -130,7 +129,7 @@ def test_partition_of_unity_against_norm():
     params = ModelParams(1.0, 1.0)
     sol = solve_bethe(spec, params)
     table = amplitudes(sol, params, spec.bc)
-    n2 = norm_sq(sol.k, params, spec.bc)
+    n2 = sol.norm_sq
 
     def density(points):
         vals, _ = eval_batch(table, np.sort(points, axis=1))
@@ -153,7 +152,7 @@ def _box_oracle(spec, params, grid, images, order):
     """P of each image by Gauss-Legendre box quadrature of the normalized density."""
     sol = solve_bethe(spec, params)
     table = amplitudes(sol, params, spec.bc)
-    norm_full = math.factorial(spec.n) * norm_sq(sol.k, params, spec.bc)
+    norm_full = math.factorial(spec.n) * sol.norm_sq
 
     def density(points):
         vals, _ = eval_batch(table, np.sort(points, axis=1))

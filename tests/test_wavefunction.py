@@ -10,7 +10,6 @@ from llfisher.bethe import (
     ModelParams,
     StateSpec,
     ground_state,
-    norm_sq,
     solve_bethe,
     type1_excitation,
 )
@@ -188,7 +187,7 @@ def test_norm_against_quadrature(bc, n, c, L):
     # ordered-domain integral of |psi~|^2 reproduces the determinant norm
     params = ModelParams(c, L)
     spec, sol, table = make(bc, n, params)
-    target = norm_sq(sol.k, params, bc)
+    target = sol.norm_sq
 
     def density(points):
         vals, _ = eval_batch(table, points)
