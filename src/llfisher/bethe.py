@@ -262,6 +262,15 @@ def _residual_scale(k: np.ndarray, L: float) -> float:
     return max(1.0, L * float(np.abs(k).max()) if k.size else 1.0)
 
 
+def _newton_step(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndarray):
+    """H^-1 f, the full Newton step at ``k``; SolverError if H is singular there."""
+    try:
+        return np.linalg.solve(gaudin_matrix(k, params, spec.bc), f)
+    except np.linalg.LinAlgError as exc:
+        rnorm = float(np.abs(f).max())
+        raise SolverError(f"singular Gaudin matrix at residual {rnorm:.3e}", rnorm) from exc
+
+
 def _polish(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndarray, rnorm: float):
     """Full Newton steps while they keep reducing the residual.
 
@@ -270,8 +279,7 @@ def _polish(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndarray, 
     (norms, fidelity overlaps) are sensitive at that level.
     """
     for _ in range(3):
-        step = np.linalg.solve(gaudin_matrix(k, params, spec.bc), f)
-        k_try = k - step
+        k_try = k - _newton_step(spec, params, k, f)
         f_try = bethe_residual(k_try, spec, params)
         r_try = float(np.abs(f_try).max())
         if r_try >= rnorm:
@@ -289,7 +297,7 @@ def _newton(spec: StateSpec, params: ModelParams, k0: np.ndarray):
         tol = RESIDUAL_RTOL * _residual_scale(k, params.L)
         if rnorm <= tol:
             return _polish(spec, params, k, f, rnorm)
-        step = np.linalg.solve(gaudin_matrix(k, params, spec.bc), f)
+        step = _newton_step(spec, params, k, f)
         damping = 1.0
         for _ in range(60):
             k_try = k - damping * step

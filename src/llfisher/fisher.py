@@ -24,10 +24,11 @@ three second moments; the overlap oracle asks for order 0, I alone.  The
 assembly is exact up to the Bethe residual and the rounding of that
 kernel.  The CFI either equals the QFI outright (real or purely
 imaginary phase class, where the position measurement is optimal) or is
-integrated numerically on the ordered simplex.  A state point is solved
-once: NS and d NS/dc come with the Bethe solution, and ``fisher_report``
-hands the same solution and amplitude table to both the QFI assembly and
-the CFI quadrature.
+integrated numerically on the ordered simplex; ``fisher_report`` alone
+makes that choice, and ``cfi`` reads its result.  A state point is one
+amplitude table: ``amplitudes(spec, params)`` solves the state once, and
+its table carries NS and d NS/dc in its Bethe solution to both the QFI
+assembly and the CFI quadrature.
 
 An independent fidelity-overlap estimate,
 QFI ~ 8 (1 - |<psi_{c-d/2}|psi_{c+d/2}>|) / d^2, cross-checks the
@@ -42,7 +43,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bethe import BetheSolution, ModelParams, StateSpec, solve_bethe
+# bound, not called: perfbench/test_harness.py checks its tracer on this name
+from .bethe import ModelParams, StateSpec, solve_bethe  # noqa: F401
 from .integrals import (
     NumericalHealthError,
     default_order,
@@ -117,16 +119,15 @@ def _pair_bundles(kappa_a: np.ndarray, kappa_b: np.ndarray, L: float, order: int
     return tuple(expand(values) for values in bundles)
 
 
-def _inner_products(table: AmplitudeTable, L: float):
+def _inner_products(table: AmplitudeTable):
     """Ordered-domain <psi~|psi~>, <psi~|d_c psi~>, <d_c psi~|d_c psi~>.
 
     Assembled from the coefficient table and the simplex-integral
     bundles; the pair reduction is a deterministic einsum.
     """
-    i00, i1_ts, i11_ts = _pair_bundles(table.kappa, table.kappa, L, order=2)
+    i00, i1_ts, i11_ts = _pair_bundles(table.kappa, table.kappa, table.L, order=2)
 
-    w_amp = table.weight * table.amp
-    w_damp = table.weight * table.damp
+    w_amp, w_damp = table.amp, table.damp
     # a[t, s] = sum_l dkappa[s, l] I^1_l(lam_ts); b uses row t instead
     a = np.einsum("tsl,sl->ts", i1_ts, table.dkappa)
     b = np.einsum("tsl,tl->ts", i1_ts, table.dkappa)
@@ -147,10 +148,10 @@ def _inner_products(table: AmplitudeTable, L: float):
     return complex(nn), complex(nd), complex(dd)
 
 
-def _qfi_with_residue(solution: BetheSolution, table: AmplitudeTable):
-    """QFI of one solved state from its amplitude table, and its imaginary residue."""
-    n2 = solution.norm_sq
-    _, nd, dd = _inner_products(table, table.L)
+def _qfi_with_residue(table: AmplitudeTable):
+    """QFI of one state point from its amplitude table, and its imaginary residue."""
+    n2 = table.solution.norm_sq
+    _, nd, dd = _inner_products(table)
     qfi_c = 4.0 / n2 * (dd - abs(nd) ** 2 / n2)
     residue = abs(qfi_c.imag) / max(abs(qfi_c.real), 1e-30)
     if residue > QFI_IMAG_RTOL:
@@ -162,20 +163,19 @@ def _qfi_with_residue(solution: BetheSolution, table: AmplitudeTable):
 
 def qfi_analytic(spec: StateSpec, params: ModelParams) -> float:
     """QFI of the coupling via the exact permutation-pair expansion."""
-    solution = solve_bethe(spec, params)
-    table = amplitudes(solution, params, spec.bc)
-    value, _ = _qfi_with_residue(solution, table)
+    value, _ = _qfi_with_residue(amplitudes(spec, params))
     return value
 
 
-def ordered_overlap(
-    table_a: AmplitudeTable, table_b: AmplitudeTable, L: float
-) -> complex:
-    """<psi~_a | psi~_b> over the ordered domain, from two coefficient tables."""
-    (i00,) = _pair_bundles(table_a.kappa, table_b.kappa, L, order=0)
-    w_a = np.conj(table_a.weight * table_a.amp)
-    w_b = table_b.weight * table_b.amp
-    return complex(np.einsum("t,s,ts->", w_a, w_b, i00))
+def ordered_overlap(table_a: AmplitudeTable, table_b: AmplitudeTable) -> complex:
+    """<psi~_a | psi~_b> over the ordered domain, from two coefficient tables.
+
+    Raises ValueError unless both tables belong to the same system size L.
+    """
+    if table_a.L != table_b.L:
+        raise ValueError(f"tables at different sizes L = {table_a.L} and {table_b.L}")
+    (i00,) = _pair_bundles(table_a.kappa, table_b.kappa, table_a.L, order=0)
+    return complex(np.einsum("t,s,ts->", np.conj(table_a.amp), table_b.amp, i00))
 
 
 def qfi_overlap_oracle(
@@ -196,16 +196,13 @@ def qfi_overlap_oracle(
     if delta <= 0:
         raise ValueError("delta must be positive")
 
-    def state(c: float):
-        at = ModelParams(c, params.L)
-        solution = solve_bethe(spec, at)
-        return amplitudes(solution, at, spec.bc), solution.norm_sq
+    def state(c: float) -> AmplitudeTable:
+        return amplitudes(spec, ModelParams(c, params.L))
 
-    def infidelity(a, b) -> float:
+    def infidelity(a: AmplitudeTable, b: AmplitudeTable) -> float:
         """8 (1 - |<psi_a|psi_b>|) of two normalized states."""
-        (tab_a, n2_a), (tab_b, n2_b) = a, b
-        overlap = abs(ordered_overlap(tab_a, tab_b, params.L)) / math.sqrt(n2_a * n2_b)
-        return 8.0 * (1.0 - overlap)
+        n2_ab = a.solution.norm_sq * b.solution.norm_sq
+        return 8.0 * (1.0 - abs(ordered_overlap(a, b)) / math.sqrt(n2_ab))
 
     c = params.c
     if c >= delta / 2.0:
@@ -221,16 +218,16 @@ def qfi_overlap_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _cfi_quadrature(solution: BetheSolution, table: AmplitudeTable) -> float:
+def _cfi_quadrature(table: AmplitudeTable) -> float:
     """CFI by direct quadrature of 4 (d_c |psi|)^2 on the ordered simplex.
 
     Uses the pointwise identity d_c|psi| = Re(psi* d_c psi)/|psi| on the
     normalized wavefunction; nodes of |psi| are measure-zero and guarded.
     The rule is ``default_order(N)`` points per simplex dimension.
     """
-    n2 = solution.norm_sq
+    n2 = table.solution.norm_sq
     norm = math.sqrt(n2)
-    dnorm = solution.dnorm_sq_dc / (2.0 * norm)
+    dnorm = table.solution.dnorm_sq_dc / (2.0 * norm)
     sym = math.sqrt(math.factorial(table.n))
 
     def integrand(points: np.ndarray) -> np.ndarray:
@@ -250,14 +247,11 @@ def _cfi_quadrature(solution: BetheSolution, table: AmplitudeTable) -> float:
 def cfi(spec: StateSpec, params: ModelParams) -> float:
     """CFI of the N-particle position measurement for the coupling.
 
-    States whose global phase is c-independent (real/imaginary class)
-    saturate CFI = QFI, so the analytic QFI is returned directly; the
-    general ring states go through the simplex quadrature.
+    The CFI of ``fisher_report``: the analytic QFI for states whose global
+    phase is c-independent (real/imaginary class), which saturate
+    CFI = QFI, and the simplex quadrature for the general ring states.
     """
-    if global_phase_class(spec) in SATURATED_CLASSES:
-        return qfi_analytic(spec, params)
-    solution = solve_bethe(spec, params)
-    return _cfi_quadrature(solution, amplitudes(solution, params, spec.bc))
+    return fisher_report(spec, params).cfi
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +272,17 @@ class FisherReport:
 
 
 def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
-    """QFI and CFI of one state point from one solve and one amplitude table."""
+    """QFI and CFI of one state point from one amplitude table (one solve)."""
     cls = global_phase_class(spec)
-    solution = solve_bethe(spec, params)
-    table = amplitudes(solution, params, spec.bc)
-    qfi_value, residue = _qfi_with_residue(solution, table)
+    table = amplitudes(spec, params)
+    qfi_value, residue = _qfi_with_residue(table)
     if cls in SATURATED_CLASSES:
         cfi_value = qfi_value
         route = "analytic"
         used_order = None
     else:
         used_order = default_order(spec.n)
-        cfi_value = _cfi_quadrature(solution, table)
+        cfi_value = _cfi_quadrature(table)
         route = "quadrature"
     return FisherReport(
         qfi=qfi_value,

@@ -25,9 +25,10 @@ plane wave factorizes over the runs, x = lo + y inside each:
     P = sum_{a,b} conj(w_a) w_b
         prod_runs e^{-i lo sum_run lambda} I(lambda_run, hi - lo) / NS,
 
-with I the ordered-simplex integral of ``integrals.simplex_exp_integral``
-and NS the ordered-domain norm square, read with d NS/dc off the one
-Bethe solution of the state point.  dP/dc follows from the same runs:
+with w_a the signed coefficients of the state point's amplitude table,
+I the ordered-simplex integral of ``integrals.simplex_exp_integral`` and
+NS the ordered-domain norm square, read with d NS/dc off the Bethe
+solution that the table carries.  dP/dc follows from the same runs:
 the coefficient derivatives dw, and the dkappa.x term of d_c psi~, whose
 coordinate x_l = lo + y_l brings in the first moment I^1 of its run.  The
 run tables ask the kernel for moment order 1 (I and I^1) when dP/dc is
@@ -48,7 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bethe import ModelParams, StateSpec, solve_bethe
+from .bethe import ModelParams, StateSpec
 from .fisher import _pair_bundles
 from .integrals import NumericalHealthError, ResourceLimitError
 from .wavefunction import AmplitudeTable, amplitudes
@@ -119,18 +120,20 @@ def _compositions(total: int, bins: int):
             yield (first,) + rest
 
 
-def enumerate_images(n: int, n_pixels: int, cap: int = DEFAULT_IMAGE_CAP):
+def enumerate_images(n: int, n_pixels: int):
     """All realizable absorption images of n atoms on n_pixels pixels.
 
     These are the weak compositions of n into n_pixels + 2 bins, of which
-    there are (n + n_pixels + 1)! / ((n_pixels + 1)! n!).
+    there are (n + n_pixels + 1)! / ((n_pixels + 1)! n!).  Raises
+    ResourceLimitError, before enumerating any, when that count exceeds
+    DEFAULT_IMAGE_CAP.
     """
     if n < 1 or n_pixels < 1:
         raise ValueError("need n >= 1 atoms and n_pixels >= 1 pixels")
     count = math.comb(n + n_pixels + 1, n)
-    if count > cap:
+    if count > DEFAULT_IMAGE_CAP:
         raise ResourceLimitError(
-            f"{count} absorption images exceed the cap of {cap}"
+            f"{count} absorption images exceed the cap of {DEFAULT_IMAGE_CAP}"
         )
     return [AbsorptionImage(c) for c in _compositions(n, n_pixels + 2)]
 
@@ -181,7 +184,7 @@ def _bin_intervals(grid: PixelGrid, L: float):
 
 
 class _RunProducts:
-    """Exact box integrals of |psi~|^2 for one solved state, image by image.
+    """Exact box integrals of |psi~|^2 for one state point, image by image.
 
     A run of r atoms in one bin occupies coordinates s..s+r-1, and its
     factor depends on a pair of table rows only through their kappa
@@ -197,8 +200,6 @@ class _RunProducts:
         self.table = table
         self.intervals = intervals
         self.derivative = derivative
-        self.w_amp = table.weight * table.amp
-        self.w_damp = table.weight * table.damp
         n, rows = table.n, table.n_terms
         self.index = {}
         self.sub_rows = {}
@@ -249,7 +250,7 @@ class _RunProducts:
             start += count
 
         phase = np.exp(1j * (table.kappa @ lo))
-        u = self.w_amp * phase
+        u = table.amp * phase
         u_conj = np.conj(u)
         box = runs[0][0]
         for i00, _ in runs[1:]:
@@ -258,7 +259,7 @@ class _RunProducts:
         if not self.derivative:
             return p_raw, None
 
-        du = self.w_damp * phase + 1j * (table.dkappa @ lo) * u
+        du = table.damp * phase + 1j * (table.dkappa @ lo) * u
         moments = 0.0
         for k, (_, moment) in enumerate(runs):
             term = moment
@@ -279,15 +280,14 @@ def _image_probabilities(
     the N! of the bosonic normalization: P is the ordered-box integral of
     |psi~|^2 over the ordered-domain norm square.
     """
-    solution = solve_bethe(spec, params)
-    table = amplitudes(solution, params, spec.bc)
-    n2 = solution.norm_sq
+    table = amplitudes(spec, params)
+    n2 = table.solution.norm_sq
     runs = _RunProducts(table, _bin_intervals(grid, params.L), derivative)
     values = [runs.box_integrals(image.counts) for image in images]
     probs = np.array([p for p, _ in values]) / n2
     if not derivative:
         return probs, None
-    dlog_n2 = solution.dnorm_sq_dc / n2
+    dlog_n2 = table.solution.dnorm_sq_dc / n2
     dprobs = np.array([dp for _, dp in values]) / n2 - probs * dlog_n2
     return probs, dprobs
 

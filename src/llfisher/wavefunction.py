@@ -24,10 +24,12 @@ Each factor's log-derivative, d ln f/dc = i Im((u' + i)/(u + i c)) with
 u' = du/dc, stays bounded as c grows, so dA/dc carries no uniform
 N(N-1)/(2c) A term for the QFI assembly to cancel at strong coupling.
 
-Amplitude tables carry every coefficient together with its analytic
-c-derivative (product rule through dk/dc), so pointwise values and
-d(psi)/dc come out of a single pass over the table, summed by one matrix
-product per chunk of points.
+An amplitude table is one state point: ``amplitudes(spec, params)``
+solves the Bethe equations and keeps the solution, whose norm NS and
+dNS/dc every consumer needs, next to the signed coefficients pi_eps A and
+their analytic c-derivatives (product rule through dk/dc).  Pointwise
+values and d(psi)/dc come out of a single pass over the table, summed by
+one matrix product per chunk of points.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import BetheSolution, BoundaryCondition, ModelParams, StateSpec
+from .bethe import (
+    BetheSolution, BoundaryCondition, ModelParams, SolverError, StateSpec, solve_bethe
+)
 
 # Particle-number caps reflecting the ~N!^2 / 2^(2N) N!^2 cost of the
-# downstream double-permutation sums; ``amplitudes(..., allow_large_n=True)``
-# lifts them for a caller who accepts the wait.
+# downstream double-permutation sums.
 MAX_N_PERIODIC = 5
 MAX_N_HARD_WALL = 4
 
@@ -50,8 +53,9 @@ MAX_N_HARD_WALL = 4
 _EVAL_CHUNK = 200_000
 
 
-class DegenerateStateError(ValueError):
-    """Two quasimomenta coincide; the ansatz coefficients are singular."""
+class DegenerateStateError(SolverError):
+    """Solved quasimomenta coincide in double precision (e.g. the box ground
+    state at c = 1e-30), so the ansatz coefficients are singular."""
 
 
 class PhaseClass(enum.Enum):
@@ -64,29 +68,28 @@ class PhaseClass(enum.Enum):
 
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """All ansatz coefficients of one solved state, with c-derivatives.
+    """One solved state point: its Bethe solution and all ansatz coefficients.
 
     Each row is one term of the permutation (and, in the box, sign) sum,
     sign vectors major and permutations minor:
-    ``kappa`` holds the signed quasimomenta entering the exponent,
-    ``weight`` the sign prefactor pi_eps (all ones on the ring), ``amp``
-    the unit-modulus coefficient A (module docstring) and ``damp`` its
-    derivative dA/dc = A sum i Im((u' + i)/(u + i c)) over its factors.
+    ``kappa`` holds the signed quasimomenta entering the exponent, ``amp``
+    the signed coefficient pi_eps A (pi_eps = 1 on the ring; A of modulus
+    one, module docstring) and ``damp`` its derivative
+    pi_eps dA/dc = amp sum i Im((u' + i)/(u + i c)) over the factors of A.
     """
 
-    bc: BoundaryCondition
+    solution: BetheSolution
     n: int
     L: float
     perms: np.ndarray
     signs: np.ndarray
-    weight: np.ndarray
     amp: np.ndarray
     damp: np.ndarray
     kappa: np.ndarray
     dkappa: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("perms", "signs", "weight", "amp", "damp", "kappa", "dkappa"):
+        for name in ("perms", "signs", "amp", "damp", "kappa", "dkappa"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -101,21 +104,17 @@ def _check_particle_cap(n: int, bc: BoundaryCondition) -> None:
         raise ValueError(f"N = {n} exceeds the particle cap of {cap} for {bc.value} states")
 
 
-def amplitudes(
-    solution: BetheSolution,
-    params: ModelParams,
-    bc: BoundaryCondition,
-    allow_large_n: bool = False,
-) -> AmplitudeTable:
-    """Build the full coefficient table of a solved state.
+def amplitudes(spec: StateSpec, params: ModelParams) -> AmplitudeTable:
+    """Solve ``spec`` at ``params`` and build the full coefficient table.
 
-    N! rows on the ring, 2^N N! in the box.  Raises ValueError unless N
-    is within the particle cap (MAX_N_PERIODIC, MAX_N_HARD_WALL) or
-    ``allow_large_n`` is set.
+    N! rows on the ring, 2^N N! in the box.  Raises ValueError when N
+    exceeds the particle cap (MAX_N_PERIODIC, MAX_N_HARD_WALL), before
+    any solving, and DegenerateStateError when solved quasimomenta
+    coincide in double precision.
     """
-    n = solution.n
-    if not allow_large_n:
-        _check_particle_cap(n, bc)
+    n, bc = spec.n, spec.bc
+    _check_particle_cap(n, bc)
+    solution = solve_bethe(spec, params)
 
     perms = np.array(list(itertools.permutations(range(n))), dtype=int)
     if bc is BoundaryCondition.PERIODIC:
@@ -141,16 +140,16 @@ def amplitudes(
         raise DegenerateStateError("coincident quasimomenta or vanishing quasimomentum sum")
 
     c = params.c
-    amp = np.prod(np.sign(u) * (u + 1j * c) / np.hypot(u, c), axis=1)
+    # the sign prefactor pi_eps times A; +-1 factors are exact
+    amp = np.prod(signs, axis=1) * np.prod(np.sign(u) * (u + 1j * c) / np.hypot(u, c), axis=1)
     # d ln f/dc = i Im((u' + i)/(u + ic)) = i (u - c u')/(u^2 + c^2)
     logder = np.sum((u - c * du) / (u * u + c * c), axis=1)
     return AmplitudeTable(
-        bc=bc,
+        solution=solution,
         n=n,
         L=params.L,
         perms=perms,
         signs=signs,
-        weight=np.prod(signs, axis=1),
         amp=amp,
         damp=1j * logder * amp,
         kappa=kappa,
@@ -169,16 +168,13 @@ def eval_batch(table: AmplitudeTable, points: np.ndarray):
     m_total = points.shape[0]
     values = np.empty(m_total, dtype=complex)
     dvalues = np.empty(m_total, dtype=complex)
-    w_amp = table.weight * table.amp
-    w_damp = table.weight * table.damp
-
     max_rows = max(1, _EVAL_CHUNK // max(1, table.n_terms))
     for start in range(0, m_total, max_rows):
         block = points[start : start + max_rows]
         phases = np.exp(1j * (block @ table.kappa.T))
-        values[start : start + max_rows] = phases @ w_amp
-        dvalues[start : start + max_rows] = phases @ w_damp + 1j * (
-            ((block @ table.dkappa.T) * phases) @ w_amp
+        values[start : start + max_rows] = phases @ table.amp
+        dvalues[start : start + max_rows] = phases @ table.damp + 1j * (
+            ((block @ table.dkappa.T) * phases) @ table.amp
         )
     return values, dvalues
 

@@ -127,10 +127,8 @@ def test_criterion_05_oracle_equivalences():
 
     # (a) determinant norm vs simplex quadrature of |psi~|^2, N <= 3
     for bc, n in [(PER, 1), (PER, 2), (PER, 3), (HW, 1), (HW, 2), (HW, 3)]:
-        spec = ground_state(bc, n)
-        sol = solve_bethe(spec, params)
-        table = amplitudes(sol, params, bc)
-        target = sol.norm_sq
+        table = amplitudes(ground_state(bc, n), params)
+        target = table.solution.norm_sq
 
         def density(points):
             vals, _ = eval_batch(table, points)
@@ -204,8 +202,7 @@ def test_criterion_06_saturation_property():
     worst = 0.0
     for spec in saturated:
         analytic = qfi_analytic(spec, params)
-        sol = solve_bethe(spec, params)
-        forced = _cfi_quadrature(sol, amplitudes(sol, params, spec.bc))
+        forced = _cfi_quadrature(amplitudes(spec, params))
         worst = max(worst, abs(forced - analytic) / analytic)
 
     gap_params = ModelParams(0.2, 20.0)

@@ -363,6 +363,15 @@ def test_underflowing_norm_raises_solver_error():
         solve_bethe(ground_state(PER, 4), ModelParams(1.0, 1e-90))
 
 
+def test_singular_newton_step_raises_solver_error():
+    # coincident iterates make the ring Gaudin matrix 2 [[1, -1], [-1, 1]]
+    # up to L = 1e-300, which rounding drops: singular in double precision
+    from llfisher.bethe import _newton
+
+    with pytest.raises(SolverError, match="singular"):
+        _newton(ground_state(PER, 2), ModelParams(1.0, 1e-300), np.array([1.0, 1.0]))
+
+
 def test_dnorm_sq_dc_single_ring_particle():
     sol = solve_bethe(ground_state(PER, 1), ModelParams(1.0, 2.0))
     assert sol.dnorm_sq_dc == pytest.approx(0.0)
@@ -403,9 +412,9 @@ def test_dnorm_sq_dc_against_five_point_stencil():
 def test_dnorm_sq_dc_matches_inner_product(spec, c, L):
     # d(norm^2)/dc = 2 Re <psi~|d_c psi~>, assembled from the pair bundles
     params = ModelParams(c, L)
-    sol = solve_bethe(spec, params)
-    _, nd, _ = _inner_products(amplitudes(sol, params, spec.bc), L)
-    assert sol.dnorm_sq_dc == pytest.approx(2.0 * nd.real, rel=1e-10)
+    table = amplitudes(spec, params)
+    _, nd, _ = _inner_products(table)
+    assert table.solution.dnorm_sq_dc == pytest.approx(2.0 * nd.real, rel=1e-10)
 
 
 @pytest.mark.parametrize("bc", [PER, HW])
@@ -415,9 +424,9 @@ def test_dnorm_sq_dc_collapsing_ground_state(bc):
     # from O(c) terms, so the rounding of k limits agreement to ~1e-8
     spec = ground_state(bc, 3)
     params = ModelParams(1e-6, 10.0)
-    sol = solve_bethe(spec, params)
-    _, nd, _ = _inner_products(amplitudes(sol, params, spec.bc), params.L)
-    assert sol.dnorm_sq_dc == pytest.approx(2.0 * nd.real, rel=1e-7)
+    table = amplitudes(spec, params)
+    _, nd, _ = _inner_products(table)
+    assert table.solution.dnorm_sq_dc == pytest.approx(2.0 * nd.real, rel=1e-7)
 
 
 def test_dnorm_relative_derivative_saturates_at_strong_coupling():

@@ -401,6 +401,7 @@ def test_lmax_qfi_residue_check_exits_6(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 RING4 = ("--bc", "periodic", "-N", "4", "--ground")
+BOX3 = ("--bc", "hardwall", "-N", "3", "--ground")
 
 
 @pytest.mark.parametrize(
@@ -412,6 +413,11 @@ RING4 = ("--bc", "periodic", "-N", "4", "--ground")
         (("lmax", *RING4, "-c", "1", "--bracket", "1e-90", "2e-90"), 3, "solver failure:"),
         (("imaging", *RING4, "-c", "1", "-L", "1e-90", "--pixels", "2"), 3, "solver failure:"),
         (("solve", *RING4, "-c", "1", "-L", "1e-90"), 3, "solver failure:"),
+        # the box ground-state quasimomenta coincide in double precision
+        (("imaging", *BOX3, "-c", "1e-30", "-L", "1", "--pixels", "2"), 3,
+         "solver failure: coincident quasimomenta"),
+        (("lmax", *BOX3, "-c", "1e-30", "--bracket", "0.5", "2"), 3,
+         "solver failure: coincident quasimomenta"),
         # non-finite quantum numbers
         (("solve", "--bc", "periodic", "-N", "1", "-I", "nan", "-c", "1", "-L", "1"),
          2, "error: quantum numbers must be finite"),
@@ -424,6 +430,7 @@ RING4 = ("--bc", "periodic", "-N", "4", "--ground")
           "--bracket", "10", "inf", "--tol", "0.1"), 2, "error: bracket"),
     ],
     ids=["fisher-underflow", "lmax-underflow", "imaging-underflow", "solve-underflow",
+         "imaging-collapsed", "lmax-collapsed",
          "solve-nan", "solve-nan-pair", "lmax-inf", "lmax-inf-tol"],
 )
 def test_domain_edges_exit_with_documented_code(capsys, argv, exit_code, prefix):
@@ -433,3 +440,24 @@ def test_domain_edges_exit_with_documented_code(capsys, argv, exit_code, prefix)
     assert "Traceback" not in err
     if argv[0] == "fisher":
         assert ",error:SolverError: " in out
+
+
+def test_singular_newton_step_exits_3(capsys):
+    # the Newton iterates coincide and the Gaudin matrix is singular; the
+    # continuation fallback then ends in a norm out of floating-point range
+    code, out, err = run(
+        capsys, "solve", "--bc", "hardwall", "-N", "2", "--ground", "-c", "1", "-L", "1e-300"
+    )
+    assert code == 3
+    assert out == ""
+    assert "solver failure:" in err
+    assert "Singular matrix" not in err
+
+
+def test_sweep_row_names_the_collapsed_state(capsys):
+    code, out, _ = run(
+        capsys, "fisher", *BOX3, "--axis", "c", "--start", "1e-30", "--stop", "1e-30",
+        "--num", "1", "--fixed", "1",
+    )
+    assert code == 3
+    assert ",error:DegenerateStateError: coincident quasimomenta" in out

@@ -115,10 +115,12 @@ def _divide_by_c_qfi(spec, params):
                     f = 1.0 / c + 1j / u
                     amp *= f
                     logder += (-1.0 / c**2 - 1j * du / u**2) / f
-            rows.append((perm, signs, math.prod(signs), amp, amp * logder, kap, dkap))
-    perms, signs, weight, amp, damp, kappa, dkappa = (np.array(col) for col in zip(*rows))
-    table = AmplitudeTable(spec.bc, n, params.L, perms, signs, weight, amp, damp, kappa, dkappa)
-    nn, nd, dd = _inner_products(table, params.L)
+            # signed coefficients pi_eps A and pi_eps dA/dc
+            weight = math.prod(signs)
+            rows.append((perm, signs, weight * amp, weight * amp * logder, kap, dkap))
+    perms, signs, amp, damp, kappa, dkappa = (np.array(col) for col in zip(*rows))
+    table = AmplitudeTable(sol, n, params.L, perms, signs, amp, damp, kappa, dkappa)
+    nn, nd, dd = _inner_products(table)
     return (4.0 / nn.real * (dd - abs(nd) ** 2 / nn.real)).real
 
 
@@ -160,12 +162,17 @@ def test_qfi_matches_fidelity_oracle(spec, params):
 def test_same_state_overlap_is_normalized():
     params = ModelParams(1.0, 1.0)
     for bc, n in [(PER, 2), (HW, 2), (PER, 3)]:
-        spec = ground_state(bc, n)
-        sol = solve_bethe(spec, params)
-        table = amplitudes(sol, params, bc)
-        n2 = sol.norm_sq
-        ov = ordered_overlap(table, table, params.L) / n2
+        table = amplitudes(ground_state(bc, n), params)
+        ov = ordered_overlap(table, table) / table.solution.norm_sq
         assert abs(ov - 1.0) < 1e-10
+
+
+def test_overlap_rejects_tables_at_different_sizes():
+    spec = ground_state(PER, 2)
+    table_a = amplitudes(spec, ModelParams(1.0, 1.0))
+    table_b = amplitudes(spec, ModelParams(1.0, 2.0))
+    with pytest.raises(ValueError, match="different sizes"):
+        ordered_overlap(table_a, table_b)
 
 
 def test_overlap_sum_equals_determinant_norm():
@@ -173,11 +180,9 @@ def test_overlap_sum_equals_determinant_norm():
     # route to the squared norm
     params = ModelParams(0.8, 2.0)
     for bc, n in [(PER, 2), (HW, 2), (PER, 3), (HW, 3)]:
-        spec = ground_state(bc, n)
-        sol = solve_bethe(spec, params)
-        table = amplitudes(sol, params, bc)
-        n2 = sol.norm_sq
-        ov = ordered_overlap(table, table, params.L)
+        table = amplitudes(ground_state(bc, n), params)
+        n2 = table.solution.norm_sq
+        ov = ordered_overlap(table, table)
         assert ov.real == pytest.approx(n2, rel=1e-10)
         assert abs(ov.imag) < 1e-10 * n2
 
@@ -221,8 +226,7 @@ def test_forced_quadrature_cfi_matches_analytic():
     for bc in (PER, HW):
         spec = ground_state(bc, 2)
         analytic = qfi_analytic(spec, params)
-        sol = solve_bethe(spec, params)
-        quad = _cfi_quadrature(sol, amplitudes(sol, params, bc))
+        quad = _cfi_quadrature(amplitudes(spec, params))
         assert quad == pytest.approx(analytic, rel=1e-4)
 
 
@@ -253,6 +257,29 @@ def test_fisher_report_solves_and_tabulates_once(call_counts):
     assert report.method["cfi_route"] == "quadrature"
     assert report.method["quadrature_order"] is not None
     assert counts == {"solve_bethe": 1, "amplitudes": 1}
+
+
+ONE_TABLE_CASES = [
+    (ground_state(HW, 3), 0.2, (45.0, 90.0)),
+    (StateSpec(PER, 3, (-1.0, 1.0, 2.0)), 1.0, (5.0, 40.0)),
+]
+
+
+@pytest.mark.parametrize("spec,c,bracket", ONE_TABLE_CASES, ids=["box3", "ring3-general"])
+def test_cfi_and_lmax_objective_solve_and_tabulate_once(call_counts, spec, c, bracket):
+    counts = call_counts("solve_bethe", "amplitudes", "cfi")
+    llfisher.fisher.cfi(spec, ModelParams(c, bracket[0]))
+    assert counts == {"solve_bethe": 1, "amplitudes": 1, "cfi": 1}
+    lmax(spec, c, bracket, tol=3.0)
+    # every objective evaluation is one cfi call
+    assert counts["cfi"] > 3
+    assert counts["solve_bethe"] == counts["amplitudes"] == counts["cfi"]
+
+
+@pytest.mark.parametrize("spec,c,bracket", ONE_TABLE_CASES, ids=["box3", "ring3-general"])
+def test_cfi_is_the_report_cfi(spec, c, bracket):
+    params = ModelParams(c, bracket[0])
+    assert cfi(spec, params) == fisher_report(spec, params).cfi
 
 
 def test_report_invariants():

@@ -12,7 +12,6 @@ from llfisher.bethe import (
     ModelParams,
     StateSpec,
     ground_state,
-    solve_bethe,
 )
 from llfisher.fisher import cfi
 from llfisher.imaging import (
@@ -56,8 +55,9 @@ def test_enumeration_order_is_deterministic():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ResourceLimitError):
-        enumerate_images(10, 3, cap=100)
+    # C(51, 10) > 1e10 images: refused before any is enumerated
+    with pytest.raises(ResourceLimitError, match="cap of 200000"):
+        enumerate_images(10, 40)
 
 
 def test_multiplicity_values():
@@ -127,9 +127,8 @@ def test_partition_of_unity_against_norm():
     # cube: their sum is N! times the ordered-domain norm square
     spec = ground_state(HW, 2)
     params = ModelParams(1.0, 1.0)
-    sol = solve_bethe(spec, params)
-    table = amplitudes(sol, params, spec.bc)
-    n2 = sol.norm_sq
+    table = amplitudes(spec, params)
+    n2 = table.solution.norm_sq
 
     def density(points):
         vals, _ = eval_batch(table, np.sort(points, axis=1))
@@ -150,9 +149,8 @@ def test_partition_of_unity_against_norm():
 
 def _box_oracle(spec, params, grid, images, order):
     """P of each image by Gauss-Legendre box quadrature of the normalized density."""
-    sol = solve_bethe(spec, params)
-    table = amplitudes(sol, params, spec.bc)
-    norm_full = math.factorial(spec.n) * sol.norm_sq
+    table = amplitudes(spec, params)
+    norm_full = math.factorial(spec.n) * table.solution.norm_sq
 
     def density(points):
         vals, _ = eval_batch(table, np.sort(points, axis=1))
@@ -217,10 +215,10 @@ def test_exact_probabilities_match_box_quadrature_box4():
 
 
 def test_image_distribution_solves_once(call_counts):
-    # P and dP/dc both read the norm and its derivative off one solution
-    counts = call_counts("solve_bethe")
+    # P and dP/dc both read the norm and its derivative off one table's solution
+    counts = call_counts("solve_bethe", "amplitudes")
     image_distribution(ground_state(HW, 2), ModelParams(1.0, 1.0), uniform_grid(1.0, 4))
-    assert counts["solve_bethe"] == 1
+    assert counts == {"solve_bethe": 1, "amplitudes": 1}
 
 
 def test_imaging_cfi_below_position_cfi():

@@ -1,7 +1,5 @@
 """Amplitude tables, pointwise evaluation and phase classification."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -27,8 +25,8 @@ HW = BoundaryCondition.HARD_WALL
 
 def make(bc, n, params, spec=None):
     spec = spec or ground_state(bc, n)
-    sol = solve_bethe(spec, params)
-    return spec, sol, amplitudes(sol, params, bc)
+    table = amplitudes(spec, params)
+    return spec, table.solution, table
 
 
 # ---------------------------------------------------------------------------
@@ -94,24 +92,35 @@ def test_box_table_size_and_sign_reversal():
         (tuple(p), tuple(s)): a
         for p, s, a in zip(map(tuple, table.perms), map(tuple, table.signs), table.amp)
     }
-    # flipping the sign of the first argument leaves A invariant
+    # flipping the sign of the first argument leaves A invariant, so the
+    # signed coefficient pi_eps A changes sign with pi_eps
     for (perm, signs), amp in rows.items():
         flipped = (signs[0] * -1.0,) + signs[1:]
-        assert abs(amp - rows[(perm, flipped)]) < 1e-12
+        assert abs(amp + rows[(perm, flipped)]) < 1e-12
 
 
-def test_particle_cap_enforced():
-    params = ModelParams(1.0, 1.0)
-    sol = solve_bethe(ground_state(PER, 6), params)
+def test_particle_cap_enforced(call_counts):
+    counts = call_counts("solve_bethe")
     with pytest.raises(ValueError, match="cap"):
-        amplitudes(sol, params, PER)
-    table = amplitudes(sol, params, PER, allow_large_n=True)
-    assert table.n_terms == math.factorial(6)
+        amplitudes(ground_state(PER, 6), ModelParams(1.0, 1.0))
+    with pytest.raises(ValueError, match="cap"):
+        amplitudes(ground_state(HW, 5), ModelParams(1.0, 1.0))
+    assert counts["solve_bethe"] == 0
 
 
-def test_coincident_quasimomenta_rejected():
-    import numpy as np
-    from llfisher.bethe import BetheSolution
+def test_table_carries_its_solution():
+    spec, params = type1_excitation(HW, 3, 1), ModelParams(0.7, 2.0)
+    table = amplitudes(spec, params)
+    solution = solve_bethe(spec, params)
+    assert table.L == params.L and table.n == spec.n
+    for field in ("k", "dk_dc", "norm_sq", "dnorm_sq_dc", "residual"):
+        assert np.array_equal(getattr(table.solution, field), getattr(solution, field))
+    assert not hasattr(table, "bc") and not hasattr(table, "weight")
+
+
+def test_coincident_quasimomenta_rejected(monkeypatch):
+    import llfisher.wavefunction
+    from llfisher.bethe import BetheSolution, SolverError
     from llfisher.wavefunction import DegenerateStateError
 
     fake = BetheSolution(
@@ -123,8 +132,12 @@ def test_coincident_quasimomenta_rejected():
         norm_sq=1.0,
         dnorm_sq_dc=0.0,
     )
-    with pytest.raises(DegenerateStateError):
-        amplitudes(fake, ModelParams(1.0, 1.0), PER)
+    monkeypatch.setattr(llfisher.wavefunction, "solve_bethe", lambda spec, params: fake)
+    with pytest.raises(DegenerateStateError) as info:
+        amplitudes(ground_state(PER, 2), ModelParams(1.0, 1.0))
+    # a collapsed state is a solver failure, not an invalid argument
+    assert isinstance(info.value, SolverError)
+    assert not isinstance(info.value, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +222,11 @@ def test_norm_against_quadrature(bc, n, c, L):
 def test_dvalue_dc_against_resolved_difference(bc, n, c, L):
     params = ModelParams(c, L)
     spec = ground_state(bc, n)
-    sol = solve_bethe(spec, params)
-    table = amplitudes(sol, params, bc)
+    table = amplitudes(spec, params)
 
     h = 1e-6
-    tab_hi = amplitudes(solve_bethe(spec, ModelParams(c + h, L)), ModelParams(c + h, L), bc)
-    tab_lo = amplitudes(solve_bethe(spec, ModelParams(c - h, L)), ModelParams(c - h, L), bc)
+    tab_hi = amplitudes(spec, ModelParams(c + h, L))
+    tab_lo = amplitudes(spec, ModelParams(c - h, L))
 
     rng = np.random.default_rng(3)
     pts = np.sort(rng.uniform(0.05 * L, 0.95 * L, size=(32, n)), axis=1)
@@ -240,8 +252,7 @@ def test_eval_batch_matches_mpmath_sum(bc, n, c, L):
     rng = np.random.default_rng(7)
     pts = np.sort(rng.uniform(0, L, size=(8, n)), axis=1)
     vals, dvals = eval_batch(table, pts)
-    w_amp = table.weight * table.amp
-    w_damp = table.weight * table.damp
+    w_amp, w_damp = table.amp, table.damp
     ref = np.empty(len(pts), dtype=complex)
     dref = np.empty(len(pts), dtype=complex)
     with mp.workdps(30):
