@@ -262,12 +262,11 @@ def _residual_scale(k: np.ndarray, L: float) -> float:
     return max(1.0, L * float(np.abs(k).max()) if k.size else 1.0)
 
 
-def _newton_step(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndarray):
+def _newton_step(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndarray, rnorm: float):
     """H^-1 f, the full Newton step at ``k``; SolverError if H is singular there."""
     try:
         return np.linalg.solve(gaudin_matrix(k, params, spec.bc), f)
     except np.linalg.LinAlgError as exc:
-        rnorm = float(np.abs(f).max())
         raise SolverError(f"singular Gaudin matrix at residual {rnorm:.3e}", rnorm) from exc
 
 
@@ -279,7 +278,7 @@ def _polish(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndarray, 
     (norms, fidelity overlaps) are sensitive at that level.
     """
     for _ in range(3):
-        k_try = k - _newton_step(spec, params, k, f)
+        k_try = k - _newton_step(spec, params, k, f, rnorm)
         f_try = bethe_residual(k_try, spec, params)
         r_try = float(np.abs(f_try).max())
         if r_try >= rnorm:
@@ -297,7 +296,7 @@ def _newton(spec: StateSpec, params: ModelParams, k0: np.ndarray):
         tol = RESIDUAL_RTOL * _residual_scale(k, params.L)
         if rnorm <= tol:
             return _polish(spec, params, k, f, rnorm)
-        step = _newton_step(spec, params, k, f)
+        step = _newton_step(spec, params, k, f, rnorm)
         damping = 1.0
         for _ in range(60):
             k_try = k - damping * step
@@ -346,14 +345,14 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
     """Solve the Bethe equations for ``spec`` at coupling/size ``params``.
 
     Newton starts from the strong-coupling anchor k_j = g pi I_j / L; if
-    that stalls, continuation from c L = 10 walks down to the target
-    coupling in geometric steps.  At c = 0 the analytic free-gas values
-    are returned when the state maps to distinct free momenta, and a
-    ValueError is raised otherwise (the Bethe parametrization is singular
-    there; use a small c > 0 instead).  The solution carries dk/dc, the
-    norm and its c-derivative, all from one Gaudin system at the solved
-    quasimomenta; SolverError is raised when that norm is not finite and
-    positive in double precision.
+    that stalls without a singular step, continuation from c L = 10 walks
+    down to the target coupling in geometric steps.  At c = 0 the analytic
+    free-gas values are returned when the state maps to distinct free
+    momenta, and a ValueError is raised otherwise (the Bethe
+    parametrization is singular there; use a small c > 0 instead).  The
+    solution carries dk/dc, the norm and its c-derivative, all from one
+    Gaudin system at the solved quasimomenta; SolverError is raised when
+    that norm is not finite and positive in double precision.
     """
     c, L = params.c, params.L
     unit = _bethe_factor(spec.bc) * np.pi
@@ -369,8 +368,9 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
     anchor = unit * spec.qn_array / L
     try:
         k, rnorm = _newton(spec, params, anchor)
-    except SolverError:
-        if c * L >= CONTINUATION_CL:
+    except SolverError as exc:
+        # continuing past a singular Gaudin matrix can end on wrong pair gaps
+        if c * L >= CONTINUATION_CL or isinstance(exc.__cause__, np.linalg.LinAlgError):
             raise
         k = anchor
         c_path = np.geomspace(CONTINUATION_CL / L, c, CONTINUATION_STEPS + 1)

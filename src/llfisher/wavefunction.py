@@ -79,7 +79,6 @@ class AmplitudeTable:
     """
 
     solution: BetheSolution
-    n: int
     L: float
     perms: np.ndarray
     signs: np.ndarray
@@ -91,6 +90,10 @@ class AmplitudeTable:
     def __post_init__(self) -> None:
         for name in ("perms", "signs", "amp", "damp", "kappa", "dkappa"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.solution.n
 
     @property
     def n_terms(self) -> int:
@@ -146,7 +149,6 @@ def amplitudes(spec: StateSpec, params: ModelParams) -> AmplitudeTable:
     logder = np.sum((u - c * du) / (u * u + c * c), axis=1)
     return AmplitudeTable(
         solution=solution,
-        n=n,
         L=params.L,
         perms=perms,
         signs=signs,

@@ -372,6 +372,13 @@ def test_singular_newton_step_raises_solver_error():
         _newton(ground_state(PER, 2), ModelParams(1.0, 1e-300), np.array([1.0, 1.0]))
 
 
+def test_singular_newton_step_is_not_continued():
+    # continuation past the singular step used to end on k whose pair gaps
+    # were wrong, and the QFI built on them read 2.97e-113 instead of ~1e-122
+    with pytest.raises(SolverError, match="singular Gaudin matrix"):
+        solve_bethe(ground_state(HW, 3), ModelParams(1.0, 1e-60))
+
+
 def test_dnorm_sq_dc_single_ring_particle():
     sol = solve_bethe(ground_state(PER, 1), ModelParams(1.0, 2.0))
     assert sol.dnorm_sq_dc == pytest.approx(0.0)

@@ -442,16 +442,29 @@ def test_domain_edges_exit_with_documented_code(capsys, argv, exit_code, prefix)
         assert ",error:SolverError: " in out
 
 
-def test_singular_newton_step_exits_3(capsys):
-    # the Newton iterates coincide and the Gaudin matrix is singular; the
-    # continuation fallback then ends in a norm out of floating-point range
-    code, out, err = run(
-        capsys, "solve", "--bc", "hardwall", "-N", "2", "--ground", "-c", "1", "-L", "1e-300"
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--bc", "hardwall", "-N", "2", "--ground", "-c", "1", "-L", "1e-300"),
+        ("imaging", *BOX3, "-c", "1", "-L", "1e-60", "--pixels", "2"),
+        ("fisher", *BOX3, "--axis", "L", "--start", "1e-60", "--stop", "1e-60",
+         "--num", "1", "--fixed", "1"),
+    ],
+    ids=["solve-box2", "imaging-box3", "fisher-box3"],
+)
+def test_singular_newton_step_exits_3(capsys, argv):
+    # the Newton iterates coincide and the Gaudin matrix is singular; no
+    # continuation follows, since it could end on wrong pair gaps (the
+    # box N = 3 sweep used to write an ok row with QFI 2.97e-113)
+    code, out, err = run(capsys, *argv)
     assert code == 3
-    assert out == ""
-    assert "solver failure:" in err
-    assert "Singular matrix" not in err
+    assert "singular Gaudin matrix" in (out if argv[0] == "fisher" else err)
+    assert "Singular matrix" not in err and "Traceback" not in err
+    if argv[0] == "fisher":
+        assert ",ok," not in out
+        assert ",error:SolverError: singular Gaudin matrix" in out
+    else:
+        assert out == ""
 
 
 def test_sweep_row_names_the_collapsed_state(capsys):

@@ -119,7 +119,7 @@ def _divide_by_c_qfi(spec, params):
             weight = math.prod(signs)
             rows.append((perm, signs, weight * amp, weight * amp * logder, kap, dkap))
     perms, signs, amp, damp, kappa, dkappa = (np.array(col) for col in zip(*rows))
-    table = AmplitudeTable(sol, n, params.L, perms, signs, amp, damp, kappa, dkappa)
+    table = AmplitudeTable(sol, params.L, perms, signs, amp, damp, kappa, dkappa)
     nn, nd, dd = _inner_products(table)
     return (4.0 / nn.real * (dd - abs(nd) ** 2 / nn.real)).real
 
@@ -270,7 +270,10 @@ def test_cfi_and_lmax_objective_solve_and_tabulate_once(call_counts, spec, c, br
     counts = call_counts("solve_bethe", "amplitudes", "cfi")
     llfisher.fisher.cfi(spec, ModelParams(c, bracket[0]))
     assert counts == {"solve_bethe": 1, "amplitudes": 1, "cfi": 1}
-    lmax(spec, c, bracket, tol=3.0)
+    # the general ring state's objective also passes the QFI residue check
+    # over the whole bracket
+    l_best, f_best = lmax(spec, c, bracket, tol=3.0)
+    assert bracket[0] < l_best < bracket[1] and f_best > 0.0
     # every objective evaluation is one cfi call
     assert counts["cfi"] > 3
     assert counts["solve_bethe"] == counts["amplitudes"] == counts["cfi"]
