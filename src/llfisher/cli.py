@@ -59,7 +59,8 @@ def _fmt(value: float) -> str:
 
 def _config_hash(payload: dict) -> str:
     # numeric settings are part of the provenance: a change in the solver
-    # tolerance or default quadrature orders changes every row's hash
+    # tolerance, the default quadrature orders or the CFI rule of ring
+    # states (N - 1 dimensions at x_1 = 0) changes every row's hash
     from .bethe import RESIDUAL_RTOL
     from .integrals import DEFAULT_SIMPLEX_ORDER, DEFAULT_SIMPLEX_ORDER_4D
 
@@ -67,6 +68,7 @@ def _config_hash(payload: dict) -> str:
         **payload,
         "residual_rtol": RESIDUAL_RTOL,
         "simplex_orders": [DEFAULT_SIMPLEX_ORDER, DEFAULT_SIMPLEX_ORDER_4D],
+        "ring_cfi_rule": "x_1 = 0, N - 1 dims",
     }
     canon = json.dumps(full, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]

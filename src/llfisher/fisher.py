@@ -25,10 +25,15 @@ assembly is exact up to the Bethe residual and the rounding of that
 kernel.  The CFI either equals the QFI outright (real or purely
 imaginary phase class, where the position measurement is optimal) or is
 integrated numerically on the ordered simplex; ``fisher_report`` alone
-makes that choice, and ``cfi`` reads its result.  A state point is one
-amplitude table: ``amplitudes(spec, params)`` solves the state once, and
-its table carries NS and d NS/dc in its Bethe solution to both the QFI
-assembly and the CFI quadrature.
+makes that choice, and ``cfi`` reads its result.  Only general-class
+ring states take the quadrature, and their integrand is translation
+invariant: shifting every coordinate by a multiplies psi by exp(i P a),
+and the momentum P does not depend on c.  So the ordered N-dimensional
+integral is L/N times an (N - 1)-dimensional one at x_1 = 0, and
+``fisher_report`` names the rule it took (dimension and order).  A state
+point is one amplitude table: ``amplitudes(spec, params)`` solves the
+state once, and its table carries NS and d NS/dc in its Bethe solution
+to both the QFI assembly and the CFI quadrature.
 
 An independent fidelity-overlap estimate,
 QFI ~ 8 (1 - |<psi_{c-d/2}|psi_{c+d/2}>|) / d^2, cross-checks the
@@ -218,17 +223,27 @@ def qfi_overlap_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _cfi_quadrature(table: AmplitudeTable) -> float:
+def _cfi_quadrature(table: AmplitudeTable) -> tuple:
     """CFI by direct quadrature of 4 (d_c |psi|)^2 on the ordered simplex.
 
     Uses the pointwise identity d_c|psi| = Re(psi* d_c psi)/|psi| on the
     normalized wavefunction; nodes of |psi| are measure-zero and guarded.
-    The rule is ``default_order(N)`` points per simplex dimension.
+    A ring table (only the all-plus sign vector) has a translation
+    invariant integrand f, so
+
+        int_{0<x_1<...<x_N<L} f = (L/N) int_{0<y_2<...<y_N<L} f(0, y),
+
+    integrated by the (N - 1)-dimensional rule; at N = 1 the rule is the
+    single point x_1 = 0 with weight L.  A box table keeps the
+    N-dimensional rule.  Each rule has ``default_order(dim)`` points per
+    dimension.  Returns (CFI, rule dimension, rule order), the order None
+    for the one-point rule.
     """
+    n, L = table.n, table.L
     n2 = table.solution.norm_sq
     norm = math.sqrt(n2)
     dnorm = table.solution.dnorm_sq_dc / (2.0 * norm)
-    sym = math.sqrt(math.factorial(table.n))
+    sym = math.sqrt(math.factorial(n))
 
     def integrand(points: np.ndarray) -> np.ndarray:
         vals, dvals = eval_batch(table, points)
@@ -240,8 +255,18 @@ def _cfi_quadrature(table: AmplitudeTable) -> float:
         out = 4.0 * radial * radial / safe
         return np.where(abs_sq < 1e-300, 0.0, out)
 
-    value = simplex_quadrature(integrand, table.n, table.L, default_order(table.n))
-    return float(math.factorial(table.n) * value.real)
+    if np.any(table.signs < 0):  # box: no translation symmetry
+        dim, order = n, default_order(n)
+        value = simplex_quadrature(integrand, dim, L, order)
+    elif n == 1:
+        dim, order = 0, None
+        value = L * integrand(np.zeros((1, 1)))[0]
+    else:
+        dim, order = n - 1, default_order(n - 1)
+        value = (L / n) * simplex_quadrature(
+            lambda y: integrand(np.hstack([np.zeros((len(y), 1)), y])), dim, L, order
+        )
+    return float(math.factorial(n) * value.real), dim, order
 
 
 def cfi(spec: StateSpec, params: ModelParams) -> float:
@@ -279,10 +304,9 @@ def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
     if cls in SATURATED_CLASSES:
         cfi_value = qfi_value
         route = "analytic"
-        used_order = None
+        rule_dim = rule_order = None
     else:
-        used_order = default_order(spec.n)
-        cfi_value = _cfi_quadrature(table)
+        cfi_value, rule_dim, rule_order = _cfi_quadrature(table)
         route = "quadrature"
     return FisherReport(
         qfi=qfi_value,
@@ -293,7 +317,8 @@ def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
         method={
             "phase_class": cls.value,
             "cfi_route": route,
-            "quadrature_order": used_order,
+            "quadrature_dim": rule_dim,
+            "quadrature_order": rule_order,
             "qfi_imag_residue": residue,
         },
     )

@@ -283,8 +283,11 @@ def simplex_nodes(n_dim: int, L: float, order: int):
 
     Built outermost-in: x_N on [0, L], then each inner variable on
     [0, x_next] with the upper limit folded into the weight.  Points come
-    back as an (n_points, n_dim) array with ascending columns.
+    back as an (n_points, n_dim) array with ascending columns.  Raises
+    ValueError unless n_dim >= 1.
     """
+    if n_dim < 1:
+        raise ValueError(f"simplex dimension must be at least 1, got {n_dim}")
     t, w = _gauss01(order)
     pts = (L * t)[:, None]
     wts = L * w
@@ -305,7 +308,8 @@ def simplex_quadrature(
 
     ``f`` must accept an (n_points, n_dim) array of ordered points and
     return one value per point (real or complex).  Deterministic for a
-    fixed order; the reduction is a plain index-ordered sum.
+    fixed order; the reduction is a plain index-ordered sum.  Raises
+    ValueError unless n_dim >= 1.
     """
     pts, wts = simplex_nodes(n_dim, L, order)
     vals = np.asarray(f(pts))
@@ -365,9 +369,11 @@ def box_quadrature(
 
 
 def default_order(n_dim: int) -> int:
-    """Simplex quadrature order: 48 points/dim up to 3-D, 24 at 4-D.
+    """Simplex quadrature order per rule dimension: 48 up to 3-D, 24 at 4-D.
 
-    Used by the CFI quadrature (``fisher._cfi_quadrature``, reported by
-    ``fisher_report``) and by the test oracles.
+    ``n_dim`` is the dimension of the rule, not the particle number: the
+    CFI quadrature (``fisher._cfi_quadrature``, reported by
+    ``fisher_report``) integrates a ring state of N particles with an
+    (N - 1)-dimensional rule.  The test oracles use it too.
     """
     return DEFAULT_SIMPLEX_ORDER if n_dim <= 3 else DEFAULT_SIMPLEX_ORDER_4D

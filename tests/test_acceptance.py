@@ -202,7 +202,7 @@ def test_criterion_06_saturation_property():
     worst = 0.0
     for spec in saturated:
         analytic = qfi_analytic(spec, params)
-        forced = _cfi_quadrature(amplitudes(spec, params))
+        forced, _, _ = _cfi_quadrature(amplitudes(spec, params))
         worst = max(worst, abs(forced - analytic) / analytic)
 
     gap_params = ModelParams(0.2, 20.0)

@@ -28,7 +28,8 @@ from llfisher.fisher import (
     qfi_overlap_oracle,
     sweep,
 )
-from llfisher.wavefunction import AmplitudeTable, amplitudes
+from llfisher.integrals import default_order, simplex_quadrature
+from llfisher.wavefunction import AmplitudeTable, amplitudes, eval_batch
 
 PER = BoundaryCondition.PERIODIC
 HW = BoundaryCondition.HARD_WALL
@@ -226,8 +227,9 @@ def test_forced_quadrature_cfi_matches_analytic():
     for bc in (PER, HW):
         spec = ground_state(bc, 2)
         analytic = qfi_analytic(spec, params)
-        quad = _cfi_quadrature(amplitudes(spec, params))
+        quad, dim, _ = _cfi_quadrature(amplitudes(spec, params))
         assert quad == pytest.approx(analytic, rel=1e-4)
+        assert dim == (1 if bc is PER else 2)
 
 
 def test_general_ring_state_gap_is_small_and_nonnegative():
@@ -257,6 +259,63 @@ def test_fisher_report_solves_and_tabulates_once(call_counts):
     assert report.method["cfi_route"] == "quadrature"
     assert report.method["quadrature_order"] is not None
     assert counts == {"solve_bethe": 1, "amplitudes": 1}
+
+
+def test_fisher_report_names_the_rule_it_used():
+    # a ring N = 4 state takes the 3-D rule at its order, not the 4-D one
+    report = fisher_report(StateSpec(PER, 4, (-1.5, -0.5, 0.5, 2.5)), ModelParams(0.2, 10.0))
+    assert report.method["quadrature_dim"] == 3
+    assert report.method["quadrature_order"] == default_order(3)
+    saturated = fisher_report(ground_state(PER, 3), ModelParams(0.2, 10.0))
+    assert saturated.method["quadrature_dim"] is None
+    assert saturated.method["quadrature_order"] is None
+
+
+@pytest.mark.parametrize(
+    "qn", [(-1.0, 1.0, 2.0), (-1.5, -0.5, 0.5, 2.5)], ids=["ring3", "ring4-general"]
+)
+def test_ring_cfi_reduction_matches_full_simplex_rule(qn):
+    # translation invariance: the (N-1)-D rule at x_1 = 0 against an N-D rule
+    # of the same integrand over the whole ordered simplex
+    table = amplitudes(StateSpec(PER, len(qn), qn), ModelParams(0.2, 10.0))
+    n, sol = table.n, table.solution
+    dlog = sol.dnorm_sq_dc / (2.0 * sol.norm_sq)
+
+    def density(pts):
+        vals, dvals = eval_batch(table, pts)
+        radial = (np.conj(vals) * (dvals - dlog * vals)).real
+        return 4.0 * radial**2 / np.abs(vals) ** 2 / sol.norm_sq
+
+    full = simplex_quadrature(density, n, table.L, default_order(n)).real
+    reduced, dim, _ = _cfi_quadrature(table)
+    assert dim == n - 1
+    assert reduced == pytest.approx(full, rel=1e-6)
+
+
+def test_ring_rule_pins_one_coordinate_box_rule_does_not(monkeypatch):
+    # the stub records the nodes and returns a constant, so no term is summed
+    seen = []
+
+    def stub(table, points):
+        seen.append(points)
+        return np.ones(len(points), dtype=complex), np.zeros(len(points), dtype=complex)
+
+    monkeypatch.setattr(llfisher.fisher, "eval_batch", stub)
+    ring = amplitudes(StateSpec(PER, 5, (-2.0, -1.0, 0.0, 1.0, 3.0)), ModelParams(0.2, 10.0))
+    assert _cfi_quadrature(ring)[1:] == (4, 24)
+    assert seen[-1].shape == (24**4, 5)
+    assert np.all(seen[-1][:, 0] == 0.0)
+
+    box = amplitudes(ground_state(HW, 4), ModelParams(0.2, 10.0))
+    assert _cfi_quadrature(box)[1:] == (4, 24)
+    assert seen[-1].shape == (24**4, 4)
+    assert np.all(seen[-1][:, 0] > 0.0)
+
+
+def test_single_particle_ring_cfi_is_zero():
+    # N = 1 pins its only coordinate: a one-point rule, no 0-D simplex rule
+    table = amplitudes(StateSpec(PER, 1, (1.0,)), ModelParams(1.0, 5.0))
+    assert _cfi_quadrature(table) == (0.0, 0, None)
 
 
 ONE_TABLE_CASES = [

@@ -385,6 +385,15 @@ def test_simplex_quadrature_order_doubling():
     assert abs(coarse - fine) < 1e-7 * max(1.0, abs(fine))
 
 
+@pytest.mark.parametrize("n_dim", [0, -1])
+def test_simplex_rule_rejects_dimension_below_one(n_dim):
+    # a dimension below one must not fall back to a 1-D rule of volume L
+    with pytest.raises(ValueError, match="dimension"):
+        integrals.simplex_nodes(n_dim, 2.0, 8)
+    with pytest.raises(ValueError, match="dimension"):
+        simplex_quadrature(lambda pts: np.ones(pts.shape[0]), n_dim, 2.0, order=8)
+
+
 def test_simplex_quadrature_rejects_low_order():
     with pytest.raises(ValueError):
         simplex_quadrature(lambda pts: np.ones(pts.shape[0]), 1, 1.0, order=1)
