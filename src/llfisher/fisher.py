@@ -20,8 +20,13 @@ difference of exp at the nodes -i L sum_{m>=j} lambda_m and 0, with the
 moment nodes repeated (Hermite-Genocchi; see ``integrals``).  One batched
 matrix-exponential call at moment order 2 evaluates them for every
 distinct lambda of a table, each matrix holding I, two first moments and
-three second moments; the overlap oracle asks for order 0, I alone.  The
-assembly is exact up to the Bethe residual and the rounding of that
+three second moments; the overlap oracle asks for order 0, I alone.  Two
+folds shrink that batch to about a quarter of the pairs: I(-lambda) =
+conj I(lambda), and the reflection x_j -> L - x_{N+1-j} of the ordered
+simplex, which gives the integrals of rev(lambda) as exp(-i L sum lambda)
+times conjugated linear combinations of those of lambda (see
+``_pair_bundles``; ``fisher_report`` records the pair and bundle counts).
+The assembly is exact up to the Bethe residual and the rounding of that
 kernel.  The CFI either equals the QFI outright (real or purely
 imaginary phase class, where the position measurement is optimal) or is
 integrated numerically on the ordered simplex; ``fisher_report`` alone
@@ -82,55 +87,126 @@ class BracketError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a < b in lexicographic order, for equal-shape integer arrays."""
+    diff = b - a
+    first = np.argmax(diff != 0, axis=1)
+    return diff[np.arange(len(diff)), first] > 0
+
+
+def _sign_min(keys: np.ndarray):
+    """The lexicographically smaller of each key row and its negative.
+
+    Returns (smaller rows, whether the negative was taken): the negative
+    is smaller exactly when the leading nonzero entry is positive.
+    """
+    lead = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
+    neg = lead > 0
+    return np.where(neg[:, None], -keys, keys), neg
+
+
+def _reflected(values: tuple, mu: np.ndarray, L: float) -> tuple:
+    """Integrals of lambda = rev(mu) from ``values``, those of mu.
+
+    The map x_j -> L - x_{N+1-j} sends the ordered simplex to itself, so
+    with E = exp(-i L sum(lambda)), conj taken of the integrals of mu and
+    l' = N + 1 - l:
+
+        I(lambda)       = E conj I,
+        I^1_l(lambda)   = E [L conj I - conj I^1_l'],
+        I^11_ml(lambda) = E [L^2 conj I - L conj I^1_m' - L conj I^1_l'
+                             + conj I^11_m'l'].
+    """
+    phase = np.exp(-1j * L * mu.sum(axis=1))
+    i00 = np.conj(values[0])
+    out = [phase * i00]
+    if len(values) > 1:
+        i1_rev = np.conj(values[1][:, ::-1])
+        out.append(phase[:, None] * (L * i00[:, None] - i1_rev))
+    if len(values) > 2:
+        i11 = (
+            np.conj(values[2][:, ::-1, ::-1])
+            - L * (i1_rev[:, :, None] + i1_rev[:, None, :])
+            + L**2 * i00[:, None, None]
+        )
+        out.append(phase[:, None, None] * i11)
+    return tuple(out)
+
+
 def _pair_bundles(kappa_a: np.ndarray, kappa_b: np.ndarray, L: float, order: int):
     """Simplex-integral bundles for every pair row_a x row_b, deduplicated.
 
     Pairs sharing one wavenumber vector (to within the degeneracy
-    quantum) share a bundle, and opposite vectors share it through
-    I(-lambda) = conj(I(lambda)), which halves the kernel's batch.  The
-    distinct vectors go to ``simplex_exp_integral`` in one call at the
-    moment ``order`` (0, 1 or 2).  Returns the order + 1 pair-shaped
-    arrays i00 (ra, rb), then i1 (ra, rb, n), then i11 (ra, rb, n, n).
+    quantum, DEGENERACY_RTOL times the largest |kappa|) share a bundle.
+    Two folds share it further.  The sign fold: I(-lambda) is
+    conj(I(lambda)), moments included.  The reflection fold: the map
+    x_j -> L - x_{N+1-j} sends the ordered simplex to itself, so the
+    bundle of rev(lambda) is a linear combination of the conjugated
+    bundle of lambda (``_reflected``).  The canonical key of a pair is the
+    lexicographically smallest of the quantized lambda, -lambda,
+    rev(lambda) and -rev(lambda); the keys are grouped by one lexsort
+    over their columns.  The distinct vectors, about a quarter of the
+    pairs, go to ``simplex_exp_integral`` in one call at the moment
+    ``order`` (0, 1 or 2), and each pair reads its bundle in its own
+    orientation.  Returns (arrays, bundle count): the order + 1
+    pair-shaped arrays i00 (ra, rb), then i1 (ra, rb, n), then i11
+    (ra, rb, n, n), and the number of vectors the kernel integrated.
     """
     n = kappa_a.shape[1]
     r_a, r_b = kappa_a.shape[0], kappa_b.shape[0]
-    kscale = max(
-        1.0, float(np.max(np.abs(kappa_a))), float(np.max(np.abs(kappa_b)))
-    )
-    zero_tol = DEGENERACY_RTOL * kscale
+    kscale = max(float(np.max(np.abs(kappa_a))), float(np.max(np.abs(kappa_b))))
+    quantum = DEGENERACY_RTOL * kscale if kscale > 0 else 1.0
 
     lam_all = (kappa_a[:, None, :] - kappa_b[None, :, :]).reshape(-1, n)
-    keys = np.round(lam_all / zero_tol).astype(np.int64)
-    # canonical sign: make the leading nonzero key entry positive
-    lead_pos = np.argmax(keys != 0, axis=1)
-    lead = keys[np.arange(keys.shape[0]), lead_pos]
-    flip = lead < 0
-    keys[flip] = -keys[flip]
-    _, first_occ, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)  # shape differs across numpy 2.x versions
-    reps = np.where(flip[first_occ, None], -lam_all[first_occ], lam_all[first_occ])
+    keys = np.round(lam_all / quantum).astype(np.int64)
+    fwd, neg_fwd = _sign_min(keys)
+    rev, neg_rev = _sign_min(keys[:, ::-1])
+    use_rev = _lex_less(rev, fwd)
+    # orientation of each pair against its key: lambda = key, -key, rev key, -rev key
+    orient = np.where(use_rev, 2 + neg_rev, neg_fwd)
+    canon = np.where(use_rev[:, None], rev, fwd)
+    del keys, fwd, rev  # pair-shaped; freed before the pair-shaped outputs are built
 
-    bundles = simplex_exp_integral(reps, L, order)
-    if order == 0:
-        bundles = (bundles,)
+    perm = np.lexsort(canon.T[::-1])
+    ordered = canon[perm]
+    starts = np.empty(len(perm), dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    group = np.empty(len(perm), dtype=np.int64)
+    group[perm] = np.cumsum(starts) - 1
+    del canon, ordered
 
-    def expand(values: np.ndarray) -> np.ndarray:
-        out = values[inverse]
-        out[flip] = np.conj(out[flip])
-        return out.reshape((r_a, r_b) + values.shape[1:])
+    first = perm[starts]  # lexsort is stable: the lowest pair index of each group
+    reps = lam_all[first]
+    reps = np.where((orient[first] % 2 == 1)[:, None], -reps, reps)
+    reps = np.where((orient[first] >= 2)[:, None], reps[:, ::-1], reps)
 
-    return tuple(expand(values) for values in bundles)
+    direct = simplex_exp_integral(reps, L, order)
+    direct = (direct,) if order == 0 else direct
+    reflected = _reflected(direct, reps, L)
+    index = 4 * group + orient
+
+    def expand(fwd_values: np.ndarray, rev_values: np.ndarray) -> np.ndarray:
+        oriented = np.stack(
+            [fwd_values, np.conj(fwd_values), rev_values, np.conj(rev_values)], axis=1
+        )
+        values = oriented.reshape((-1,) + fwd_values.shape[1:])[index]
+        return values.reshape((r_a, r_b) + fwd_values.shape[1:])
+
+    arrays = tuple(expand(f, r) for f, r in zip(direct, reflected))
+    return arrays, len(first)
 
 
-def _inner_products(table: AmplitudeTable):
+def _inner_products(table: AmplitudeTable, bundles: Optional[tuple] = None):
     """Ordered-domain <psi~|psi~>, <psi~|d_c psi~>, <d_c psi~|d_c psi~>.
 
     Assembled from the coefficient table and the simplex-integral
-    bundles; the pair reduction is a deterministic einsum.
+    bundles, the table's ``_pair_bundles`` arrays at order 2 (computed
+    here when None); the pair reduction is a deterministic einsum.
     """
-    i00, i1_ts, i11_ts = _pair_bundles(table.kappa, table.kappa, table.L, order=2)
+    if bundles is None:
+        bundles, _ = _pair_bundles(table.kappa, table.kappa, table.L, order=2)
+    i00, i1_ts, i11_ts = bundles
 
     w_amp, w_damp = table.amp, table.damp
     # a[t, s] = sum_l dkappa[s, l] I^1_l(lam_ts); b uses row t instead
@@ -154,21 +230,27 @@ def _inner_products(table: AmplitudeTable):
 
 
 def _qfi_with_residue(table: AmplitudeTable):
-    """QFI of one state point from its amplitude table, and its imaginary residue."""
+    """QFI of one state point from its amplitude table, with its health data.
+
+    Returns (QFI, relative imaginary residue |Im QFI| / |QFI|, number of
+    distinct pair bundles).  |nd|^2 / NS is formed as (|nd| / NS) |nd|,
+    which does not underflow when NS and nd are tiny (small L).
+    """
     n2 = table.solution.norm_sq
-    _, nd, dd = _inner_products(table)
-    qfi_c = 4.0 / n2 * (dd - abs(nd) ** 2 / n2)
-    residue = abs(qfi_c.imag) / max(abs(qfi_c.real), 1e-30)
+    bundles, n_bundles = _pair_bundles(table.kappa, table.kappa, table.L, order=2)
+    _, nd, dd = _inner_products(table, bundles)
+    qfi_c = 4.0 / n2 * (dd - (abs(nd) / n2) * abs(nd))
+    residue = abs(qfi_c.imag) / abs(qfi_c) if qfi_c != 0 else 0.0
     if residue > QFI_IMAG_RTOL:
         raise NumericalHealthError(
             f"QFI assembly left a relative imaginary residue {residue:.3e}"
         )
-    return float(qfi_c.real), residue
+    return float(qfi_c.real), residue, n_bundles
 
 
 def qfi_analytic(spec: StateSpec, params: ModelParams) -> float:
     """QFI of the coupling via the exact permutation-pair expansion."""
-    value, _ = _qfi_with_residue(amplitudes(spec, params))
+    value, _, _ = _qfi_with_residue(amplitudes(spec, params))
     return value
 
 
@@ -179,7 +261,7 @@ def ordered_overlap(table_a: AmplitudeTable, table_b: AmplitudeTable) -> complex
     """
     if table_a.L != table_b.L:
         raise ValueError(f"tables at different sizes L = {table_a.L} and {table_b.L}")
-    (i00,) = _pair_bundles(table_a.kappa, table_b.kappa, table_a.L, order=0)
+    (i00,), _ = _pair_bundles(table_a.kappa, table_b.kappa, table_a.L, order=0)
     return complex(np.einsum("t,s,ts->", np.conj(table_a.amp), table_b.amp, i00))
 
 
@@ -300,7 +382,7 @@ def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
     """QFI and CFI of one state point from one amplitude table (one solve)."""
     cls = global_phase_class(spec)
     table = amplitudes(spec, params)
-    qfi_value, residue = _qfi_with_residue(table)
+    qfi_value, residue, n_bundles = _qfi_with_residue(table)
     if cls in SATURATED_CLASSES:
         cfi_value = qfi_value
         route = "analytic"
@@ -320,6 +402,8 @@ def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
             "quadrature_dim": rule_dim,
             "quadrature_order": rule_order,
             "qfi_imag_residue": residue,
+            "qfi_pairs": table.n_terms**2,
+            "qfi_bundles": n_bundles,
         },
     )
 

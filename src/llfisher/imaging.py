@@ -219,7 +219,7 @@ class _RunProducts:
         key = (size, width)
         if key not in self._tables:
             kap, dkap = self.sub_rows[size]
-            i00, *i1 = _pair_bundles(kap, kap, width, order=int(self.derivative))
+            (i00, *i1), _ = _pair_bundles(kap, kap, width, order=int(self.derivative))
             moment = np.einsum("uvj,vj->uv", i1[0], dkap) if self.derivative else None
             self._tables[key] = (i00, moment)
         return self._tables[key]

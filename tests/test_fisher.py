@@ -28,7 +28,7 @@ from llfisher.fisher import (
     qfi_overlap_oracle,
     sweep,
 )
-from llfisher.integrals import default_order, simplex_quadrature
+from llfisher.integrals import default_order, simplex_exp_integral, simplex_quadrature
 from llfisher.wavefunction import AmplitudeTable, amplitudes, eval_batch
 
 PER = BoundaryCondition.PERIODIC
@@ -209,6 +209,96 @@ def test_oracle_one_sided_near_zero_coupling():
 def test_oracle_rejects_bad_delta():
     with pytest.raises(ValueError):
         qfi_overlap_oracle(ground_state(PER, 2), ModelParams(1.0, 1.0), delta=0.0)
+
+
+# ---------------------------------------------------------------------------
+# pair bundles: sign and reflection folds, degeneracy quantum
+# ---------------------------------------------------------------------------
+
+
+def _kappa_pair(case):
+    params = ModelParams(0.2, 10.0)
+    if case == "box3":
+        table = amplitudes(ground_state(HW, 3), params)
+        return table.kappa, table.kappa, table.L
+    if case == "ring-112":
+        table = amplitudes(StateSpec(PER, 3, (-1.0, 1.0, 2.0)), params)
+        return table.kappa, table.kappa, table.L
+    # overlap: two tables of one state at neighbouring couplings
+    spec = ground_state(HW, 3)
+    table_b = amplitudes(spec, ModelParams(0.25, 10.0))
+    return amplitudes(spec, params).kappa, table_b.kappa, table_b.L
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("case", ["box3", "ring-112", "overlap"])
+def test_folded_bundles_match_kernel_on_every_pair(case, order):
+    kappa_a, kappa_b, L = _kappa_pair(case)
+    folded, n_bundles = llfisher.fisher._pair_bundles(kappa_a, kappa_b, L, order)
+    lam = kappa_a[:, None, :] - kappa_b[None, :, :]
+    direct = simplex_exp_integral(lam, L, order)
+    direct = (direct,) if order == 0 else direct
+    assert len(folded) == order + 1
+    assert n_bundles < lam.shape[0] * lam.shape[1] / 3
+    for got, want in zip(folded, direct):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "spec,pairs,bundles",
+    [
+        (StateSpec(HW, 3, (1.0, 2.0, 4.0)), 2304, 253),
+        (ground_state(PER, 4), 576, 75),
+    ],
+    ids=["box124", "ring4"],
+)
+def test_report_counts_pairs_and_bundles(spec, pairs, bundles):
+    method = fisher_report(spec, ModelParams(0.2, 10.0)).method
+    assert (method["qfi_pairs"], method["qfi_bundles"]) == (pairs, bundles)
+
+
+def test_box4_kernel_batch_is_folded(monkeypatch):
+    # counts the vectors the kernel integrates, without running it: both
+    # folds bring box N = 4 from 147,456 pairs (22,517 sign-folded) to 11,331
+    batches = []
+
+    def stub(lam, L, order):
+        batches.append(len(lam))
+        shapes = ((), (lam.shape[1],), (lam.shape[1],) * 2)[: order + 1]
+        return tuple(np.zeros((len(lam),) + shape, dtype=complex) for shape in shapes)
+
+    monkeypatch.setattr(llfisher.fisher, "simplex_exp_integral", stub)
+    table = amplitudes(ground_state(HW, 4), ModelParams(0.2, 10.0))
+    _, n_bundles = llfisher.fisher._pair_bundles(table.kappa, table.kappa, table.L, 2)
+    assert batches == [n_bundles] == [11331]
+
+
+SCALING_STATES = {
+    "ring4": ground_state(PER, 4),
+    "box3": ground_state(HW, 3),
+    "ring-112": StateSpec(PER, 3, (-1.0, 1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", SCALING_STATES)
+def test_qfi_scaling_law_at_extreme_sizes(name):
+    # QFI(c, L) = L^2 QFI(cL, 1).  A degeneracy quantum with an absolute
+    # floor merged distinct pair vectors once |kappa| << 1 (ring N = 4 was
+    # 1.9x off at L = 1e10), and |nd|^2 underflowed at L = 1e-34 (5.9x off)
+    spec = SCALING_STATES[name]
+    reference = qfi_analytic(spec, ModelParams(2.0, 1.0))
+    for j in list(range(-34, -19)) + list(range(6, 15)):
+        L = 10.0**j
+        scaled = qfi_analytic(spec, ModelParams(2.0 / L, L)) / L**2
+        assert scaled == pytest.approx(reference, rel=1e-12), f"L = 1e{j}"
+
+
+def test_imaginary_residue_is_relative_at_tiny_qfi():
+    # QFI ~ 1e-42 here: a residue divided by max(|QFI|, 1e-30) read 5e-28
+    # and could never reach the health bound
+    report = fisher_report(StateSpec(PER, 3, (-1.0, 1.0, 2.0)), ModelParams(2e20, 1e-20))
+    assert 1e-19 < report.method["qfi_imag_residue"] < llfisher.fisher.QFI_IMAG_RTOL
 
 
 # ---------------------------------------------------------------------------

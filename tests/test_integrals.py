@@ -155,6 +155,31 @@ def test_conjugation(lam):
         assert np.max(np.abs(r - np.conj(f))) < 1e-10 * max(1.0, np.max(np.abs(f)))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    lam=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=5),
+    L=st.floats(0.3, 3.0).filter(lambda v: abs(v - 1.0) > 1e-3),
+)
+def test_reflection(lam, L):
+    # x_j -> L - x_{N+1-j} maps the ordered simplex to itself, which the
+    # pair-bundle dedup uses to read the integrals of rev(lambda) off those
+    # of lambda (l' = N + 1 - l, E = exp(-i L sum lambda))
+    i00, i1, i11 = simplex_exp_integral(lam, L, order=2)
+    r00, r1, r11 = (np.conj(v) for v in simplex_exp_integral(lam[::-1], L, order=2))
+    phase = np.exp(-1j * L * sum(lam))
+    r1 = r1[::-1]
+    r11 = r11[::-1, ::-1]
+    want = (
+        phase * r00,
+        phase * (L * r00 - r1),
+        phase * (L**2 * r00 - L * (r1[:, None] + r1[None, :]) + r11),
+    )
+    volume = L ** len(lam) / math.factorial(len(lam))
+    for moment, (got, expected) in enumerate(zip((i00, i1, i11), want)):
+        # |x^moment| <= L^moment on the simplex bounds every entry
+        assert np.max(np.abs(got - expected)) < 1e-12 * volume * L**moment
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     lam=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3),
