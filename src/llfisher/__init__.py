@@ -28,9 +28,7 @@ from .fisher import (
     cfi,
     fisher_report,
     lmax,
-    ordered_overlap,
     qfi_analytic,
-    qfi_overlap_oracle,
     sweep,
 )
 from .imaging import (
@@ -50,7 +48,6 @@ from .imaging import (
 from .integrals import (
     NumericalHealthError,
     ResourceLimitError,
-    box_quadrature,
     simplex_exp_integral,
     simplex_quadrature,
 )
@@ -83,7 +80,6 @@ __all__ = [
     "SweepResult",
     "amplitudes",
     "bethe_residual",
-    "box_quadrature",
     "cfi",
     "enumerate_images",
     "fisher_report",
@@ -97,9 +93,7 @@ __all__ = [
     "mle_estimate",
     "momentum_of",
     "multiplicity",
-    "ordered_overlap",
     "qfi_analytic",
-    "qfi_overlap_oracle",
     "sample_images",
     "save_shots",
     "simplex_exp_integral",

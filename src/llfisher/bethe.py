@@ -393,13 +393,15 @@ def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
     kernel entry g c / (u^2 + c^2) of H has the c-derivative
     g (u^2 - c^2 - 2 c u u') / (u^2 + c^2)^2 along the solution branch,
     with u' = du/dc the pair arguments of dk/dc; L drops out of dH/dc.
+    It is formed as g (p^2 - q^2 - 2 p q u') / h^2 with h = hypot(u, c),
+    p = u/h and q = c/h, which neither overflows at huge c nor divides
+    0/0 on the excluded diagonal (h = inf there).
     Where quasimomenta collapse as sqrt(c) (ground states near c = 0),
     this kernel cancels from O(c) terms to O(c^2), and the rounding of k
     bounds its relative accuracy to about 1e-8 at c = 1e-6.
 
-    Raises SolverError unless det H is finite and positive, before the
-    squared denominators of dH/dc can overflow: quasimomenta that far out
-    of range give a norm that double precision cannot hold.
+    Raises SolverError unless det H is finite and positive: quasimomenta
+    that far out of range give a norm that double precision cannot hold.
     """
     c, g, signs = params.c, _bethe_factor(bc), _pair_signs(bc)
     u = _pair_arguments(k, signs)
@@ -413,7 +415,10 @@ def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
         )
     dk = np.linalg.solve(matrix, g * (u / den).sum(axis=0).sum(axis=1))
     du = _pair_arguments(dk, signs)
-    kernel = g * (u * u - c * c - 2.0 * c * u * du) / (den * den)
+    h = np.hypot(u, c)
+    _set_diagonals(h, np.inf)
+    p, q = u / h, c / h
+    kernel = g * (p * p - q * q - 2.0 * p * q * du) / h / h
     return matrix, det, dk, _gaudin_assembly(kernel, signs, 0.0)
 
 

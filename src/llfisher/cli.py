@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -279,13 +280,15 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
         dist = image_distribution(spec, params, uniform_grid(args.L, npix))
         last_dist = dist
         f_img = imaging_cfi(dist)
+        # a zero reference CFI (N = 1, or an underflow at huge c) has no ratio
+        ratio = f_img / reference if reference != 0 else math.nan
         lines.append(
             ",".join(
                 [
                     str(npix),
                     _fmt(f_img),
                     _fmt(reference),
-                    _fmt(f_img / reference),
+                    _fmt(ratio),
                     chash,
                     __version__,
                 ]

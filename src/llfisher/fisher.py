@@ -20,12 +20,12 @@ difference of exp at the nodes -i L sum_{m>=j} lambda_m and 0, with the
 moment nodes repeated (Hermite-Genocchi; see ``integrals``).  One batched
 matrix-exponential call at moment order 2 evaluates them for every
 distinct lambda of a table, each matrix holding I, two first moments and
-three second moments; the overlap oracle asks for order 0, I alone.  Two
-folds shrink that batch to about a quarter of the pairs: I(-lambda) =
-conj I(lambda), and the reflection x_j -> L - x_{N+1-j} of the ordered
-simplex, which gives the integrals of rev(lambda) as exp(-i L sum lambda)
-times conjugated linear combinations of those of lambda (see
-``_pair_bundles``; ``fisher_report`` records the pair and bundle counts).
+three second moments.  Two folds shrink that batch to about a quarter of
+the pairs: I(-lambda) = conj I(lambda), and the reflection
+x_j -> L - x_{N+1-j} of the ordered simplex, which gives the integrals of
+rev(lambda) as exp(-i L sum lambda) times conjugated linear combinations
+of those of lambda (see ``_pair_bundles``; ``fisher_report`` records the
+pair and bundle counts).
 The assembly is exact up to the Bethe residual and the rounding of that
 kernel.  The CFI either equals the QFI outright (real or purely
 imaginary phase class, where the position measurement is optimal) or is
@@ -40,9 +40,10 @@ point is one amplitude table: ``amplitudes(spec, params)`` solves the
 state once, and its table carries NS and d NS/dc in its Bethe solution
 to both the QFI assembly and the CFI quadrature.
 
-An independent fidelity-overlap estimate,
-QFI ~ 8 (1 - |<psi_{c-d/2}|psi_{c+d/2}>|) / d^2, cross-checks the
-analytic assembly without sharing its derivative code paths.
+The test suite checks the assembly against a fidelity-overlap estimate,
+QFI ~ 8 (1 - |<psi_{c-d/2}|psi_{c+d/2}>|) / d^2, whose overlaps are
+Gauss-Legendre quadratures of the wavefunction (``tests/oracles.py``):
+it shares no pair bundle or simplex-integral kernel with this module.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ def _reflected(values: tuple, mu: np.ndarray, L: float) -> tuple:
     return tuple(out)
 
 
-def _pair_bundles(kappa_a: np.ndarray, kappa_b: np.ndarray, L: float, order: int):
-    """Simplex-integral bundles for every pair row_a x row_b, deduplicated.
+def _pair_bundles(kappa: np.ndarray, L: float, order: int):
+    """Simplex-integral bundles for every row pair of one kappa table, deduplicated.
 
     Pairs sharing one wavenumber vector (to within the degeneracy
     quantum, DEGENERACY_RTOL times the largest |kappa|) share a bundle.
@@ -149,15 +150,14 @@ def _pair_bundles(kappa_a: np.ndarray, kappa_b: np.ndarray, L: float, order: int
     pairs, go to ``simplex_exp_integral`` in one call at the moment
     ``order`` (0, 1 or 2), and each pair reads its bundle in its own
     orientation.  Returns (arrays, bundle count): the order + 1
-    pair-shaped arrays i00 (ra, rb), then i1 (ra, rb, n), then i11
-    (ra, rb, n, n), and the number of vectors the kernel integrated.
+    pair-shaped arrays i00 (r, r), then i1 (r, r, n), then i11
+    (r, r, n, n), and the number of vectors the kernel integrated.
     """
-    n = kappa_a.shape[1]
-    r_a, r_b = kappa_a.shape[0], kappa_b.shape[0]
-    kscale = max(float(np.max(np.abs(kappa_a))), float(np.max(np.abs(kappa_b))))
+    rows, n = kappa.shape
+    kscale = float(np.max(np.abs(kappa)))
     quantum = DEGENERACY_RTOL * kscale if kscale > 0 else 1.0
 
-    lam_all = (kappa_a[:, None, :] - kappa_b[None, :, :]).reshape(-1, n)
+    lam_all = (kappa[:, None, :] - kappa[None, :, :]).reshape(-1, n)
     keys = np.round(lam_all / quantum).astype(np.int64)
     fwd, neg_fwd = _sign_min(keys)
     rev, neg_rev = _sign_min(keys[:, ::-1])
@@ -191,22 +191,20 @@ def _pair_bundles(kappa_a: np.ndarray, kappa_b: np.ndarray, L: float, order: int
             [fwd_values, np.conj(fwd_values), rev_values, np.conj(rev_values)], axis=1
         )
         values = oriented.reshape((-1,) + fwd_values.shape[1:])[index]
-        return values.reshape((r_a, r_b) + fwd_values.shape[1:])
+        return values.reshape((rows, rows) + fwd_values.shape[1:])
 
     arrays = tuple(expand(f, r) for f, r in zip(direct, reflected))
     return arrays, len(first)
 
 
-def _inner_products(table: AmplitudeTable, bundles: Optional[tuple] = None):
+def _inner_products(table: AmplitudeTable):
     """Ordered-domain <psi~|psi~>, <psi~|d_c psi~>, <d_c psi~|d_c psi~>.
 
-    Assembled from the coefficient table and the simplex-integral
-    bundles, the table's ``_pair_bundles`` arrays at order 2 (computed
-    here when None); the pair reduction is a deterministic einsum.
+    Assembled from the coefficient table and its ``_pair_bundles`` arrays
+    at order 2; the pair reduction is a deterministic einsum.  Returns
+    the three inner products and the number of distinct pair bundles.
     """
-    if bundles is None:
-        bundles, _ = _pair_bundles(table.kappa, table.kappa, table.L, order=2)
-    i00, i1_ts, i11_ts = bundles
+    (i00, i1_ts, i11_ts), n_bundles = _pair_bundles(table.kappa, table.L, order=2)
 
     w_amp, w_damp = table.amp, table.damp
     # a[t, s] = sum_l dkappa[s, l] I^1_l(lam_ts); b uses row t instead
@@ -226,7 +224,7 @@ def _inner_products(table: AmplitudeTable, bundles: Optional[tuple] = None):
         - 1j * np.einsum("t,s,ts->", c_amp, w_damp, b)
         + np.einsum("t,s,ts->", c_amp, w_amp, quad)
     )
-    return complex(nn), complex(nd), complex(dd)
+    return complex(nn), complex(nd), complex(dd), n_bundles
 
 
 def _qfi_with_residue(table: AmplitudeTable):
@@ -237,8 +235,7 @@ def _qfi_with_residue(table: AmplitudeTable):
     which does not underflow when NS and nd are tiny (small L).
     """
     n2 = table.solution.norm_sq
-    bundles, n_bundles = _pair_bundles(table.kappa, table.kappa, table.L, order=2)
-    _, nd, dd = _inner_products(table, bundles)
+    _, nd, dd, n_bundles = _inner_products(table)
     qfi_c = 4.0 / n2 * (dd - (abs(nd) / n2) * abs(nd))
     residue = abs(qfi_c.imag) / abs(qfi_c) if qfi_c != 0 else 0.0
     if residue > QFI_IMAG_RTOL:
@@ -254,52 +251,6 @@ def qfi_analytic(spec: StateSpec, params: ModelParams) -> float:
     return value
 
 
-def ordered_overlap(table_a: AmplitudeTable, table_b: AmplitudeTable) -> complex:
-    """<psi~_a | psi~_b> over the ordered domain, from two coefficient tables.
-
-    Raises ValueError unless both tables belong to the same system size L.
-    """
-    if table_a.L != table_b.L:
-        raise ValueError(f"tables at different sizes L = {table_a.L} and {table_b.L}")
-    (i00,), _ = _pair_bundles(table_a.kappa, table_b.kappa, table_a.L, order=0)
-    return complex(np.einsum("t,s,ts->", np.conj(table_a.amp), table_b.amp, i00))
-
-
-def qfi_overlap_oracle(
-    spec: StateSpec, params: ModelParams, delta: Optional[float] = None
-) -> float:
-    """Fidelity-based QFI estimate, 8 (1 - |<psi_-|psi_+>|) / delta^2.
-
-    The two states are solved at c -+ delta/2, which centers the stencil
-    and makes the estimate second-order accurate.  Below c = delta/2 the
-    stencil would cross c = 0, so the pairs (c, c + delta) and
-    (c, c + 2 delta), centred at c + delta/2 and c + delta, are
-    extrapolated linearly back to c, which keeps second order.  Fully
-    independent of the analytic derivative pipeline (no dA/dc, dk/dc or
-    I^1, I^11).
-    """
-    if delta is None:
-        delta = 1e-4 * max(params.c, 1.0)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-
-    def state(c: float) -> AmplitudeTable:
-        return amplitudes(spec, ModelParams(c, params.L))
-
-    def infidelity(a: AmplitudeTable, b: AmplitudeTable) -> float:
-        """8 (1 - |<psi_a|psi_b>|) of two normalized states."""
-        n2_ab = a.solution.norm_sq * b.solution.norm_sq
-        return 8.0 * (1.0 - abs(ordered_overlap(a, b)) / math.sqrt(n2_ab))
-
-    c = params.c
-    if c >= delta / 2.0:
-        return infidelity(state(c - delta / 2.0), state(c + delta / 2.0)) / delta**2
-    base = state(c)
-    near = infidelity(base, state(c + delta)) / delta**2
-    far = infidelity(base, state(c + 2.0 * delta)) / (2.0 * delta) ** 2
-    return 2.0 * near - far
-
-
 # ---------------------------------------------------------------------------
 # classical Fisher information
 # ---------------------------------------------------------------------------
@@ -310,16 +261,16 @@ def _cfi_quadrature(table: AmplitudeTable) -> tuple:
 
     Uses the pointwise identity d_c|psi| = Re(psi* d_c psi)/|psi| on the
     normalized wavefunction; nodes of |psi| are measure-zero and guarded.
-    A ring table (only the all-plus sign vector) has a translation
-    invariant integrand f, so
+    Only ring tables come here (``fisher_report`` sends general-class
+    states, and every box state is real or imaginary class).  Their
+    integrand f is translation invariant, so
 
         int_{0<x_1<...<x_N<L} f = (L/N) int_{0<y_2<...<y_N<L} f(0, y),
 
-    integrated by the (N - 1)-dimensional rule; at N = 1 the rule is the
-    single point x_1 = 0 with weight L.  A box table keeps the
-    N-dimensional rule.  Each rule has ``default_order(dim)`` points per
-    dimension.  Returns (CFI, rule dimension, rule order), the order None
-    for the one-point rule.
+    integrated by the (N - 1)-dimensional rule with
+    ``default_order(N - 1)`` points per dimension; at N = 1 the rule is
+    the single point x_1 = 0 with weight L.  Returns (CFI, rule
+    dimension, rule order), the order None for the one-point rule.
     """
     n, L = table.n, table.L
     n2 = table.solution.norm_sq
@@ -337,10 +288,7 @@ def _cfi_quadrature(table: AmplitudeTable) -> tuple:
         out = 4.0 * radial * radial / safe
         return np.where(abs_sq < 1e-300, 0.0, out)
 
-    if np.any(table.signs < 0):  # box: no translation symmetry
-        dim, order = n, default_order(n)
-        value = simplex_quadrature(integrand, dim, L, order)
-    elif n == 1:
+    if n == 1:
         dim, order = 0, None
         value = L * integrand(np.zeros((1, 1)))[0]
     else:

@@ -33,9 +33,9 @@ the coefficient derivatives dw, and the dkappa.x term of d_c psi~, whose
 coordinate x_l = lo + y_l brings in the first moment I^1 of its run.  The
 run tables ask the kernel for moment order 1 (I and I^1) when dP/dc is
 wanted and order 0 (I alone) for P, as in the MLE.
-Gauss-Legendre box quadrature (``integrals.box_quadrature``) of the same
-density serves as the test oracle, and finite differences of P check
-dP/dc.
+The test suite checks P against Gauss-Legendre box quadrature of the same
+density (``box_quadrature`` in ``tests/oracles.py``) and dP/dc against
+finite differences of P.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ class PixelGrid:
         return self.n_pixels + 2
 
     def covers(self, L: float) -> bool:
-        return self.a0 <= _COVER_RTOL * L and self.edges[-1] >= L * (1.0 - _COVER_RTOL)
+        last_edge = self.a0 + self.dx * self.n_pixels
+        return self.a0 <= _COVER_RTOL * L and last_edge >= L * (1.0 - _COVER_RTOL)
 
 
 def uniform_grid(L: float, n_pixels: int) -> PixelGrid:
@@ -219,7 +220,7 @@ class _RunProducts:
         key = (size, width)
         if key not in self._tables:
             kap, dkap = self.sub_rows[size]
-            (i00, *i1), _ = _pair_bundles(kap, kap, width, order=int(self.derivative))
+            (i00, *i1), _ = _pair_bundles(kap, width, order=int(self.derivative))
             moment = np.einsum("uvj,vj->uv", i1[0], dkap) if self.derivative else None
             self._tables[key] = (i00, moment)
         return self._tables[key]
@@ -301,14 +302,16 @@ def image_distribution(
 
     Every image maps to one ascending box, whose exact integral of the
     normalized |psi|^2 times the multinomial multiplicity gives P; the
-    analytic derivative of the normalized density gives dP/dc.
+    analytic derivative of the normalized density gives dP/dc.  Raises
+    ResourceLimitError, before the grid's edges are built, when the
+    images exceed the cap of ``enumerate_images``.
     """
+    images = enumerate_images(spec.n, grid.n_pixels)
     if not grid.covers(params.L):
         warnings.warn(
             "pixel grid does not cover [0, L]; outer bins will carry weight",
             stacklevel=2,
         )
-    images = enumerate_images(spec.n, grid.n_pixels)
     probs, dprobs = _image_probabilities(spec, params, grid, images, derivative=True)
     total = probs.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:

@@ -45,9 +45,11 @@ and (2, n+4).  A greedy cover, built once per (n, k), picks the walks so
 that every moment appears in some row: ceil(n (n+1) / 6) rows of size
 n + 5 for the n (n+1) / 2 second moments when n <= 5.
 
-Iterated Gauss-Legendre rules over the same ordered domain, and tensor
-rules over axis-aligned boxes, provide the independent numerical oracle
-used throughout the test suite and the direct CFI quadrature.
+Iterated Gauss-Legendre rules over the same ordered domain give the
+direct CFI quadrature of general ring states.  The test suite builds its
+numerical oracles from them as well (``tests/oracles.py``): they evaluate
+the wavefunction at nodes and share no code with the divided-difference
+kernel.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -312,58 +314,6 @@ def simplex_quadrature(
     ValueError unless n_dim >= 1.
     """
     pts, wts = simplex_nodes(n_dim, L, order)
-    vals = np.asarray(f(pts))
-    return np.sum(wts * vals)
-
-
-def box_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
-    box: Sequence[tuple],
-    order: int,
-):
-    """Integrate a symmetric ``f`` over an axis-aligned box.
-
-    ``box`` is a sequence of (lo, hi) intervals, one per coordinate, in
-    ascending order.  Runs of coordinates sharing an identical interval
-    are integrated over their ordered sub-simplex and multiplied by the
-    run-size factorial, which is exact for symmetric integrands and keeps
-    every quadrature panel away from the coincidence cusps x_i = x_j.
-    """
-    t, w = _gauss01(order)
-    if len(box) == 0:
-        raise ValueError("box must have at least one interval")
-
-    groups = []
-    for lo, hi in box:
-        lo = float(lo)
-        hi = float(hi)
-        if hi < lo:
-            raise ValueError("box interval with hi < lo")
-        if groups and groups[-1][0] == (lo, hi):
-            groups[-1][1] += 1
-        else:
-            groups.append([(lo, hi), 1])
-
-    pts = None
-    wts = None
-    for (lo, hi), size in groups:
-        width = hi - lo
-        if size == 1:
-            g_pts = (lo + width * t)[:, None]
-            g_wts = width * w
-        else:
-            g_pts, g_wts = simplex_nodes(size, width, order)
-            g_pts = g_pts + lo
-            g_wts = g_wts * math.factorial(size)
-        if pts is None:
-            pts, wts = g_pts, g_wts
-        else:
-            n_old, n_new = len(wts), len(g_wts)
-            pts = np.concatenate(
-                [np.repeat(pts, n_new, axis=0), np.tile(g_pts, (n_old, 1))], axis=1
-            )
-            wts = (wts[:, None] * g_wts[None, :]).ravel()
-
     vals = np.asarray(f(pts))
     return np.sum(wts * vals)
 

@@ -1,0 +1,148 @@
+"""Numerical oracles of the test suite, kept out of the llfisher package.
+
+Each one evaluates the wavefunction at Gauss-Legendre nodes
+(``wavefunction.eval_batch`` on ``integrals.simplex_nodes``) and sums; none
+reads the pair bundles or the divided-difference kernel
+(``fisher._pair_bundles``, ``integrals.simplex_exp_integral``) that the
+analytic QFI and the exact image probabilities are built from.
+
+- ``box_quadrature``: a symmetric integrand over an axis-aligned box, the
+  oracle of the exact absorption-image probabilities.
+- ``qfi_overlap_oracle``: the fidelity estimate of the QFI.
+- ``cfi_full_simplex``: the CFI of the position measurement by the
+  N-dimensional rule, with no translation reduction.
+"""
+
+import math
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+from llfisher.bethe import BoundaryCondition, ModelParams, StateSpec
+from llfisher.integrals import _gauss01, default_order, simplex_nodes, simplex_quadrature
+from llfisher.wavefunction import AmplitudeTable, amplitudes, eval_batch
+
+# Gauss-Legendre points per dimension of the fidelity overlaps
+OVERLAP_ORDER = 24
+
+
+def box_quadrature(
+    f: Callable[[np.ndarray], np.ndarray],
+    box: Sequence[tuple],
+    order: int,
+):
+    """Integrate a symmetric ``f`` over an axis-aligned box.
+
+    ``box`` is a sequence of (lo, hi) intervals, one per coordinate, in
+    ascending order.  Runs of coordinates sharing an identical interval
+    are integrated over their ordered sub-simplex and multiplied by the
+    run-size factorial, which is exact for symmetric integrands and keeps
+    every quadrature panel away from the coincidence cusps x_i = x_j.
+    """
+    t, w = _gauss01(order)
+    if len(box) == 0:
+        raise ValueError("box must have at least one interval")
+
+    groups = []
+    for lo, hi in box:
+        lo = float(lo)
+        hi = float(hi)
+        if hi < lo:
+            raise ValueError("box interval with hi < lo")
+        if groups and groups[-1][0] == (lo, hi):
+            groups[-1][1] += 1
+        else:
+            groups.append([(lo, hi), 1])
+
+    pts = None
+    wts = None
+    for (lo, hi), size in groups:
+        width = hi - lo
+        if size == 1:
+            g_pts = (lo + width * t)[:, None]
+            g_wts = width * w
+        else:
+            g_pts, g_wts = simplex_nodes(size, width, order)
+            g_pts = g_pts + lo
+            g_wts = g_wts * math.factorial(size)
+        if pts is None:
+            pts, wts = g_pts, g_wts
+        else:
+            n_old, n_new = len(wts), len(g_wts)
+            pts = np.concatenate(
+                [np.repeat(pts, n_new, axis=0), np.tile(g_pts, (n_old, 1))], axis=1
+            )
+            wts = (wts[:, None] * g_wts[None, :]).ravel()
+
+    vals = np.asarray(f(pts))
+    return np.sum(wts * vals)
+
+
+def _overlap_rule(n: int, L: float, ring: bool):
+    """Nodes and weights for ordered-domain integrals of psi~_a* psi~_b.
+
+    On the ring both states carry the same c-independent momentum, so the
+    product is translation invariant: the (N - 1)-D rule at x_1 = 0 with
+    weight L/N.  In the box, the N-D rule.
+    """
+    if not ring:
+        return simplex_nodes(n, L, OVERLAP_ORDER)
+    pts, wts = simplex_nodes(n - 1, L, OVERLAP_ORDER)
+    return np.hstack([np.zeros((len(pts), 1)), pts]), (L / n) * wts
+
+
+def qfi_overlap_oracle(
+    spec: StateSpec, params: ModelParams, delta: Optional[float] = None
+) -> float:
+    """Fidelity-based QFI estimate, 8 (1 - |<psi_-|psi_+>|) / delta^2.
+
+    The two states are solved at c -+ delta/2, which centers the stencil
+    and makes the estimate second-order accurate.  Below c = delta/2 the
+    stencil would cross c = 0, so the pairs (c, c + delta) and
+    (c, c + 2 delta), centred at c + delta/2 and c + delta, are
+    extrapolated linearly back to c, which keeps second order.  Every
+    overlap and norm is one Gauss-Legendre rule (``_overlap_rule``) of
+    the wavefunctions' values: no dA/dc, dk/dc, pair bundle or
+    simplex-integral kernel enters, and the rule's own norms normalise
+    the overlap.
+    """
+    if delta is None:
+        delta = 1e-4 * max(params.c, 1.0)
+    pts, wts = _overlap_rule(spec.n, params.L, spec.bc is BoundaryCondition.PERIODIC)
+
+    def state(c: float) -> np.ndarray:
+        vals, _ = eval_batch(amplitudes(spec, ModelParams(c, params.L)), pts)
+        return vals
+
+    def infidelity(a: np.ndarray, b: np.ndarray) -> float:
+        """8 (1 - |<psi_a|psi_b>|) of the two states the rule normalises."""
+        ab = np.sum(wts * np.conj(a) * b)
+        aa = np.sum(wts * np.abs(a) ** 2)
+        bb = np.sum(wts * np.abs(b) ** 2)
+        return 8.0 * (1.0 - abs(ab) / math.sqrt(aa * bb))
+
+    c = params.c
+    if c >= delta / 2.0:
+        return infidelity(state(c - delta / 2.0), state(c + delta / 2.0)) / delta**2
+    base = state(c)
+    near = infidelity(base, state(c + delta)) / delta**2
+    far = infidelity(base, state(c + 2.0 * delta)) / (2.0 * delta) ** 2
+    return 2.0 * near - far
+
+
+def cfi_full_simplex(table: AmplitudeTable) -> float:
+    """CFI 4 int (d_c |psi|)^2 by the N-D rule over the whole ordered simplex.
+
+    ``default_order(N)`` points per dimension, ring or box: the reference
+    for the (N - 1)-D ring rule of ``fisher._cfi_quadrature`` and the
+    quadrature counterpart of the analytic CFI = QFI of saturated states.
+    """
+    n, sol = table.n, table.solution
+    dlog = sol.dnorm_sq_dc / (2.0 * sol.norm_sq)
+
+    def density(pts):
+        vals, dvals = eval_batch(table, pts)
+        radial = (np.conj(vals) * (dvals - dlog * vals)).real
+        return 4.0 * radial**2 / np.abs(vals) ** 2 / sol.norm_sq
+
+    return float(simplex_quadrature(density, n, table.L, default_order(n)).real)

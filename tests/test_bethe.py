@@ -1,5 +1,7 @@
 """Bethe solver, Gaudin matrices and norms against finite-difference oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -420,7 +422,7 @@ def test_dnorm_sq_dc_matches_inner_product(spec, c, L):
     # d(norm^2)/dc = 2 Re <psi~|d_c psi~>, assembled from the pair bundles
     params = ModelParams(c, L)
     table = amplitudes(spec, params)
-    _, nd, _ = _inner_products(table)
+    _, nd, _, _ = _inner_products(table)
     assert table.solution.dnorm_sq_dc == pytest.approx(2.0 * nd.real, rel=1e-10)
 
 
@@ -432,7 +434,7 @@ def test_dnorm_sq_dc_collapsing_ground_state(bc):
     spec = ground_state(bc, 3)
     params = ModelParams(1e-6, 10.0)
     table = amplitudes(spec, params)
-    _, nd, _ = _inner_products(table)
+    _, nd, _, _ = _inner_products(table)
     assert table.solution.dnorm_sq_dc == pytest.approx(2.0 * nd.real, rel=1e-7)
 
 
@@ -441,6 +443,19 @@ def test_dnorm_relative_derivative_saturates_at_strong_coupling():
     params = ModelParams(1e6, 1.0)
     sol = solve_bethe(spec, params)
     assert abs(sol.dnorm_sq_dc) / sol.norm_sq < 1e-5
+
+
+def test_dnorm_sq_dc_finite_at_huge_coupling():
+    # (u^2 + c^2)^2 overflowed from c ~ 1e77 and c^2 from c ~ 1e154, which
+    # made d(norm^2)/dc NaN; it falls as 1/c^2 (and underflows to 0 at 1e300)
+    spec = StateSpec(PER, 3, (-1.0, 1.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sols = {c: solve_bethe(spec, ModelParams(c, 1.0)) for c in (1e50, 1e100, 1e300)}
+    assert all(np.isfinite(sol.dnorm_sq_dc) for sol in sols.values())
+    assert sols[1e100].dnorm_sq_dc * 1e200 == pytest.approx(
+        sols[1e50].dnorm_sq_dc * 1e100, rel=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """CLI surface: subcommands, exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from llfisher.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -236,6 +242,19 @@ def test_imaging_ratio_column_increases(tmp_path, capsys):
     ratios = [float(r[3]) for r in rows]
     assert ratios == sorted(ratios)
     assert ratios[-1] > ratios[0]
+
+
+@pytest.mark.parametrize("bc", ["periodic", "hardwall"])
+def test_imaging_ratio_is_nan_without_reference_cfi(tmp_path, capsys, bc):
+    # one atom carries no coupling information: the ratio used to divide by 0
+    out_file = tmp_path / "imaging.csv"
+    code, _, err = run(
+        capsys, "imaging", "--bc", bc, "-N", "1", "--ground",
+        "-c", "1", "-L", "1", "--pixels", "2", "-o", str(out_file),
+    )
+    assert (code, err) == (0, "")
+    row = out_file.read_text().splitlines()[1].split(",")
+    assert row[1:4] == ["0", "0", "nan"]
 
 
 def test_imaging_rejects_zero_pixels(capsys):
@@ -474,3 +493,23 @@ def test_sweep_row_names_the_collapsed_state(capsys):
     )
     assert code == 3
     assert ",error:DegenerateStateError: coincident quasimomenta" in out
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+# ---------------------------------------------------------------------------
+
+
+def test_package_imports_numpy_only():
+    # the runtime needs numpy alone, and no test oracle lives in the package
+    script = (
+        "import sys, llfisher, llfisher.cli; "
+        "print(' '.join(m for m in ('scipy', 'mpmath', 'hypothesis', 'pytest', 'oracles') "
+        "if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from oracles import cfi_full_simplex, qfi_overlap_oracle
 
 import llfisher.fisher
 from llfisher.bethe import (
@@ -23,13 +25,11 @@ from llfisher.fisher import (
     cfi,
     fisher_report,
     lmax,
-    ordered_overlap,
     qfi_analytic,
-    qfi_overlap_oracle,
     sweep,
 )
-from llfisher.integrals import default_order, simplex_exp_integral, simplex_quadrature
-from llfisher.wavefunction import AmplitudeTable, amplitudes, eval_batch
+from llfisher.integrals import default_order, simplex_exp_integral
+from llfisher.wavefunction import AmplitudeTable, amplitudes
 
 PER = BoundaryCondition.PERIODIC
 HW = BoundaryCondition.HARD_WALL
@@ -121,7 +121,7 @@ def _divide_by_c_qfi(spec, params):
             rows.append((perm, signs, weight * amp, weight * amp * logder, kap, dkap))
     perms, signs, amp, damp, kappa, dkappa = (np.array(col) for col in zip(*rows))
     table = AmplitudeTable(sol, params.L, perms, signs, amp, damp, kappa, dkappa)
-    nn, nd, dd = _inner_products(table)
+    nn, nd, dd, _ = _inner_products(table)
     return (4.0 / nn.real * (dd - abs(nd) ** 2 / nn.real)).real
 
 
@@ -164,16 +164,8 @@ def test_same_state_overlap_is_normalized():
     params = ModelParams(1.0, 1.0)
     for bc, n in [(PER, 2), (HW, 2), (PER, 3)]:
         table = amplitudes(ground_state(bc, n), params)
-        ov = ordered_overlap(table, table) / table.solution.norm_sq
-        assert abs(ov - 1.0) < 1e-10
-
-
-def test_overlap_rejects_tables_at_different_sizes():
-    spec = ground_state(PER, 2)
-    table_a = amplitudes(spec, ModelParams(1.0, 1.0))
-    table_b = amplitudes(spec, ModelParams(1.0, 2.0))
-    with pytest.raises(ValueError, match="different sizes"):
-        ordered_overlap(table_a, table_b)
+        nn, _, _, _ = _inner_products(table)
+        assert abs(nn / table.solution.norm_sq - 1.0) < 1e-10
 
 
 def test_overlap_sum_equals_determinant_norm():
@@ -183,7 +175,7 @@ def test_overlap_sum_equals_determinant_norm():
     for bc, n in [(PER, 2), (HW, 2), (PER, 3), (HW, 3)]:
         table = amplitudes(ground_state(bc, n), params)
         n2 = table.solution.norm_sq
-        ov = ordered_overlap(table, table)
+        ov, _, _, _ = _inner_products(table)
         assert ov.real == pytest.approx(n2, rel=1e-10)
         assert abs(ov.imag) < 1e-10 * n2
 
@@ -206,9 +198,26 @@ def test_oracle_one_sided_near_zero_coupling():
         assert qfi_overlap_oracle(spec, params) == pytest.approx(analytic, rel=1e-3)
 
 
-def test_oracle_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        qfi_overlap_oracle(ground_state(PER, 2), ModelParams(1.0, 1.0), delta=0.0)
+def test_fidelity_oracle_shares_no_kernel_with_the_qfi(monkeypatch):
+    # with the pair bundles and the simplex-integral kernel unusable, the
+    # oracle still reproduces the QFI computed before they were broken
+    cases = [
+        (ground_state(HW, 3), ModelParams(1.0, 1.0)),
+        (ground_state(PER, 3), ModelParams(0.5, 2.0)),
+    ]
+    analytic = [qfi_analytic(spec, params) for spec, params in cases]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle reached the QFI kernel")
+
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "llfisher"]:
+        for name in ("_pair_bundles", "simplex_exp_integral"):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, broken)
+    with pytest.raises(AssertionError, match="reached the QFI kernel"):
+        qfi_analytic(*cases[0])
+    for (spec, params), expected in zip(cases, analytic):
+        assert qfi_overlap_oracle(spec, params) == pytest.approx(expected, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +225,16 @@ def test_oracle_rejects_bad_delta():
 # ---------------------------------------------------------------------------
 
 
-def _kappa_pair(case):
-    params = ModelParams(0.2, 10.0)
-    if case == "box3":
-        table = amplitudes(ground_state(HW, 3), params)
-        return table.kappa, table.kappa, table.L
-    if case == "ring-112":
-        table = amplitudes(StateSpec(PER, 3, (-1.0, 1.0, 2.0)), params)
-        return table.kappa, table.kappa, table.L
-    # overlap: two tables of one state at neighbouring couplings
-    spec = ground_state(HW, 3)
-    table_b = amplitudes(spec, ModelParams(0.25, 10.0))
-    return amplitudes(spec, params).kappa, table_b.kappa, table_b.L
+BUNDLE_STATES = {"box3": ground_state(HW, 3), "ring-112": StateSpec(PER, 3, (-1.0, 1.0, 2.0))}
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("case", ["box3", "ring-112", "overlap"])
+@pytest.mark.parametrize("case", BUNDLE_STATES)
 def test_folded_bundles_match_kernel_on_every_pair(case, order):
-    kappa_a, kappa_b, L = _kappa_pair(case)
-    folded, n_bundles = llfisher.fisher._pair_bundles(kappa_a, kappa_b, L, order)
-    lam = kappa_a[:, None, :] - kappa_b[None, :, :]
+    table = amplitudes(BUNDLE_STATES[case], ModelParams(0.2, 10.0))
+    kappa, L = table.kappa, table.L
+    folded, n_bundles = llfisher.fisher._pair_bundles(kappa, L, order)
+    lam = kappa[:, None, :] - kappa[None, :, :]
     direct = simplex_exp_integral(lam, L, order)
     direct = (direct,) if order == 0 else direct
     assert len(folded) == order + 1
@@ -270,7 +269,7 @@ def test_box4_kernel_batch_is_folded(monkeypatch):
 
     monkeypatch.setattr(llfisher.fisher, "simplex_exp_integral", stub)
     table = amplitudes(ground_state(HW, 4), ModelParams(0.2, 10.0))
-    _, n_bundles = llfisher.fisher._pair_bundles(table.kappa, table.kappa, table.L, 2)
+    _, n_bundles = llfisher.fisher._pair_bundles(table.kappa, table.L, 2)
     assert batches == [n_bundles] == [11331]
 
 
@@ -313,13 +312,15 @@ def test_cfi_shortcut_for_saturated_states():
 
 
 def test_forced_quadrature_cfi_matches_analytic():
+    # the ring takes the production (N - 1)-D rule; the box, which fisher_report
+    # never integrates, the N-D oracle rule
     params = ModelParams(1.0, 1.0)
-    for bc in (PER, HW):
-        spec = ground_state(bc, 2)
-        analytic = qfi_analytic(spec, params)
-        quad, dim, _ = _cfi_quadrature(amplitudes(spec, params))
-        assert quad == pytest.approx(analytic, rel=1e-4)
-        assert dim == (1 if bc is PER else 2)
+    ring = amplitudes(ground_state(PER, 2), params)
+    quad, dim, _ = _cfi_quadrature(ring)
+    assert quad == pytest.approx(qfi_analytic(ground_state(PER, 2), params), rel=1e-4)
+    assert dim == 1
+    box = cfi_full_simplex(amplitudes(ground_state(HW, 2), params))
+    assert box == pytest.approx(qfi_analytic(ground_state(HW, 2), params), rel=1e-4)
 
 
 def test_general_ring_state_gap_is_small_and_nonnegative():
@@ -368,18 +369,9 @@ def test_ring_cfi_reduction_matches_full_simplex_rule(qn):
     # translation invariance: the (N-1)-D rule at x_1 = 0 against an N-D rule
     # of the same integrand over the whole ordered simplex
     table = amplitudes(StateSpec(PER, len(qn), qn), ModelParams(0.2, 10.0))
-    n, sol = table.n, table.solution
-    dlog = sol.dnorm_sq_dc / (2.0 * sol.norm_sq)
-
-    def density(pts):
-        vals, dvals = eval_batch(table, pts)
-        radial = (np.conj(vals) * (dvals - dlog * vals)).real
-        return 4.0 * radial**2 / np.abs(vals) ** 2 / sol.norm_sq
-
-    full = simplex_quadrature(density, n, table.L, default_order(n)).real
     reduced, dim, _ = _cfi_quadrature(table)
-    assert dim == n - 1
-    assert reduced == pytest.approx(full, rel=1e-6)
+    assert dim == table.n - 1
+    assert reduced == pytest.approx(cfi_full_simplex(table), rel=1e-6)
 
 
 def test_ring_rule_pins_one_coordinate_box_rule_does_not(monkeypatch):
@@ -396,10 +388,11 @@ def test_ring_rule_pins_one_coordinate_box_rule_does_not(monkeypatch):
     assert seen[-1].shape == (24**4, 5)
     assert np.all(seen[-1][:, 0] == 0.0)
 
-    box = amplitudes(ground_state(HW, 4), ModelParams(0.2, 10.0))
-    assert _cfi_quadrature(box)[1:] == (4, 24)
-    assert seen[-1].shape == (24**4, 4)
-    assert np.all(seen[-1][:, 0] > 0.0)
+    # a box state is real or imaginary class: its report integrates no point
+    seen.clear()
+    report = fisher_report(ground_state(HW, 3), ModelParams(0.2, 10.0))
+    assert report.method["cfi_route"] == "analytic"
+    assert seen == []
 
 
 def test_single_particle_ring_cfi_is_zero():

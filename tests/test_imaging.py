@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import box_quadrature
 
 from llfisher.bethe import (
     BoundaryCondition,
@@ -29,7 +30,7 @@ from llfisher.imaging import (
     save_shots,
     uniform_grid,
 )
-from llfisher.integrals import ResourceLimitError, box_quadrature
+from llfisher.integrals import ResourceLimitError
 from llfisher.wavefunction import amplitudes, eval_batch
 
 PER = BoundaryCondition.PERIODIC
@@ -58,6 +59,19 @@ def test_enumeration_cap():
     # C(51, 10) > 1e10 images: refused before any is enumerated
     with pytest.raises(ResourceLimitError, match="cap of 200000"):
         enumerate_images(10, 40)
+
+
+def test_image_cap_is_checked_before_the_edges_are_built(monkeypatch):
+    # 1e12 pixels: the edge array (8 TB) was built for the coverage check
+    # before the cap was read, a MemoryError instead of the cap's error
+    def no_edges(grid):
+        raise AssertionError("edge array built")
+
+    monkeypatch.setattr(PixelGrid, "edges", property(no_edges))
+    grid = uniform_grid(1.0, 10**12)
+    assert grid.covers(1.0)
+    with pytest.raises(ResourceLimitError, match="cap of 200000"):
+        image_distribution(ground_state(PER, 1), ModelParams(1.0, 1.0), grid)
 
 
 def test_multiplicity_values():

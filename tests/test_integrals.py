@@ -12,10 +12,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import box_quadrature
 from scipy import integrate
 
 import llfisher.integrals as integrals
-from llfisher.integrals import box_quadrature, simplex_exp_integral, simplex_quadrature
+from llfisher.integrals import simplex_exp_integral, simplex_quadrature
 
 
 def nested_quad(lam, L, power_idx=None):
