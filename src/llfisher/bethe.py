@@ -37,10 +37,6 @@ import numpy as np
 class SolverError(RuntimeError):
     """Newton iteration failed to reach the residual tolerance."""
 
-    def __init__(self, message: str, residual: float = math.nan):
-        super().__init__(message)
-        self.residual = residual
-
 
 class BoundaryCondition(enum.Enum):
     PERIODIC = "periodic"
@@ -267,7 +263,7 @@ def _newton_step(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndar
     try:
         return np.linalg.solve(gaudin_matrix(k, params, spec.bc), f)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular Gaudin matrix at residual {rnorm:.3e}", rnorm) from exc
+        raise SolverError(f"singular Gaudin matrix at residual {rnorm:.3e}") from exc
 
 
 def _polish(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndarray, rnorm: float):
@@ -306,17 +302,13 @@ def _newton(spec: StateSpec, params: ModelParams, k0: np.ndarray):
                 break
             damping *= 0.5
         else:
-            raise SolverError(
-                f"Newton line search stalled at residual {rnorm:.3e}", rnorm
-            )
+            raise SolverError(f"Newton line search stalled at residual {rnorm:.3e}")
         k, f, rnorm = k_try, f_try, r_try
     tol = RESIDUAL_RTOL * _residual_scale(k, params.L)
     if rnorm <= tol:
         return _polish(spec, params, k, f, rnorm)
     raise SolverError(
-        f"Bethe solver did not converge in {MAX_ITERATIONS} iterations "
-        f"(residual {rnorm:.3e})",
-        rnorm,
+        f"Bethe solver did not converge in {MAX_ITERATIONS} iterations (residual {rnorm:.3e})"
     )
 
 
@@ -378,9 +370,9 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
             k, rnorm = _newton(spec, ModelParams(c_step, L), k)
 
     if (k[1:] <= k[:-1]).any():
-        raise SolverError("solved quasimomenta are not strictly increasing", rnorm)
+        raise SolverError("solved quasimomenta are not strictly increasing")
     if spec.bc is BoundaryCondition.HARD_WALL and k[0] <= 0:
-        raise SolverError("box quasimomenta must be positive", rnorm)
+        raise SolverError("box quasimomenta must be positive")
     return _finish(spec, params, k, rnorm)
 
 

@@ -259,6 +259,9 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
             raise ValueError("--sample must be >= 1")
         if args.seed is None:
             raise ValueError("--sample requires --seed")
+        # one atom, or one pixel (one realizable image), leaves the likelihood flat
+        if spec.n == 1 or args.pixels[-1] == 1:
+            raise ValueError("--sample needs N >= 2 and at least 2 pixels in the last grid")
     # every output is checked before the work and written after it, so a
     # bad path or a failure on the way leaves no partial output behind
     shots_path = args.shots_out or "shots.ndjson"

@@ -40,6 +40,10 @@ point is one amplitude table: ``amplitudes(spec, params)`` solves the
 state once, and its table carries NS and d NS/dc in its Bethe solution
 to both the QFI assembly and the CFI quadrature.
 
+At fixed N, QFI(c, L) = L^2 QFI(c L, 1), and the CFI likewise.  No
+tolerance here has an absolute floor, so both follow this law wherever
+L^(N+2) is a normal double; ``simplex_exp_integral`` rejects other L.
+
 The test suite checks the assembly against a fidelity-overlap estimate,
 QFI ~ 8 (1 - |<psi_{c-d/2}|psi_{c+d/2}>|) / d^2, whose overlaps are
 Gauss-Legendre quadratures of the wavefunction (``tests/oracles.py``):
@@ -48,6 +52,7 @@ it shares no pair bundle or simplex-integral kernel with this module.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -232,11 +237,14 @@ def _qfi_with_residue(table: AmplitudeTable):
 
     Returns (QFI, relative imaginary residue |Im QFI| / |QFI|, number of
     distinct pair bundles).  |nd|^2 / NS is formed as (|nd| / NS) |nd|,
-    which does not underflow when NS and nd are tiny (small L).
+    which does not underflow when NS and nd are tiny (small L).  A QFI
+    that is not finite is a NumericalHealthError, like a large residue.
     """
     n2 = table.solution.norm_sq
     _, nd, dd, n_bundles = _inner_products(table)
     qfi_c = 4.0 / n2 * (dd - (abs(nd) / n2) * abs(nd))
+    if not cmath.isfinite(qfi_c):
+        raise NumericalHealthError(f"QFI assembly gave a non-finite value {qfi_c}")
     residue = abs(qfi_c.imag) / abs(qfi_c) if qfi_c != 0 else 0.0
     if residue > QFI_IMAG_RTOL:
         raise NumericalHealthError(
@@ -259,44 +267,35 @@ def qfi_analytic(spec: StateSpec, params: ModelParams) -> float:
 def _cfi_quadrature(table: AmplitudeTable) -> tuple:
     """CFI by direct quadrature of 4 (d_c |psi|)^2 on the ordered simplex.
 
-    Uses the pointwise identity d_c|psi| = Re(psi* d_c psi)/|psi| on the
-    normalized wavefunction; nodes of |psi| are measure-zero and guarded.
-    Only ring tables come here (``fisher_report`` sends general-class
-    states, and every box state is real or imaginary class).  Their
-    integrand f is translation invariant, so
+    With psi = psi~ / sqrt(N! NS), h = (d NS/dc) / (2 NS) and the identity
+    d_c|psi| = Re(psi* d_c psi)/|psi|, the CFI is 1/NS times the ordered
+    integral of 4 Re(psi~* (d_c psi~ - h psi~))^2 / |psi~|^2: built on the
+    ``eval_batch`` values, its intermediates scale as L^(N+2) like the QFI
+    kernel's instead of underflowing with psi.  Nodes of psi~ are guarded.
+    Only general-class ring tables come here, so N >= 3; their integrand
+    f is translation invariant, so
 
         int_{0<x_1<...<x_N<L} f = (L/N) int_{0<y_2<...<y_N<L} f(0, y),
 
     integrated by the (N - 1)-dimensional rule with
-    ``default_order(N - 1)`` points per dimension; at N = 1 the rule is
-    the single point x_1 = 0 with weight L.  Returns (CFI, rule
-    dimension, rule order), the order None for the one-point rule.
+    ``default_order(N - 1)`` points per dimension.  Returns (CFI, rule
+    dimension, rule order).
     """
     n, L = table.n, table.L
     n2 = table.solution.norm_sq
-    norm = math.sqrt(n2)
-    dnorm = table.solution.dnorm_sq_dc / (2.0 * norm)
-    sym = math.sqrt(math.factorial(n))
+    h = table.solution.dnorm_sq_dc / (2.0 * n2)
 
-    def integrand(points: np.ndarray) -> np.ndarray:
-        vals, dvals = eval_batch(table, points)
-        psi = vals / (sym * norm)
-        dpsi = dvals / (sym * norm) - vals * (dnorm / (sym * n2))
-        abs_sq = psi.real**2 + psi.imag**2
-        radial = (np.conj(psi) * dpsi).real
-        safe = np.maximum(abs_sq, 1e-300)
-        out = 4.0 * radial * radial / safe
-        return np.where(abs_sq < 1e-300, 0.0, out)
+    def integrand(y: np.ndarray) -> np.ndarray:
+        vals, dvals = eval_batch(table, np.hstack([np.zeros((len(y), 1)), y]))
+        abs_sq = vals.real**2 + vals.imag**2
+        radial = (np.conj(vals) * (dvals - h * vals)).real
+        out = np.zeros_like(abs_sq)
+        np.divide(4.0 * radial * radial, abs_sq, out=out, where=abs_sq > 0)
+        return out
 
-    if n == 1:
-        dim, order = 0, None
-        value = L * integrand(np.zeros((1, 1)))[0]
-    else:
-        dim, order = n - 1, default_order(n - 1)
-        value = (L / n) * simplex_quadrature(
-            lambda y: integrand(np.hstack([np.zeros((len(y), 1)), y])), dim, L, order
-        )
-    return float(math.factorial(n) * value.real), dim, order
+    dim, order = n - 1, default_order(n - 1)
+    value = (L / n) * simplex_quadrature(integrand, dim, L, order)
+    return float(value.real) / n2, dim, order
 
 
 def cfi(spec: StateSpec, params: ModelParams) -> float:
@@ -367,13 +366,14 @@ def lmax(
     Returns (L_max, F_max).  Raises BracketError when the maximum sits at
     a bracket edge, i.e. the bracket holds no interior maximum, and
     ValueError unless the bracket edges are finite with 0 < lo < hi and
-    ``tol`` (default 1e-3 max(1, hi)) is finite and positive.
+    ``tol`` (default 1e-3 hi, so c L_max does not depend on c) is finite
+    and positive.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(hi) and hi > lo > 0):
         raise ValueError(f"bracket must be finite with 0 < lo < hi, got ({lo}, {hi})")
     if tol is None:
-        tol = 1e-3 * max(1.0, hi)
+        tol = 1e-3 * hi
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 

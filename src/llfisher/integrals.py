@@ -87,8 +87,9 @@ class ResourceLimitError(RuntimeError):
 class NumericalHealthError(RuntimeError):
     """An integration result failed its accuracy check.
 
-    Raised when the QFI assembly leaves an imaginary residue or the
-    absorption-image probabilities do not sum to one.
+    Raised when the QFI assembly leaves an imaginary residue or a value
+    that is not finite, when the absorption-image probabilities do not sum
+    to one, and when L^(N + order) of a simplex integral is not a normal double.
     """
 
 
@@ -237,7 +238,9 @@ def simplex_exp_integral(lam, L: float, order: int = 0):
     I^11) at order 2, where I^1[..., l] and I^11[..., m, l] carry the
     coordinate moments x_l and x_m x_l (see the module docstring for the
     divided-difference formulas and the node rows).  The vectors are
-    processed in blocks of about EXPM_CHUNK matrix entries.
+    processed in blocks of about EXPM_CHUNK matrix entries.  Raises
+    NumericalHealthError when L^(N + order), the scale of the highest
+    moment, is not a normal double.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"moment order must be 0, 1 or 2, got {order!r}")
@@ -250,6 +253,8 @@ def simplex_exp_integral(lam, L: float, order: int = 0):
         raise ValueError("L must be positive and finite")
     lead, n = lam.shape[:-1], lam.shape[-1]
     lam = lam.reshape(-1, n)
+    if not -1022 <= (n + order) * math.log2(L) < 1024:
+        raise NumericalHealthError(f"simplex integrals at L = {L:.3e} leave the double range")
 
     rows, m = _layout(n, order)[0].shape
     step = max(1, EXPM_CHUNK // (rows * m * m))

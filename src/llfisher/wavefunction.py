@@ -113,7 +113,8 @@ def amplitudes(spec: StateSpec, params: ModelParams) -> AmplitudeTable:
     N! rows on the ring, 2^N N! in the box.  Raises ValueError when N
     exceeds the particle cap (MAX_N_PERIODIC, MAX_N_HARD_WALL), before
     any solving, and DegenerateStateError when solved quasimomenta
-    coincide in double precision.
+    coincide in double precision: a pair argument below 1e-14 max|k|.
+    The test is relative, so it does not depend on L at fixed c L.
     """
     n, bc = spec.n, spec.bc
     _check_particle_cap(n, bc)
@@ -138,8 +139,7 @@ def amplitudes(spec: StateSpec, params: ModelParams) -> AmplitudeTable:
     if bc is BoundaryCondition.HARD_WALL:
         u = np.hstack([u, -(kappa[:, j] + kappa[:, l])])
         du = np.hstack([du, -(dkappa[:, j] + dkappa[:, l])])
-    scale = max(1.0, float(np.max(np.abs(solution.k))))
-    if np.any(np.abs(u) < 1e-14 * scale):
+    if np.any(np.abs(u) < 1e-14 * float(np.max(np.abs(solution.k)))):
         raise DegenerateStateError("coincident quasimomenta or vanishing quasimomentum sum")
 
     c = params.c

@@ -290,6 +290,29 @@ def test_imaging_sample_writes_shots_and_mle(tmp_path, capsys):
     assert [path.read_bytes() for path in outputs] == first
 
 
+@pytest.mark.parametrize(
+    "state,pixels",
+    [
+        (("--bc", "periodic", "-N", "1", "--ground", "-c", "1", "-L", "1"), "2"),
+        (("--bc", "hardwall", "-N", "1", "--ground", "-c", "1", "-L", "1"), "2"),
+        (("--bc", "periodic", "-N", "2", "--ground", "-c", "0.2", "-L", "10"), "1"),
+    ],
+    ids=["ring-n1", "box-n1", "ring2-one-pixel"],
+)
+def test_imaging_sample_without_information_on_c_exits_2(tmp_path, capsys, state, pixels):
+    # one atom, or one pixel (one realizable image), leaves the likelihood
+    # flat: these wrote c_hat 0.02 and 5.6e11 against c_true 1 and 0.2
+    code, out, err = run(
+        capsys, "imaging", *state, "--pixels", pixels, "--sample", "10", "--seed", "0",
+        "-o", str(tmp_path / "img.csv"),
+        "--shots-out", str(tmp_path / "shots.ndjson"), "--mle-out", str(tmp_path / "mle.json"),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --sample needs N >= 2")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_imaging_sample_requires_seed(capsys):
     code, _, err = run(
         capsys, "imaging", "--bc", "periodic", "-N", "2", "--ground",
@@ -421,6 +444,7 @@ def test_lmax_qfi_residue_check_exits_6(capsys, monkeypatch):
 
 RING4 = ("--bc", "periodic", "-N", "4", "--ground")
 BOX3 = ("--bc", "hardwall", "-N", "3", "--ground")
+RING5_GENERAL = ("--bc", "periodic", "-N", "5", "-I", "-2", "-1", "0", "1", "3")
 
 
 @pytest.mark.parametrize(
@@ -447,10 +471,25 @@ BOX3 = ("--bc", "hardwall", "-N", "3", "--ground")
           "--bracket", "10", "inf"), 2, "error: bracket"),
         (("lmax", "--bc", "hardwall", "-N", "2", "--ground", "-c", "0.2",
           "--bracket", "10", "inf", "--tol", "0.1"), 2, "error: bracket"),
+        # simplex integrals out of the double range; at c = 2/L these read
+        # QFI 1.4419e-130 (3.2 % off), nan, and QFI -3.4e-94 with CFI inf,
+        # all as ok rows
+        (("fisher", *BOX3, "--axis", "L", "--start", "1e-64", "--stop", "1e-64",
+          "--num", "1", "--fixed", "2e64"), 3, "all sweep points failed"),
+        (("fisher", *BOX3, "--axis", "L", "--start", "1e-106", "--stop", "1e-106",
+          "--num", "1", "--fixed", "2e106"), 3, "all sweep points failed"),
+        (("fisher", *RING5_GENERAL, "--axis", "L", "--start", "1e-46", "--stop", "1e-46",
+          "--num", "1", "--fixed", "2e46"), 3, "all sweep points failed"),
+        # once the degeneracy test is relative, L**n in the simplex kernel
+        # overflows here; that was an OverflowError traceback
+        (("imaging", *RING4, "-c", "2e-53", "-L", "1e53", "--pixels", "2"), 6,
+         "numerical check failed: simplex integrals"),
     ],
     ids=["fisher-underflow", "lmax-underflow", "imaging-underflow", "solve-underflow",
          "imaging-collapsed", "lmax-collapsed",
-         "solve-nan", "solve-nan-pair", "lmax-inf", "lmax-inf-tol"],
+         "solve-nan", "solve-nan-pair", "lmax-inf", "lmax-inf-tol",
+         "fisher-box3-1e-64", "fisher-box3-1e-106", "fisher-ring5-1e-46",
+         "imaging-ring4-1e53"],
 )
 def test_domain_edges_exit_with_documented_code(capsys, argv, exit_code, prefix):
     code, out, err = run(capsys, *argv)
@@ -458,7 +497,9 @@ def test_domain_edges_exit_with_documented_code(capsys, argv, exit_code, prefix)
     assert err.startswith(prefix)
     assert "Traceback" not in err
     if argv[0] == "fisher":
-        assert ",error:SolverError: " in out
+        # det H underflows at L = 1e-90; the other sweeps leave the double range
+        error = "SolverError: " if "1e-90" in argv else "NumericalHealthError: simplex integrals"
+        assert f",error:{error}" in out
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from llfisher.fisher import (
     qfi_analytic,
     sweep,
 )
-from llfisher.integrals import default_order, simplex_exp_integral
+from llfisher.integrals import NumericalHealthError, default_order, simplex_exp_integral
 from llfisher.wavefunction import AmplitudeTable, amplitudes
 
 PER = BoundaryCondition.PERIODIC
@@ -282,15 +282,43 @@ SCALING_STATES = {
 
 @pytest.mark.parametrize("name", SCALING_STATES)
 def test_qfi_scaling_law_at_extreme_sizes(name):
-    # QFI(c, L) = L^2 QFI(cL, 1).  A degeneracy quantum with an absolute
-    # floor merged distinct pair vectors once |kappa| << 1 (ring N = 4 was
-    # 1.9x off at L = 1e10), and |nd|^2 underflowed at L = 1e-34 (5.9x off)
+    # QFI(c, L) = L^2 QFI(cL, 1), and the CFI likewise.  A degeneracy
+    # quantum with an absolute floor merged distinct pair vectors once
+    # |kappa| << 1 (ring N = 4 was 1.9x off at L = 1e10), |nd|^2 underflowed
+    # at L = 1e-34 (5.9x off), and the degeneracy test of ``amplitudes``,
+    # floored at |u| < 1e-14, rejected every state from L = 1e15 on
     spec = SCALING_STATES[name]
-    reference = qfi_analytic(spec, ModelParams(2.0, 1.0))
-    for j in list(range(-34, -19)) + list(range(6, 15)):
+    reference = fisher_report(spec, ModelParams(2.0, 1.0))
+    for j in list(range(-34, -19)) + list(range(6, 15)) + list(range(15, 31, 3)):
         L = 10.0**j
-        scaled = qfi_analytic(spec, ModelParams(2.0 / L, L)) / L**2
-        assert scaled == pytest.approx(reference, rel=1e-12), f"L = 1e{j}"
+        report = fisher_report(spec, ModelParams(2.0 / L, L))
+        assert report.qfi / L**2 == pytest.approx(reference.qfi, rel=1e-12), f"L = 1e{j}"
+        assert report.cfi / L**2 == pytest.approx(reference.cfi, rel=1e-12), f"L = 1e{j}"
+
+
+def test_ring_cfi_scaling_law_where_the_normalized_density_underflows(monkeypatch):
+    # a CFI integrand built on the normalized psi lost its digits to
+    # underflow here (1.1 % low at L = 1e40, 0 from 1e41); on psi~ and
+    # divided by NS once it obeys CFI(c, L) = L^2 CFI(cL, 1).  The law holds
+    # for any fixed rule, so a 4-point one keeps the 4-D integral cheap
+    monkeypatch.setattr(llfisher.fisher, "default_order", lambda n_dim: 4)
+    spec = StateSpec(PER, 5, (-2.0, -1.0, 0.0, 1.0, 3.0))
+    reference, _, order = _cfi_quadrature(amplitudes(spec, ModelParams(2.0, 1.0)))
+    L = 1e41
+    scaled, _, _ = _cfi_quadrature(amplitudes(spec, ModelParams(2.0 / L, L)))
+    assert order == 4 and reference > 0.0
+    assert scaled / L**2 == pytest.approx(reference, rel=1e-12)
+
+
+def test_qfi_assembly_rejects_a_non_finite_value(monkeypatch):
+    # a NaN QFI passed the residue check, NaN > QFI_IMAG_RTOL being False
+    table = amplitudes(ground_state(PER, 2), ModelParams(1.0, 1.0))
+    nn, nd, _, n_bundles = _inner_products(table)
+    monkeypatch.setattr(
+        llfisher.fisher, "_inner_products", lambda table: (nn, nd, complex(math.nan), n_bundles)
+    )
+    with pytest.raises(NumericalHealthError, match="non-finite"):
+        llfisher.fisher._qfi_with_residue(table)
 
 
 def test_imaginary_residue_is_relative_at_tiny_qfi():
@@ -395,12 +423,6 @@ def test_ring_rule_pins_one_coordinate_box_rule_does_not(monkeypatch):
     assert seen == []
 
 
-def test_single_particle_ring_cfi_is_zero():
-    # N = 1 pins its only coordinate: a one-point rule, no 0-D simplex rule
-    table = amplitudes(StateSpec(PER, 1, (1.0,)), ModelParams(1.0, 5.0))
-    assert _cfi_quadrature(table) == (0.0, 0, None)
-
-
 ONE_TABLE_CASES = [
     (ground_state(HW, 3), 0.2, (45.0, 90.0)),
     (StateSpec(PER, 3, (-1.0, 1.0, 2.0)), 1.0, (5.0, 40.0)),
@@ -428,11 +450,22 @@ def test_cfi_is_the_report_cfi(spec, c, bracket):
 
 
 def test_report_invariants():
-    report = fisher_report(ground_state(HW, 3), ModelParams(0.5, 5.0))
-    assert report.qfi >= report.cfi >= 0.0
-    assert report.phase_variance_term == pytest.approx(report.qfi - report.cfi, abs=1e-12)
-    assert report.method["phase_class"] == "imaginary"
-    assert report.method["qfi_imag_residue"] < 1e-8
+    # one atom carries no information on c; its report takes the analytic
+    # route (ring N <= 2 is real class), so no quadrature ever sees N = 1
+    cases = [
+        (ground_state(HW, 3), "imaginary"),
+        (ground_state(PER, 1), "real"),
+        (ground_state(HW, 1), "imaginary"),
+    ]
+    for spec, phase_class in cases:
+        report = fisher_report(spec, ModelParams(0.5, 5.0))
+        assert report.qfi >= report.cfi >= 0.0
+        assert report.phase_variance_term == pytest.approx(report.qfi - report.cfi, abs=1e-12)
+        assert report.method["phase_class"] == phase_class
+        assert report.method["cfi_route"] == "analytic"
+        assert report.method["qfi_imag_residue"] < 1e-8
+        if spec.n == 1:
+            assert report.cfi == report.qfi == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +479,17 @@ def test_lmax_finds_interior_maximum():
     assert 0.2 * l_best == pytest.approx(10.55, rel=0.01)
     # the returned value is the objective at the maximum
     assert f_best == pytest.approx(cfi(spec, ModelParams(0.2, l_best)), rel=1e-9)
+
+
+def test_lmax_default_tolerance_is_relative():
+    # c L_max does not depend on c once the bracket scales as 1/c; a
+    # tolerance floored at 1e-3 put every bracket below L ~ 4e-3 inside
+    # 2 tol of its edges and raised BracketError
+    spec = ground_state(PER, 2)
+    products = [c * lmax(spec, c, (5.0 / c, 20.0 / c))[0] for c in (0.2, 1e4, 1e8)]
+    assert products[0] == pytest.approx(10.55, rel=0.01)
+    for value in products[1:]:
+        assert value == pytest.approx(products[0], rel=1e-12)
 
 
 def test_lmax_bracket_errors():

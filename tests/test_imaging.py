@@ -247,6 +247,26 @@ def test_imaging_cfi_below_position_cfi():
         previous = value
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [ground_state(PER, 4), ground_state(HW, 3), StateSpec(PER, 3, (-1.0, 1.0, 2.0))],
+    ids=["ring4", "box3", "ring-112"],
+)
+def test_image_scaling_law_at_extreme_sizes(spec):
+    # P depends on c L and the pixel edges in units of L alone, so dP/dc
+    # scales as L and the imaging CFI as L^2; the absolute degeneracy floor
+    # of ``amplitudes`` rejected these states from L = 1e15 on
+    reference = image_distribution(spec, ModelParams(2.0, 1.0), uniform_grid(1.0, 4))
+    ref_cfi = imaging_cfi(reference)
+    for j in range(-30, 31, 3):
+        L = 10.0**j
+        dist = image_distribution(spec, ModelParams(2.0 / L, L), uniform_grid(L, 4))
+        assert np.max(np.abs(dist.probs - reference.probs)) <= 1e-12, f"L = 1e{j}"
+        dp_err = np.max(np.abs(dist.dprobs / L - reference.dprobs))
+        assert dp_err <= 1e-10 * np.max(np.abs(reference.dprobs)), f"L = 1e{j}"
+        assert imaging_cfi(dist) / L**2 == pytest.approx(ref_cfi, rel=1e-10), f"L = 1e{j}"
+
+
 def test_three_particle_box_distribution():
     # 3-D boxes with simplex-split blocks: completeness stays exact and
     # refinement recovers information
