@@ -399,7 +399,8 @@ def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
     u = _pair_arguments(k, signs)
     den = _kernel_denominator(u, c)
     matrix = _gaudin_assembly(g * c / den, signs, params.L)
-    det = float(np.linalg.det(matrix))
+    with np.errstate(over="ignore"):  # an overflow is the inf checked next
+        det = float(np.linalg.det(matrix))
     if not (math.isfinite(det) and det > 0):
         raise SolverError(
             f"Gaudin determinant {det:.3e} is not finite and positive: "

@@ -15,15 +15,15 @@ cube.  The classical Fisher information of this measurement,
 sum_n (dP/dc)^2 / P, converges to the position-measurement CFI as the
 pixels shrink.
 
-P is exact.  Each occupied bin [lo, hi] (clipped to [0, L]) holds a run
-of r atoms at coordinates s..s+r-1; ordering the atoms within every run
-makes the box an ordered product of sub-simplices of width hi - lo, and
-the r! orderings per run times zeta_n give N!.  With
+P is exact.  Each occupied bin, clipped to [0, L], starts at lo, has
+width w and holds a run of r atoms at coordinates s..s+r-1; ordering the
+atoms within every run makes the box an ordered product of sub-simplices
+of width w, and the r! orderings per run times zeta_n give N!.  With
 psi~ = sum_a w_a e^{i kappa_a.x} and lambda = kappa_a - kappa_b, the
 plane wave factorizes over the runs, x = lo + y inside each:
 
     P = sum_{a,b} conj(w_a) w_b
-        prod_runs e^{-i lo sum_run lambda} I(lambda_run, hi - lo) / NS,
+        prod_runs e^{-i lo sum_run lambda} I(lambda_run, w) / NS,
 
 with w_a the signed coefficients of the state point's amplitude table,
 I the ordered-simplex integral of ``integrals.simplex_exp_integral`` and
@@ -32,7 +32,10 @@ solution that the table carries.  dP/dc follows from the same runs:
 the coefficient derivatives dw, and the dkappa.x term of d_c psi~, whose
 coordinate x_l = lo + y_l brings in the first moment I^1 of its run.  The
 run tables ask the kernel for moment order 1 (I and I^1) when dP/dc is
-wanted and order 0 (I alone) for P, as in the MLE.
+wanted and order 0 (I alone) for P, as in the MLE.  A pixel that [0, L]
+cuts by no more than the ``PixelGrid.covers`` slack keeps the width dx,
+and a bin no wider than that slack is empty, so a uniform grid needs one
+run table per run size, however its edges round.
 The test suite checks P against Gauss-Legendre box quadrature of the same
 density (``box_quadrature`` in ``tests/oracles.py``) and dP/dc against
 finite differences of P.
@@ -60,8 +63,11 @@ PROB_FLOOR = 1e-300
 # a few 1e-16 on the tested states and grids; a larger deviation means a
 # wrong grid or a broken kernel, not rounding.
 PROB_SUM_TOL = 1e-10
-# Relative slack of ``PixelGrid.covers`` at the ends of [0, L].
-_COVER_RTOL = 1e-9
+# Relative slack of ``PixelGrid.covers`` at the ends of [0, L], and the
+# width below which a clipped bin is empty: far above the rounding of the
+# edges a0 + j dx, and so small that the dropped slivers (at most about
+# 2 N _COVER_RTOL of probability) stay well inside PROB_SUM_TOL.
+_COVER_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,8 @@ class PixelGrid:
     n_pixels: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a0) and math.isfinite(self.dx)):
+            raise ValueError("pixel origin and width must be finite")
         if self.dx <= 0:
             raise ValueError("pixel width must be positive")
         if self.n_pixels < 1:
@@ -167,109 +175,22 @@ class ImageDistribution:
 
 
 def _bin_intervals(grid: PixelGrid, L: float):
-    """Per-bin integration intervals clipped to the state's support [0, L].
+    """Per-bin (lo, width) of the bins clipped to the state's support [0, L].
 
-    Bins entirely outside [0, L] come back as None (zero probability).
+    A pixel that the clip cuts by no more than the coverage slack
+    _COVER_RTOL*L keeps the grid's width dx, so a uniform grid has one
+    width; a bin no wider than the slack comes back as None (zero
+    probability).
     """
-    edges = grid.edges
+    slack = _COVER_RTOL * L
+    bounds = [0.0, *np.clip(grid.edges, 0.0, L), L]
     intervals = []
-    lo, hi = 0.0, min(float(edges[0]), L)
-    intervals.append((lo, hi) if hi > lo else None)  # left outer bin
-    for j in range(grid.n_pixels):
-        lo = max(float(edges[j]), 0.0)
-        hi = min(float(edges[j + 1]), L)
-        intervals.append((lo, hi) if hi > lo else None)
-    lo, hi = max(float(edges[-1]), 0.0), L
-    intervals.append((lo, hi) if hi > lo else None)  # right outer bin
+    for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        width = float(hi - lo)
+        if 0 < j <= grid.n_pixels and grid.dx - width <= slack:
+            width = grid.dx
+        intervals.append((float(lo), width) if width > slack else None)
     return intervals
-
-
-class _RunProducts:
-    """Exact box integrals of |psi~|^2 for one state point, image by image.
-
-    A run of r atoms in one bin occupies coordinates s..s+r-1, and its
-    factor depends on a pair of table rows only through their kappa
-    entries on those slots.  The distinct length-r sub-rows are collected
-    once, so every (run size, bin width) needs one table of pair
-    integrals, built on first use from ``_pair_bundles`` and shared by
-    all run starts and images.  With ``derivative`` the table is built at
-    moment order 1 and also holds the first moments contracted with the
-    sub-rows' dkappa; without it, at order 0.
-    """
-
-    def __init__(self, table: AmplitudeTable, intervals: list, derivative: bool):
-        self.table = table
-        self.intervals = intervals
-        self.derivative = derivative
-        n, rows = table.n, table.n_terms
-        self.index = {}
-        self.sub_rows = {}
-        for r in range(1, n + 1):
-            starts = range(n - r + 1)
-            kap = np.concatenate([table.kappa[:, s : s + r] for s in starts])
-            dkap = np.concatenate([table.dkappa[:, s : s + r] for s in starts])
-            uniq, first, inverse = np.unique(
-                kap, axis=0, return_index=True, return_inverse=True
-            )
-            self.index[r] = inverse.reshape(len(starts), rows)
-            self.sub_rows[r] = (uniq, dkap[first])
-        self._tables = {}
-
-    def _pair_tables(self, size: int, width: float):
-        """Run integral and dkappa-contracted first moment per sub-row pair."""
-        key = (size, width)
-        if key not in self._tables:
-            kap, dkap = self.sub_rows[size]
-            (i00, *i1), _ = _pair_bundles(kap, width, order=int(self.derivative))
-            moment = np.einsum("uvj,vj->uv", i1[0], dkap) if self.derivative else None
-            self._tables[key] = (i00, moment)
-        return self._tables[key]
-
-    def box_integrals(self, counts: tuple):
-        """(int |psi~|^2, 2 Re int psi~* d_c psi~) over the image's ordered box.
-
-        Runs are integrated in the shifted coordinate y = x - lo; the
-        shift is the corner phase e^{i kappa.lo} on every table row, and
-        the first moment of x_l is lo_l I + I^1 in the run of x_l.  The
-        second entry is None without ``derivative``; a bin outside the
-        support gives (0, 0).
-        """
-        table = self.table
-        lo = np.empty(table.n)
-        runs = []
-        start = 0
-        for bin_idx, count in enumerate(counts):
-            if count == 0:
-                continue
-            if self.intervals[bin_idx] is None:
-                return 0.0, 0.0
-            a, b = self.intervals[bin_idx]
-            lo[start : start + count] = a
-            rows = np.ix_(self.index[count][start], self.index[count][start])
-            i00, moment = self._pair_tables(count, b - a)
-            runs.append((i00[rows], None if moment is None else moment[rows]))
-            start += count
-
-        phase = np.exp(1j * (table.kappa @ lo))
-        u = table.amp * phase
-        u_conj = np.conj(u)
-        box = runs[0][0]
-        for i00, _ in runs[1:]:
-            box = box * i00
-        p_raw = float((u_conj @ (box @ u)).real)
-        if not self.derivative:
-            return p_raw, None
-
-        du = table.damp * phase + 1j * (table.dkappa @ lo) * u
-        moments = 0.0
-        for k, (_, moment) in enumerate(runs):
-            term = moment
-            for m, (i00, _) in enumerate(runs):
-                if m != k:
-                    term = term * i00
-            moments = moments + term
-        overlap = u_conj @ (box @ du) + 1j * (u_conj @ (moments @ u))
-        return p_raw, 2.0 * float(overlap.real)
 
 
 def _image_probabilities(
@@ -277,20 +198,68 @@ def _image_probabilities(
 ):
     """P for each image, and dP/dc with ``derivative`` (else None).
 
-    zeta times the product of run-size factorials is N!, which cancels
-    the N! of the bosonic normalization: P is the ordered-box integral of
-    |psi~|^2 over the ordered-domain norm square.
+    A run of r atoms in one bin occupies coordinates s..s+r-1, and its
+    factor depends on a pair of table rows only through their kappa
+    entries on those slots.  The distinct length-r sub-rows are pooled
+    over run starts, so every (run size, bin width) needs one table of
+    pair integrals from ``_pair_bundles``, built on first use: at moment
+    order 1 with ``derivative``, also holding the first moments contracted
+    with the sub-rows' dkappa, and at order 0 without it.
+
+    Runs are integrated in the shifted coordinate y = x - lo; the shift is
+    the corner phase e^{i kappa.lo} on every table row, and the first
+    moment of x_l is lo_l I + I^1 in the run of x_l, which the product
+    rule over the runs collects.  zeta times the product of run-size
+    factorials is N!, which cancels the N! of the bosonic normalization:
+    P is the ordered-box integral of |psi~|^2 over the ordered-domain
+    norm square.
     """
     table = amplitudes(spec, params)
+    n, rows = table.n, table.n_terms
+    intervals = _bin_intervals(grid, params.L)
+    index, sub_rows, run_tables = {}, {}, {}
+    for r in range(1, n + 1):
+        starts = range(n - r + 1)
+        kap = np.concatenate([table.kappa[:, s : s + r] for s in starts])
+        dkap = np.concatenate([table.dkappa[:, s : s + r] for s in starts])
+        uniq, first, inverse = np.unique(kap, axis=0, return_index=True, return_inverse=True)
+        index[r] = inverse.reshape(len(starts), rows)
+        sub_rows[r] = (uniq, dkap[first])
+
+    raw, draw = np.zeros(len(images)), np.zeros(len(images))
+    for i, image in enumerate(images):
+        runs = [(b, count) for b, count in enumerate(image.counts) if count]
+        if any(intervals[b] is None for b, _ in runs):
+            continue  # an occupied bin outside the support: P = 0
+        lo, box, moments, start = np.empty(n), 1.0, 0.0, 0
+        for b, count in runs:
+            a, width = intervals[b]
+            lo[start : start + count] = a
+            if (count, width) not in run_tables:
+                kap, dkap = sub_rows[count]
+                (i00, *i1), _ = _pair_bundles(kap, width, order=int(derivative))
+                moment = np.einsum("uvj,vj->uv", i1[0], dkap) if derivative else None
+                run_tables[count, width] = (i00, moment)
+            i00, moment = run_tables[count, width]
+            pairs = np.ix_(index[count][start], index[count][start])
+            if derivative:
+                moments = moments * i00[pairs] + box * moment[pairs]
+            box = box * i00[pairs]
+            start += count
+
+        phase = np.exp(1j * (table.kappa @ lo))
+        u = table.amp * phase
+        u_conj = np.conj(u)
+        raw[i] = (u_conj @ (box @ u)).real
+        if derivative:
+            du = table.damp * phase + 1j * (table.dkappa @ lo) * u
+            draw[i] = 2.0 * (u_conj @ (box @ du) + 1j * (u_conj @ (moments @ u))).real
+
     n2 = table.solution.norm_sq
-    runs = _RunProducts(table, _bin_intervals(grid, params.L), derivative)
-    values = [runs.box_integrals(image.counts) for image in images]
-    probs = np.array([p for p, _ in values]) / n2
+    probs = raw / n2
     if not derivative:
         return probs, None
-    dlog_n2 = table.solution.dnorm_sq_dc / n2
-    dprobs = np.array([dp for _, dp in values]) / n2 - probs * dlog_n2
-    return probs, dprobs
+    return probs, draw / n2 - probs * (table.solution.dnorm_sq_dc / n2)
 
 
 def image_distribution(

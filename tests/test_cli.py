@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from llfisher.bethe import BoundaryCondition, type1_excitation, type2_excitation
 from llfisher.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -124,6 +125,41 @@ def test_fisher_covers_excitation_state_set(tmp_path, capsys):
         rows = [line.split(",") for line in out_file.read_text().splitlines()[2:]]
         assert len(rows) == 2
         assert all(r[7] == "ok" and float(r[2]) > 0 for r in rows)
+
+
+def _sweep_rows(capsys, tmp_path, name, *argv):
+    out_file = tmp_path / f"{name}.csv"
+    code, _, _ = run(capsys, "fisher", *argv, "-o", str(out_file))
+    assert code == 0
+    return [line.split(",") for line in out_file.read_text().splitlines()[2:]]
+
+
+@pytest.mark.parametrize(
+    "bc,flag,q,make",
+    [("periodic", "--type1", 2, type1_excitation), ("hardwall", "--type2", 1, type2_excitation)],
+    ids=["type1", "type2"],
+)
+def test_fisher_excitation_flags_match_their_quantum_numbers(tmp_path, capsys, bc, flag, q, make):
+    spec = make(BoundaryCondition(bc), 3, q)
+    sweep = ("--axis", "L", "--start", "6", "--stop", "9", "--num", "2", "--fixed", "0.5")
+    state = ("--bc", bc, "-N", "3")
+    by_flag = _sweep_rows(capsys, tmp_path, "flag", *state, flag, str(q), *sweep)
+    by_labels = _sweep_rows(
+        capsys, tmp_path, "labels", *state, "-I", *map(repr, spec.quantum_numbers), *sweep
+    )
+    assert len(by_flag) == 2 and all(r[7] == "ok" for r in by_flag)
+    # the config hash records the selector, so it alone differs
+    assert [r[:8] + r[9:] for r in by_flag] == [r[:8] + r[9:] for r in by_labels]
+
+
+def test_fisher_log_grid_is_geometric(tmp_path, capsys):
+    rows = _sweep_rows(
+        capsys, tmp_path, "log", "--bc", "periodic", "-N", "2", "--ground",
+        "--axis", "c", "--start", "0.01", "--stop", "10", "--num", "4", "--fixed", "1", "--log",
+    )
+    values = np.array([float(r[1]) for r in rows])
+    assert np.array_equal(values, np.geomspace(0.01, 10.0, 4))
+    assert all(r[7] == "ok" for r in rows)
 
 
 def test_fisher_empty_grid_exits_2(capsys):
@@ -525,6 +561,17 @@ def test_singular_newton_step_exits_3(capsys, argv):
         assert ",error:SolverError: singular Gaudin matrix" in out
     else:
         assert out == ""
+
+
+def test_determinant_overflow_prints_one_line(capsys):
+    # np.linalg.det overflows to inf before the finiteness check raises;
+    # its RuntimeWarning printed a "warning: overflow" line first
+    code, out, err = run(capsys, "solve", "--bc", "periodic", "-N", "5", "--ground",
+                         "-c", "2e-62", "-L", "1e62")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("solver failure: Gaudin determinant inf")
+    assert err.count("\n") == 1
 
 
 def test_sweep_row_names_the_collapsed_state(capsys):

@@ -90,6 +90,10 @@ def test_grid_validation():
         PixelGrid(0.0, 0.0, 4)
     with pytest.raises(ValueError):
         PixelGrid(0.0, 1.0, 0)
+    # non-finite origins and widths reached the probability-sum check
+    for a0, dx in [(math.nan, 0.5), (0.0, math.inf), (0.0, math.nan), (-math.inf, 0.5)]:
+        with pytest.raises(ValueError, match="finite"):
+            PixelGrid(a0, dx, 4)
     grid = uniform_grid(3.0, 6)
     assert grid.covers(3.0)
     assert not PixelGrid(0.5, 0.25, 4).covers(3.0)
@@ -170,13 +174,14 @@ def _box_oracle(spec, params, grid, images, order):
         vals, _ = eval_batch(table, np.sort(points, axis=1))
         return (vals.real**2 + vals.imag**2) / norm_full
 
-    intervals = _bin_intervals(grid, params.L)
+    # bin bounds: the outer bins and pixels clipped to the support [0, L]
+    bounds = [0.0, *(min(max(float(e), 0.0), params.L) for e in grid.edges), params.L]
     out = []
     for image in images:
         box = []
         for bin_idx, count in enumerate(image.counts):
-            box.extend([intervals[bin_idx]] * count)
-        if None in box:
+            box.extend([(bounds[bin_idx], bounds[bin_idx + 1])] * count)
+        if any(hi <= lo for lo, hi in box):
             out.append(0.0)
         else:
             out.append(multiplicity(image) * box_quadrature(density, box, order).real)
@@ -226,6 +231,47 @@ def test_exact_probabilities_match_box_quadrature_box4():
     assert dprobs is None
     oracle = _box_oracle(spec, params, grid, images, order=12)
     assert np.all(np.abs(probs - oracle) <= 1e-10 * oracle)
+
+
+@pytest.mark.parametrize("n,n_pixels,tables", [(3, 16, 3), (4, 4, 4)])
+def test_uniform_grid_builds_one_run_table_per_run_size(call_counts, n, n_pixels, tables):
+    # 7.3/N_p is not dyadic, so the clipped pixel widths differ in the last
+    # bit; keyed by them, the run tables numbered 18 (N = 3) and 12 (N = 4)
+    counts = call_counts("_pair_bundles")
+    grid = uniform_grid(7.3, n_pixels)
+    image_distribution(ground_state(HW, n), ModelParams(0.5, 7.3), grid)
+    assert counts == {"_pair_bundles": tables}
+
+
+@pytest.mark.parametrize("L", [0.7, 2.9, 7.3, 11.1])
+def test_uniform_grid_has_one_width_and_no_live_outer_bin(L):
+    # rounded edges left a right outer bin about 1e-15 wide on some grids,
+    # e.g. uniform_grid(7.3, 3), with run tables of its own
+    for n_pixels in range(1, 41):
+        grid = uniform_grid(L, n_pixels)
+        intervals = _bin_intervals(grid, L)
+        assert intervals[0] is None and intervals[-1] is None
+        assert all(width == grid.dx for _, width in intervals[1:-1])
+
+
+def test_bins_within_the_cover_slack_are_empty():
+    # a grid that misses [0, L] by less than the cover slack at both ends
+    # covers it, and its slivers carry no weight; ring N = 5 loses the most
+    # probability there (2 N times the slack), still inside the sum check
+    L = 2.0
+    spec, params = ground_state(PER, 5), ModelParams(1.0, L)
+    for miss, live in [(0.9e-12 * L, False), (2e-12 * L, True)]:
+        grid = PixelGrid(miss, (L - 2.0 * miss) / 2, 2)
+        assert grid.covers(L) is not live
+        intervals = _bin_intervals(grid, L)
+        assert (intervals[0] is not None, intervals[-1] is not None) == (live, live)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dist = image_distribution(spec, params, grid)
+        assert bool(caught) is live
+        outer = [p for img, p in zip(dist.images, dist.probs) if img.counts[0] or img.counts[-1]]
+        assert bool(max(outer) > 0.0) is live
+        assert abs(dist.probs.sum() - 1.0) < 2.5 * spec.n * 1e-12
 
 
 def test_image_distribution_solves_once(call_counts):
