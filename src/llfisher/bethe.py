@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,6 +54,9 @@ MAX_ITERATIONS = 200
 # sqrt(c) collapse of the roots.
 CONTINUATION_CL = 10.0
 CONTINUATION_STEPS = 10
+
+_EPS = sys.float_info.epsilon
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -215,8 +219,13 @@ def _set_diagonals(a: np.ndarray, value: float) -> None:
 
 def _kernel_denominator(u: np.ndarray, c: float) -> np.ndarray:
     """u^2 + c^2 with infinite diagonals: every kernel over it is exactly 0
-    on the excluded j = l entries, with no 0/0 there at c = 0."""
-    den = u * u + c * c
+    on the excluded j = l entries, with no 0/0 there at c = 0.
+
+    An entry that overflows is inf as well; ``_gaudin_system`` rejects a
+    solution where that happens, so Newton iterates may pass through it.
+    """
+    with np.errstate(over="ignore"):
+        den = u * u + c * c
     _set_diagonals(den, np.inf)
     return den
 
@@ -344,7 +353,8 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
     parametrization is singular there; use a small c > 0 instead).  The
     solution carries dk/dc, the norm and its c-derivative, all from one
     Gaudin system at the solved quasimomenta; SolverError is raised when
-    that norm is not finite and positive in double precision.
+    that norm is not finite and positive in double precision, and when
+    the Gaudin kernels or the energy overflow.
     """
     c, L = params.c, params.L
     unit = _bethe_factor(spec.bc) * np.pi
@@ -394,9 +404,20 @@ def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
 
     Raises SolverError unless det H is finite and positive: quasimomenta
     that far out of range give a norm that double precision cannot hold.
+    Raises it too where u^2 + c^2 overflows and the kernels this zeroes
+    are not negligible beside L.
     """
     c, g, signs = params.c, _bethe_factor(bc), _pair_signs(bc)
     u = _pair_arguments(k, signs)
+    # where u^2 + c^2 overflows, g c / (u^2 + c^2) and g u / (u^2 + c^2)
+    # read 0 instead of at most g / max(c, sqrt(M)); fine beside L only
+    # if that is below its rounding (as at c = 1e300, L = 1)
+    u_max = float(np.abs(u).max())
+    if not math.isfinite(u_max * u_max + c * c) and g / max(c, _SQRT_MAX) > _EPS * params.L:
+        raise SolverError(
+            f"u^2 + c^2 overflows (|u| up to {u_max:.3e}, c = {c:.3e}, L = {params.L:.3e}): "
+            "the Gaudin kernels are out of floating-point range"
+        )
     den = _kernel_denominator(u, c)
     matrix = _gaudin_assembly(g * c / den, signs, params.L)
     with np.errstate(over="ignore"):  # an overflow is the inf checked next
@@ -417,11 +438,15 @@ def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
 
 def _finish(spec: StateSpec, params: ModelParams, k: np.ndarray, rnorm: float) -> BetheSolution:
     matrix, det, deriv, dmatrix = _gaudin_system(k, params, spec.bc)
+    with np.errstate(over="ignore"):  # an overflow is the inf checked next
+        energy = float((k * k).sum())
+    if not math.isfinite(energy):
+        raise SolverError(f"energy {energy} is out of floating-point range")
     n2 = 2.0 ** spec.n * det if spec.bc is BoundaryCondition.HARD_WALL else det
     return BetheSolution(
         k=np.array(k, dtype=float),
         dk_dc=deriv,
-        energy=float((k * k).sum()),
+        energy=energy,
         momentum=momentum_of(spec, params),
         residual=float(rnorm),
         norm_sq=n2,

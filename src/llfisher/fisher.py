@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -361,13 +362,21 @@ def lmax(
     bracket: tuple,
     tol: Optional[float] = None,
 ) -> tuple:
-    """System size maximizing the CFI at fixed coupling, by golden section.
+    """System size maximizing the CFI at fixed coupling, by Brent's method.
 
-    Returns (L_max, F_max).  Raises BracketError when the maximum sits at
-    a bracket edge, i.e. the bracket holds no interior maximum, and
+    Brent's bounded search (Brent 1973, as in scipy's ``fminbound``) mixes
+    golden-section and parabolic steps and stops once the bracket it has
+    narrowed lies within 2 tol/3 + 2 sqrt(eps) L_max on either side of
+    its best point.  ``tol`` (default 1e-3 hi, so c L_max does not depend
+    on c) thus bounds the distance from L_max to the maximum of a
+    unimodal CFI, up to that sqrt(eps) L_max term.
+
+    Returns (L_max, F_max): the best L evaluated and the CFI there, with
+    no second evaluation.  Raises BracketError when L_max lies within
+    2 tol of a bracket edge, i.e. the bracket holds no interior maximum;
+    NumericalHealthError when the CFI at some L is not finite; and
     ValueError unless the bracket edges are finite with 0 < lo < hi and
-    ``tol`` (default 1e-3 hi, so c L_max does not depend on c) is finite
-    and positive.
+    ``tol`` is finite and positive.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(hi) and hi > lo > 0):
@@ -378,30 +387,68 @@ def lmax(
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
     def objective(L: float) -> float:
-        return cfi(spec, ModelParams(c, L))
+        # minimized, so -CFI; a NaN would fail every comparison below
+        value = cfi(spec, ModelParams(c, L))
+        if not math.isfinite(value):
+            raise NumericalHealthError(f"CFI at L = {L!r} is not finite ({value})")
+        return -value
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    # a, b: the bracket; x: the best point; w, v: the second and third
+    # best (the parabola's other nodes); d: the last step; e: the one
+    # before it, half of which bounds a parabolic step
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    sqrt_eps = math.sqrt(sys.float_info.epsilon)
     a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = objective(x1)
-    f2 = objective(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = objective(x2)
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = objective(x)
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if not parabolic:
+            e = (a if x >= xm else b) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d >= 0.0 else -tol1))
+        fu = objective(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = objective(x1)
-    l_best = 0.5 * (a + b)
-    f_best = objective(l_best)
-    if l_best - lo < 2.0 * tol or hi - l_best < 2.0 * tol:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    if x - lo < 2.0 * tol or hi - x < 2.0 * tol:
         raise BracketError(
-            f"CFI maximum sits at the bracket edge (L = {l_best:.6g}); widen the bracket"
+            f"CFI maximum sits at the bracket edge (L = {x:.6g}); widen the bracket"
         )
-    return float(l_best), float(f_best)
+    return float(x), float(-fx)
 
 
 @dataclass

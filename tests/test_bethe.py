@@ -381,6 +381,20 @@ def test_singular_newton_step_is_not_continued():
         solve_bethe(ground_state(HW, 3), ModelParams(1.0, 1e-60))
 
 
+def test_overflowing_energy_raises_solver_error():
+    # k = 2 pi 1e6 / L is finite, but sum k^2 is not
+    with pytest.raises(SolverError, match="energy inf"):
+        solve_bethe(StateSpec(PER, 1, (1e6,)), ModelParams(1.0, 1e-300))
+
+
+@pytest.mark.parametrize("c,L", [(2e154, 1e-154), (1e154, 1e-154)])
+def test_overflowing_kernel_denominator_raises_solver_error(c, L):
+    # u^2 + c^2 overflows where the kernels it zeroes are not negligible
+    # beside L; at c = 1e300, L = 1 they are (see the test below)
+    with pytest.raises(SolverError, match="u\\^2 \\+ c\\^2 overflows"):
+        solve_bethe(ground_state(PER, 2), ModelParams(c, L))
+
+
 def test_dnorm_sq_dc_single_ring_particle():
     sol = solve_bethe(ground_state(PER, 1), ModelParams(1.0, 2.0))
     assert sol.dnorm_sq_dc == pytest.approx(0.0)

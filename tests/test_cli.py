@@ -574,6 +574,32 @@ def test_determinant_overflow_prints_one_line(capsys):
     assert err.count("\n") == 1
 
 
+def test_overflowing_kernel_denominator_exits_3(tmp_path, capsys):
+    # c^2 overflowed in u^2 + c^2 and zeroed every Gaudin kernel: the solve
+    # printed two overflow warnings and exited 0 with dk_dc [0, 0], a norm
+    # 42 % below the scale law and "energy": Infinity, which is not JSON
+    target = tmp_path / "solution.json"
+    code, out, err = run(capsys, "solve", "--bc", "periodic", "-N", "2", "--ground",
+                         "-c", "2e154", "-L", "1e-154", "-o", str(target))
+    assert code == 3
+    assert out == "" and not target.exists()
+    assert err.startswith("solver failure: u^2 + c^2 overflows")
+    assert "warning:" not in err
+
+
+def test_lmax_non_finite_cfi_exits_6(capsys, monkeypatch):
+    import llfisher.fisher
+
+    monkeypatch.setattr(llfisher.fisher, "cfi", lambda spec, params: float("nan"))
+    code, out, err = run(
+        capsys, "lmax", "--bc", "hardwall", "-N", "2", "--ground",
+        "-c", "0.2", "--bracket", "10", "150",
+    )
+    assert code == 6
+    assert out == ""
+    assert err.startswith("numerical check failed: CFI at L = ")
+
+
 def test_sweep_row_names_the_collapsed_state(capsys):
     code, out, _ = run(
         capsys, "fisher", *BOX3, "--axis", "c", "--start", "1e-30", "--stop", "1e-30",

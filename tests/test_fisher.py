@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from oracles import cfi_full_simplex, qfi_overlap_oracle
+from scipy.optimize import minimize_scalar
 
 import llfisher.fisher
 from llfisher.bethe import (
@@ -513,12 +514,113 @@ def test_lmax_rejects_bad_tolerance(monkeypatch, tol):
     def parabola(spec, params):
         calls.append(params.L)
         if len(calls) > 500:
-            raise RuntimeError("golden section did not stop")
+            raise RuntimeError("search did not stop")
         return -((params.L - 50.0) ** 2)
 
     monkeypatch.setattr(llfisher.fisher, "cfi", parabola)
     with pytest.raises(ValueError, match="tolerance"):
         lmax(ground_state(PER, 2), 0.2, (10.0, 150.0), tol=tol)
+
+
+# The six box states of criterion 3 (bracket (45, 90), tol 0.05) and the
+# ground states of criterion 2 (bracket (5, 200), default tol 0.2).
+LMAX_CASES = [
+    (StateSpec(HW, 3, qn), (45.0, 90.0), 0.05)
+    for qn in [(1.0, 2.0, 3.0), (1.0, 2.0, 4.0), (1.0, 2.0, 5.0),
+               (1.0, 2.0, 6.0), (1.0, 3.0, 4.0), (2.0, 3.0, 4.0)]
+] + [
+    (ground_state(bc, n), (5.0, 200.0), None)
+    for bc, n in [(PER, 2), (HW, 2), (PER, 3), (PER, 4), (HW, 3)]
+]
+
+
+@pytest.mark.parametrize(
+    "spec,bracket,tol", LMAX_CASES,
+    ids=[
+        f"{s.bc.value}:" + ",".join(f"{q:g}" for q in s.qn_array) + f"-in-{b[0]:g},{b[1]:g}"
+        for s, b, _ in LMAX_CASES
+    ],
+)
+def test_lmax_matches_scipy_bounded_minimizer(spec, bracket, tol):
+    c = 0.2
+    l_best, f_best = lmax(spec, c, bracket, tol=tol)
+    xatol = 1e-3 * bracket[1] if tol is None else tol
+    want = minimize_scalar(
+        lambda L: -cfi(spec, ModelParams(c, L)),
+        bounds=bracket, method="bounded", options={"xatol": xatol},
+    )
+    assert want.success
+    assert abs(l_best - want.x) <= 2.0 * xatol
+    assert f_best == pytest.approx(-want.fun, rel=1e-7)
+
+
+def test_lmax_evaluation_budget(call_counts, monkeypatch):
+    # golden section took 18 evaluations here, the last one a repeat of
+    # the final midpoint
+    spec = StateSpec(HW, 3, (1.0, 2.0, 4.0))
+    counts = call_counts("cfi")
+    seen = []
+    counting_cfi = llfisher.fisher.cfi
+
+    def recording(spec, params):
+        seen.append(params.L)
+        return counting_cfi(spec, params)
+
+    monkeypatch.setattr(llfisher.fisher, "cfi", recording)
+    l_best, f_best = lmax(spec, 0.2, (45.0, 90.0), tol=0.05)
+    assert counts["cfi"] == len(seen) <= 10
+    assert len(set(seen)) == len(seen)
+    # F_max is the value stored at L_max, not a second evaluation
+    assert l_best in seen
+    assert f_best == cfi(spec, ModelParams(0.2, l_best))
+
+
+def parabola_cfi(vertex, calls=None):
+    def objective(spec, params):
+        if calls is not None:
+            calls.append(params.L)
+        return 5.0 - (params.L - vertex) ** 2
+
+    return objective
+
+
+@pytest.mark.parametrize("vertex", [12.5, 50.0, 97.0])
+def test_lmax_finds_parabola_vertex(monkeypatch, vertex):
+    monkeypatch.setattr(llfisher.fisher, "cfi", parabola_cfi(vertex))
+    l_best, f_best = lmax(ground_state(PER, 2), 0.2, (10.0, 100.0), tol=0.01)
+    assert abs(l_best - vertex) <= 0.01
+    assert f_best == 5.0 - (l_best - vertex) ** 2
+
+
+@pytest.mark.parametrize("vertex", [5.0, 10.0, 100.0, 120.0])
+def test_lmax_maximum_at_bracket_edge_raises(monkeypatch, vertex):
+    monkeypatch.setattr(llfisher.fisher, "cfi", parabola_cfi(vertex))
+    with pytest.raises(BracketError, match="bracket edge"):
+        lmax(ground_state(PER, 2), 0.2, (10.0, 100.0), tol=0.01)
+
+
+def test_lmax_bracket_narrower_than_four_tol_raises(monkeypatch):
+    # every point of (10, 10.39) lies within 2 tol of an edge
+    monkeypatch.setattr(llfisher.fisher, "cfi", parabola_cfi(10.2))
+    with pytest.raises(BracketError):
+        lmax(ground_state(PER, 2), 0.2, (10.0, 10.39), tol=0.1)
+
+
+def test_lmax_non_finite_objective_raises(monkeypatch):
+    # a NaN fails every comparison of the search, which would steer it
+    # without a trace; the error names the L it came from
+    calls = []
+    parabola = parabola_cfi(50.0, calls)
+
+    def objective(spec, params):
+        value = parabola(spec, params)
+        return math.nan if len(calls) == 3 else value
+
+    monkeypatch.setattr(llfisher.fisher, "cfi", objective)
+    with pytest.raises(NumericalHealthError, match="not finite") as info:
+        lmax(ground_state(PER, 2), 0.2, (10.0, 100.0), tol=0.01)
+    assert len(calls) == 3
+    assert repr(calls[-1]) in str(info.value)
 
 
 # ---------------------------------------------------------------------------
