@@ -77,7 +77,8 @@ def _check_half_integer_grid(values: np.ndarray, n: int, bc: BoundaryCondition) 
     doubled = 2.0 * values
     if np.max(np.abs(doubled - np.round(doubled))) > 1e-9:
         raise ValueError("quantum numbers must be integers or half-odd-integers")
-    parity = np.round(doubled).astype(int) % 2
+    # parity on the float: an int cast wraps above 2^63
+    parity = np.abs(np.fmod(np.round(doubled), 2.0))
     if bc is BoundaryCondition.PERIODIC:
         want = 1 if n % 2 == 0 else 0
         if np.any(parity != want):

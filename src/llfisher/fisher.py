@@ -15,17 +15,9 @@ ansatz psi~ and its ordered-domain norm square NS, both reduce to
 with all inner products over 0 < x_1 < ... < x_N < L.  Expanding the
 permutation sums turns the QFI into a double sum over coefficient pairs
 (t, s) weighted by the simplex integrals I, I^1_l and I^11_mn of the
-wavenumber difference lambda = kappa_t - kappa_s.  Each is a divided
-difference of exp at the nodes -i L sum_{m>=j} lambda_m and 0, with the
-moment nodes repeated (Hermite-Genocchi; see ``integrals``).  One batched
-matrix-exponential call at moment order 2 evaluates them for every
-distinct lambda of a table, each matrix holding I, two first moments and
-three second moments.  Two folds shrink that batch to about a quarter of
-the pairs: I(-lambda) = conj I(lambda), and the reflection
-x_j -> L - x_{N+1-j} of the ordered simplex, which gives the integrals of
-rev(lambda) as exp(-i L sum lambda) times conjugated linear combinations
-of those of lambda (see ``_pair_bundles``; ``fisher_report`` records the
-pair and bundle counts).
+wavenumber difference lambda = kappa_t - kappa_s, which
+``integrals._pair_integrals`` folds, deduplicates and contracts with
+dkappa (``fisher_report`` records the pair and bundle counts).
 The assembly is exact up to the Bethe residual and the rounding of that
 kernel.  The CFI either equals the QFI outright (real or purely
 imaginary phase class, where the position measurement is optimal) or is
@@ -47,7 +39,7 @@ L^(N+2) is a normal double; ``simplex_exp_integral`` rejects other L.
 The test suite checks the assembly against a fidelity-overlap estimate,
 QFI ~ 8 (1 - |<psi_{c-d/2}|psi_{c+d/2}>|) / d^2, whose overlaps are
 Gauss-Legendre quadratures of the wavefunction (``tests/oracles.py``):
-it shares no pair bundle or simplex-integral kernel with this module.
+it shares no pair integral or simplex-integral kernel with this module.
 """
 
 from __future__ import annotations
@@ -62,12 +54,7 @@ import numpy as np
 
 # bound, not called: perfbench/test_harness.py checks its tracer on this name
 from .bethe import ModelParams, StateSpec, solve_bethe  # noqa: F401
-from .integrals import (
-    NumericalHealthError,
-    default_order,
-    simplex_exp_integral,
-    simplex_quadrature,
-)
+from .integrals import NumericalHealthError, _pair_integrals, default_order, simplex_quadrature
 from .wavefunction import (
     AmplitudeTable,
     PhaseClass,
@@ -78,9 +65,6 @@ from .wavefunction import (
 )
 
 QFI_IMAG_RTOL = 1e-8
-# Wavenumber quantum, relative to the largest |kappa|, within which two
-# pair-bundle wavenumber vectors share one set of simplex integrals.
-DEGENERACY_RTOL = 1e-9
 # Phase classes whose position measurement is optimal (CFI = QFI).
 SATURATED_CLASSES = (PhaseClass.REAL, PhaseClass.IMAGINARY)
 
@@ -94,130 +78,20 @@ class BracketError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a < b in lexicographic order, for equal-shape integer arrays."""
-    diff = b - a
-    first = np.argmax(diff != 0, axis=1)
-    return diff[np.arange(len(diff)), first] > 0
-
-
-def _sign_min(keys: np.ndarray):
-    """The lexicographically smaller of each key row and its negative.
-
-    Returns (smaller rows, whether the negative was taken): the negative
-    is smaller exactly when the leading nonzero entry is positive.
-    """
-    lead = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
-    neg = lead > 0
-    return np.where(neg[:, None], -keys, keys), neg
-
-
-def _reflected(values: tuple, mu: np.ndarray, L: float) -> tuple:
-    """Integrals of lambda = rev(mu) from ``values``, those of mu.
-
-    The map x_j -> L - x_{N+1-j} sends the ordered simplex to itself, so
-    with E = exp(-i L sum(lambda)), conj taken of the integrals of mu and
-    l' = N + 1 - l:
-
-        I(lambda)       = E conj I,
-        I^1_l(lambda)   = E [L conj I - conj I^1_l'],
-        I^11_ml(lambda) = E [L^2 conj I - L conj I^1_m' - L conj I^1_l'
-                             + conj I^11_m'l'].
-    """
-    phase = np.exp(-1j * L * mu.sum(axis=1))
-    i00 = np.conj(values[0])
-    out = [phase * i00]
-    if len(values) > 1:
-        i1_rev = np.conj(values[1][:, ::-1])
-        out.append(phase[:, None] * (L * i00[:, None] - i1_rev))
-    if len(values) > 2:
-        i11 = (
-            np.conj(values[2][:, ::-1, ::-1])
-            - L * (i1_rev[:, :, None] + i1_rev[:, None, :])
-            + L**2 * i00[:, None, None]
-        )
-        out.append(phase[:, None, None] * i11)
-    return tuple(out)
-
-
-def _pair_bundles(kappa: np.ndarray, L: float, order: int):
-    """Simplex-integral bundles for every row pair of one kappa table, deduplicated.
-
-    Pairs sharing one wavenumber vector (to within the degeneracy
-    quantum, DEGENERACY_RTOL times the largest |kappa|) share a bundle.
-    Two folds share it further.  The sign fold: I(-lambda) is
-    conj(I(lambda)), moments included.  The reflection fold: the map
-    x_j -> L - x_{N+1-j} sends the ordered simplex to itself, so the
-    bundle of rev(lambda) is a linear combination of the conjugated
-    bundle of lambda (``_reflected``).  The canonical key of a pair is the
-    lexicographically smallest of the quantized lambda, -lambda,
-    rev(lambda) and -rev(lambda); the keys are grouped by one lexsort
-    over their columns.  The distinct vectors, about a quarter of the
-    pairs, go to ``simplex_exp_integral`` in one call at the moment
-    ``order`` (0, 1 or 2), and each pair reads its bundle in its own
-    orientation.  Returns (arrays, bundle count): the order + 1
-    pair-shaped arrays i00 (r, r), then i1 (r, r, n), then i11
-    (r, r, n, n), and the number of vectors the kernel integrated.
-    """
-    rows, n = kappa.shape
-    kscale = float(np.max(np.abs(kappa)))
-    quantum = DEGENERACY_RTOL * kscale if kscale > 0 else 1.0
-
-    lam_all = (kappa[:, None, :] - kappa[None, :, :]).reshape(-1, n)
-    keys = np.round(lam_all / quantum).astype(np.int64)
-    fwd, neg_fwd = _sign_min(keys)
-    rev, neg_rev = _sign_min(keys[:, ::-1])
-    use_rev = _lex_less(rev, fwd)
-    # orientation of each pair against its key: lambda = key, -key, rev key, -rev key
-    orient = np.where(use_rev, 2 + neg_rev, neg_fwd)
-    canon = np.where(use_rev[:, None], rev, fwd)
-    del keys, fwd, rev  # pair-shaped; freed before the pair-shaped outputs are built
-
-    perm = np.lexsort(canon.T[::-1])
-    ordered = canon[perm]
-    starts = np.empty(len(perm), dtype=bool)
-    starts[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    group = np.empty(len(perm), dtype=np.int64)
-    group[perm] = np.cumsum(starts) - 1
-    del canon, ordered
-
-    first = perm[starts]  # lexsort is stable: the lowest pair index of each group
-    reps = lam_all[first]
-    reps = np.where((orient[first] % 2 == 1)[:, None], -reps, reps)
-    reps = np.where((orient[first] >= 2)[:, None], reps[:, ::-1], reps)
-
-    direct = simplex_exp_integral(reps, L, order)
-    direct = (direct,) if order == 0 else direct
-    reflected = _reflected(direct, reps, L)
-    index = 4 * group + orient
-
-    def expand(fwd_values: np.ndarray, rev_values: np.ndarray) -> np.ndarray:
-        oriented = np.stack(
-            [fwd_values, np.conj(fwd_values), rev_values, np.conj(rev_values)], axis=1
-        )
-        values = oriented.reshape((-1,) + fwd_values.shape[1:])[index]
-        return values.reshape((rows, rows) + fwd_values.shape[1:])
-
-    arrays = tuple(expand(f, r) for f, r in zip(direct, reflected))
-    return arrays, len(first)
-
-
 def _inner_products(table: AmplitudeTable):
     """Ordered-domain <psi~|psi~>, <psi~|d_c psi~>, <d_c psi~|d_c psi~>.
 
-    Assembled from the coefficient table and its ``_pair_bundles`` arrays
-    at order 2; the pair reduction is a deterministic einsum.  Returns
-    the three inner products and the number of distinct pair bundles.
+    Assembled from the coefficient table and its ``_pair_integrals``
+    matrices at order 2; the pair reduction is a deterministic einsum.
+    Returns the three inner products and the number of distinct pair
+    bundles.
     """
-    (i00, i1_ts, i11_ts), n_bundles = _pair_bundles(table.kappa, table.L, order=2)
+    (i00, a, quad), n_bundles = _pair_integrals(table.kappa, table.dkappa, table.L, order=2)
+    # b[t, s] = sum_l I^1_l(lam_ts) dkappa[t, l] is conj(a[s, t]), as I^1(-lam) =
+    # conj I^1(lam); made contiguous, since einsum's summation order follows the layout
+    b = np.ascontiguousarray(np.conj(a.T))
 
     w_amp, w_damp = table.amp, table.damp
-    # a[t, s] = sum_l dkappa[s, l] I^1_l(lam_ts); b uses row t instead
-    a = np.einsum("tsl,sl->ts", i1_ts, table.dkappa)
-    b = np.einsum("tsl,tl->ts", i1_ts, table.dkappa)
-    quad = np.einsum("tm,tsmn,sn->ts", table.dkappa, i11_ts, table.dkappa)
-
     c_amp = np.conj(w_amp)
     c_damp = np.conj(w_damp)
     nn = np.einsum("t,s,ts->", c_amp, w_amp, i00)

@@ -31,11 +31,12 @@ NS the ordered-domain norm square, read with d NS/dc off the Bethe
 solution that the table carries.  dP/dc follows from the same runs:
 the coefficient derivatives dw, and the dkappa.x term of d_c psi~, whose
 coordinate x_l = lo + y_l brings in the first moment I^1 of its run.  The
-run tables ask the kernel for moment order 1 (I and I^1) when dP/dc is
-wanted and order 0 (I alone) for P, as in the MLE.  A pixel that [0, L]
-cuts by no more than the ``PixelGrid.covers`` slack keeps the width dx,
-and a bin no wider than that slack is empty, so a uniform grid needs one
-run table per run size, however its edges round.
+run tables are ``integrals._pair_integrals`` of the table's sub-rows, the
+pair layer the QFI reads too: at moment order 1 (I, and I^1 contracted
+with dkappa) when dP/dc is wanted and order 0 (I alone) for P, as in the
+MLE.  A pixel that [0, L] cuts by no more than the ``PixelGrid.covers``
+slack keeps the width dx, and a bin no wider than that slack is empty, so
+a uniform grid needs one run table per run size, however its edges round.
 The test suite checks P against Gauss-Legendre box quadrature of the same
 density (``box_quadrature`` in ``tests/oracles.py``) and dP/dc against
 finite differences of P.
@@ -53,8 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bethe import ModelParams, StateSpec
-from .fisher import _pair_bundles
-from .integrals import NumericalHealthError, ResourceLimitError
+from .integrals import NumericalHealthError, ResourceLimitError, _pair_integrals
 from .wavefunction import AmplitudeTable, amplitudes
 
 DEFAULT_IMAGE_CAP = 200_000
@@ -166,13 +166,6 @@ class ImageDistribution:
     probs: np.ndarray
     dprobs: np.ndarray
 
-    @property
-    def entries(self) -> dict:
-        return {
-            img: (float(p), float(dp))
-            for img, p, dp in zip(self.images, self.probs, self.dprobs)
-        }
-
 
 def _bin_intervals(grid: PixelGrid, L: float):
     """Per-bin (lo, width) of the bins clipped to the state's support [0, L].
@@ -202,7 +195,7 @@ def _image_probabilities(
     factor depends on a pair of table rows only through their kappa
     entries on those slots.  The distinct length-r sub-rows are pooled
     over run starts, so every (run size, bin width) needs one table of
-    pair integrals from ``_pair_bundles``, built on first use: at moment
+    pair integrals from ``_pair_integrals``, built on first use: at moment
     order 1 with ``derivative``, also holding the first moments contracted
     with the sub-rows' dkappa, and at order 0 without it.
 
@@ -237,13 +230,11 @@ def _image_probabilities(
             lo[start : start + count] = a
             if (count, width) not in run_tables:
                 kap, dkap = sub_rows[count]
-                (i00, *i1), _ = _pair_bundles(kap, width, order=int(derivative))
-                moment = np.einsum("uvj,vj->uv", i1[0], dkap) if derivative else None
-                run_tables[count, width] = (i00, moment)
-            i00, moment = run_tables[count, width]
+                run_tables[count, width] = _pair_integrals(kap, dkap, width, int(derivative))[0]
+            i00, *moment = run_tables[count, width]
             pairs = np.ix_(index[count][start], index[count][start])
             if derivative:
-                moments = moments * i00[pairs] + box * moment[pairs]
+                moments = moments * i00[pairs] + box * moment[0][pairs]
             box = box * i00[pairs]
             start += count
 

@@ -45,6 +45,16 @@ and (2, n+4).  A greedy cover, built once per (n, k), picks the walks so
 that every moment appears in some row: ceil(n (n+1) / 6) rows of size
 n + 5 for the n (n+1) / 2 second moments when n <= 5.
 
+``_pair_integrals`` makes the integrals of lambda = kappa_t - kappa_s for
+every row pair (t, s) of one amplitude table, which the QFI and the
+absorption-image probabilities both sum.  Pairs within a degeneracy
+quantum share one kernel vector, and two folds of the ordered simplex
+share it further: I(-lambda) = conj I(lambda), and the reflection
+x_j -> L - x_{N+1-j}, which gives the integrals of rev(lambda) as
+exp(-i L sum lambda) times conjugated linear combinations of those of
+lambda.  About a quarter of the pairs reach the kernel, and the moments
+are contracted with dkappa, so callers get (rows, rows) matrices.
+
 Iterated Gauss-Legendre rules over the same ordered domain give the
 direct CFI quadrature of general ring states.  The test suite builds its
 numerical oracles from them as well (``tests/oracles.py``): they evaluate
@@ -65,6 +75,10 @@ import numpy as np
 # enough to stay in cache, and a bound on the kernel's working set whatever
 # the number of wavenumber vectors.
 EXPM_CHUNK = 8192
+
+# Wavenumber quantum, relative to the largest |kappa|, within which two
+# pair wavenumber vectors share one set of simplex integrals.
+DEGENERACY_RTOL = 1e-9
 
 DEFAULT_SIMPLEX_ORDER = 48
 DEFAULT_SIMPLEX_ORDER_4D = 24
@@ -266,6 +280,122 @@ def simplex_exp_integral(lam, L: float, order: int = 0):
         np.concatenate(part).reshape(lead + shape) for part, shape in zip(zip(*blocks), shapes)
     )
     return parts[0] if order == 0 else parts
+
+
+# ---------------------------------------------------------------------------
+# pair integrals of one amplitude table
+# ---------------------------------------------------------------------------
+
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a < b in lexicographic order, for equal-shape integer arrays."""
+    diff = b - a
+    first = np.argmax(diff != 0, axis=1)
+    return diff[np.arange(len(diff)), first] > 0
+
+
+def _sign_min(keys: np.ndarray):
+    """The lexicographically smaller of each key row and its negative.
+
+    Returns (smaller rows, whether the negative was taken): the negative
+    is smaller exactly when the leading nonzero entry is positive.
+    """
+    lead = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
+    neg = lead > 0
+    return np.where(neg[:, None], -keys, keys), neg
+
+
+def _reflected(values: tuple, mu: np.ndarray, L: float) -> tuple:
+    """Integrals of lambda = rev(mu) from ``values``, those of mu.
+
+    The map x_j -> L - x_{N+1-j} sends the ordered simplex to itself, so
+    with E = exp(-i L sum(lambda)), conj taken of the integrals of mu and
+    l' = N + 1 - l:
+
+        I(lambda)       = E conj I,
+        I^1_l(lambda)   = E [L conj I - conj I^1_l'],
+        I^11_ml(lambda) = E [L^2 conj I - L conj I^1_m' - L conj I^1_l'
+                             + conj I^11_m'l'].
+    """
+    phase = np.exp(-1j * L * mu.sum(axis=1))
+    i00 = np.conj(values[0])
+    out = [phase * i00]
+    if len(values) > 1:
+        i1_rev = np.conj(values[1][:, ::-1])
+        out.append(phase[:, None] * (L * i00[:, None] - i1_rev))
+    if len(values) > 2:
+        i11 = (
+            np.conj(values[2][:, ::-1, ::-1])
+            - L * (i1_rev[:, :, None] + i1_rev[:, None, :])
+            + L**2 * i00[:, None, None]
+        )
+        out.append(phase[:, None, None] * i11)
+    return tuple(out)
+
+
+def _pair_integrals(kappa: np.ndarray, dkappa: np.ndarray, L: float, order: int):
+    """Simplex integrals of every row pair of one kappa table, contracted with dkappa.
+
+    With lambda_ts = kappa[t] - kappa[s], returns (arrays, bundle count),
+    ``arrays`` being order + 1 matrices of shape (rows, rows):
+
+        i00[t, s]  = I(lambda_ts),
+        a[t, s]    = sum_l I^1_l(lambda_ts) dkappa[s, l]                (order >= 1),
+        quad[t, s] = sum_mn dkappa[t, m] I^11_mn(lambda_ts) dkappa[s, n]  (order 2).
+
+    A pair's bundle key is the lexicographically smallest of its lambda,
+    -lambda, rev(lambda) and -rev(lambda), quantized to DEGENERACY_RTOL times
+    the largest |kappa|; one lexsort groups the keys.  The distinct vectors
+    go to ``simplex_exp_integral`` in one call at moment ``order`` (0, 1 or
+    2), their count is the bundle count, and each pair reads its bundle in
+    its own orientation (``_reflected`` for the reversed ones).
+    """
+    rows, n = kappa.shape
+    kscale = float(np.max(np.abs(kappa)))
+    quantum = DEGENERACY_RTOL * kscale if kscale > 0 else 1.0
+
+    lam_all = (kappa[:, None, :] - kappa[None, :, :]).reshape(-1, n)
+    keys = np.round(lam_all / quantum).astype(np.int64)
+    fwd, neg_fwd = _sign_min(keys)
+    rev, neg_rev = _sign_min(keys[:, ::-1])
+    use_rev = _lex_less(rev, fwd)
+    # orientation of each pair against its key: lambda = key, -key, rev key, -rev key
+    orient = np.where(use_rev, 2 + neg_rev, neg_fwd)
+    canon = np.where(use_rev[:, None], rev, fwd)
+    del keys, fwd, rev  # pair-shaped; freed before the pair-shaped outputs are built
+
+    perm = np.lexsort(canon.T[::-1])
+    ordered = canon[perm]
+    starts = np.empty(len(perm), dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    group = np.empty(len(perm), dtype=np.int64)
+    group[perm] = np.cumsum(starts) - 1
+    del canon, ordered
+
+    first = perm[starts]  # lexsort is stable: the lowest pair index of each group
+    reps = lam_all[first]
+    reps = np.where((orient[first] % 2 == 1)[:, None], -reps, reps)
+    reps = np.where((orient[first] >= 2)[:, None], reps[:, ::-1], reps)
+
+    direct = simplex_exp_integral(reps, L, order)
+    direct = (direct,) if order == 0 else direct
+    index = 4 * group + orient
+
+    def expand(fwd_values: np.ndarray, rev_values: np.ndarray) -> np.ndarray:
+        oriented = np.stack(
+            [fwd_values, np.conj(fwd_values), rev_values, np.conj(rev_values)], axis=1
+        )
+        values = oriented.reshape((-1,) + fwd_values.shape[1:])[index]
+        return values.reshape((rows, rows) + fwd_values.shape[1:])
+
+    i00, *moments = (expand(f, r) for f, r in zip(direct, _reflected(direct, reps, L)))
+    arrays = [i00]
+    if order >= 1:
+        arrays.append(np.einsum("tsl,sl->ts", moments[0], dkappa))
+    if order == 2:
+        arrays.append(np.einsum("tm,tsmn,sn->ts", dkappa, moments[1], dkappa))
+    return tuple(arrays), len(first)
 
 
 # ---------------------------------------------------------------------------

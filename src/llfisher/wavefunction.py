@@ -71,24 +71,24 @@ class AmplitudeTable:
     """One solved state point: its Bethe solution and all ansatz coefficients.
 
     Each row is one term of the permutation (and, in the box, sign) sum,
-    sign vectors major and permutations minor:
-    ``kappa`` holds the signed quasimomenta entering the exponent, ``amp``
-    the signed coefficient pi_eps A (pi_eps = 1 on the ring; A of modulus
-    one, module docstring) and ``damp`` its derivative
-    pi_eps dA/dc = amp sum i Im((u' + i)/(u + i c)) over the factors of A.
+    sign vectors major in ``itertools.product((1, -1), repeat=N)`` order
+    and permutations minor in ``itertools.permutations(range(N))`` order:
+    row (eps, P), eps = 1 on the ring, has kappa_j = eps_j k_{P_j}.  ``kappa`` holds these signed
+    quasimomenta entering the exponent, ``amp`` the signed coefficient
+    pi_eps A (pi_eps = 1 on the ring; A of modulus one, module docstring)
+    and ``damp`` its derivative pi_eps dA/dc = amp sum i Im((u' + i)/(u + i c))
+    over the factors of A.
     """
 
     solution: BetheSolution
     L: float
-    perms: np.ndarray
-    signs: np.ndarray
     amp: np.ndarray
     damp: np.ndarray
     kappa: np.ndarray
     dkappa: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("perms", "signs", "amp", "damp", "kappa", "dkappa"):
+        for name in ("amp", "damp", "kappa", "dkappa"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -150,8 +150,6 @@ def amplitudes(spec: StateSpec, params: ModelParams) -> AmplitudeTable:
     return AmplitudeTable(
         solution=solution,
         L=params.L,
-        perms=perms,
-        signs=signs,
         amp=amp,
         damp=1j * logder * amp,
         kappa=kappa,

@@ -14,7 +14,9 @@ def call_counts(monkeypatch):
     ``call_counts("solve_bethe", "amplitudes")`` wraps each function
     wherever an llfisher module binds it (``llfisher.bethe.solve_bethe``,
     ``llfisher.fisher.solve_bethe``, ...) and returns the Counter that the
-    wrappers fill.  The bindings are restored after the test.
+    wrappers fill.  The bindings are restored after the test.  A name that
+    no llfisher module binds raises LookupError, so a renamed function
+    cannot leave a zero count standing.
     """
     counts = collections.Counter()
 
@@ -38,6 +40,8 @@ def call_counts(monkeypatch):
                 if callable(original):
                     wrapper = wrappers.setdefault(id(original), counting(name, original))
                     monkeypatch.setattr(mod, name, wrapper)
+            if not wrappers:
+                raise LookupError(f"no llfisher module binds {name!r}")
         return counts
 
     return install

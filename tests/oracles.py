@@ -2,8 +2,8 @@
 
 Each one evaluates the wavefunction at Gauss-Legendre nodes
 (``wavefunction.eval_batch`` on ``integrals.simplex_nodes``) and sums; none
-reads the pair bundles or the divided-difference kernel
-(``fisher._pair_bundles``, ``integrals.simplex_exp_integral``) that the
+reads the pair integrals or the divided-difference kernel
+(``integrals._pair_integrals``, ``integrals.simplex_exp_integral``) that the
 analytic QFI and the exact image probabilities are built from.
 
 - ``box_quadrature``: a symmetric integrand over an axis-aligned box, the

@@ -587,6 +587,15 @@ def test_overflowing_kernel_denominator_exits_3(tmp_path, capsys):
     assert "warning:" not in err
 
 
+def test_huge_quantum_number_parity_prints_no_warning(capsys):
+    # 2 I cast to int wrapped above 2^63: "invalid value encountered in cast"
+    code, out, err = run(capsys, "solve", "--bc", "periodic", "-N", "1", "-I", "1e140",
+                         "-c", "1", "-L", "1e-10")
+    assert code == 0
+    assert json.loads(out)["quantum_numbers"] == [1e140]
+    assert "warning:" not in err
+
+
 def test_lmax_non_finite_cfi_exits_6(capsys, monkeypatch):
     import llfisher.fisher
 

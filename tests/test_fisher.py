@@ -29,7 +29,7 @@ from llfisher.fisher import (
     qfi_analytic,
     sweep,
 )
-from llfisher.integrals import NumericalHealthError, default_order, simplex_exp_integral
+from llfisher.integrals import NumericalHealthError, default_order
 from llfisher.wavefunction import AmplitudeTable, amplitudes
 
 PER = BoundaryCondition.PERIODIC
@@ -119,9 +119,9 @@ def _divide_by_c_qfi(spec, params):
                     logder += (-1.0 / c**2 - 1j * du / u**2) / f
             # signed coefficients pi_eps A and pi_eps dA/dc
             weight = math.prod(signs)
-            rows.append((perm, signs, weight * amp, weight * amp * logder, kap, dkap))
-    perms, signs, amp, damp, kappa, dkappa = (np.array(col) for col in zip(*rows))
-    table = AmplitudeTable(sol, params.L, perms, signs, amp, damp, kappa, dkappa)
+            rows.append((weight * amp, weight * amp * logder, kap, dkap))
+    amp, damp, kappa, dkappa = (np.array(col) for col in zip(*rows))
+    table = AmplitudeTable(sol, params.L, amp, damp, kappa, dkappa)
     nn, nd, dd, _ = _inner_products(table)
     return (4.0 / nn.real * (dd - abs(nd) ** 2 / nn.real)).real
 
@@ -211,10 +211,14 @@ def test_fidelity_oracle_shares_no_kernel_with_the_qfi(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("the oracle reached the QFI kernel")
 
+    names = ("_pair_integrals", "simplex_exp_integral")
+    patched = set()
     for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "llfisher"]:
-        for name in ("_pair_bundles", "simplex_exp_integral"):
+        for name in names:
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, broken)
+                patched.add(name)
+    assert patched == set(names)
     with pytest.raises(AssertionError, match="reached the QFI kernel"):
         qfi_analytic(*cases[0])
     for (spec, params), expected in zip(cases, analytic):
@@ -222,27 +226,8 @@ def test_fidelity_oracle_shares_no_kernel_with_the_qfi(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# pair bundles: sign and reflection folds, degeneracy quantum
+# pair and bundle counts
 # ---------------------------------------------------------------------------
-
-
-BUNDLE_STATES = {"box3": ground_state(HW, 3), "ring-112": StateSpec(PER, 3, (-1.0, 1.0, 2.0))}
-
-
-@pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("case", BUNDLE_STATES)
-def test_folded_bundles_match_kernel_on_every_pair(case, order):
-    table = amplitudes(BUNDLE_STATES[case], ModelParams(0.2, 10.0))
-    kappa, L = table.kappa, table.L
-    folded, n_bundles = llfisher.fisher._pair_bundles(kappa, L, order)
-    lam = kappa[:, None, :] - kappa[None, :, :]
-    direct = simplex_exp_integral(lam, L, order)
-    direct = (direct,) if order == 0 else direct
-    assert len(folded) == order + 1
-    assert n_bundles < lam.shape[0] * lam.shape[1] / 3
-    for got, want in zip(folded, direct):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize(
@@ -256,22 +241,6 @@ def test_folded_bundles_match_kernel_on_every_pair(case, order):
 def test_report_counts_pairs_and_bundles(spec, pairs, bundles):
     method = fisher_report(spec, ModelParams(0.2, 10.0)).method
     assert (method["qfi_pairs"], method["qfi_bundles"]) == (pairs, bundles)
-
-
-def test_box4_kernel_batch_is_folded(monkeypatch):
-    # counts the vectors the kernel integrates, without running it: both
-    # folds bring box N = 4 from 147,456 pairs (22,517 sign-folded) to 11,331
-    batches = []
-
-    def stub(lam, L, order):
-        batches.append(len(lam))
-        shapes = ((), (lam.shape[1],), (lam.shape[1],) * 2)[: order + 1]
-        return tuple(np.zeros((len(lam),) + shape, dtype=complex) for shape in shapes)
-
-    monkeypatch.setattr(llfisher.fisher, "simplex_exp_integral", stub)
-    table = amplitudes(ground_state(HW, 4), ModelParams(0.2, 10.0))
-    _, n_bundles = llfisher.fisher._pair_bundles(table.kappa, table.L, 2)
-    assert batches == [n_bundles] == [11331]
 
 
 SCALING_STATES = {

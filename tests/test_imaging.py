@@ -109,7 +109,7 @@ def test_single_full_pixel_is_certain():
     params = ModelParams(1.0, 1.0)
     dist = image_distribution(spec, params, uniform_grid(1.0, 1))
     full = AbsorptionImage((0, 2, 0))
-    assert dist.entries[full][0] == pytest.approx(1.0, abs=1e-10)
+    assert dict(zip(dist.images, dist.probs))[full] == pytest.approx(1.0, abs=1e-10)
     assert imaging_cfi(dist) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -237,10 +237,10 @@ def test_exact_probabilities_match_box_quadrature_box4():
 def test_uniform_grid_builds_one_run_table_per_run_size(call_counts, n, n_pixels, tables):
     # 7.3/N_p is not dyadic, so the clipped pixel widths differ in the last
     # bit; keyed by them, the run tables numbered 18 (N = 3) and 12 (N = 4)
-    counts = call_counts("_pair_bundles")
+    counts = call_counts("_pair_integrals")
     grid = uniform_grid(7.3, n_pixels)
     image_distribution(ground_state(HW, n), ModelParams(0.5, 7.3), grid)
-    assert counts == {"_pair_bundles": tables}
+    assert counts == {"_pair_integrals": tables}
 
 
 @pytest.mark.parametrize("L", [0.7, 2.9, 7.3, 11.1])
@@ -373,7 +373,7 @@ def test_sampling_frequencies_match_probabilities():
     for img in shots:
         counts[img] = counts.get(img, 0) + 1
     m = len(shots)
-    for img, (p, _) in dist.entries.items():
+    for img, p in zip(dist.images, dist.probs):
         if p < 1e-4:
             continue
         freq = counts.get(img, 0) / m
@@ -441,8 +441,9 @@ def test_mle_loglik_matches_distribution():
     c_grid = [0.05, 0.3, 0.5, 0.8, 2.0]
     _, loglik = mle_estimate(shots, spec, dist.grid, c_grid, params.L)
     for value, c in zip(loglik, c_grid):
-        at = image_distribution(spec, ModelParams(c, params.L), dist.grid).entries
-        want = sum(math.log(at[img][0]) for img in shots)
+        at = image_distribution(spec, ModelParams(c, params.L), dist.grid)
+        probs = dict(zip(at.images, at.probs))
+        want = sum(math.log(probs[img]) for img in shots)
         assert value == pytest.approx(want, rel=1e-12)
 
 

@@ -2,7 +2,8 @@
 
 The kernel is checked against adaptive scipy quadrature, iterated
 Gauss-Legendre rules, scipy.linalg.expm and mpmath partial fractions;
-none of them evaluates a matrix exponential with the kernel's code.
+none of them evaluates a matrix exponential with the kernel's code.  The
+folded pair layer is checked against the unfolded kernel on every pair.
 """
 
 import math
@@ -16,7 +17,12 @@ from oracles import box_quadrature
 from scipy import integrate
 
 import llfisher.integrals as integrals
+from llfisher.bethe import BoundaryCondition, ModelParams, StateSpec, ground_state
 from llfisher.integrals import simplex_exp_integral, simplex_quadrature
+from llfisher.wavefunction import amplitudes
+
+PER = BoundaryCondition.PERIODIC
+HW = BoundaryCondition.HARD_WALL
 
 
 def nested_quad(lam, L, power_idx=None):
@@ -386,6 +392,66 @@ def test_request_validation():
         simplex_exp_integral([1.0], 1.0, 3)
     with pytest.raises(TypeError):
         simplex_exp_integral([1.0], 1.0, moments=True)  # the keyword is order
+
+
+# ---------------------------------------------------------------------------
+# pair integrals: sign and reflection folds, degeneracy quantum, contraction
+# ---------------------------------------------------------------------------
+
+
+PAIR_STATES = {"box3": ground_state(HW, 3), "ring-112": StateSpec(PER, 3, (-1.0, 1.0, 2.0))}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("case", PAIR_STATES)
+def test_folded_bundles_match_kernel_on_every_pair(case, order):
+    # the unfolded kernel on every pair vector, contracted with dkappa here
+    table = amplitudes(PAIR_STATES[case], ModelParams(0.2, 10.0))
+    kappa, dkappa, L = table.kappa, table.dkappa, table.L
+    folded, n_bundles = integrals._pair_integrals(kappa, dkappa, L, order)
+    lam = kappa[:, None, :] - kappa[None, :, :]
+    direct = simplex_exp_integral(lam, L, order)
+    direct = (direct,) if order == 0 else direct
+    want = [direct[0]]
+    if order >= 1:
+        want.append((direct[1] * dkappa[None, :, :]).sum(axis=2))
+    if order == 2:
+        want.append(
+            (dkappa[:, None, :, None] * direct[2] * dkappa[None, :, None, :]).sum(axis=(2, 3))
+        )
+    assert len(folded) == order + 1
+    assert n_bundles < lam.shape[0] * lam.shape[1] / 3
+    for got, w in zip(folded, want):
+        assert got.shape == (len(kappa), len(kappa))
+        assert np.max(np.abs(got - w)) < 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("case", PAIR_STATES)
+def test_row_contraction_is_the_adjoint_of_the_column_contraction(case):
+    # sum_l I^1_l(lambda_ts) dkappa[t, l] = conj(a[s, t]), as I^1(-lambda) =
+    # conj I^1(lambda): the QFI assembly reads its row contraction this way
+    table = amplitudes(PAIR_STATES[case], ModelParams(0.2, 10.0))
+    kappa, dkappa, L = table.kappa, table.dkappa, table.L
+    (_, a), _ = integrals._pair_integrals(kappa, dkappa, L, 1)
+    _, i1 = simplex_exp_integral(kappa[:, None, :] - kappa[None, :, :], L, 1)
+    row = (i1 * dkappa[:, None, :]).sum(axis=2)
+    assert np.max(np.abs(row - np.conj(a.T))) < 1e-12 * np.max(np.abs(row))
+
+
+def test_box4_kernel_batch_is_folded(monkeypatch):
+    # counts the vectors the kernel integrates, without running it: both
+    # folds bring box N = 4 from 147,456 pairs (22,517 sign-folded) to 11,331
+    batches = []
+
+    def stub(lam, L, order):
+        batches.append(len(lam))
+        shapes = ((), (lam.shape[1],), (lam.shape[1],) * 2)[: order + 1]
+        return tuple(np.zeros((len(lam),) + shape, dtype=complex) for shape in shapes)
+
+    monkeypatch.setattr(integrals, "simplex_exp_integral", stub)
+    table = amplitudes(ground_state(HW, 4), ModelParams(0.2, 10.0))
+    _, n_bundles = integrals._pair_integrals(table.kappa, table.dkappa, table.L, 2)
+    assert batches == [n_bundles] == [11331]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Amplitude tables, pointwise evaluation and phase classification."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,25 @@ def make(bc, n, params, spec=None):
     return spec, table.solution, table
 
 
+def row_labels(table, bc):
+    """(perm, signs) of every table row by the documented row order.
+
+    Sign vectors major, permutations minor, each in itertools order;
+    every label is checked against the row's kappa = signs * k[perm].
+    """
+    n = table.n
+    perms = list(itertools.permutations(range(n)))
+    if bc is PER:
+        sign_sets = [(1.0,) * n]
+    else:
+        sign_sets = list(itertools.product((1.0, -1.0), repeat=n))
+    labels = [(perm, signs) for signs in sign_sets for perm in perms]
+    assert len(labels) == table.n_terms
+    for (perm, signs), kap in zip(labels, table.kappa):
+        assert np.array_equal(kap, np.array(signs) * table.solution.k[list(perm)])
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # amplitude tables
 # ---------------------------------------------------------------------------
@@ -47,7 +68,7 @@ def test_ring_pair_exchange_ratio():
     _, sol, table = make(PER, 2, params)
     k1, k2 = sol.k
     c = params.c
-    by_perm = {tuple(p): a for p, a in zip(map(tuple, table.perms), table.amp)}
+    by_perm = {p: a for (p, _), a in zip(row_labels(table, PER), table.amp)}
     # identity coefficient is the unit-modulus factor over ordered momenta
     u = k1 - k2
     assert abs(by_perm[(0, 1)] - np.sign(u) * (u + 1j * c) / abs(u + 1j * c)) < 1e-14
@@ -64,14 +85,9 @@ def test_adjacent_exchange_rule(bc, n):
     params = ModelParams(0.8, 1.5)
     _, sol, table = make(bc, n, params)
     c = params.c
-    rows = {
-        (tuple(p), tuple(s)): a
-        for p, s, a in zip(map(tuple, table.perms), map(tuple, table.signs), table.amp)
-    }
-    kappas = {
-        (tuple(p), tuple(s)): kap
-        for p, s, kap in zip(map(tuple, table.perms), map(tuple, table.signs), table.kappa)
-    }
+    labels = row_labels(table, bc)
+    rows = dict(zip(labels, table.amp))
+    kappas = dict(zip(labels, table.kappa))
     for (perm, signs), amp in rows.items():
         for pos in range(n - 1):
             swapped_perm = list(perm)
@@ -88,10 +104,7 @@ def test_box_table_size_and_sign_reversal():
     params = ModelParams(1.0, 1.0)
     _, _, table = make(HW, 2, params)
     assert table.n_terms == 8
-    rows = {
-        (tuple(p), tuple(s)): a
-        for p, s, a in zip(map(tuple, table.perms), map(tuple, table.signs), table.amp)
-    }
+    rows = dict(zip(row_labels(table, HW), table.amp))
     # flipping the sign of the first argument leaves A invariant, so the
     # signed coefficient pi_eps A changes sign with pi_eps
     for (perm, signs), amp in rows.items():
@@ -106,6 +119,12 @@ def test_particle_cap_enforced(call_counts):
     with pytest.raises(ValueError, match="cap"):
         amplitudes(ground_state(HW, 5), ModelParams(1.0, 1.0))
     assert counts["solve_bethe"] == 0
+
+
+def test_call_counts_rejects_a_name_no_module_binds(call_counts):
+    # a renamed function would otherwise leave a zero count that passes
+    with pytest.raises(LookupError, match="solve_bethe_renamed"):
+        call_counts("solve_bethe_renamed")
 
 
 def test_table_carries_its_solution():
