@@ -113,7 +113,10 @@ def _qfi_with_residue(table: AmplitudeTable):
     Returns (QFI, relative imaginary residue |Im QFI| / |QFI|, number of
     distinct pair bundles).  |nd|^2 / NS is formed as (|nd| / NS) |nd|,
     which does not underflow when NS and nd are tiny (small L).  A QFI
-    that is not finite is a NumericalHealthError, like a large residue.
+    that is not finite or has a negative real part is a
+    NumericalHealthError, like a large residue: by Cauchy-Schwarz
+    |nd|^2 <= NS dd, so the exact QFI is never negative, and a negative
+    value means the pair sum cancelled beyond its rounding.
     """
     n2 = table.solution.norm_sq
     _, nd, dd, n_bundles = _inner_products(table)
@@ -125,6 +128,8 @@ def _qfi_with_residue(table: AmplitudeTable):
         raise NumericalHealthError(
             f"QFI assembly left a relative imaginary residue {residue:.3e}"
         )
+    if qfi_c.real < 0:
+        raise NumericalHealthError(f"QFI assembly gave a negative value {qfi_c.real:.6e}")
     return float(qfi_c.real), residue, n_bundles
 
 

@@ -37,6 +37,12 @@ with dkappa) when dP/dc is wanted and order 0 (I alone) for P, as in the
 MLE.  A pixel that [0, L] cuts by no more than the ``PixelGrid.covers``
 slack keeps the width dx, and a bin no wider than that slack is empty, so
 a uniform grid needs one run table per run size, however its edges round.
+An image's box matrix, and its dkappa moment matrix, depend only on its
+pattern, the ordered sizes and widths of its runs; the bins that hold the
+runs enter through the corner phase e^{i kappa.lo} alone.  Each pattern's
+matrices are built once, and all its images are evaluated by one matrix
+product, one row per image; a uniform grid of N or more pixels covering
+[0, L] has 2^(N-1) patterns.
 The test suite checks P against Gauss-Legendre box quadrature of the same
 density (``box_quadrature`` in ``tests/oracles.py``) and dP/dc against
 finite differences of P.
@@ -44,6 +50,7 @@ finite differences of P.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -55,7 +62,7 @@ import numpy as np
 
 from .bethe import ModelParams, StateSpec
 from .integrals import NumericalHealthError, ResourceLimitError, _pair_integrals
-from .wavefunction import AmplitudeTable, amplitudes
+from .wavefunction import _EVAL_CHUNK, AmplitudeTable, amplitudes
 
 DEFAULT_IMAGE_CAP = 200_000
 PROB_FLOOR = 1e-300
@@ -111,31 +118,24 @@ class AbsorptionImage:
     counts: tuple
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
+        if min(self.counts, default=0) < 0:
             raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(map(int, self.counts)))
 
     @property
     def n_atoms(self) -> int:
         return sum(self.counts)
 
 
-def _compositions(total: int, bins: int):
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, bins - 1):
-            yield (first,) + rest
-
-
 def enumerate_images(n: int, n_pixels: int):
     """All realizable absorption images of n atoms on n_pixels pixels.
 
     These are the weak compositions of n into n_pixels + 2 bins, of which
-    there are (n + n_pixels + 1)! / ((n_pixels + 1)! n!).  Raises
-    ResourceLimitError, before enumerating any, when that count exceeds
-    DEFAULT_IMAGE_CAP.
+    there are (n + n_pixels + 1)! / ((n_pixels + 1)! n!), with the first
+    bin's count descending: (n, 0, ..., 0) first, (0, ..., 0, n) last.
+    That is the lexicographic order of the ascending atom-bin tuples that
+    ``combinations_with_replacement`` yields.  Raises ResourceLimitError,
+    before enumerating any, when that count exceeds DEFAULT_IMAGE_CAP.
     """
     if n < 1 or n_pixels < 1:
         raise ValueError("need n >= 1 atoms and n_pixels >= 1 pixels")
@@ -144,7 +144,15 @@ def enumerate_images(n: int, n_pixels: int):
         raise ResourceLimitError(
             f"{count} absorption images exceed the cap of {DEFAULT_IMAGE_CAP}"
         )
-    return [AbsorptionImage(c) for c in _compositions(n, n_pixels + 2)]
+    n_bins = n_pixels + 2
+    bins = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n_bins), n)),
+        dtype=np.intp,
+        count=count * n,
+    ).reshape(count, n)
+    cells = (np.arange(count)[:, None] * n_bins + bins).ravel()
+    counts = np.bincount(cells, minlength=count * n_bins).reshape(count, n_bins)
+    return [AbsorptionImage(tuple(row)) for row in counts.tolist()]
 
 
 def multiplicity(image: AbsorptionImage) -> int:
@@ -186,6 +194,37 @@ def _bin_intervals(grid: PixelGrid, L: float):
     return intervals
 
 
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """conj(u_i) . v_i for every row i, each as the 1-D product of that row.
+
+    A stacked matrix product keeps the summation of the 1-D product, which
+    a sum over the elementwise product does not.
+    """
+    return (np.conj(u)[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _pattern_matrices(runs, index, run_tables):
+    """Box matrix of one run pattern, and its dkappa moment matrix at order 1.
+
+    ``runs`` holds the pattern's (run size, bin width) in coordinate order,
+    ``index[r]`` the run-table row of every (run start, table row) and
+    ``run_tables[r, w]`` the ``_pair_integrals`` matrices of that run.  The
+    box matrix is the elementwise product over the runs of their pair
+    integrals; the moment matrix collects, by the product rule, the first
+    moment of one run times the integrals of the others.  Returns (box,
+    moments), with moments None when the run tables hold no moments.
+    """
+    box, moments, start = 1.0, 0.0, 0
+    for size, width in runs:
+        i00, *moment = run_tables[size, width]
+        pairs = np.ix_(index[size][start], index[size][start])
+        if moment:
+            moments = moments * i00[pairs] + box * moment[0][pairs]
+        box = box * i00[pairs]
+        start += size
+    return box, (moments if moment else None)
+
+
 def _image_probabilities(
     spec: StateSpec, params: ModelParams, grid: PixelGrid, images, derivative: bool
 ):
@@ -195,22 +234,35 @@ def _image_probabilities(
     factor depends on a pair of table rows only through their kappa
     entries on those slots.  The distinct length-r sub-rows are pooled
     over run starts, so every (run size, bin width) needs one table of
-    pair integrals from ``_pair_integrals``, built on first use: at moment
-    order 1 with ``derivative``, also holding the first moments contracted
-    with the sub-rows' dkappa, and at order 0 without it.
+    pair integrals from ``_pair_integrals``: at moment order 1 with
+    ``derivative``, also holding the first moments contracted with the
+    sub-rows' dkappa, and at order 0 without it.
 
-    Runs are integrated in the shifted coordinate y = x - lo; the shift is
-    the corner phase e^{i kappa.lo} on every table row, and the first
-    moment of x_l is lo_l I + I^1 in the run of x_l, which the product
-    rule over the runs collects.  zeta times the product of run-size
-    factorials is N!, which cancels the N! of the bosonic normalization:
-    P is the ordered-box integral of |psi~|^2 over the ordered-domain
-    norm square.
+    Runs are integrated in the shifted coordinate y = x - lo.  The box and
+    moment matrices B and M of an image then depend only on its pattern,
+    the ordered (run size, bin width) of its occupied bins, and a uniform
+    grid of N or more pixels that covers [0, L] has 2^(N-1) patterns (the
+    compositions of N).
+    The bins that hold the runs enter only through the corner phase
+    e^{i kappa.lo} on every table row, lo being each atom's bin start, and
+    through the first moment of x_l, which is lo_l I + I^1 in the run of
+    x_l.  So each pattern's matrices are built once
+    (``_pattern_matrices``), and its images are evaluated together, one row
+    per image, in chunks of at most ``_EVAL_CHUNK`` entries: with
+    U = amp e^{i lo kappa^T},
+
+        P ~ Re rowsum(conj U o (U B^T)),
+        dP/dc ~ 2 Re rowsum(conj U o (dU B^T) + i conj U o (U M^T)),
+        dU = damp e^{i lo kappa^T} + i (lo dkappa^T) o U.
+
+    zeta times the product of run-size factorials is N!, which cancels the
+    N! of the bosonic normalization: P is the ordered-box integral of
+    |psi~|^2 over the ordered-domain norm square.  An image with an
+    occupied bin outside the support has P = 0.
     """
     table = amplitudes(spec, params)
     n, rows = table.n, table.n_terms
-    intervals = _bin_intervals(grid, params.L)
-    index, sub_rows, run_tables = {}, {}, {}
+    index, sub_rows = {}, {}
     for r in range(1, n + 1):
         starts = range(n - r + 1)
         kap = np.concatenate([table.kappa[:, s : s + r] for s in starts])
@@ -219,32 +271,52 @@ def _image_probabilities(
         index[r] = inverse.reshape(len(starts), rows)
         sub_rows[r] = (uniq, dkap[first])
 
-    raw, draw = np.zeros(len(images)), np.zeros(len(images))
-    for i, image in enumerate(images):
-        runs = [(b, count) for b, count in enumerate(image.counts) if count]
-        if any(intervals[b] is None for b, _ in runs):
-            continue  # an occupied bin outside the support: P = 0
-        lo, box, moments, start = np.empty(n), 1.0, 0.0, 0
-        for b, count in runs:
-            a, width = intervals[b]
-            lo[start : start + count] = a
-            if (count, width) not in run_tables:
-                kap, dkap = sub_rows[count]
-                run_tables[count, width] = _pair_integrals(kap, dkap, width, int(derivative))[0]
-            i00, *moment = run_tables[count, width]
-            pairs = np.ix_(index[count][start], index[count][start])
-            if derivative:
-                moments = moments * i00[pairs] + box * moment[0][pairs]
-            box = box * i00[pairs]
-            start += count
+    # each atom's bin, ascending per image, and per bin its start and width
+    counts = np.fromiter(
+        itertools.chain.from_iterable(image.counts for image in images),
+        dtype=np.intp,
+        count=len(images) * grid.n_bins,
+    ).reshape(len(images), grid.n_bins)
+    bins = np.repeat(np.tile(np.arange(grid.n_bins), len(images)), counts.ravel())
+    bins = bins.reshape(len(images), n)
+    intervals = _bin_intervals(grid, params.L)
+    widths = sorted({iv[1] for iv in intervals if iv is not None})
+    bin_lo = np.array([0.0 if iv is None else iv[0] for iv in intervals])
+    bin_width = np.array([-1 if iv is None else widths.index(iv[1]) for iv in intervals])
 
-        phase = np.exp(1j * (table.kappa @ lo))
-        u = table.amp * phase
-        u_conj = np.conj(u)
-        raw[i] = (u_conj @ (box @ u)).real
-        if derivative:
-            du = table.damp * phase + 1j * (table.dkappa @ lo) * u
-            draw[i] = 2.0 * (u_conj @ (box @ du) + 1j * (u_conj @ (moments @ u))).real
+    # pattern key: the width index of its bin where a run starts, -1 elsewhere
+    keys = bin_width[bins]
+    live = np.flatnonzero((keys >= 0).all(axis=1))
+    keys[:, 1:][bins[:, 1:] == bins[:, :-1]] = -1
+    patterns, which = np.unique(keys[live], axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    runs_of = []
+    for key in patterns:
+        starts = np.flatnonzero(key >= 0)
+        sizes = np.diff(np.append(starts, n))
+        runs_of.append(tuple((int(r), widths[key[s]]) for r, s in zip(sizes, starts)))
+    run_tables = {}
+    for size, width in {run for runs in runs_of for run in runs}:
+        kap, dkap = sub_rows[size]
+        run_tables[size, width] = _pair_integrals(kap, dkap, width, int(derivative))[0]
+
+    raw, draw = np.zeros(len(images)), np.zeros(len(images))
+    step = max(1, _EVAL_CHUNK // rows)
+    for k, runs in enumerate(runs_of):
+        images_of = live[which == k]
+        box, moments = _pattern_matrices(runs, index, run_tables)
+        for chunk in range(0, len(images_of), step):
+            sel = images_of[chunk : chunk + step]
+            # stacked matrix-vector products: each image's phase is the one
+            # the 1-D product kappa @ lo gives, whatever the batch
+            lo = bin_lo[bins[sel]][:, :, None]
+            phase = np.exp(1j * (table.kappa @ lo)[:, :, 0])
+            u = table.amp * phase
+            raw[sel] = _row_dots(u, u @ box.T).real
+            if derivative:
+                du = table.damp * phase + 1j * (table.dkappa @ lo)[:, :, 0] * u
+                grad = _row_dots(u, du @ box.T) + 1j * _row_dots(u, u @ moments.T)
+                draw[sel] = 2.0 * grad.real
 
     n2 = table.solution.norm_sq
     probs = raw / n2

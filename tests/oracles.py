@@ -11,6 +11,9 @@ analytic QFI and the exact image probabilities are built from.
 - ``qfi_overlap_oracle``: the fidelity estimate of the QFI.
 - ``cfi_full_simplex``: the CFI of the position measurement by the
   N-dimensional rule, with no translation reduction.
+
+``compositions`` is the combinatorial one: the order in which the images
+of ``imaging.enumerate_images`` come, by recursion on the first bin.
 """
 
 import math
@@ -146,3 +149,13 @@ def cfi_full_simplex(table: AmplitudeTable) -> float:
         return 4.0 * radial**2 / np.abs(vals) ** 2 / sol.norm_sq
 
     return float(simplex_quadrature(density, n, table.L, default_order(n)).real)
+
+
+def compositions(total: int, bins: int):
+    """Weak compositions of ``total`` into ``bins`` parts, first part descending."""
+    if bins == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, bins - 1):
+            yield (first,) + rest

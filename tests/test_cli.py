@@ -609,6 +609,24 @@ def test_lmax_non_finite_cfi_exits_6(capsys, monkeypatch):
     assert err.startswith("numerical check failed: CFI at L = ")
 
 
+@pytest.mark.parametrize(
+    "n,row",
+    [("3", ",nan,nan,nan,,,error:NumericalHealthError: QFI assembly gave a negative value"),
+     ("1", ",0,0,0,real,analytic,ok,")],
+    ids=["ring3", "ring1"],
+)
+def test_negative_qfi_is_a_failed_row(capsys, n, row):
+    # at gamma = 1e-14 the ring N = 3 pair sum cancels to a QFI of -0.00716,
+    # which Cauchy-Schwarz rules out; it was written as an ok row, exit 0.
+    # N = 1 has an exact QFI of 0, which stays ok.
+    code, out, _ = run(
+        capsys, "fisher", "--bc", "periodic", "-N", n, "--ground", "--axis", "c",
+        "--start", "1e-14", "--stop", "1e-14", "--num", "1", "--fixed", "1",
+    )
+    assert row in out
+    assert code == (3 if n == "3" else 0)
+
+
 def test_sweep_row_names_the_collapsed_state(capsys):
     code, out, _ = run(
         capsys, "fisher", *BOX3, "--axis", "c", "--start", "1e-30", "--stop", "1e-30",

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import box_quadrature
+from oracles import box_quadrature, compositions
 
 from llfisher.bethe import (
     BoundaryCondition,
@@ -53,6 +53,15 @@ def test_enumeration_order_is_deterministic():
     assert images[0].counts == (2, 0, 0)
     assert images[1].counts == (1, 1, 0)
     assert images[-1].counts == (0, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "n,n_pixels", [(3, 64), (4, 16), (5, 8), (2, 16), (3, 1), (1, 1), (4, 20)]
+)
+def test_enumeration_follows_the_composition_order(n, n_pixels):
+    # sample_images draws by index, so the order fixes the shots of a seed
+    images = enumerate_images(n, n_pixels)
+    assert [image.counts for image in images] == list(compositions(n, n_pixels + 2))
 
 
 def test_enumeration_cap():
@@ -241,6 +250,53 @@ def test_uniform_grid_builds_one_run_table_per_run_size(call_counts, n, n_pixels
     grid = uniform_grid(7.3, n_pixels)
     image_distribution(ground_state(HW, n), ModelParams(0.5, 7.3), grid)
     assert counts == {"_pair_integrals": tables}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("bc", [PER, HW])
+def test_uniform_grid_has_one_pattern_per_composition(call_counts, bc, n):
+    # an image's box and moment matrices depend only on its ordered run
+    # sizes, the 2^(N-1) compositions of N, on a grid with one pixel width
+    counts = call_counts("_pattern_matrices")
+    image_distribution(ground_state(bc, n), ModelParams(0.5, 7.3), uniform_grid(7.3, n + 1))
+    assert counts == {"_pattern_matrices": 2 ** (n - 1)}
+
+
+@pytest.mark.parametrize("derivative", [False, True], ids=["P", "dP"])
+@pytest.mark.parametrize(
+    "bc,n,n_pixels",
+    # box N = 3 at 64 px: each pattern holds about 12,500 images, more than
+    # one evaluation chunk
+    [(HW, 3, 64), (PER, 4, 16), (HW, 4, 8), (PER, 5, 8)],
+    ids=["box3-64", "ring4-16", "box4-8", "ring5-8"],
+)
+def test_images_evaluated_alone_match_the_full_evaluation(bc, n, n_pixels, derivative):
+    # the MLE evaluates the observed images alone; grouping them by pattern
+    # and chunk must not move their values
+    spec, params, grid = ground_state(bc, n), ModelParams(0.5, 7.3), uniform_grid(7.3, n_pixels)
+    images = enumerate_images(n, n_pixels)
+    probs, dprobs = _image_probabilities(spec, params, grid, images, derivative)
+    picks = np.random.default_rng(n_pixels).choice(len(images), size=137, replace=False)
+    sub_probs, sub_dprobs = _image_probabilities(
+        spec, params, grid, [images[i] for i in picks], derivative
+    )
+    assert np.all(np.abs(sub_probs - probs[picks]) <= 1e-14 * probs[picks])
+    if derivative:
+        assert np.all(np.abs(sub_dprobs - dprobs[picks]) <= 1e-14 * np.abs(dprobs[picks]))
+
+
+def test_imaging_deficit_falls_as_the_pixel_width_squared():
+    # the paper's saturability claim: imaging reaches the Fisher information
+    # as the pixels shrink; the deficit 1 - F_img/F goes 0.124, 0.0375,
+    # 0.0103, 0.00268 at 8 ... 64 px, successive ratios 3.31, 3.65, 3.83 -> 4
+    spec, params = ground_state(HW, 3), ModelParams(0.5, 7.3)
+    reference = cfi(spec, params)
+    deficits = [
+        1.0 - imaging_cfi(image_distribution(spec, params, uniform_grid(7.3, n_pix))) / reference
+        for n_pix in (8, 16, 32, 64)
+    ]
+    assert all(a > b > 0.0 for a, b in zip(deficits, deficits[1:]))
+    assert 3.7 <= deficits[2] / deficits[3] <= 4.0
 
 
 @pytest.mark.parametrize("L", [0.7, 2.9, 7.3, 11.1])
