@@ -60,16 +60,19 @@ def _fmt(value: float) -> str:
 
 def _config_hash(payload: dict) -> str:
     # numeric settings are part of the provenance: a change in the solver
-    # tolerance, the default quadrature orders or the CFI rule of ring
-    # states (N - 1 dimensions at x_1 = 0) changes every row's hash
+    # tolerance, the CFI rule pair and its refinement, or the slice on
+    # which the ring QFI and CFI are integrated (N - 1 dimensions at
+    # x_1 = 0) changes every row's hash
     from .bethe import RESIDUAL_RTOL
-    from .integrals import DEFAULT_SIMPLEX_ORDER, DEFAULT_SIMPLEX_ORDER_4D
+    from .fisher import CFI_ERROR_RTOL, CFI_MAX_NODES, CFI_RULE_PAIRS
 
     full = {
         **payload,
         "residual_rtol": RESIDUAL_RTOL,
-        "simplex_orders": [DEFAULT_SIMPLEX_ORDER, DEFAULT_SIMPLEX_ORDER_4D],
+        "cfi_rule_pairs": {str(dim): list(pair) for dim, pair in CFI_RULE_PAIRS.items()},
+        "cfi_refinement": {"rtol": CFI_ERROR_RTOL, "max_nodes": CFI_MAX_NODES},
         "ring_cfi_rule": "x_1 = 0, N - 1 dims",
+        "ring_qfi_rule": "x_1 = 0, N - 1 dims",
     }
     canon = json.dumps(full, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]

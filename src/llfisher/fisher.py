@@ -19,22 +19,33 @@ wavenumber difference lambda = kappa_t - kappa_s, which
 ``integrals._pair_integrals`` folds, deduplicates and contracts with
 dkappa (``fisher_report`` records the pair and bundle counts).
 The assembly is exact up to the Bethe residual and the rounding of that
-kernel.  The CFI either equals the QFI outright (real or purely
-imaginary phase class, where the position measurement is optimal) or is
-integrated numerically on the ordered simplex; ``fisher_report`` alone
-makes that choice, and ``cfi`` reads its result.  Only general-class
-ring states take the quadrature, and their integrand is translation
-invariant: shifting every coordinate by a multiplies psi by exp(i P a),
-and the momentum P does not depend on c.  So the ordered N-dimensional
-integral is L/N times an (N - 1)-dimensional one at x_1 = 0, and
-``fisher_report`` names the rule it took (dimension and order).  A state
-point is one amplitude table: ``amplitudes(spec, params)`` solves the
-state once, and its table carries NS and d NS/dc in its Bethe solution
-to both the QFI assembly and the CFI quadrature.
+kernel.
+
+On the ring every integrand here is translation invariant: shifting
+every coordinate by a multiplies psi~ and d_c psi~ by exp(i P a), as the
+momentum P does not depend on c (sum_j dk_j = 0).  So each ordered
+N-dimensional integral is L/N times an (N - 1)-dimensional one on the
+slice x_1 = 0.  The ring QFI takes the pair integrals of that slice (the
+kappa columns 2..N); box states have no such symmetry and keep the
+N-dimensional simplex.
+
+The CFI either equals the QFI outright (real or purely imaginary phase
+class, where the position measurement is optimal) or is integrated
+numerically on the slice; ``fisher_report`` alone makes that choice, and
+``cfi`` reads its result.  Only general-class ring states take the
+quadrature: two Gauss-Legendre rules of orders CFI_RULE_PAIRS, whose
+relative difference is the error estimate, on cells bisected until the
+estimate is within CFI_ERROR_RTOL (``integrals.refined_simplex_quadrature``);
+an estimate left above it is a NumericalHealthError.  ``fisher_report``
+names the rule it took (dimension, orders, cells) and the estimate.  A
+state point is one amplitude table: ``amplitudes(spec, params)`` solves
+the state once, and its table carries NS and d NS/dc in its Bethe
+solution to both the QFI assembly and the CFI quadrature.
 
 At fixed N, QFI(c, L) = L^2 QFI(c L, 1), and the CFI likewise.  No
 tolerance here has an absolute floor, so both follow this law wherever
-L^(N+2) is a normal double; ``simplex_exp_integral`` rejects other L.
+L^(N+2) is a normal double; other L are a NumericalHealthError
+(``integrals._check_double_range``).
 
 The test suite checks the assembly against a fidelity-overlap estimate,
 QFI ~ 8 (1 - |<psi_{c-d/2}|psi_{c+d/2}>|) / d^2, whose overlaps are
@@ -54,7 +65,12 @@ import numpy as np
 
 # bound, not called: perfbench/test_harness.py checks its tracer on this name
 from .bethe import ModelParams, StateSpec, solve_bethe  # noqa: F401
-from .integrals import NumericalHealthError, _pair_integrals, default_order, simplex_quadrature
+from .integrals import (
+    NumericalHealthError,
+    _check_double_range,
+    _pair_integrals,
+    refined_simplex_quadrature,
+)
 from .wavefunction import (
     AmplitudeTable,
     PhaseClass,
@@ -65,6 +81,17 @@ from .wavefunction import (
 )
 
 QFI_IMAG_RTOL = 1e-8
+# Gauss-Legendre orders (m, m') of the two CFI rules by rule dimension
+# N - 1: the CFI is the order-m value, their difference its error estimate.
+# At 4-D (20, 14) is cheaper than (24, 16) (198,416 nodes, not 397,312)
+# and its estimate is further above the true error
+CFI_RULE_PAIRS = {1: (24, 16), 2: (24, 16), 3: (24, 16), 4: (20, 14)}
+# Largest accepted CFI error estimate: a tenth of the 1e-4 to which the
+# quadrature CFI is held (acceptance criterion 6)
+CFI_ERROR_RTOL = 1e-5
+# Nodes that the CFI quadrature may evaluate, refinement included, before
+# it gives up: about a second of eval_batch at N = 4
+CFI_MAX_NODES = 1_000_000
 # Phase classes whose position measurement is optimal (CFI = QFI).
 SATURATED_CLASSES = (PhaseClass.REAL, PhaseClass.IMAGINARY)
 
@@ -83,10 +110,28 @@ def _inner_products(table: AmplitudeTable):
 
     Assembled from the coefficient table and its ``_pair_integrals``
     matrices at order 2; the pair reduction is a deterministic einsum.
+    On the ring the three integrands are translation invariant (module
+    docstring), so the pair integrals are those of the (N - 1)-D slice
+    x_1 = 0, the kappa columns 2..N, and the products are L/N times their
+    slice integrals.  One particle has a 0-D slice: the integrand at
+    x_1 = 0, where the phases are 1 and no coordinate moment enters.
     Returns the three inner products and the number of distinct pair
     bundles.
     """
-    (i00, a, quad), n_bundles = _pair_integrals(table.kappa, table.dkappa, table.L, order=2)
+    n, L = table.n, table.L
+    if not table.periodic:
+        scale = 1.0
+        (i00, a, quad), n_bundles = _pair_integrals(table.kappa, table.dkappa, L, order=2)
+    else:
+        # the slice integrals scale as L^(N + 1); the products, as in the box, as L^(N + 2)
+        _check_double_range(L, n + 2)
+        scale = L / n
+        if n > 1:
+            (i00, a, quad), n_bundles = _pair_integrals(
+                table.kappa[:, 1:], table.dkappa[:, 1:], L, order=2
+            )
+        else:
+            i00, a, quad, n_bundles = np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 0
     # b[t, s] = sum_l I^1_l(lam_ts) dkappa[t, l] is conj(a[s, t]), as I^1(-lam) =
     # conj I^1(lam); made contiguous, since einsum's summation order follows the layout
     b = np.ascontiguousarray(np.conj(a.T))
@@ -104,7 +149,7 @@ def _inner_products(table: AmplitudeTable):
         - 1j * np.einsum("t,s,ts->", c_amp, w_damp, b)
         + np.einsum("t,s,ts->", c_amp, w_amp, quad)
     )
-    return complex(nn), complex(nd), complex(dd), n_bundles
+    return complex(scale * nn), complex(scale * nd), complex(scale * dd), n_bundles
 
 
 def _qfi_with_residue(table: AmplitudeTable):
@@ -157,9 +202,13 @@ def _cfi_quadrature(table: AmplitudeTable) -> tuple:
 
         int_{0<x_1<...<x_N<L} f = (L/N) int_{0<y_2<...<y_N<L} f(0, y),
 
-    integrated by the (N - 1)-dimensional rule with
-    ``default_order(N - 1)`` points per dimension.  Returns (CFI, rule
-    dimension, rule order).
+    integrated by the two (N - 1)-dimensional rules of orders
+    CFI_RULE_PAIRS[N - 1] = (m, m').  The CFI is the order-m value Q_m, and
+    |Q_m - Q_m'| / Q_m its error estimate; where that exceeds
+    CFI_ERROR_RTOL, ``refined_simplex_quadrature`` bisects the slice
+    within CFI_MAX_NODES, and an estimate still above it is a
+    NumericalHealthError.  Returns (CFI, rule dimension, rule pair, error
+    estimate, cell count).
     """
     n, L = table.n, table.L
     n2 = table.solution.norm_sq
@@ -173,9 +222,17 @@ def _cfi_quadrature(table: AmplitudeTable) -> tuple:
         np.divide(4.0 * radial * radial, abs_sq, out=out, where=abs_sq > 0)
         return out
 
-    dim, order = n - 1, default_order(n - 1)
-    value = (L / n) * simplex_quadrature(integrand, dim, L, order)
-    return float(value.real) / n2, dim, order
+    dim = n - 1
+    orders = CFI_RULE_PAIRS[dim]
+    value, estimate, cells = refined_simplex_quadrature(
+        integrand, dim, L, orders, CFI_ERROR_RTOL, CFI_MAX_NODES
+    )
+    if not estimate <= CFI_ERROR_RTOL:
+        raise NumericalHealthError(
+            f"CFI rules of orders {orders[0]} and {orders[1]} differ by {estimate:.3e} "
+            f"relative on {cells} cells, above {CFI_ERROR_RTOL:g}"
+        )
+    return (L / n) * value / n2, dim, orders, estimate, cells
 
 
 def cfi(spec: StateSpec, params: ModelParams) -> float:
@@ -213,9 +270,9 @@ def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
     if cls in SATURATED_CLASSES:
         cfi_value = qfi_value
         route = "analytic"
-        rule_dim = rule_order = None
+        rule_dim = rule_orders = error_estimate = cells = None
     else:
-        cfi_value, rule_dim, rule_order = _cfi_quadrature(table)
+        cfi_value, rule_dim, rule_orders, error_estimate, cells = _cfi_quadrature(table)
         route = "quadrature"
     return FisherReport(
         qfi=qfi_value,
@@ -227,7 +284,9 @@ def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
             "phase_class": cls.value,
             "cfi_route": route,
             "quadrature_dim": rule_dim,
-            "quadrature_order": rule_order,
+            "quadrature_orders": rule_orders,
+            "quadrature_cells": cells,
+            "cfi_error_estimate": error_estimate,
             "qfi_imag_residue": residue,
             "qfi_pairs": table.n_terms**2,
             "qfi_bundles": n_bundles,

@@ -62,7 +62,7 @@ import numpy as np
 
 from .bethe import ModelParams, StateSpec
 from .integrals import NumericalHealthError, ResourceLimitError, _pair_integrals
-from .wavefunction import _EVAL_CHUNK, AmplitudeTable, amplitudes
+from .wavefunction import _EVAL_CHUNK, AmplitudeTable, _unit_phases, amplitudes
 
 DEFAULT_IMAGE_CAP = 200_000
 PROB_FLOOR = 1e-300
@@ -252,8 +252,11 @@ def _image_probabilities(
     U = amp e^{i lo kappa^T},
 
         P ~ Re rowsum(conj U o (U B^T)),
-        dP/dc ~ 2 Re rowsum(conj U o (dU B^T) + i conj U o (U M^T)),
+        dP/dc ~ 2 Re rowsum(conj dU o (U B^T) + i conj U o (U M^T)),
         dU = damp e^{i lo kappa^T} + i (lo dkappa^T) o U.
+
+    B is Hermitian (I(-lambda) = conj I(lambda), exactly, in every run
+    table), so the product U B^T serves both P and the first dP/dc term.
 
     zeta times the product of run-size factorials is N!, which cancels the
     N! of the bosonic normalization: P is the ordered-box integral of
@@ -310,12 +313,13 @@ def _image_probabilities(
             # stacked matrix-vector products: each image's phase is the one
             # the 1-D product kappa @ lo gives, whatever the batch
             lo = bin_lo[bins[sel]][:, :, None]
-            phase = np.exp(1j * (table.kappa @ lo)[:, :, 0])
+            phase = _unit_phases((table.kappa @ lo)[:, :, 0])
             u = table.amp * phase
-            raw[sel] = _row_dots(u, u @ box.T).real
+            ub = u @ box.T
+            raw[sel] = _row_dots(u, ub).real
             if derivative:
                 du = table.damp * phase + 1j * (table.dkappa @ lo)[:, :, 0] * u
-                grad = _row_dots(u, du @ box.T) + 1j * _row_dots(u, u @ moments.T)
+                grad = _row_dots(du, ub) + 1j * _row_dots(u, u @ moments.T)
                 draw[sel] = 2.0 * grad.real
 
     n2 = table.solution.norm_sq

@@ -56,9 +56,11 @@ lambda.  About a quarter of the pairs reach the kernel, and the moments
 are contracted with dkappa, so callers get (rows, rows) matrices.
 
 Iterated Gauss-Legendre rules over the same ordered domain give the
-direct CFI quadrature of general ring states.  The test suite builds its
-numerical oracles from them as well (``tests/oracles.py``): they evaluate
-the wavefunction at nodes and share no code with the divided-difference
+direct CFI quadrature of general ring states: a pair of them, mapped onto
+the cells of a longest-edge bisection where they disagree
+(``refined_simplex_quadrature``).  The test suite builds its numerical
+oracles from them as well (``tests/oracles.py``): they evaluate the
+wavefunction at nodes and share no code with the divided-difference
 kernel.
 """
 
@@ -80,9 +82,6 @@ EXPM_CHUNK = 8192
 # pair wavenumber vectors share one set of simplex integrals.
 DEGENERACY_RTOL = 1e-9
 
-DEFAULT_SIMPLEX_ORDER = 48
-DEFAULT_SIMPLEX_ORDER_4D = 24
-
 # Higham (2005): the degree-13 Pade coefficients, and theta_13, the 1-norm
 # up to which the unscaled approximant is accurate to double precision.
 _PADE13 = (
@@ -102,8 +101,9 @@ class NumericalHealthError(RuntimeError):
     """An integration result failed its accuracy check.
 
     Raised when the QFI assembly leaves an imaginary residue or a value
-    that is not finite, when the absorption-image probabilities do not sum
-    to one, and when L^(N + order) of a simplex integral is not a normal double.
+    that is not finite, when the CFI rule pair disagrees beyond its
+    tolerance, when the absorption-image probabilities do not sum to one,
+    and when L^(N + order) of a simplex integral is not a normal double.
     """
 
 
@@ -243,6 +243,12 @@ def _simplex_block(lam: np.ndarray, L: float, order: int):
     return out
 
 
+def _check_double_range(L: float, power: int) -> None:
+    """Raise NumericalHealthError unless L^power, a simplex integral's scale, is a normal double."""
+    if not -1022 <= power * math.log2(L) < 1024:
+        raise NumericalHealthError(f"simplex integrals at L = {L:.3e} leave the double range")
+
+
 def simplex_exp_integral(lam, L: float, order: int = 0):
     """Ordered-simplex integrals of e^{-i lambda.x} for a batch of wavenumbers.
 
@@ -267,8 +273,7 @@ def simplex_exp_integral(lam, L: float, order: int = 0):
         raise ValueError("L must be positive and finite")
     lead, n = lam.shape[:-1], lam.shape[-1]
     lam = lam.reshape(-1, n)
-    if not -1022 <= (n + order) * math.log2(L) < 1024:
-        raise NumericalHealthError(f"simplex integrals at L = {L:.3e} leave the double range")
+    _check_double_range(L, n + order)
 
     rows, m = _layout(n, order)[0].shape
     step = max(1, EXPM_CHUNK // (rows * m * m))
@@ -453,12 +458,94 @@ def simplex_quadrature(
     return np.sum(wts * vals)
 
 
-def default_order(n_dim: int) -> int:
-    """Simplex quadrature order per rule dimension: 48 up to 3-D, 24 at 4-D.
+def _reference_vertices(n_dim: int) -> np.ndarray:
+    """Vertices of 0 <= y_1 <= ... <= y_n <= 1, (n + 1, n): vertex k ends in k ones."""
+    k = np.arange(n_dim + 1)[:, None]
+    return (np.arange(n_dim)[None, :] >= n_dim - k).astype(float)
 
-    ``n_dim`` is the dimension of the rule, not the particle number: the
-    CFI quadrature (``fisher._cfi_quadrature``, reported by
-    ``fisher_report``) integrates a ring state of N particles with an
-    (N - 1)-dimensional rule.  The test oracles use it too.
+
+def _simplex_rule(
+    f: Callable[[np.ndarray], np.ndarray], cells: np.ndarray, order: int
+) -> np.ndarray:
+    """The iterated rule of ``order`` on each simplex of a (S, n + 1, n) vertex stack.
+
+    The rule on the unit ordered simplex is mapped affinely: a node's
+    barycentric weights are its gaps (y_1, y_2 - y_1, ..., 1 - y_n)
+    reversed, and the weights scale by |det| of the edge vectors from
+    vertex 0.  All nodes go to ``f`` in one call.  Returns (S,) integrals.
     """
-    return DEFAULT_SIMPLEX_ORDER if n_dim <= 3 else DEFAULT_SIMPLEX_ORDER_4D
+    n_dim = cells.shape[2]
+    pts, wts = simplex_nodes(n_dim, 1.0, order)
+    gaps = np.diff(pts, axis=1, prepend=0.0, append=1.0)[:, ::-1]
+    nodes = np.einsum("pk,skj->spj", gaps, cells).reshape(-1, n_dim)
+    vals = np.asarray(f(nodes)).real.reshape(len(cells), -1)
+    volume = np.abs(np.linalg.det(cells[:, 1:] - cells[:, :1]))
+    return volume * (vals @ wts)
+
+
+def _bisect(cells: np.ndarray) -> np.ndarray:
+    """Halve each simplex at the midpoint of its longest edge (the first, on ties).
+
+    Returns the (2 S, n + 1, n) children, each parent's two in a row.
+    """
+    i, j = np.triu_indices(cells.shape[1], 1)
+    longest = np.argmax(np.sum((cells[:, i] - cells[:, j]) ** 2, axis=2), axis=1)
+    rows, a, b = np.arange(len(cells)), i[longest], j[longest]
+    mid = 0.5 * (cells[rows, a] + cells[rows, b])
+    children = np.repeat(cells, 2, axis=0)
+    children[2 * rows, a] = mid
+    children[2 * rows + 1, b] = mid
+    return children
+
+
+def refined_simplex_quadrature(
+    f: Callable[[np.ndarray], np.ndarray],
+    n_dim: int,
+    L: float,
+    orders: tuple,
+    rtol: float,
+    max_nodes: int,
+) -> tuple:
+    """Integrate ``f`` over 0 <= x_1 <= ... <= x_N <= L by a rule pair, bisecting where they differ.
+
+    ``orders`` = (m, m') are two iterated Gauss-Legendre orders.  Each
+    simplex cell has the order-m value Q_m and the error estimate
+    |Q_m - Q_m'|.  The first cell is the whole domain (``simplex_quadrature``
+    of each order), where the estimate is |Q_m - Q_m'| alone.  Once cells
+    are split it is the sum of the cell estimates plus the change of sum
+    Q_m in the last round: near a point where the integrand has no limit
+    (a node of a complex wavefunction) both rules err alike, and that
+    change is what the refinement still moves.  While the estimate exceeds
+    ``rtol`` times |sum Q_m|, the cells whose estimate is within a factor 4
+    of the largest are bisected at their longest edge (the adaptive scheme
+    of Genz & Cools, ACM TOMS 29, 297 (2003), with this rule pair as its
+    basic rule), unless the new cells would bring the nodes evaluated past
+    ``max_nodes``.
+
+    Returns (sum of Q_m, estimate relative to it, cell count); the
+    estimate is inf when the sum is 0 and the rules differ, and the
+    caller decides whether it is small enough.
+    """
+    values = np.array([[simplex_quadrature(f, n_dim, L, m).real for m in orders]])
+    cells = L * _reference_vertices(n_dim)[None]
+    nodes = per_cell = sum(m**n_dim for m in orders)
+    previous = None
+    while True:
+        err = np.abs(values[:, 0] - values[:, 1])
+        total = float(values[:, 0].sum())
+        spread = float(err.sum()) + (abs(total - previous) if previous is not None else 0.0)
+        previous = total
+        if spread == 0:
+            estimate = 0.0
+        else:
+            estimate = spread / abs(total) if total != 0 else math.inf
+        split = err >= 0.25 * err.max()
+        cost = 2 * int(split.sum()) * per_cell
+        if estimate <= rtol or nodes + cost > max_nodes:
+            return total, estimate, len(cells)
+        children = _bisect(cells[split])
+        cells = np.concatenate([cells[~split], children])
+        values = np.concatenate(
+            [values[~split], np.stack([_simplex_rule(f, children, m) for m in orders], axis=1)]
+        )
+        nodes += cost

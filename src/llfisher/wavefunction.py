@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,11 @@ class AmplitudeTable:
     def n_terms(self) -> int:
         return self.amp.size
 
+    @property
+    def periodic(self) -> bool:
+        """A ring table: N! rows, where a box table has 2^N N!."""
+        return self.n_terms == math.factorial(self.n)
+
 
 def _check_particle_cap(n: int, bc: BoundaryCondition) -> None:
     """Raise ValueError when N exceeds the particle cap of its boundary condition."""
@@ -157,24 +163,42 @@ def amplitudes(spec: StateSpec, params: ModelParams) -> AmplitudeTable:
     )
 
 
+def _unit_phases(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) of a real array, as cos and sin written into one complex array.
+
+    This skips the complex temporary 1j * theta and the complex exponential
+    of ``np.exp(1j * theta)``, whose bits it matches (the test suite checks
+    them), except that theta = -0.0 keeps its sign in the imaginary part.
+    """
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def eval_batch(table: AmplitudeTable, points: np.ndarray):
     """(psi~, d psi~/dc) at a batch of ordered points, shape (M, N).
 
-    Points are processed in chunks to bound the (M, n_terms) phase
-    matrix; the reduction order over terms is fixed, so results are
-    deterministic.
+    With phases e^{i kappa_t . x}, d psi~/dc = sum_t (damp_t + i
+    (dkappa_t . x) amp_t) e^{i kappa_t . x}, and its x-dependent part is
+    i sum_j x_j sum_t amp_t dkappa_tj e^{i kappa_t . x}.  So one matrix
+    product of the phases with the columns (amp, damp, amp dkappa_1, ...,
+    amp dkappa_N) gives both values.  Points are processed in chunks to
+    bound the (M, n_terms) phase matrix; the reduction order over terms is
+    fixed, so results are deterministic.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m_total = points.shape[0]
     values = np.empty(m_total, dtype=complex)
     dvalues = np.empty(m_total, dtype=complex)
+    weights = np.column_stack([table.amp, table.damp, table.amp[:, None] * table.dkappa])
     max_rows = max(1, _EVAL_CHUNK // max(1, table.n_terms))
     for start in range(0, m_total, max_rows):
         block = points[start : start + max_rows]
-        phases = np.exp(1j * (block @ table.kappa.T))
-        values[start : start + max_rows] = phases @ table.amp
-        dvalues[start : start + max_rows] = phases @ table.damp + 1j * (
-            ((block @ table.dkappa.T) * phases) @ table.amp
+        sums = _unit_phases(block @ table.kappa.T) @ weights
+        values[start : start + max_rows] = sums[:, 0]
+        dvalues[start : start + max_rows] = sums[:, 1] + 1j * np.einsum(
+            "mj,mj->m", block, sums[:, 2:]
         )
     return values, dvalues
 

@@ -22,11 +22,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from llfisher.bethe import BoundaryCondition, ModelParams, StateSpec
-from llfisher.integrals import _gauss01, default_order, simplex_nodes, simplex_quadrature
+from llfisher.integrals import _gauss01, simplex_nodes, simplex_quadrature
 from llfisher.wavefunction import AmplitudeTable, amplitudes, eval_batch
 
 # Gauss-Legendre points per dimension of the fidelity overlaps
 OVERLAP_ORDER = 24
+# ... and of the full-simplex CFI rule, up to 3-D and beyond
+FULL_SIMPLEX_ORDER = 48
+FULL_SIMPLEX_ORDER_4D = 24
 
 
 def box_quadrature(
@@ -136,9 +139,10 @@ def qfi_overlap_oracle(
 def cfi_full_simplex(table: AmplitudeTable) -> float:
     """CFI 4 int (d_c |psi|)^2 by the N-D rule over the whole ordered simplex.
 
-    ``default_order(N)`` points per dimension, ring or box: the reference
-    for the (N - 1)-D ring rule of ``fisher._cfi_quadrature`` and the
-    quadrature counterpart of the analytic CFI = QFI of saturated states.
+    FULL_SIMPLEX_ORDER points per dimension up to 3-D and
+    FULL_SIMPLEX_ORDER_4D beyond, ring or box: the reference for the
+    (N - 1)-D ring rules of ``fisher._cfi_quadrature`` and the quadrature
+    counterpart of the analytic CFI = QFI of saturated states.
     """
     n, sol = table.n, table.solution
     dlog = sol.dnorm_sq_dc / (2.0 * sol.norm_sq)
@@ -148,7 +152,8 @@ def cfi_full_simplex(table: AmplitudeTable) -> float:
         radial = (np.conj(vals) * (dvals - dlog * vals)).real
         return 4.0 * radial**2 / np.abs(vals) ** 2 / sol.norm_sq
 
-    return float(simplex_quadrature(density, n, table.L, default_order(n)).real)
+    order = FULL_SIMPLEX_ORDER if n <= 3 else FULL_SIMPLEX_ORDER_4D
+    return float(simplex_quadrature(density, n, table.L, order).real)
 
 
 def compositions(total: int, bins: int):

@@ -596,6 +596,26 @@ def test_huge_quantum_number_parity_prints_no_warning(capsys):
     assert "warning:" not in err
 
 
+def test_cfi_rule_pair_check_exits_6(capsys, monkeypatch):
+    import llfisher.fisher
+
+    # a (4, 3) pair with no nodes left for refinement differs far above 1e-5
+    monkeypatch.setitem(llfisher.fisher.CFI_RULE_PAIRS, 2, (4, 3))
+    monkeypatch.setattr(llfisher.fisher, "CFI_MAX_NODES", 0)
+    state = ("--bc", "periodic", "-N", "3", "-I", "-1", "1", "2")
+    code, out, err = run(capsys, "lmax", *state, "-c", "0.2", "--bracket", "5", "40")
+    assert code == 6
+    assert out == ""
+    assert err.startswith("numerical check failed: CFI rules of orders 4 and 3 differ")
+    assert "Traceback" not in err
+    code, out, _ = run(
+        capsys, "fisher", *state, "--axis", "L", "--start", "10", "--stop", "10",
+        "--num", "1", "--fixed", "0.2",
+    )
+    assert code == 3
+    assert ",error:NumericalHealthError: CFI rules of orders 4 and 3 differ" in out
+
+
 def test_lmax_non_finite_cfi_exits_6(capsys, monkeypatch):
     import llfisher.fisher
 
@@ -616,12 +636,13 @@ def test_lmax_non_finite_cfi_exits_6(capsys, monkeypatch):
     ids=["ring3", "ring1"],
 )
 def test_negative_qfi_is_a_failed_row(capsys, n, row):
-    # at gamma = 1e-14 the ring N = 3 pair sum cancels to a QFI of -0.00716,
-    # which Cauchy-Schwarz rules out; it was written as an ok row, exit 0.
-    # N = 1 has an exact QFI of 0, which stays ok.
+    # at gamma = 5.6e-16 the ring N = 3 pair sum on the x_1 = 0 slice
+    # cancels to a QFI of -2.01, which Cauchy-Schwarz rules out; such a
+    # value was written as an ok row, exit 0 (the full-simplex sum gave
+    # -0.00716 at gamma = 1e-14).  N = 1 has an exact QFI of 0, which stays ok.
     code, out, _ = run(
         capsys, "fisher", "--bc", "periodic", "-N", n, "--ground", "--axis", "c",
-        "--start", "1e-14", "--stop", "1e-14", "--num", "1", "--fixed", "1",
+        "--start", "5.6e-16", "--stop", "5.6e-16", "--num", "1", "--fixed", "1",
     )
     assert row in out
     assert code == (3 if n == "3" else 0)

@@ -29,7 +29,8 @@ from llfisher.fisher import (
     qfi_analytic,
     sweep,
 )
-from llfisher.integrals import NumericalHealthError, default_order
+from llfisher import integrals
+from llfisher.integrals import NumericalHealthError
 from llfisher.wavefunction import AmplitudeTable, amplitudes
 
 PER = BoundaryCondition.PERIODIC
@@ -234,7 +235,7 @@ def test_fidelity_oracle_shares_no_kernel_with_the_qfi(monkeypatch):
     "spec,pairs,bundles",
     [
         (StateSpec(HW, 3, (1.0, 2.0, 4.0)), 2304, 253),
-        (ground_state(PER, 4), 576, 75),
+        (ground_state(PER, 4), 576, 71),
     ],
     ids=["box124", "ring4"],
 )
@@ -270,13 +271,15 @@ def test_ring_cfi_scaling_law_where_the_normalized_density_underflows(monkeypatc
     # a CFI integrand built on the normalized psi lost its digits to
     # underflow here (1.1 % low at L = 1e40, 0 from 1e41); on psi~ and
     # divided by NS once it obeys CFI(c, L) = L^2 CFI(cL, 1).  The law holds
-    # for any fixed rule, so a 4-point one keeps the 4-D integral cheap
-    monkeypatch.setattr(llfisher.fisher, "default_order", lambda n_dim: 4)
+    # for any fixed rule pair, so a (4, 3) one, with its error check lifted
+    # and so no refinement, keeps the 4-D integral cheap
+    monkeypatch.setitem(llfisher.fisher.CFI_RULE_PAIRS, 4, (4, 3))
+    monkeypatch.setattr(llfisher.fisher, "CFI_ERROR_RTOL", math.inf)
     spec = StateSpec(PER, 5, (-2.0, -1.0, 0.0, 1.0, 3.0))
-    reference, _, order = _cfi_quadrature(amplitudes(spec, ModelParams(2.0, 1.0)))
+    reference, _, orders, _, cells = _cfi_quadrature(amplitudes(spec, ModelParams(2.0, 1.0)))
     L = 1e41
-    scaled, _, _ = _cfi_quadrature(amplitudes(spec, ModelParams(2.0 / L, L)))
-    assert order == 4 and reference > 0.0
+    scaled = _cfi_quadrature(amplitudes(spec, ModelParams(2.0 / L, L)))[0]
+    assert orders == (4, 3) and cells == 1 and reference > 0.0
     assert scaled / L**2 == pytest.approx(reference, rel=1e-12)
 
 
@@ -298,6 +301,41 @@ def test_imaginary_residue_is_relative_at_tiny_qfi():
     assert 1e-19 < report.method["qfi_imag_residue"] < llfisher.fisher.QFI_IMAG_RTOL
 
 
+def _full_simplex_qfi(table):
+    """The QFI of a table from its N-D pair integrals, with no translation reduction."""
+    (i00, a, quad), _ = integrals._pair_integrals(table.kappa, table.dkappa, table.L, 2)
+    amp, damp = table.amp, table.damp
+    nd = np.conj(amp) @ i00 @ damp + 1j * (np.conj(amp) @ a @ amp)
+    dd = (
+        np.conj(damp) @ i00 @ damp
+        + 1j * (np.conj(damp) @ a @ amp)
+        - 1j * (np.conj(amp) @ np.conj(a.T) @ damp)
+        + np.conj(amp) @ quad @ amp
+    )
+    n2 = table.solution.norm_sq
+    return (4.0 / n2 * (dd - abs(nd) ** 2 / n2)).real
+
+
+@pytest.mark.parametrize("c,L", [(0.2, 10.0), (1e8, 1.0)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ring_qfi_on_the_slice_matches_the_full_simplex(n, c, L):
+    # psi~* psi~, psi~* d_c psi~ and |d_c psi~|^2 are translation invariant
+    # on the ring, so the (N - 1)-D slice x_1 = 0 times L/N gives the N-D sums
+    table = amplitudes(ground_state(PER, n), ModelParams(c, L))
+    sliced, _, _ = llfisher.fisher._qfi_with_residue(table)
+    assert sliced == pytest.approx(_full_simplex_qfi(table), rel=1e-13, abs=0.0)
+
+
+def test_single_ring_particle_qfi_is_exactly_zero_without_the_kernel(monkeypatch):
+    # its slice has no coordinate left, so no pair integral is made
+    def broken(*args, **kwargs):
+        raise AssertionError("the pair kernel was called")
+
+    monkeypatch.setattr(llfisher.fisher, "_pair_integrals", broken)
+    report = fisher_report(ground_state(PER, 1), ModelParams(1.0, 2.0))
+    assert report.qfi == 0.0 and report.method["qfi_bundles"] == 0
+
+
 # ---------------------------------------------------------------------------
 # CFI
 # ---------------------------------------------------------------------------
@@ -314,7 +352,7 @@ def test_forced_quadrature_cfi_matches_analytic():
     # never integrates, the N-D oracle rule
     params = ModelParams(1.0, 1.0)
     ring = amplitudes(ground_state(PER, 2), params)
-    quad, dim, _ = _cfi_quadrature(ring)
+    quad, dim = _cfi_quadrature(ring)[:2]
     assert quad == pytest.approx(qfi_analytic(ground_state(PER, 2), params), rel=1e-4)
     assert dim == 1
     box = cfi_full_simplex(amplitudes(ground_state(HW, 2), params))
@@ -346,18 +384,20 @@ def test_fisher_report_solves_and_tabulates_once(call_counts):
     counts = call_counts("solve_bethe", "amplitudes")
     report = fisher_report(StateSpec(PER, 3, (-1.0, 1.0, 2.0)), ModelParams(1.0, 1.0))
     assert report.method["cfi_route"] == "quadrature"
-    assert report.method["quadrature_order"] is not None
+    assert report.method["quadrature_orders"] is not None
     assert counts == {"solve_bethe": 1, "amplitudes": 1}
 
 
 def test_fisher_report_names_the_rule_it_used():
-    # a ring N = 4 state takes the 3-D rule at its order, not the 4-D one
+    # a ring N = 4 state takes the 3-D rule pair, and reports its error estimate
     report = fisher_report(StateSpec(PER, 4, (-1.5, -0.5, 0.5, 2.5)), ModelParams(0.2, 10.0))
     assert report.method["quadrature_dim"] == 3
-    assert report.method["quadrature_order"] == default_order(3)
+    assert report.method["quadrature_orders"] == llfisher.fisher.CFI_RULE_PAIRS[3]
+    assert report.method["quadrature_cells"] == 1
+    assert 0.0 < report.method["cfi_error_estimate"] <= llfisher.fisher.CFI_ERROR_RTOL
     saturated = fisher_report(ground_state(PER, 3), ModelParams(0.2, 10.0))
-    assert saturated.method["quadrature_dim"] is None
-    assert saturated.method["quadrature_order"] is None
+    for key in ("quadrature_dim", "quadrature_orders", "quadrature_cells", "cfi_error_estimate"):
+        assert saturated.method[key] is None
 
 
 @pytest.mark.parametrize(
@@ -367,7 +407,7 @@ def test_ring_cfi_reduction_matches_full_simplex_rule(qn):
     # translation invariance: the (N-1)-D rule at x_1 = 0 against an N-D rule
     # of the same integrand over the whole ordered simplex
     table = amplitudes(StateSpec(PER, len(qn), qn), ModelParams(0.2, 10.0))
-    reduced, dim, _ = _cfi_quadrature(table)
+    reduced, dim = _cfi_quadrature(table)[:2]
     assert dim == table.n - 1
     assert reduced == pytest.approx(cfi_full_simplex(table), rel=1e-6)
 
@@ -382,15 +422,92 @@ def test_ring_rule_pins_one_coordinate_box_rule_does_not(monkeypatch):
 
     monkeypatch.setattr(llfisher.fisher, "eval_batch", stub)
     ring = amplitudes(StateSpec(PER, 5, (-2.0, -1.0, 0.0, 1.0, 3.0)), ModelParams(0.2, 10.0))
-    assert _cfi_quadrature(ring)[1:] == (4, 24)
-    assert seen[-1].shape == (24**4, 5)
-    assert np.all(seen[-1][:, 0] == 0.0)
+    assert _cfi_quadrature(ring)[1:3] == (4, (20, 14))
+    assert [points.shape for points in seen] == [(20**4, 5), (14**4, 5)]
+    assert all(np.all(points[:, 0] == 0.0) for points in seen)
 
     # a box state is real or imaginary class: its report integrates no point
     seen.clear()
     report = fisher_report(ground_state(HW, 3), ModelParams(0.2, 10.0))
     assert report.method["cfi_route"] == "analytic"
     assert seen == []
+
+
+def _cfi_with_rules(table, pair, rtol=math.inf):
+    """``_cfi_quadrature`` with another rule pair and error tolerance (no refinement at inf)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(llfisher.fisher.CFI_RULE_PAIRS, table.n - 1, pair)
+        patch.setattr(llfisher.fisher, "CFI_ERROR_RTOL", rtol)
+        patch.setattr(llfisher.fisher, "CFI_MAX_NODES", 10**9)
+        return _cfi_quadrature(table)
+
+
+# Every general ring state of the test suite, at points where it runs.
+# (-1, 0, 3), the type-I excitation, has nodes of psi~ inside the slice, so
+# its CFI is refined (about 40 cells); the smooth others take one or two.
+GENERAL_RING_POINTS = [
+    ((-1.0, 1.0, 2.0), 0.2, 10.0),
+    ((-1.0, 1.0, 2.0), 1e-6, 1.0),
+    ((-1.0, 0.0, 2.0), 0.2, 20.0),
+    ((-1.0, 0.0, 3.0), 0.2, 20.0),
+    ((-1.0, 0.0, 3.0), 0.5, 6.0),
+    ((-1.0, 0.0, 3.0), 0.5, 9.0),
+    ((-1.5, -0.5, 0.5, 2.5), 0.2, 10.0),
+]
+
+
+@pytest.mark.parametrize("qn,c,L", GENERAL_RING_POINTS)
+def test_cfi_error_estimate_bounds_the_true_error(qn, c, L):
+    # the reference: on one cell the order-64 rule; where the CFI refines,
+    # the bisection of a (16, 12) pair down to an estimate of 1e-9, which a
+    # (24, 20) pair to 1e-10 reproduces within 4e-10 (at (-1, 0, 3) the order-256
+    # rule alone is still 2.5e-4 off).  Measured estimate / true error: 16
+    # to 130 on the smooth states, 1.4 to 6.9 at (-1, 0, 3)
+    table = amplitudes(StateSpec(PER, len(qn), qn), ModelParams(c, L))
+    value, _, _, estimate, cells = _cfi_quadrature(table)
+    if cells == 1:
+        reference = _cfi_with_rules(table, (64, 2))[0]
+    else:
+        reference = _cfi_with_rules(table, (16, 12), rtol=1e-9)[0]
+    assert abs(value - reference) <= estimate * abs(reference)
+    assert estimate <= llfisher.fisher.CFI_ERROR_RTOL
+
+
+# Ring (-2, -1, 0, 1, 3) at (0.2, 10) by the order-32 rule on the x_1 = 0
+# slice, one cell: 3.6 s, so recorded rather than recomputed here.
+RING5_GENERAL_ORDER32 = 2.608551910725081
+
+
+def test_cfi_error_estimate_bounds_the_true_error_in_4d():
+    spec = StateSpec(PER, 5, (-2.0, -1.0, 0.0, 1.0, 3.0))
+    value, dim, _, estimate, cells = _cfi_quadrature(amplitudes(spec, ModelParams(0.2, 10.0)))
+    assert dim == 4 and cells == 1
+    error = abs(value - RING5_GENERAL_ORDER32) / RING5_GENERAL_ORDER32
+    assert error <= estimate <= llfisher.fisher.CFI_ERROR_RTOL
+
+
+@pytest.mark.parametrize("qn,c,L", [p for p in GENERAL_RING_POINTS if p[0] != (-1.0, 0.0, 3.0)])
+def test_cfi_moves_from_the_single_order_48_rule_by_less_than_its_estimate(qn, c, L):
+    # the rule these smooth states took before the rule pair; at (-1, 0, 3)
+    # that rule was 3e-3 off, far outside its unreported error
+    table = amplitudes(StateSpec(PER, len(qn), qn), ModelParams(c, L))
+    value, _, _, estimate, _ = _cfi_quadrature(table)
+    before = _cfi_with_rules(table, (48, 2))[0]
+    assert abs(value - before) <= estimate * abs(value)
+
+
+def test_too_coarse_a_rule_pair_trips_the_health_check(monkeypatch):
+    table = amplitudes(StateSpec(PER, 3, (-1.0, 1.0, 2.0)), ModelParams(0.2, 10.0))
+    default = _cfi_quadrature(table)[0]
+    monkeypatch.setitem(llfisher.fisher.CFI_RULE_PAIRS, 2, (4, 3))
+    monkeypatch.setattr(llfisher.fisher, "CFI_MAX_NODES", 0)
+    with pytest.raises(NumericalHealthError, match="CFI rules of orders 4 and 3 differ"):
+        _cfi_quadrature(table)
+    # with nodes to spare, bisection brings the same pair within the bound
+    monkeypatch.setattr(llfisher.fisher, "CFI_MAX_NODES", 10**6)
+    value, _, _, estimate, cells = _cfi_quadrature(table)
+    assert cells > 1 and estimate <= llfisher.fisher.CFI_ERROR_RTOL
+    assert value == pytest.approx(default, rel=2 * llfisher.fisher.CFI_ERROR_RTOL)
 
 
 ONE_TABLE_CASES = [

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import box_quadrature, compositions
 
+import llfisher.imaging
 from llfisher.bethe import (
     BoundaryCondition,
     ModelParams,
@@ -30,7 +31,7 @@ from llfisher.imaging import (
     save_shots,
     uniform_grid,
 )
-from llfisher.integrals import ResourceLimitError
+from llfisher.integrals import ResourceLimitError, _pair_integrals
 from llfisher.wavefunction import amplitudes, eval_batch
 
 PER = BoundaryCondition.PERIODIC
@@ -240,6 +241,79 @@ def test_exact_probabilities_match_box_quadrature_box4():
     assert dprobs is None
     oracle = _box_oracle(spec, params, grid, images, order=12)
     assert np.all(np.abs(probs - oracle) <= 1e-10 * oracle)
+
+
+def _per_image_oracle(spec, params, grid, images):
+    """P and dP/dc image by image, from run tables of that image's own runs.
+
+    dP/dc takes its box term as conj(u) B du, which the pattern batches
+    read as conj(du) B u, B being Hermitian.
+    """
+    table = amplitudes(spec, params)
+    intervals = _bin_intervals(grid, params.L)
+    n2, dn2 = table.solution.norm_sq, table.solution.dnorm_sq_dc
+    probs, dprobs = [], []
+    for image in images:
+        runs = [(b, count) for b, count in enumerate(image.counts) if count]
+        if any(intervals[b] is None for b, _ in runs):
+            probs.append(0.0)
+            dprobs.append(0.0)
+            continue
+        lo = np.array([intervals[b][0] for b, count in runs for _ in range(count)])
+        box, moments, start = 1.0, 0.0, 0
+        for b, count in runs:
+            cols = slice(start, start + count)
+            (i00, a), _ = _pair_integrals(
+                table.kappa[:, cols], table.dkappa[:, cols], intervals[b][1], 1
+            )
+            box, moments = box * i00, moments * i00 + box * a
+            start += count
+        phase = np.exp(1j * (table.kappa @ lo))
+        u = table.amp * phase
+        du = table.damp * phase + 1j * (table.dkappa @ lo) * u
+        p = (np.conj(u) @ box @ u).real / n2
+        grad = np.conj(u) @ box @ du + 1j * (np.conj(u) @ moments @ u)
+        probs.append(p)
+        dprobs.append(2.0 * grad.real / n2 - p * dn2 / n2)
+    return np.array(probs), np.array(dprobs)
+
+
+@pytest.mark.parametrize(
+    "spec,params,grid",
+    [
+        (ground_state(PER, 2), ModelParams(0.7, 2.0), uniform_grid(2.0, 8)),
+        (ground_state(HW, 3), ModelParams(0.5, 5.0), uniform_grid(5.0, 4)),
+        (ground_state(HW, 2), ModelParams(1.0, 2.0), PixelGrid(-0.5, 0.75, 4)),
+        (StateSpec(PER, 3, (-1.0, 1.0, 2.0)), ModelParams(0.7, 2.0), PixelGrid(0.3, 0.5, 3)),
+    ],
+    ids=["ring2", "box3", "oversized", "partial"],
+)
+def test_pattern_batches_match_the_per_image_oracle(spec, params, grid):
+    images = enumerate_images(spec.n, grid.n_pixels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the partial grid warns by design
+        probs, dprobs = _image_probabilities(spec, params, grid, images, True)
+    oracle_probs, oracle_dprobs = _per_image_oracle(spec, params, grid, images)
+    assert np.max(np.abs(probs - oracle_probs)) <= 1e-15 * np.max(np.abs(oracle_probs))
+    # dP/dc is a difference of terms, summed here in another order: 1.03e-15
+    # on box3 (5.2e-16 while the batches also took conj(u) B du)
+    assert np.max(np.abs(dprobs - oracle_dprobs)) <= 2e-15 * np.max(np.abs(oracle_dprobs))
+
+
+def test_pattern_box_matrices_are_exactly_hermitian(monkeypatch):
+    # the dP/dc term conj(du) B u stands for conj(u) B du only because B = B^H
+    boxes = []
+    build = llfisher.imaging._pattern_matrices
+
+    def recording(*args):
+        box, moments = build(*args)
+        boxes.append(box)
+        return box, moments
+
+    monkeypatch.setattr(llfisher.imaging, "_pattern_matrices", recording)
+    image_distribution(ground_state(HW, 3), ModelParams(0.5, 7.3), uniform_grid(7.3, 8))
+    assert len(boxes) == 4
+    assert all(np.max(np.abs(box - np.conj(box.T))) == 0.0 for box in boxes)
 
 
 @pytest.mark.parametrize("n,n_pixels,tables", [(3, 16, 3), (4, 4, 4)])

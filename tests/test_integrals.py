@@ -477,6 +477,68 @@ def test_simplex_quadrature_order_doubling():
     assert abs(coarse - fine) < 1e-7 * max(1.0, abs(fine))
 
 
+@pytest.mark.parametrize("n_dim", [1, 2, 3, 4])
+def test_mapped_rule_on_the_whole_simplex_is_the_iterated_rule(n_dim):
+    lam = np.array([3.0, -1.0, 2.0, 0.5])[:n_dim]
+
+    def f(pts):
+        return np.cos(pts @ lam) + pts[:, -1]
+
+    L = 1.7
+    cell = L * integrals._reference_vertices(n_dim)[None]
+    got = integrals._simplex_rule(f, cell, 6)
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(simplex_quadrature(f, n_dim, L, 6), rel=1e-13)
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 4])
+def test_bisected_cells_tile_their_parent(n_dim):
+    # three rounds of longest-edge bisection: the children's rules sum to
+    # the parent integral of a cubic, which the iterated order-4 rule
+    # integrates exactly (the conical map raises the degree by n - 1 <= 3)
+    def f(pts):
+        return (pts**3).sum(axis=1) + pts[:, 0] * pts[:, -1]
+
+    cells = 2.0 * integrals._reference_vertices(n_dim)[None]
+    whole = integrals._simplex_rule(f, cells, 4)[0]
+    for _ in range(3):
+        cells = integrals._bisect(cells)
+    assert len(cells) == 8
+    volumes = np.abs(np.linalg.det(cells[:, 1:] - cells[:, :1]))
+    assert volumes.sum() == pytest.approx(2.0**n_dim, rel=1e-14)
+    assert integrals._simplex_rule(f, cells, 4).sum() == pytest.approx(whole, rel=1e-13)
+
+
+def _angular(pts):
+    """cos^2 of the angle about (0.3, 0.7): bounded, and without a limit there."""
+    d = pts - np.array([0.3, 0.7])
+    return d[:, 0] ** 2 / np.maximum((d**2).sum(axis=1), 1e-300)
+
+
+def test_refinement_confines_a_point_where_the_integrand_jumps():
+    # the unrefined pair differ by 1.8e-4 here; bisection brings the
+    # estimate below 1e-6, and the result to within it of the reference, an
+    # adaptive scipy quadrature of the same integrand
+    value, estimate, cells = integrals.refined_simplex_quadrature(
+        _angular, 2, 1.0, (24, 16), 1e-6, 10**6
+    )
+    reference, _ = integrate.dblquad(
+        lambda y1, y2: (y1 - 0.3) ** 2 / ((y1 - 0.3) ** 2 + (y2 - 0.7) ** 2),
+        0.0, 1.0, 0.0, lambda y2: y2, epsabs=1e-12, epsrel=1e-12,
+    )
+    assert cells > 1 and estimate <= 1e-6
+    assert abs(value - reference) <= estimate * reference
+
+
+def test_refinement_stops_at_its_node_budget():
+    # one rule pair on the whole simplex, and no nodes for a split
+    value, estimate, cells = integrals.refined_simplex_quadrature(
+        _angular, 2, 1.0, (24, 16), 1e-6, 24**2 + 16**2
+    )
+    assert cells == 1 and estimate > 1e-6
+    assert value == pytest.approx(simplex_quadrature(_angular, 2, 1.0, 24), rel=1e-15)
+
+
 @pytest.mark.parametrize("n_dim", [0, -1])
 def test_simplex_rule_rejects_dimension_below_one(n_dim):
     # a dimension below one must not fall back to a 1-D rule of volume L

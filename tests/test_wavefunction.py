@@ -16,6 +16,7 @@ from llfisher.bethe import (
 from llfisher.integrals import simplex_quadrature
 from llfisher.wavefunction import (
     PhaseClass,
+    _unit_phases,
     amplitudes,
     eval_batch,
     global_phase_class,
@@ -290,6 +291,23 @@ def test_eval_batch_matches_mpmath_sum(bc, n, c, L):
 # ---------------------------------------------------------------------------
 # phase classification
 # ---------------------------------------------------------------------------
+
+
+def test_unit_phases_are_the_bits_of_the_complex_exponential():
+    # cos and sin written into one complex array, against np.exp(1j * theta),
+    # over the phase sizes kappa . x takes and far beyond (|theta| to 1e15)
+    rng = np.random.default_rng(3)
+    theta = np.concatenate(
+        [rng.uniform(-50.0, 50.0, 50_000), rng.uniform(-1e15, 1e15, 50_000),
+         [0.0, -0.0, np.pi, -np.pi / 2, 1e-300]]
+    ).reshape(-1, 5)
+    got, want = _unit_phases(theta), np.exp(1j * theta)
+    assert got.shape == theta.shape and got.dtype == complex
+    # sin(-0.0) keeps the sign that the complex product 1j * -0.0 drops
+    signed_zero = np.stack([np.zeros_like(theta, bool), np.signbit(theta) & (theta == 0)], -1)
+    same_bits = got.view(np.uint64) == want.view(np.uint64)
+    assert np.all(same_bits.reshape(signed_zero.shape) | signed_zero)
+    assert np.array_equal(got, want)
 
 
 def test_phase_class_examples():
