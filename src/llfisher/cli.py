@@ -60,16 +60,23 @@ def _fmt(value: float) -> str:
 
 def _config_hash(payload: dict) -> str:
     # numeric settings are part of the provenance: a change in the solver
-    # tolerance, the CFI rule pair and its refinement, or the slice on
-    # which the ring QFI and CFI are integrated (N - 1 dimensions at
-    # x_1 = 0) changes every row's hash
+    # tolerance, the QFI error bound, the CFI rule pairs and their
+    # refinement, or the slice on which the ring QFI and CFI are integrated
+    # (N - 1 dimensions at x_1 = 0) changes every row's hash
     from .bethe import RESIDUAL_RTOL
-    from .fisher import CFI_ERROR_RTOL, CFI_MAX_NODES, CFI_RULE_PAIRS
+    from .fisher import (
+        CFI_ERROR_RTOL,
+        CFI_MAX_NODES,
+        CFI_RULE_PAIR,
+        CFI_RULE_PAIR_4D,
+        QFI_ERROR_RTOL,
+    )
 
     full = {
         **payload,
         "residual_rtol": RESIDUAL_RTOL,
-        "cfi_rule_pairs": {str(dim): list(pair) for dim, pair in CFI_RULE_PAIRS.items()},
+        "qfi_error_rtol": QFI_ERROR_RTOL,
+        "cfi_rule_pairs": {"up_to_3d": list(CFI_RULE_PAIR), "4d": list(CFI_RULE_PAIR_4D)},
         "cfi_refinement": {"rtol": CFI_ERROR_RTOL, "max_nodes": CFI_MAX_NODES},
         "ring_cfi_rule": "x_1 = 0, N - 1 dims",
         "ring_qfi_rule": "x_1 = 0, N - 1 dims",

@@ -18,8 +18,10 @@ permutation sums turns the QFI into a double sum over coefficient pairs
 wavenumber difference lambda = kappa_t - kappa_s, which
 ``integrals._pair_integrals`` folds, deduplicates and contracts with
 dkappa (``fisher_report`` records the pair and bundle counts).
-The assembly is exact up to the Bethe residual and the rounding of that
-kernel.
+The assembly is exact up to the Bethe residual and rounding.  At weak
+coupling the pair terms cancel, and that rounding is what limits it: the
+QFI's error estimate is the sum's condition number times eps, and a point
+where it exceeds QFI_ERROR_RTOL is a NumericalHealthError.
 
 On the ring every integrand here is translation invariant: shifting
 every coordinate by a multiplies psi~ and d_c psi~ by exp(i P a), as the
@@ -33,7 +35,7 @@ The CFI either equals the QFI outright (real or purely imaginary phase
 class, where the position measurement is optimal) or is integrated
 numerically on the slice; ``fisher_report`` alone makes that choice, and
 ``cfi`` reads its result.  Only general-class ring states take the
-quadrature: two Gauss-Legendre rules of orders CFI_RULE_PAIRS, whose
+quadrature: two Gauss-Legendre rules of orders CFI_RULE_PAIR(_4D), whose
 relative difference is the error estimate, on cells bisected until the
 estimate is within CFI_ERROR_RTOL (``integrals.refined_simplex_quadrature``);
 an estimate left above it is a NumericalHealthError.  ``fisher_report``
@@ -81,16 +83,23 @@ from .wavefunction import (
 )
 
 QFI_IMAG_RTOL = 1e-8
-# Gauss-Legendre orders (m, m') of the two CFI rules by rule dimension
-# N - 1: the CFI is the order-m value, their difference its error estimate.
+# Largest accepted QFI error estimate kappa eps.  It puts the weak-coupling
+# floor of the ground states at cL = 2.4e-8 to 4.3e-8 (ring N = 5 to 2)
+# and 0.9e-7 to 1.7e-7 (box N = 2 to 4)
+QFI_ERROR_RTOL = 1e-6
+# Gauss-Legendre orders (m, m') of the two CFI rules, up to 3-D and at
+# 4-D: the CFI is the order-m value, their difference its error estimate.
 # At 4-D (20, 14) is cheaper than (24, 16) (198,416 nodes, not 397,312)
 # and its estimate is further above the true error
-CFI_RULE_PAIRS = {1: (24, 16), 2: (24, 16), 3: (24, 16), 4: (20, 14)}
+CFI_RULE_PAIR = (24, 16)
+CFI_RULE_PAIR_4D = (20, 14)
 # Largest accepted CFI error estimate: a tenth of the 1e-4 to which the
 # quadrature CFI is held (acceptance criterion 6)
 CFI_ERROR_RTOL = 1e-5
 # Nodes that the CFI quadrature may evaluate, refinement included, before
-# it gives up: about a second of eval_batch at N = 4
+# it gives up: about a second of eval_batch at N = 4.  A state whose psi~
+# vanishes on lines in the 3-D slice needs far more (ring N = 4, type-I
+# q = 2 at c = 0.2, L = 10: estimate 1.8e-5 after 1.6e7 nodes) and fails
 CFI_MAX_NODES = 1_000_000
 # Phase classes whose position measurement is optimal (CFI = QFI).
 SATURATED_CLASSES = (PhaseClass.REAL, PhaseClass.IMAGINARY)
@@ -115,8 +124,9 @@ def _inner_products(table: AmplitudeTable):
     x_1 = 0, the kappa columns 2..N, and the products are L/N times their
     slice integrals.  One particle has a 0-D slice: the integrand at
     x_1 = 0, where the phases are 1 and no coordinate moment enters.
-    Returns the three inner products and the number of distinct pair
-    bundles.
+    Returns the three inner products, the sums of |term| of the second
+    and third (eps times these bounds their rounding), and the number of
+    distinct pair bundles.
     """
     n, L = table.n, table.L
     if not table.periodic:
@@ -149,23 +159,43 @@ def _inner_products(table: AmplitudeTable):
         - 1j * np.einsum("t,s,ts->", c_amp, w_damp, b)
         + np.einsum("t,s,ts->", c_amp, w_amp, quad)
     )
-    return complex(scale * nn), complex(scale * nd), complex(scale * dd), n_bundles
+    # the same sums over |term| (|b| = |a|^T, so its sum equals the a one's)
+    m_amp, m_damp, m_i00, m_a = np.abs(w_amp), np.abs(w_damp), np.abs(i00), np.abs(a)
+    nd_mag = m_amp @ m_i00 @ m_damp + m_amp @ m_a @ m_amp
+    dd_mag = m_damp @ m_i00 @ m_damp + 2.0 * (m_damp @ m_a @ m_amp) + m_amp @ np.abs(quad) @ m_amp
+    return (
+        complex(scale * nn),
+        complex(scale * nd),
+        complex(scale * dd),
+        float(scale * nd_mag),
+        float(scale * dd_mag),
+        n_bundles,
+    )
 
 
 def _qfi_with_residue(table: AmplitudeTable):
     """QFI of one state point from its amplitude table, with its health data.
 
-    Returns (QFI, relative imaginary residue |Im QFI| / |QFI|, number of
-    distinct pair bundles).  |nd|^2 / NS is formed as (|nd| / NS) |nd|,
-    which does not underflow when NS and nd are tiny (small L).  A QFI
-    that is not finite or has a negative real part is a
+    Returns (QFI, relative imaginary residue |Im QFI| / |QFI|, error
+    estimate, number of distinct pair bundles).  |nd|^2 / NS is formed as
+    (|nd| / NS) |nd|, which does not underflow when NS and nd are tiny
+    (small L).  A QFI that is not finite or has a negative real part is a
     NumericalHealthError, like a large residue: by Cauchy-Schwarz
     |nd|^2 <= NS dd, so the exact QFI is never negative, and a negative
     value means the pair sum cancelled beyond its rounding.
+
+    The error estimate is kappa eps, kappa = (sum of |term|) / QFI the
+    condition number of the pair sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 4.2), with the terms of dd and, at
+    their first-order weight 2 |nd| / NS, of nd.  At weak coupling the
+    plane-wave terms cancel and kappa grows as 1/(cL), so a QFI can be
+    wrong in its leading digit while its residue stays tiny; an estimate
+    above QFI_ERROR_RTOL is a NumericalHealthError too.
     """
     n2 = table.solution.norm_sq
-    _, nd, dd, n_bundles = _inner_products(table)
-    qfi_c = 4.0 / n2 * (dd - (abs(nd) / n2) * abs(nd))
+    _, nd, dd, nd_mag, dd_mag, n_bundles = _inner_products(table)
+    nd_abs = abs(nd)
+    qfi_c = 4.0 / n2 * (dd - (nd_abs / n2) * nd_abs)
     if not cmath.isfinite(qfi_c):
         raise NumericalHealthError(f"QFI assembly gave a non-finite value {qfi_c}")
     residue = abs(qfi_c.imag) / abs(qfi_c) if qfi_c != 0 else 0.0
@@ -173,15 +203,25 @@ def _qfi_with_residue(table: AmplitudeTable):
         raise NumericalHealthError(
             f"QFI assembly left a relative imaginary residue {residue:.3e}"
         )
-    if qfi_c.real < 0:
-        raise NumericalHealthError(f"QFI assembly gave a negative value {qfi_c.real:.6e}")
-    return float(qfi_c.real), residue, n_bundles
+    qfi_value = qfi_c.real
+    if qfi_value < 0:
+        raise NumericalHealthError(f"QFI assembly gave a negative value {qfi_value:.6e}")
+    bound = 4.0 / n2 * (dd_mag + 2.0 * (nd_abs / n2) * nd_mag) * sys.float_info.epsilon
+    if bound == 0:
+        estimate = 0.0
+    else:
+        estimate = bound / qfi_value if qfi_value > 0 else math.inf
+    if not estimate <= QFI_ERROR_RTOL:
+        raise NumericalHealthError(
+            f"QFI pair sum cancelled to an error estimate of {estimate:.3e}, "
+            f"above {QFI_ERROR_RTOL:g}"
+        )
+    return float(qfi_value), residue, estimate, n_bundles
 
 
 def qfi_analytic(spec: StateSpec, params: ModelParams) -> float:
     """QFI of the coupling via the exact permutation-pair expansion."""
-    value, _, _ = _qfi_with_residue(amplitudes(spec, params))
-    return value
+    return _qfi_with_residue(amplitudes(spec, params))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +242,9 @@ def _cfi_quadrature(table: AmplitudeTable) -> tuple:
 
         int_{0<x_1<...<x_N<L} f = (L/N) int_{0<y_2<...<y_N<L} f(0, y),
 
-    integrated by the two (N - 1)-dimensional rules of orders
-    CFI_RULE_PAIRS[N - 1] = (m, m').  The CFI is the order-m value Q_m, and
-    |Q_m - Q_m'| / Q_m its error estimate; where that exceeds
+    integrated by the two (N - 1)-dimensional rules of orders (m, m'),
+    CFI_RULE_PAIR (CFI_RULE_PAIR_4D at N = 5).  The CFI is the order-m
+    value Q_m, and |Q_m - Q_m'| / Q_m its error estimate; where that exceeds
     CFI_ERROR_RTOL, ``refined_simplex_quadrature`` bisects the slice
     within CFI_MAX_NODES, and an estimate still above it is a
     NumericalHealthError.  Returns (CFI, rule dimension, rule pair, error
@@ -223,7 +263,7 @@ def _cfi_quadrature(table: AmplitudeTable) -> tuple:
         return out
 
     dim = n - 1
-    orders = CFI_RULE_PAIRS[dim]
+    orders = CFI_RULE_PAIR if dim <= 3 else CFI_RULE_PAIR_4D
     value, estimate, cells = refined_simplex_quadrature(
         integrand, dim, L, orders, CFI_ERROR_RTOL, CFI_MAX_NODES
     )
@@ -266,7 +306,7 @@ def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
     """QFI and CFI of one state point from one amplitude table (one solve)."""
     cls = global_phase_class(spec)
     table = amplitudes(spec, params)
-    qfi_value, residue, n_bundles = _qfi_with_residue(table)
+    qfi_value, residue, qfi_estimate, n_bundles = _qfi_with_residue(table)
     if cls in SATURATED_CLASSES:
         cfi_value = qfi_value
         route = "analytic"
@@ -288,6 +328,7 @@ def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
             "quadrature_cells": cells,
             "cfi_error_estimate": error_estimate,
             "qfi_imag_residue": residue,
+            "qfi_error_estimate": qfi_estimate,
             "qfi_pairs": table.n_terms**2,
             "qfi_bundles": n_bundles,
         },

@@ -156,11 +156,23 @@ def cfi_full_simplex(table: AmplitudeTable) -> float:
     return float(simplex_quadrature(density, n, table.L, order).real)
 
 
-def compositions(total: int, bins: int):
-    """Weak compositions of ``total`` into ``bins`` parts, first part descending."""
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, bins - 1):
-            yield (first,) + rest
+def compositions(total: int, bins: int) -> list:
+    """Weak compositions of ``total`` into ``bins`` parts, first part descending.
+
+    By recursion on the first bin.  Once the total is spent the remaining
+    bins are zero, so a branch ends there instead of recursing through
+    every bin left.
+    """
+    out = []
+
+    def fill(prefix: tuple, left: int, b: int) -> None:
+        if b == 1:
+            out.append(prefix + (left,))
+        elif left == 0:
+            out.append(prefix + (0,) * b)
+        else:
+            for first in range(left, -1, -1):
+                fill(prefix + (first,), left - first, b - 1)
+
+    fill((), total, bins)
+    return out

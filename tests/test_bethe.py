@@ -436,7 +436,7 @@ def test_dnorm_sq_dc_matches_inner_product(spec, c, L):
     # d(norm^2)/dc = 2 Re <psi~|d_c psi~>, assembled from the pair bundles
     params = ModelParams(c, L)
     table = amplitudes(spec, params)
-    _, nd, _, _ = _inner_products(table)
+    nd = _inner_products(table)[1]
     assert table.solution.dnorm_sq_dc == pytest.approx(2.0 * nd.real, rel=1e-10)
 
 
@@ -448,7 +448,7 @@ def test_dnorm_sq_dc_collapsing_ground_state(bc):
     spec = ground_state(bc, 3)
     params = ModelParams(1e-6, 10.0)
     table = amplitudes(spec, params)
-    _, nd, _, _ = _inner_products(table)
+    nd = _inner_products(table)[1]
     assert table.solution.dnorm_sq_dc == pytest.approx(2.0 * nd.real, rel=1e-7)
 
 

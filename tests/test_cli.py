@@ -600,7 +600,7 @@ def test_cfi_rule_pair_check_exits_6(capsys, monkeypatch):
     import llfisher.fisher
 
     # a (4, 3) pair with no nodes left for refinement differs far above 1e-5
-    monkeypatch.setitem(llfisher.fisher.CFI_RULE_PAIRS, 2, (4, 3))
+    monkeypatch.setattr(llfisher.fisher, "CFI_RULE_PAIR", (4, 3))
     monkeypatch.setattr(llfisher.fisher, "CFI_MAX_NODES", 0)
     state = ("--bc", "periodic", "-N", "3", "-I", "-1", "1", "2")
     code, out, err = run(capsys, "lmax", *state, "-c", "0.2", "--bracket", "5", "40")
@@ -614,6 +614,22 @@ def test_cfi_rule_pair_check_exits_6(capsys, monkeypatch):
     )
     assert code == 3
     assert ",error:NumericalHealthError: CFI rules of orders 4 and 3 differ" in out
+
+
+def test_ring4_state_with_node_lines_is_a_failed_row(capsys):
+    # psi~ of this type-I excitation vanishes on lines in the 3-D slice,
+    # where the CFI integrand has no limit.  Bisection brings the estimate
+    # down slowly (9.1e-4 after 10^6 nodes, 1.4e-4 after 4 x 10^6, 1.8e-5
+    # after 1.6 x 10^7, 16 s), so within CFI_MAX_NODES it stays above 1e-5
+    # and the point fails.  The single order-48 rule wrote a CFI 1.8e-4 off
+    # as an ok row.  A sweep whose every point failed exits 3
+    code, out, err = run(
+        capsys, "fisher", "--bc", "periodic", "-N", "4", "--type1", "2", "--axis", "L",
+        "--start", "10", "--stop", "10", "--num", "1", "--fixed", "0.2",
+    )
+    assert code == 3
+    assert ",error:NumericalHealthError: CFI rules of orders 24 and 16 differ by " in out
+    assert "Traceback" not in err
 
 
 def test_lmax_non_finite_cfi_exits_6(capsys, monkeypatch):
@@ -630,19 +646,23 @@ def test_lmax_non_finite_cfi_exits_6(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n,row",
-    [("3", ",nan,nan,nan,,,error:NumericalHealthError: QFI assembly gave a negative value"),
-     ("1", ",0,0,0,real,analytic,ok,")],
-    ids=["ring3", "ring1"],
+    "n,gamma,row",
+    [("3", "1e-14", ",nan,nan,nan,,,error:NumericalHealthError: QFI pair sum cancelled to an "
+      "error estimate of "),
+     ("3", "5.6e-16", ",nan,nan,nan,,,error:NumericalHealthError: QFI assembly gave a "
+      "negative value"),
+     ("1", "1e-14", ",0,0,0,real,analytic,ok,")],
+    ids=["ring3", "ring3-negative", "ring1"],
 )
-def test_negative_qfi_is_a_failed_row(capsys, n, row):
-    # at gamma = 5.6e-16 the ring N = 3 pair sum on the x_1 = 0 slice
-    # cancels to a QFI of -2.01, which Cauchy-Schwarz rules out; such a
-    # value was written as an ok row, exit 0 (the full-simplex sum gave
-    # -0.00716 at gamma = 1e-14).  N = 1 has an exact QFI of 0, which stays ok.
+def test_negative_qfi_is_a_failed_row(capsys, n, gamma, row):
+    # at gamma = 1e-14 the ring N = 3 pair sum cancels: the full-simplex sum
+    # read a QFI of -0.00716, the x_1 = 0 slice sum 0.017361 against the
+    # true 1/60, both written as ok rows, exit 0.  The error estimate of 2.8
+    # rejects the second; at 5.6e-16 the slice sum reads -0.201, which
+    # Cauchy-Schwarz rules out.  N = 1 has an exact QFI of 0, which stays ok.
     code, out, _ = run(
         capsys, "fisher", "--bc", "periodic", "-N", n, "--ground", "--axis", "c",
-        "--start", "5.6e-16", "--stop", "5.6e-16", "--num", "1", "--fixed", "1",
+        "--start", gamma, "--stop", gamma, "--num", "1", "--fixed", "1",
     )
     assert row in out
     assert code == (3 if n == "3" else 0)
