@@ -49,7 +49,6 @@ from .integrals import (
     NumericalHealthError,
     ResourceLimitError,
     simplex_exp_integral,
-    simplex_quadrature,
 )
 from .wavefunction import (
     AmplitudeTable,
@@ -97,7 +96,6 @@ __all__ = [
     "sample_images",
     "save_shots",
     "simplex_exp_integral",
-    "simplex_quadrature",
     "solve_bethe",
     "sweep",
     "type1_excitation",

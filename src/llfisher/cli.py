@@ -8,7 +8,10 @@ resolved configuration and the package version.
 
 Exit codes: 0 success, 2 invalid arguments or an output file that cannot
 be written, 3 solver failure, 4 bracket without an interior maximum,
-5 size cap exceeded, 6 failed numerical health check.
+5 size cap exceeded or an array too large to allocate (MemoryError),
+6 failed numerical health check.  A ``fisher`` sweep whose every point
+failed exits 3 whatever the errors were; each of its rows names the
+exception class.
 """
 
 from __future__ import annotations
@@ -405,7 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except BracketError as exc:
             print(f"bracket error: {exc}", file=sys.stderr)
             return EXIT_BRACKET
-        except ResourceLimitError as exc:
+        except (ResourceLimitError, MemoryError) as exc:
             print(f"resource limit: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
         except NumericalHealthError as exc:

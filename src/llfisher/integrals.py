@@ -58,10 +58,8 @@ are contracted with dkappa, so callers get (rows, rows) matrices.
 Iterated Gauss-Legendre rules over the same ordered domain give the
 direct CFI quadrature of general ring states: a pair of them, mapped onto
 the cells of a longest-edge bisection where they disagree
-(``refined_simplex_quadrature``).  The test suite builds its numerical
-oracles from them as well (``tests/oracles.py``): they evaluate the
-wavefunction at nodes and share no code with the divided-difference
-kernel.
+(``refined_simplex_quadrature``).  The rules sample their integrand at
+nodes and share no code with the divided-difference kernel.
 """
 
 from __future__ import annotations
@@ -420,19 +418,19 @@ def _gauss01(order: int):
     return t, w
 
 
-def simplex_nodes(n_dim: int, L: float, order: int):
-    """Iterated Gauss-Legendre nodes/weights on 0 <= x_1 <= ... <= x_N <= L.
+def simplex_nodes(n_dim: int, order: int):
+    """Iterated Gauss-Legendre nodes/weights on 0 <= y_1 <= ... <= y_n <= 1.
 
-    Built outermost-in: x_N on [0, L], then each inner variable on
-    [0, x_next] with the upper limit folded into the weight.  Points come
+    Built outermost-in: y_n on [0, 1], then each inner variable on
+    [0, y_next] with the upper limit folded into the weight.  Points come
     back as an (n_points, n_dim) array with ascending columns.  Raises
-    ValueError unless n_dim >= 1.
+    ValueError unless n_dim >= 1 and order >= 2.
     """
     if n_dim < 1:
         raise ValueError(f"simplex dimension must be at least 1, got {n_dim}")
     t, w = _gauss01(order)
-    pts = (L * t)[:, None]
-    wts = L * w
+    pts = t[:, None]
+    wts = w
     for _ in range(n_dim - 1):
         upper = pts[:, 0]
         new_var = (upper[:, None] * t[None, :]).ravel()
@@ -441,21 +439,6 @@ def simplex_nodes(n_dim: int, L: float, order: int):
             [new_var[:, None], np.repeat(pts, order, axis=0)], axis=1
         )
     return pts, wts
-
-
-def simplex_quadrature(
-    f: Callable[[np.ndarray], np.ndarray], n_dim: int, L: float, order: int
-):
-    """Integrate ``f`` over the ordered simplex 0 <= x_1 <= ... <= x_N <= L.
-
-    ``f`` must accept an (n_points, n_dim) array of ordered points and
-    return one value per point (real or complex).  Deterministic for a
-    fixed order; the reduction is a plain index-ordered sum.  Raises
-    ValueError unless n_dim >= 1.
-    """
-    pts, wts = simplex_nodes(n_dim, L, order)
-    vals = np.asarray(f(pts))
-    return np.sum(wts * vals)
 
 
 def _reference_vertices(n_dim: int) -> np.ndarray:
@@ -469,18 +452,20 @@ def _simplex_rule(
 ) -> np.ndarray:
     """The iterated rule of ``order`` on each simplex of a (S, n + 1, n) vertex stack.
 
-    The rule on the unit ordered simplex is mapped affinely: a node's
-    barycentric weights are its gaps (y_1, y_2 - y_1, ..., 1 - y_n)
-    reversed, and the weights scale by |det| of the edge vectors from
-    vertex 0.  All nodes go to ``f`` in one call.  Returns (S,) integrals.
+    The rule on the unit ordered simplex is mapped affinely: vertex k of
+    that simplex ends in k ones, so a node y goes to C_0 + y E, where row
+    j (from 0) of E is the edge C_{n-j} - C_{n-j-1}, and the weights scale by
+    |det E|.  On the reference cell L times the unit simplex, E = L I.
+    All nodes go to ``f`` in one call.  Returns (S,) integrals.
     """
     n_dim = cells.shape[2]
-    pts, wts = simplex_nodes(n_dim, 1.0, order)
-    gaps = np.diff(pts, axis=1, prepend=0.0, append=1.0)[:, ::-1]
-    nodes = np.einsum("pk,skj->spj", gaps, cells).reshape(-1, n_dim)
-    vals = np.asarray(f(nodes)).real.reshape(len(cells), -1)
-    volume = np.abs(np.linalg.det(cells[:, 1:] - cells[:, :1]))
-    return volume * (vals @ wts)
+    pts, wts = simplex_nodes(n_dim, order)
+    edges = np.diff(cells, axis=1)[:, ::-1]
+    # rebound, so the unit nodes are freed before f runs
+    pts = pts @ edges
+    pts += cells[:, None, 0]
+    vals = np.asarray(f(pts.reshape(-1, n_dim))).real.reshape(len(cells), -1)
+    return np.abs(np.linalg.det(edges)) * (vals @ wts)
 
 
 def _bisect(cells: np.ndarray) -> np.ndarray:
@@ -510,8 +495,8 @@ def refined_simplex_quadrature(
 
     ``orders`` = (m, m') are two iterated Gauss-Legendre orders.  Each
     simplex cell has the order-m value Q_m and the error estimate
-    |Q_m - Q_m'|.  The first cell is the whole domain (``simplex_quadrature``
-    of each order), where the estimate is |Q_m - Q_m'| alone.  Once cells
+    |Q_m - Q_m'| (``_simplex_rule`` of each order).  The first cell is the
+    whole domain, where the estimate is |Q_m - Q_m'| alone.  Once cells
     are split it is the sum of the cell estimates plus the change of sum
     Q_m in the last round: near a point where the integrand has no limit
     (a node of a complex wavefunction) both rules err alike, and that
@@ -526,8 +511,8 @@ def refined_simplex_quadrature(
     estimate is inf when the sum is 0 and the rules differ, and the
     caller decides whether it is small enough.
     """
-    values = np.array([[simplex_quadrature(f, n_dim, L, m).real for m in orders]])
     cells = L * _reference_vertices(n_dim)[None]
+    values = np.stack([_simplex_rule(f, cells, m) for m in orders], axis=1)
     nodes = per_cell = sum(m**n_dim for m in orders)
     previous = None
     while True:

@@ -1,11 +1,16 @@
 """Numerical oracles of the test suite, kept out of the llfisher package.
 
-Each one evaluates the wavefunction at Gauss-Legendre nodes
-(``wavefunction.eval_batch`` on ``integrals.simplex_nodes``) and sums; none
-reads the pair integrals or the divided-difference kernel
-(``integrals._pair_integrals``, ``integrals.simplex_exp_integral``) that the
-analytic QFI and the exact image probabilities are built from.
+The integral oracles evaluate the wavefunction at Gauss-Legendre nodes
+(``wavefunction.eval_batch``) and sum; none reads the pair integrals or
+the divided-difference kernel (``integrals._pair_integrals``,
+``integrals.simplex_exp_integral``) that the analytic QFI and the exact
+image probabilities are built from.  Their Gauss-Legendre rule is built
+here from ``scipy.special.roots_legendre``, apart from the package's own
+rule for the CFI (``integrals.refined_simplex_quadrature``), which
+``cfi_full_simplex`` checks.
 
+- ``simplex_nodes`` and ``simplex_quadrature``: the iterated rule on the
+  ordered simplex, a tensor rule on the unit cube under the conical map.
 - ``box_quadrature``: a symmetric integrand over an axis-aligned box, the
   oracle of the exact absorption-image probabilities.
 - ``qfi_overlap_oracle``: the fidelity estimate of the QFI.
@@ -20,9 +25,9 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from llfisher.bethe import BoundaryCondition, ModelParams, StateSpec
-from llfisher.integrals import _gauss01, simplex_nodes, simplex_quadrature
 from llfisher.wavefunction import AmplitudeTable, amplitudes, eval_batch
 
 # Gauss-Legendre points per dimension of the fidelity overlaps
@@ -30,6 +35,39 @@ OVERLAP_ORDER = 24
 # ... and of the full-simplex CFI rule, up to 3-D and beyond
 FULL_SIMPLEX_ORDER = 48
 FULL_SIMPLEX_ORDER_4D = 24
+
+
+def _gauss01(order: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    if order < 2:
+        raise ValueError("quadrature order must be at least 2")
+    t, w = roots_legendre(order)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+def simplex_nodes(n_dim: int, L: float, order: int):
+    """Iterated Gauss-Legendre nodes/weights on 0 <= x_1 <= ... <= x_N <= L.
+
+    The tensor rule on the unit cube, mapped by x_j = L u_j u_{j+1} ... u_N
+    (the Duffy map), whose Jacobian is L^N times the product of
+    u_j^(j - 1) over j.  Points come back as an (n_points, n_dim) array
+    with ascending columns.
+    """
+    if n_dim < 1:
+        raise ValueError(f"simplex dimension must be at least 1, got {n_dim}")
+    t, w = _gauss01(order)
+    u = np.stack(np.meshgrid(*[t] * n_dim, indexing="ij"), axis=-1).reshape(-1, n_dim)
+    wu = np.prod(np.meshgrid(*[w] * n_dim, indexing="ij"), axis=0).ravel()
+    pts = L * np.cumprod(u[:, ::-1], axis=1)[:, ::-1]
+    return pts, L**n_dim * wu * np.prod(u ** np.arange(n_dim), axis=1)
+
+
+def simplex_quadrature(
+    f: Callable[[np.ndarray], np.ndarray], n_dim: int, L: float, order: int
+):
+    """Integrate ``f``, one value per row of ordered points, over 0 <= x_1 <= ... <= x_N <= L."""
+    pts, wts = simplex_nodes(n_dim, L, order)
+    return np.sum(wts * np.asarray(f(pts)))
 
 
 def box_quadrature(

@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import cfi_full_simplex, qfi_overlap_oracle
+from oracles import cfi_full_simplex, qfi_overlap_oracle, simplex_quadrature
 
 from llfisher.bethe import (
     BoundaryCondition,
@@ -37,10 +37,7 @@ from llfisher.imaging import (
     sample_images,
     uniform_grid,
 )
-from llfisher.integrals import (
-    simplex_exp_integral,
-    simplex_quadrature,
-)
+from llfisher.integrals import simplex_exp_integral
 from llfisher.wavefunction import amplitudes, eval_batch
 
 PER = BoundaryCondition.PERIODIC

@@ -520,19 +520,27 @@ RING5_GENERAL = ("--bc", "periodic", "-N", "5", "-I", "-2", "-1", "0", "1", "3")
         # overflows here; that was an OverflowError traceback
         (("imaging", *RING4, "-c", "2e-53", "-L", "1e53", "--pixels", "2"), 6,
          "numerical check failed: simplex integrals"),
+        # arrays of 7 PiB, refused at once by the allocator; these were
+        # numpy _ArrayMemoryError tracebacks with exit 1
+        (("fisher", "--bc", "periodic", "-N", "2", "--ground", "--axis", "L", "--start", "1",
+          "--stop", "2", "--num", "1000000000000000", "--fixed", "1"), 5,
+         "resource limit: Unable to allocate"),
+        (("imaging", "--bc", "periodic", "-N", "2", "--ground", "-c", "1", "-L", "1",
+          "--pixels", "4", "--sample", "1000000000000000", "--seed", "1",
+          "--shots-out", "-", "--mle-out", "-"), 5, "resource limit: Unable to allocate"),
     ],
     ids=["fisher-underflow", "lmax-underflow", "imaging-underflow", "solve-underflow",
          "imaging-collapsed", "lmax-collapsed",
          "solve-nan", "solve-nan-pair", "lmax-inf", "lmax-inf-tol",
          "fisher-box3-1e-64", "fisher-box3-1e-106", "fisher-ring5-1e-46",
-         "imaging-ring4-1e53"],
+         "imaging-ring4-1e53", "fisher-num-1e15", "imaging-sample-1e15"],
 )
 def test_domain_edges_exit_with_documented_code(capsys, argv, exit_code, prefix):
     code, out, err = run(capsys, *argv)
     assert code == exit_code
     assert err.startswith(prefix)
-    assert "Traceback" not in err
-    if argv[0] == "fisher":
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    if argv[0] == "fisher" and exit_code == 3:
         # det H underflows at L = 1e-90; the other sweeps leave the double range
         error = "SolverError: " if "1e-90" in argv else "NumericalHealthError: simplex integrals"
         assert f",error:{error}" in out

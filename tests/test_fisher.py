@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import cfi_full_simplex, qfi_overlap_oracle
+from oracles import box_quadrature, cfi_full_simplex, qfi_overlap_oracle
 from scipy.optimize import minimize_scalar
 
 import llfisher.fisher
@@ -31,7 +31,7 @@ from llfisher.fisher import (
 )
 from llfisher import integrals
 from llfisher.integrals import NumericalHealthError
-from llfisher.wavefunction import AmplitudeTable, amplitudes
+from llfisher.wavefunction import AmplitudeTable, amplitudes, eval_batch
 
 PER = BoundaryCondition.PERIODIC
 HW = BoundaryCondition.HARD_WALL
@@ -200,6 +200,21 @@ def test_oracle_one_sided_near_zero_coupling():
         assert qfi_overlap_oracle(spec, params) == pytest.approx(analytic, rel=1e-3)
 
 
+def _break_in_llfisher(monkeypatch, names: tuple, message: str) -> None:
+    """Make every llfisher binding of ``names`` raise AssertionError(message)."""
+
+    def broken(*args, **kwargs):
+        raise AssertionError(message)
+
+    patched = set()
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "llfisher"]:
+        for name in names:
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, broken)
+                patched.add(name)
+    assert patched == set(names)
+
+
 def test_fidelity_oracle_shares_no_kernel_with_the_qfi(monkeypatch):
     # with the pair bundles and the simplex-integral kernel unusable, the
     # oracle still reproduces the QFI computed before they were broken
@@ -208,22 +223,45 @@ def test_fidelity_oracle_shares_no_kernel_with_the_qfi(monkeypatch):
         (ground_state(PER, 3), ModelParams(0.5, 2.0)),
     ]
     analytic = [qfi_analytic(spec, params) for spec, params in cases]
-
-    def broken(*args, **kwargs):
-        raise AssertionError("the oracle reached the QFI kernel")
-
-    names = ("_pair_integrals", "simplex_exp_integral")
-    patched = set()
-    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "llfisher"]:
-        for name in names:
-            if name in vars(mod):
-                monkeypatch.setattr(mod, name, broken)
-                patched.add(name)
-    assert patched == set(names)
+    _break_in_llfisher(
+        monkeypatch, ("_pair_integrals", "simplex_exp_integral"), "the oracle reached the QFI kernel"
+    )
     with pytest.raises(AssertionError, match="reached the QFI kernel"):
         qfi_analytic(*cases[0])
     for (spec, params), expected in zip(cases, analytic):
         assert qfi_overlap_oracle(spec, params) == pytest.approx(expected, rel=1e-3)
+
+
+def test_oracles_share_no_gauss_legendre_rule_with_the_package(monkeypatch):
+    # with the package's Gauss-Legendre layer unusable, the CFI rule among
+    # it, every oracle still gives the values it gave before the break
+    general = (StateSpec(PER, 3, (-1.0, 1.0, 2.0)), ModelParams(0.2, 10.0))
+    table = amplitudes(*general)
+    box_table = amplitudes(ground_state(HW, 2), ModelParams(1.0, 1.0))
+
+    def density(pts):
+        vals, _ = eval_batch(box_table, pts)
+        return vals.real**2 + vals.imag**2
+
+    oracles = {
+        "cfi_full_simplex": lambda: cfi_full_simplex(table),
+        "qfi_overlap_oracle ring": lambda: qfi_overlap_oracle(
+            ground_state(PER, 3), ModelParams(0.5, 2.0)
+        ),
+        "qfi_overlap_oracle box": lambda: qfi_overlap_oracle(
+            ground_state(HW, 3), ModelParams(1.0, 1.0)
+        ),
+        "box_quadrature": lambda: box_quadrature(density, [(0.25, 0.75)] * 2, 12),
+    }
+    before = {name: run() for name, run in oracles.items()}
+    _break_in_llfisher(
+        monkeypatch,
+        ("_gauss01", "simplex_nodes", "_simplex_rule", "refined_simplex_quadrature"),
+        "the oracle reached the package's Gauss-Legendre rule",
+    )
+    with pytest.raises(AssertionError, match="Gauss-Legendre rule"):
+        cfi(*general)
+    assert {name: run() for name, run in oracles.items()} == before
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import box_quadrature
+from oracles import box_quadrature, simplex_nodes, simplex_quadrature
 from scipy import integrate
 
 import llfisher.integrals as integrals
 from llfisher.bethe import BoundaryCondition, ModelParams, StateSpec, ground_state
-from llfisher.integrals import simplex_exp_integral, simplex_quadrature
+from llfisher.integrals import simplex_exp_integral
 from llfisher.wavefunction import amplitudes
 
 PER = BoundaryCondition.PERIODIC
@@ -223,7 +223,7 @@ def test_moments_vs_simplex_quadrature_large_box():
     lam = np.array([0.7, -1.1, 0.25])
     L = 10.0
     i00, i1, i11 = simplex_exp_integral(lam, L, order=2)
-    pts, wts = integrals.simplex_nodes(3, L, 48)
+    pts, wts = simplex_nodes(3, L, 48)
     phase = wts * np.exp(-1j * pts @ lam)
     assert abs(i00 - phase.sum()) < 1e-9 * abs(i00)
     assert max_rel(i1, pts.T @ phase) < 1e-9
@@ -459,10 +459,15 @@ def test_box4_kernel_batch_is_folded(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _whole(f, n_dim, L, order):
+    """The package's rule of ``order`` on the whole simplex 0 <= x_1 <= ... <= x_N <= L."""
+    return integrals._simplex_rule(f, L * integrals._reference_vertices(n_dim)[None], order)[0]
+
+
 @pytest.mark.parametrize("n_dim", [1, 2, 3, 4])
 def test_simplex_quadrature_constant(n_dim):
     L = 2.0
-    got = simplex_quadrature(lambda pts: np.ones(pts.shape[0]), n_dim, L, order=8)
+    got = _whole(lambda pts: np.ones(pts.shape[0]), n_dim, L, 8)
     assert got == pytest.approx(L**n_dim / math.factorial(n_dim), rel=1e-12)
 
 
@@ -472,13 +477,15 @@ def test_simplex_quadrature_order_doubling():
     def f(pts):
         return np.cos(pts @ lam)
 
-    coarse = simplex_quadrature(f, 3, 1.0, order=48)
-    fine = simplex_quadrature(f, 3, 1.0, order=96)
+    coarse = _whole(f, 3, 1.0, 48)
+    fine = _whole(f, 3, 1.0, 96)
     assert abs(coarse - fine) < 1e-7 * max(1.0, abs(fine))
 
 
 @pytest.mark.parametrize("n_dim", [1, 2, 3, 4])
 def test_mapped_rule_on_the_whole_simplex_is_the_iterated_rule(n_dim):
+    # the package's rule against the oracle's, which builds the same
+    # iterated rule on its own (a tensor rule under the conical map)
     lam = np.array([3.0, -1.0, 2.0, 0.5])[:n_dim]
 
     def f(pts):
@@ -489,6 +496,15 @@ def test_mapped_rule_on_the_whole_simplex_is_the_iterated_rule(n_dim):
     got = integrals._simplex_rule(f, cell, 6)
     assert got.shape == (1,)
     assert got[0] == pytest.approx(simplex_quadrature(f, n_dim, L, 6), rel=1e-13)
+    # on the reference cell the affine map is L times the identity
+    seen = []
+
+    def record(pts):
+        seen.append(pts)
+        return np.ones(len(pts))
+
+    integrals._simplex_rule(record, cell, 6)
+    assert np.array_equal(seen[0], L * integrals.simplex_nodes(n_dim, 6)[0])
 
 
 @pytest.mark.parametrize("n_dim", [2, 3, 4])
@@ -536,21 +552,25 @@ def test_refinement_stops_at_its_node_budget():
         _angular, 2, 1.0, (24, 16), 1e-6, 24**2 + 16**2
     )
     assert cells == 1 and estimate > 1e-6
-    assert value == pytest.approx(simplex_quadrature(_angular, 2, 1.0, 24), rel=1e-15)
+    assert value == _whole(_angular, 2, 1.0, 24)
 
 
 @pytest.mark.parametrize("n_dim", [0, -1])
 def test_simplex_rule_rejects_dimension_below_one(n_dim):
     # a dimension below one must not fall back to a 1-D rule of volume L
     with pytest.raises(ValueError, match="dimension"):
-        integrals.simplex_nodes(n_dim, 2.0, 8)
+        integrals.simplex_nodes(n_dim, 8)
     with pytest.raises(ValueError, match="dimension"):
-        simplex_quadrature(lambda pts: np.ones(pts.shape[0]), n_dim, 2.0, order=8)
+        integrals.refined_simplex_quadrature(
+            lambda pts: np.ones(pts.shape[0]), n_dim, 2.0, (8, 6), 1e-6, 10**6
+        )
 
 
 def test_simplex_quadrature_rejects_low_order():
-    with pytest.raises(ValueError):
-        simplex_quadrature(lambda pts: np.ones(pts.shape[0]), 1, 1.0, order=1)
+    with pytest.raises(ValueError, match="order"):
+        integrals.refined_simplex_quadrature(
+            lambda pts: np.ones(pts.shape[0]), 1, 1.0, (1, 2), 1e-6, 10**6
+        )
 
 
 def test_gauss_rule_is_cached_and_read_only():

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import simplex_quadrature
 
 from llfisher.bethe import (
     BoundaryCondition,
@@ -13,7 +14,6 @@ from llfisher.bethe import (
     solve_bethe,
     type1_excitation,
 )
-from llfisher.integrals import simplex_quadrature
 from llfisher.wavefunction import (
     PhaseClass,
     _unit_phases,
