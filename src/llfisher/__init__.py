@@ -32,7 +32,6 @@ from .fisher import (
     sweep,
 )
 from .imaging import (
-    AbsorptionImage,
     ImageDistribution,
     PixelGrid,
     enumerate_images,
@@ -61,7 +60,6 @@ from .wavefunction import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsorptionImage",
     "AmplitudeTable",
     "BetheSolution",
     "BoundaryCondition",

@@ -272,6 +272,8 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
             raise ValueError("--sample must be >= 1")
         if args.seed is None:
             raise ValueError("--sample requires --seed")
+        if args.seed < 0:
+            raise ValueError("--seed must be >= 0")
         # one atom, or one pixel (one realizable image), leaves the likelihood flat
         if spec.n == 1 or args.pixels[-1] == 1:
             raise ValueError("--sample needs N >= 2 and at least 2 pixels in the last grid")

@@ -15,6 +15,9 @@ cube.  The classical Fisher information of this measurement,
 sum_n (dP/dc)^2 / P, converges to the position-measurement CFI as the
 pixels shrink.
 
+An image is its counts row n: the images of a distribution, sampled shots
+and a loaded shot file are each one integer array with a row per image.
+
 P is exact.  Each occupied bin, clipped to [0, L], starts at lo, has
 width w and holds a run of r atoms at coordinates s..s+r-1; ordering the
 atoms within every run makes the box an ordered product of sub-simplices
@@ -54,7 +57,6 @@ import itertools
 import json
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -75,6 +77,7 @@ PROB_SUM_TOL = 1e-10
 # edges a0 + j dx, and so small that the dropped slivers (at most about
 # 2 N _COVER_RTOL of probability) stay well inside PROB_SUM_TOL.
 _COVER_RTOL = 1e-12
+_SHOTS_FORMAT = {"format": "llfisher-shots", "version": 1}
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,8 @@ class PixelGrid:
             raise ValueError("pixel origin and width must be finite")
         if self.dx <= 0:
             raise ValueError("pixel width must be positive")
+        if not isinstance(self.n_pixels, (int, np.integer)):
+            raise ValueError("pixel count must be an integer")
         if self.n_pixels < 1:
             raise ValueError("need at least one pixel")
 
@@ -111,29 +116,14 @@ def uniform_grid(L: float, n_pixels: int) -> PixelGrid:
     return PixelGrid(a0=0.0, dx=L / n_pixels, n_pixels=n_pixels)
 
 
-@dataclass(frozen=True)
-class AbsorptionImage:
-    """Per-bin atom counts (n_0, n_1, ..., n_{N_p}, n_{N_p+1})."""
-
-    counts: tuple
-
-    def __post_init__(self) -> None:
-        if min(self.counts, default=0) < 0:
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", tuple(map(int, self.counts)))
-
-    @property
-    def n_atoms(self) -> int:
-        return sum(self.counts)
-
-
-def enumerate_images(n: int, n_pixels: int):
+def enumerate_images(n: int, n_pixels: int) -> np.ndarray:
     """All realizable absorption images of n atoms on n_pixels pixels.
 
-    These are the weak compositions of n into n_pixels + 2 bins, of which
-    there are (n + n_pixels + 1)! / ((n_pixels + 1)! n!), with the first
-    bin's count descending: (n, 0, ..., 0) first, (0, ..., 0, n) last.
-    That is the lexicographic order of the ascending atom-bin tuples that
+    Returns their counts rows as one integer array: the weak compositions
+    of n into n_pixels + 2 bins, of which there are
+    (n + n_pixels + 1)! / ((n_pixels + 1)! n!), with the first bin's count
+    descending: (n, 0, ..., 0) first, (0, ..., 0, n) last.  That is the
+    lexicographic order of the ascending atom-bin tuples that
     ``combinations_with_replacement`` yields.  Raises ResourceLimitError,
     before enumerating any, when that count exceeds DEFAULT_IMAGE_CAP.
     """
@@ -151,26 +141,32 @@ def enumerate_images(n: int, n_pixels: int):
         count=count * n,
     ).reshape(count, n)
     cells = (np.arange(count)[:, None] * n_bins + bins).ravel()
-    counts = np.bincount(cells, minlength=count * n_bins).reshape(count, n_bins)
-    return [AbsorptionImage(tuple(row)) for row in counts.tolist()]
+    return np.bincount(cells, minlength=count * n_bins).reshape(count, n_bins)
 
 
-def multiplicity(image: AbsorptionImage) -> int:
-    """Orderings of distinguishable atoms producing this image: N!/prod n_j!."""
-    num = math.factorial(image.n_atoms)
-    for c in image.counts:
-        num //= math.factorial(c)
-    return num
+def multiplicity(counts: Sequence[int]) -> int:
+    """Orderings of distinguishable atoms producing the image ``counts``: N!/prod n_j!."""
+    if min(counts, default=0) < 0:
+        raise ValueError("counts must be non-negative")
+    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+
+
+def _counts_rows(rows) -> np.ndarray:
+    """``rows`` as a 2-D array of image counts, else ValueError."""
+    counts = np.asarray(rows)
+    if counts.ndim != 2 or not np.issubdtype(counts.dtype, np.integer) or np.any(counts < 0):
+        raise ValueError("images must be rows of non-negative integer counts")
+    return counts
 
 
 @dataclass
 class ImageDistribution:
-    """P(image | c) and dP/dc over every realizable image of one state."""
+    """P(image | c) and dP/dc over every realizable image (counts row) of one state."""
 
     grid: PixelGrid
     state: StateSpec
     params: ModelParams
-    images: tuple
+    images: np.ndarray
     probs: np.ndarray
     dprobs: np.ndarray
 
@@ -226,9 +222,9 @@ def _pattern_matrices(runs, index, run_tables):
 
 
 def _image_probabilities(
-    spec: StateSpec, params: ModelParams, grid: PixelGrid, images, derivative: bool
+    spec: StateSpec, params: ModelParams, grid: PixelGrid, counts: np.ndarray, derivative: bool
 ):
-    """P for each image, and dP/dc with ``derivative`` (else None).
+    """P for each image (counts row), and dP/dc with ``derivative`` (else None).
 
     A run of r atoms in one bin occupies coordinates s..s+r-1, and its
     factor depends on a pair of table rows only through their kappa
@@ -275,13 +271,7 @@ def _image_probabilities(
         sub_rows[r] = (uniq, dkap[first])
 
     # each atom's bin, ascending per image, and per bin its start and width
-    counts = np.fromiter(
-        itertools.chain.from_iterable(image.counts for image in images),
-        dtype=np.intp,
-        count=len(images) * grid.n_bins,
-    ).reshape(len(images), grid.n_bins)
-    bins = np.repeat(np.tile(np.arange(grid.n_bins), len(images)), counts.ravel())
-    bins = bins.reshape(len(images), n)
+    bins = np.repeat(np.arange(counts.size) % grid.n_bins, counts.ravel()).reshape(-1, n)
     intervals = _bin_intervals(grid, params.L)
     widths = sorted({iv[1] for iv in intervals if iv is not None})
     bin_lo = np.array([0.0 if iv is None else iv[0] for iv in intervals])
@@ -303,7 +293,7 @@ def _image_probabilities(
         kap, dkap = sub_rows[size]
         run_tables[size, width] = _pair_integrals(kap, dkap, width, int(derivative))[0]
 
-    raw, draw = np.zeros(len(images)), np.zeros(len(images))
+    raw, draw = np.zeros(len(counts)), np.zeros(len(counts))
     step = max(1, _EVAL_CHUNK // rows)
     for k, runs in enumerate(runs_of):
         images_of = live[which == k]
@@ -358,7 +348,7 @@ def image_distribution(
         grid=grid,
         state=spec,
         params=params,
-        images=tuple(images),
+        images=images,
         probs=probs,
         dprobs=dprobs,
     )
@@ -370,19 +360,20 @@ def imaging_cfi(dist: ImageDistribution) -> float:
     return float(np.sum(dist.dprobs[mask] ** 2 / dist.probs[mask]))
 
 
-def sample_images(dist: ImageDistribution, shots: int, seed: int):
-    """``shots`` i.i.d. absorption images drawn from the distribution."""
+def sample_images(dist: ImageDistribution, shots: int, seed: int) -> np.ndarray:
+    """``shots`` i.i.d. absorption images drawn from the distribution, as
+    rows of ``dist.images``: an integer array of shape (shots, n_bins)."""
     if shots < 1:
         raise ValueError("need at least one shot")
     rng = np.random.default_rng(seed)
     p = np.clip(dist.probs, 0.0, None)
     p = p / p.sum()
     picks = rng.choice(len(dist.images), size=shots, p=p)
-    return [dist.images[i] for i in picks]
+    return dist.images[picks]
 
 
 def mle_estimate(
-    images: Sequence[AbsorptionImage],
+    images: np.ndarray,
     spec: StateSpec,
     grid: PixelGrid,
     c_grid: Sequence[float],
@@ -390,12 +381,13 @@ def mle_estimate(
 ):
     """Maximum-likelihood coupling estimate from recorded shots.
 
-    The log-likelihood is evaluated on ``c_grid`` and the best grid point
-    refined by a three-point parabolic fit.  Returns (c_hat, loglik) with
-    one log-likelihood value per grid point.  Each grid point evaluates
-    P of the distinct observed images only: P is normalized analytically,
-    so the rest of the distribution is never needed.  Raises ValueError
-    without shots.
+    ``images`` holds a counts row per shot.  The log-likelihood is evaluated
+    on ``c_grid`` and the best grid point refined by a three-point parabolic
+    fit.  Returns (c_hat, loglik) with one log-likelihood value per grid
+    point.  Each grid point evaluates P of the distinct observed images
+    only: P is normalized analytically, so the rest of the distribution is
+    never needed.  Raises ValueError without shots, and for rows that are
+    not counts of N atoms on the grid's bins.
     """
     if len(images) == 0:
         raise ValueError("no shots")
@@ -404,24 +396,25 @@ def mle_estimate(
         raise ValueError("c grid is empty")
     if np.any(np.diff(c_values) <= 0):
         raise ValueError("c grid must be strictly increasing")
-    n_atoms = {img.n_atoms for img in images}
-    if n_atoms != {spec.n}:
+    shots = _counts_rows(images)
+    if np.any(shots.sum(axis=1) != spec.n):
         raise ValueError("shot images are inconsistent with the particle count")
-    n_bins = {len(img.counts) for img in images}
-    if n_bins != {grid.n_bins}:
+    if shots.shape[1] != grid.n_bins:
         raise ValueError(
             f"shot images must have {grid.n_bins} bins to match the pixel grid"
         )
 
-    tallies = Counter(images)
-    observed = list(tallies)
-    counts = np.array([tallies[img] for img in observed], dtype=float)
+    # the distinct images in first-seen order, which fixes the order of the
+    # log-likelihood sums
+    observed, first, tallies = np.unique(shots, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    observed, tallies = observed[order], tallies[order]
     loglik = np.empty(c_values.size)
     for i, c in enumerate(c_values):
         probs, _ = _image_probabilities(
             spec, ModelParams(float(c), L), grid, observed, derivative=False
         )
-        loglik[i] = float(np.sum(counts * np.log(np.maximum(probs, PROB_FLOOR))))
+        loglik[i] = float(np.sum(tallies * np.log(np.maximum(probs, PROB_FLOOR))))
 
     best = int(np.argmax(loglik))
     if c_values.size == 1:
@@ -449,27 +442,33 @@ def mle_estimate(
 
 def save_shots(
     path: str,
-    images: Sequence[AbsorptionImage],
+    images: np.ndarray,
     seed: int,
     meta: Optional[dict] = None,
 ) -> None:
-    """Write shots as line-delimited JSON with a provenance header."""
+    """Write shots as line-delimited JSON: a provenance header, then one counts row a line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_shots_text(images, seed, meta))
 
 
-def _shots_text(images: Sequence[AbsorptionImage], seed: int, meta: Optional[dict]) -> str:
-    header = {"format": "llfisher-shots", "version": 1, "seed": seed}
+def _shots_text(images: np.ndarray, seed: int, meta: Optional[dict]) -> str:
+    header = {**_SHOTS_FORMAT, "seed": seed}
     if meta:
         header.update(meta)
     lines = [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps(list(img.counts)) for img in images]
+    lines += [json.dumps(row) for row in np.asarray(images).tolist()]
     return "\n".join(lines) + "\n"
 
 
 def load_shots(path: str):
-    """Read back a shot file; returns (header, images)."""
+    """Read back a shot file; returns (header, images), images its counts rows.
+
+    Raises ValueError for a header of another format or version, and for
+    rows that are not non-negative integers of one length.
+    """
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        images = [AbsorptionImage(tuple(json.loads(line))) for line in fh if line.strip()]
-    return header, images
+        if not isinstance(header, dict) or not _SHOTS_FORMAT.items() <= header.items():
+            raise ValueError(f"{path} is not a version-1 llfisher shot file")
+        rows = [json.loads(line) for line in fh if line.strip()]
+    return header, _counts_rows(rows)

@@ -528,12 +528,20 @@ RING5_GENERAL = ("--bc", "periodic", "-N", "5", "-I", "-2", "-1", "0", "1", "3")
         (("imaging", "--bc", "periodic", "-N", "2", "--ground", "-c", "1", "-L", "1",
           "--pixels", "4", "--sample", "1000000000000000", "--seed", "1",
           "--shots-out", "-", "--mle-out", "-"), 5, "resource limit: Unable to allocate"),
+        # a negative seed failed in numpy's generator after every distribution
+        # was computed; at L = 1e-90 the work would fail first, with exit 3
+        (("imaging", *RING4, "-c", "1", "-L", "1e-90", "--pixels", "2", "--sample", "10",
+          "--seed", "-1", "--shots-out", "-", "--mle-out", "-"), 2, "error: --seed must be >= 0"),
+        (("imaging", "--bc", "periodic", "-N", "2", "--ground", "-c", "1", "-L", "1",
+          "--pixels", "4", "--sample", "10", "--seed", "-1", "--shots-out", "-",
+          "--mle-out", "-"), 2, "error: --seed must be >= 0"),
     ],
     ids=["fisher-underflow", "lmax-underflow", "imaging-underflow", "solve-underflow",
          "imaging-collapsed", "lmax-collapsed",
          "solve-nan", "solve-nan-pair", "lmax-inf", "lmax-inf-tol",
          "fisher-box3-1e-64", "fisher-box3-1e-106", "fisher-ring5-1e-46",
-         "imaging-ring4-1e53", "fisher-num-1e15", "imaging-sample-1e15"],
+         "imaging-ring4-1e53", "fisher-num-1e15", "imaging-sample-1e15",
+         "imaging-negative-seed-first", "imaging-negative-seed"],
 )
 def test_domain_edges_exit_with_documented_code(capsys, argv, exit_code, prefix):
     code, out, err = run(capsys, *argv)

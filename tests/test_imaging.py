@@ -17,7 +17,6 @@ from llfisher.bethe import (
 )
 from llfisher.fisher import cfi
 from llfisher.imaging import (
-    AbsorptionImage,
     PixelGrid,
     _bin_intervals,
     _image_probabilities,
@@ -50,10 +49,17 @@ def test_enumeration_counts():
 
 
 def test_enumeration_order_is_deterministic():
-    images = enumerate_images(2, 1)
-    assert images[0].counts == (2, 0, 0)
-    assert images[1].counts == (1, 1, 0)
-    assert images[-1].counts == (0, 0, 2)
+    rows = enumerate_images(2, 1).tolist()
+    assert rows[0] == [2, 0, 0]
+    assert rows[1] == [1, 1, 0]
+    assert rows[-1] == [0, 0, 2]
+
+
+def test_images_are_integer_counts_rows():
+    images = enumerate_images(3, 4)
+    assert isinstance(images, np.ndarray) and images.dtype.kind == "i"
+    assert images.shape == (len(list(compositions(3, 6))), 6)
+    assert np.all(images.sum(axis=1) == 3)
 
 
 @pytest.mark.parametrize(
@@ -62,7 +68,7 @@ def test_enumeration_order_is_deterministic():
 def test_enumeration_follows_the_composition_order(n, n_pixels):
     # sample_images draws by index, so the order fixes the shots of a seed
     images = enumerate_images(n, n_pixels)
-    assert [image.counts for image in images] == list(compositions(n, n_pixels + 2))
+    assert list(map(tuple, images.tolist())) == list(compositions(n, n_pixels + 2))
 
 
 def test_enumeration_cap():
@@ -85,14 +91,15 @@ def test_image_cap_is_checked_before_the_edges_are_built(monkeypatch):
 
 
 def test_multiplicity_values():
-    assert multiplicity(AbsorptionImage((1, 5, 1, 3, 0))) == 5040
-    assert multiplicity(AbsorptionImage((0, 4, 0))) == 1
-    assert multiplicity(AbsorptionImage((1, 1, 0))) == 2
+    assert multiplicity((1, 5, 1, 3, 0)) == 5040
+    assert multiplicity((0, 4, 0)) == 1
+    assert multiplicity((1, 1, 0)) == 2
+    assert multiplicity(np.array([1, 1, 0])) == 2
 
 
 def test_image_validation():
     with pytest.raises(ValueError):
-        AbsorptionImage((1, -1))
+        multiplicity((1, -1))
 
 
 def test_grid_validation():
@@ -100,6 +107,11 @@ def test_grid_validation():
         PixelGrid(0.0, 0.0, 4)
     with pytest.raises(ValueError):
         PixelGrid(0.0, 1.0, 0)
+    # 2.5 pixels made n_bins 4.5, a TypeError from math.comb in the images
+    for n_pixels in (2.5, 3.0, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            PixelGrid(0.0, 2.5, n_pixels)
+    assert PixelGrid(0.0, 2.5, np.int64(3)).n_bins == 5
     # non-finite origins and widths reached the probability-sum check
     for a0, dx in [(math.nan, 0.5), (0.0, math.inf), (0.0, math.nan), (-math.inf, 0.5)]:
         with pytest.raises(ValueError, match="finite"):
@@ -118,8 +130,9 @@ def test_single_full_pixel_is_certain():
     spec = ground_state(PER, 2)
     params = ModelParams(1.0, 1.0)
     dist = image_distribution(spec, params, uniform_grid(1.0, 1))
-    full = AbsorptionImage((0, 2, 0))
-    assert dict(zip(dist.images, dist.probs))[full] == pytest.approx(1.0, abs=1e-10)
+    full = (0, 2, 0)
+    probs = dict(zip(map(tuple, dist.images.tolist()), dist.probs))
+    assert probs[full] == pytest.approx(1.0, abs=1e-10)
     assert imaging_cfi(dist) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -166,10 +179,10 @@ def test_partition_of_unity_against_norm():
     edges = grid.edges
     total = 0.0
     for image in enumerate_images(spec.n, grid.n_pixels):
-        if image.counts[0] or image.counts[-1]:
+        if image[0] or image[-1]:
             continue  # outer bins carry no support here
         box = []
-        for j, count in enumerate(image.counts[1:-1], start=0):
+        for j, count in enumerate(image[1:-1], start=0):
             box.extend([(edges[j], edges[j + 1])] * count)
         total += multiplicity(image) * box_quadrature(density, box, order=12)
     assert total == pytest.approx(math.factorial(spec.n) * n2, rel=1e-6)
@@ -189,7 +202,7 @@ def _box_oracle(spec, params, grid, images, order):
     out = []
     for image in images:
         box = []
-        for bin_idx, count in enumerate(image.counts):
+        for bin_idx, count in enumerate(image):
             box.extend([(bounds[bin_idx], bounds[bin_idx + 1])] * count)
         if any(hi <= lo for lo, hi in box):
             out.append(0.0)
@@ -227,16 +240,15 @@ def test_exact_probabilities_match_box_quadrature_box4():
     spec = ground_state(HW, 4)
     params = ModelParams(0.5, 10.0)
     grid = uniform_grid(10.0, 4)
-    images = [
-        AbsorptionImage(c)
-        for c in [
+    images = np.array(
+        [
             (0, 4, 0, 0, 0, 0),
             (0, 0, 3, 1, 0, 0),
             (0, 2, 2, 0, 0, 0),
             (0, 1, 2, 0, 1, 0),
             (0, 1, 1, 1, 1, 0),
         ]
-    ]
+    )
     probs, dprobs = _image_probabilities(spec, params, grid, images, derivative=False)
     assert dprobs is None
     oracle = _box_oracle(spec, params, grid, images, order=12)
@@ -254,7 +266,7 @@ def _per_image_oracle(spec, params, grid, images):
     n2, dn2 = table.solution.norm_sq, table.solution.dnorm_sq_dc
     probs, dprobs = [], []
     for image in images:
-        runs = [(b, count) for b, count in enumerate(image.counts) if count]
+        runs = [(b, count) for b, count in enumerate(image) if count]
         if any(intervals[b] is None for b, _ in runs):
             probs.append(0.0)
             dprobs.append(0.0)
@@ -351,9 +363,7 @@ def test_images_evaluated_alone_match_the_full_evaluation(bc, n, n_pixels, deriv
     images = enumerate_images(n, n_pixels)
     probs, dprobs = _image_probabilities(spec, params, grid, images, derivative)
     picks = np.random.default_rng(n_pixels).choice(len(images), size=137, replace=False)
-    sub_probs, sub_dprobs = _image_probabilities(
-        spec, params, grid, [images[i] for i in picks], derivative
-    )
+    sub_probs, sub_dprobs = _image_probabilities(spec, params, grid, images[picks], derivative)
     assert np.all(np.abs(sub_probs - probs[picks]) <= 1e-14 * probs[picks])
     if derivative:
         assert np.all(np.abs(sub_dprobs - dprobs[picks]) <= 1e-14 * np.abs(dprobs[picks]))
@@ -399,7 +409,7 @@ def test_bins_within_the_cover_slack_are_empty():
             warnings.simplefilter("always")
             dist = image_distribution(spec, params, grid)
         assert bool(caught) is live
-        outer = [p for img, p in zip(dist.images, dist.probs) if img.counts[0] or img.counts[-1]]
+        outer = [p for img, p in zip(dist.images, dist.probs) if img[0] or img[-1]]
         assert bool(max(outer) > 0.0) is live
         assert abs(dist.probs.sum() - 1.0) < 2.5 * spec.n * 1e-12
 
@@ -491,7 +501,9 @@ def test_sampling_reproducible_and_consistent():
     spec, params, dist = make_dist()
     shots_a = sample_images(dist, 500, seed=9)
     shots_b = sample_images(dist, 500, seed=9)
-    assert shots_a == shots_b
+    assert isinstance(shots_a, np.ndarray) and shots_a.dtype.kind == "i"
+    assert shots_a.shape == (500, dist.grid.n_bins)
+    assert np.array_equal(shots_a, shots_b)
     with pytest.raises(ValueError):
         sample_images(dist, 0, seed=1)
 
@@ -500,10 +512,10 @@ def test_sampling_frequencies_match_probabilities():
     spec, params, dist = make_dist()
     shots = sample_images(dist, 100_000, seed=31)
     counts = {}
-    for img in shots:
+    for img in map(tuple, shots.tolist()):
         counts[img] = counts.get(img, 0) + 1
     m = len(shots)
-    for img, p in zip(dist.images, dist.probs):
+    for img, p in zip(map(tuple, dist.images.tolist()), dist.probs):
         if p < 1e-4:
             continue
         freq = counts.get(img, 0) / m
@@ -544,9 +556,22 @@ def test_mle_validates_inputs():
         mle_estimate(shots, spec, dist.grid, [], params.L)
     with pytest.raises(ValueError):
         mle_estimate(shots, spec, dist.grid, [0.5, 0.4], params.L)
-    bad = [AbsorptionImage((1, 0, 0, 0, 0, 0))]
+    bad = np.array([(1, 0, 0, 0, 0, 0)])
     with pytest.raises(ValueError):
         mle_estimate(bad, spec, dist.grid, [0.5], params.L)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(0, 1, -1, 2, 0, 0)], [(0, 1.0, 1.0, 0, 0, 0)], [(0, 0.5, 1.5, 0, 0, 0)], [0, 2, 0]],
+    ids=["negative", "float", "non-integral", "one-dimensional"],
+)
+def test_mle_rejects_rows_that_are_not_counts(rows):
+    # a negative count raised in the image objects; the sum check alone
+    # would take (0, 1, -1, 2, 0, 0) as an image of two atoms
+    spec, params, dist = make_dist()
+    with pytest.raises(ValueError, match="counts"):
+        mle_estimate(np.array(rows), spec, dist.grid, [0.3, 0.5, 0.7], params.L)
 
 
 def test_mle_rejects_empty_shots():
@@ -560,9 +585,11 @@ def test_mle_rejects_images_of_another_grid():
     # four-bin shots on a six-bin grid used to score log(PROB_FLOOR) each
     # and drag the estimate to the grid edge
     spec, params, dist = make_dist()
-    shots = sample_images(dist, 50, seed=8) + [AbsorptionImage((0, 1, 1, 0))] * 5
-    with pytest.raises(ValueError, match="bins"):
+    shots = list(sample_images(dist, 50, seed=8)) + [(0, 1, 1, 0)] * 5
+    with pytest.raises(ValueError):
         mle_estimate(shots, spec, dist.grid, [0.3, 0.5, 0.7], params.L)
+    with pytest.raises(ValueError, match="bins"):
+        mle_estimate(np.array([(0, 1, 1, 0)] * 5), spec, dist.grid, [0.3, 0.5, 0.7], params.L)
 
 
 def test_mle_loglik_matches_distribution():
@@ -572,8 +599,8 @@ def test_mle_loglik_matches_distribution():
     _, loglik = mle_estimate(shots, spec, dist.grid, c_grid, params.L)
     for value, c in zip(loglik, c_grid):
         at = image_distribution(spec, ModelParams(c, params.L), dist.grid)
-        probs = dict(zip(at.images, at.probs))
-        want = sum(math.log(probs[img]) for img in shots)
+        probs = dict(zip(map(tuple, at.images.tolist()), at.probs))
+        want = sum(math.log(probs[img]) for img in map(tuple, shots.tolist()))
         assert value == pytest.approx(want, rel=1e-12)
 
 
@@ -583,11 +610,35 @@ def test_shot_file_roundtrip(tmp_path):
     path = tmp_path / "shots.ndjson"
     save_shots(str(path), shots, seed=12, meta={"c": params.c})
     header, loaded = load_shots(str(path))
-    assert loaded == shots
+    assert loaded.dtype.kind == "i"
+    assert np.array_equal(loaded, shots)
     assert header["seed"] == 12
     assert header["c"] == params.c
     first = path.read_text().splitlines()[0]
     assert json.loads(first)["format"] == "llfisher-shots"
+
+
+SHOTS_HEADER = {"format": "llfisher-shots", "version": 1, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "header,rows,match",
+    [
+        # truncated to (0, 1, 0) on loading
+        (SHOTS_HEADER, [[0.5, 1.9, 0]], "integer counts"),
+        (SHOTS_HEADER, [[0, 2, 0], [0, 1, 1, 0]], None),
+        ({**SHOTS_HEADER, "format": "other"}, [[0, 2, 0]], "shot file"),
+        ({**SHOTS_HEADER, "version": 2}, [[0, 2, 0]], "shot file"),
+        ([0, 2, 0], [[0, 2, 0]], "shot file"),
+    ],
+    ids=["non-integral", "ragged", "format", "version", "no-header"],
+)
+def test_load_shots_rejects_bad_files(tmp_path, header, rows, match):
+    # each of these loaded without an error
+    path = tmp_path / "shots.ndjson"
+    path.write_text("\n".join(json.dumps(line) for line in [header, *rows]) + "\n")
+    with pytest.raises(ValueError, match=match):
+        load_shots(str(path))
 
 
 def test_distribution_near_zero_coupling():

@@ -14,3 +14,6 @@ def test_readme_quick_start_runs():
     assert namespace["F"] >= namespace["f"] > 0.0
     assert namespace["report"].cfi == namespace["f"]
     assert namespace["n2"] == namespace["table"].solution.norm_sq
+    assert namespace["shots"].shape == (2000, namespace["dist"].grid.n_bins)
+    c_grid = namespace["c_grid"]
+    assert c_grid[0] < namespace["c_hat"] < c_grid[-1]
