@@ -323,7 +323,9 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
         span = 6.0 / max(np.sqrt(args.sample * f_last), 1e-12)
         lo = max(args.c - span, 0.02 * args.c)
         c_grid = np.linspace(lo, args.c + span, 21)
-        c_hat, loglik = mle_estimate(shots, spec, last_dist.grid, c_grid, args.L)
+        # as tuples: perfbench's tracer counts the distinct shots with set()
+        rows = list(map(tuple, shots.tolist()))
+        c_hat, loglik = mle_estimate(rows, spec, last_dist.grid, c_grid, args.L)
         summary = {
             "config_hash": chash,
             "version": __version__,

@@ -153,7 +153,10 @@ def multiplicity(counts: Sequence[int]) -> int:
 
 def _counts_rows(rows) -> np.ndarray:
     """``rows`` as a 2-D array of image counts, else ValueError."""
-    counts = np.asarray(rows)
+    try:
+        counts = np.asarray(rows)
+    except ValueError:  # rows of different lengths
+        raise ValueError("image rows have different numbers of bins") from None
     if counts.ndim != 2 or not np.issubdtype(counts.dtype, np.integer) or np.any(counts < 0):
         raise ValueError("images must be rows of non-negative integer counts")
     return counts

@@ -55,19 +55,13 @@ def test_enumeration_order_is_deterministic():
     assert rows[-1] == [0, 0, 2]
 
 
-def test_images_are_integer_counts_rows():
-    images = enumerate_images(3, 4)
-    assert isinstance(images, np.ndarray) and images.dtype.kind == "i"
-    assert images.shape == (len(list(compositions(3, 6))), 6)
-    assert np.all(images.sum(axis=1) == 3)
-
-
 @pytest.mark.parametrize(
     "n,n_pixels", [(3, 64), (4, 16), (5, 8), (2, 16), (3, 1), (1, 1), (4, 20)]
 )
 def test_enumeration_follows_the_composition_order(n, n_pixels):
     # sample_images draws by index, so the order fixes the shots of a seed
     images = enumerate_images(n, n_pixels)
+    assert isinstance(images, np.ndarray) and images.dtype.kind == "i"
     assert list(map(tuple, images.tolist())) == list(compositions(n, n_pixels + 2))
 
 
@@ -586,7 +580,7 @@ def test_mle_rejects_images_of_another_grid():
     # and drag the estimate to the grid edge
     spec, params, dist = make_dist()
     shots = list(sample_images(dist, 50, seed=8)) + [(0, 1, 1, 0)] * 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bins"):
         mle_estimate(shots, spec, dist.grid, [0.3, 0.5, 0.7], params.L)
     with pytest.raises(ValueError, match="bins"):
         mle_estimate(np.array([(0, 1, 1, 0)] * 5), spec, dist.grid, [0.3, 0.5, 0.7], params.L)
@@ -626,7 +620,7 @@ SHOTS_HEADER = {"format": "llfisher-shots", "version": 1, "seed": 0}
     [
         # truncated to (0, 1, 0) on loading
         (SHOTS_HEADER, [[0.5, 1.9, 0]], "integer counts"),
-        (SHOTS_HEADER, [[0, 2, 0], [0, 1, 1, 0]], None),
+        (SHOTS_HEADER, [[0, 2, 0], [0, 1, 1, 0]], "different numbers of bins"),
         ({**SHOTS_HEADER, "format": "other"}, [[0, 2, 0]], "shot file"),
         ({**SHOTS_HEADER, "version": 2}, [[0, 2, 0]], "shot file"),
         ([0, 2, 0], [[0, 2, 0]], "shot file"),
