@@ -17,6 +17,7 @@ exception class.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -293,11 +294,9 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
     }
     chash = _config_hash(config)
     lines = ["n_pixels,imaging_cfi,cfi,ratio,config_hash,version"]
-    last_dist = None
     for npix in args.pixels:
-        dist = image_distribution(spec, params, uniform_grid(args.L, npix))
-        last_dist = dist
-        f_img = imaging_cfi(dist)
+        last_dist = image_distribution(spec, params, uniform_grid(args.L, npix))
+        f_img = imaging_cfi(last_dist)
         # a zero reference CFI (N = 1, or an underflow at huge c) has no ratio
         ratio = f_img / reference if reference != 0 else math.nan
         lines.append(
@@ -318,9 +317,8 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
         shots = sample_images(last_dist, args.sample, args.seed)
         meta = {"config_hash": chash, "version": __version__, "c": args.c, "L": args.L}
         texts.append(_shots_text(shots, args.seed, meta))
-        # grid spans +-6 Cramer-Rao sigma of this configuration
-        f_last = imaging_cfi(last_dist)
-        span = 6.0 / max(np.sqrt(args.sample * f_last), 1e-12)
+        # grid spans +-6 Cramer-Rao sigma of the last grid's imaging CFI
+        span = 6.0 / max(np.sqrt(args.sample * f_img), 1e-12)
         lo = max(args.c - span, 0.02 * args.c)
         c_grid = np.linspace(lo, args.c + span, 21)
         # as tuples: perfbench's tracer counts the distinct shots with set()
@@ -343,7 +341,9 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="llfisher",
         description="Few-boson Lieb-Liniger states and coupling-estimation Fisher information",

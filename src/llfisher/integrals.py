@@ -25,9 +25,13 @@ gaps, and differentiating with respect to a node repeats it.  The divided
 difference exp[w_p, ..., w_q] over a window of consecutive nodes is entry
 (p, q) of the exponential of the bidiagonal matrix with diagonal w and
 ones above it (Opitz 1964; McCurdy, Ng & Parlett, Math. Comp. 43, 1984).
-One batched matrix exponential, scaling and squaring with the degree-13
-Pade approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), therefore
-yields every integral, confluent nodes included, without case splits.
+One batched matrix exponential therefore yields every integral, confluent
+nodes included, without case splits.  The nodes are imaginary, w = i y, and
+diag(i^p) maps that matrix onto i M with the real M = diag(y) plus ones
+above the diagonal, so exp[w_p, ..., w_q] = i^(p - q) exp(i M)_pq.  Its
+degree-13 Pade approximant with scaling and squaring (Higham, SIAM J. Matrix
+Anal. Appl. 26, 2005) takes every power of M in real arithmetic (Al-Mohy,
+Higham & Relton, SIAM J. Sci. Comput. 37, 2015).
 
 The moment order k (0, 1 or 2) is the number of extra nodes on each side
 of z in a node row
@@ -71,7 +75,7 @@ from typing import Callable
 
 import numpy as np
 
-# Matrix entries per batched expm step: 128 KiB per complex array, small
+# Matrix entries per batched expm step: 64 KiB per real Pade array, small
 # enough to stay in cache, and a bound on the kernel's working set whatever
 # the number of wavenumber vectors.
 EXPM_CHUNK = 8192
@@ -105,13 +109,13 @@ class NumericalHealthError(RuntimeError):
     """
 
 
-def _expm_upper(a: np.ndarray) -> np.ndarray:
-    """Matrix exponentials of a stack of upper-triangular matrices, (B, m, m).
+def _expm_i_upper(a: np.ndarray) -> np.ndarray:
+    """exp(i a) of a stack of real upper-triangular matrices, (B, m, m).
 
     Scaling and squaring with the [13/13] Pade approximant; each matrix
     gets its own scaling power, so one large node does not cost the rest
-    of the batch extra squarings.  The Pade denominator is upper
-    triangular like ``a``, so it is inverted by back substitution.
+    of the batch extra squarings.  The Pade polynomials U, V of a are real,
+    and the triangular denominator V - iU is inverted by back substitution.
     """
     m = a.shape[-1]
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
@@ -123,16 +127,17 @@ def _expm_upper(a: np.ndarray) -> np.ndarray:
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
+    # (i a)^(2j) = (-1)^j a^(2j): the signs alternate along each polynomial
     u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+        a6 @ (b[13] * a6 - b[11] * a4 + b[9] * a2)
+        - b[7] * a6 + b[5] * a4 - b[3] * a2 + b[1] * eye
     )
     v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+        a6 @ (b[12] * a6 - b[10] * a4 + b[8] * a2)
+        - b[6] * a6 + b[4] * a4 - b[2] * a2 + b[0] * eye
     )
-    den = v - u
-    r = v + u
+    den = v - 1j * u
+    r = v + 1j * u
     for i in range(m - 1, -1, -1):
         r[:, i : i + 1] -= den[:, i : i + 1, i + 1 :] @ r[:, i + 1 :]
         r[:, i] /= den[:, i, i, None]
@@ -143,20 +148,23 @@ def _expm_upper(a: np.ndarray) -> np.ndarray:
 
 
 def _divided_differences(w: np.ndarray) -> np.ndarray:
-    """Tables exp[w_p, ..., w_q] at (p, q), p <= q, per node row of w.
+    """Tables exp[w_p, ..., w_q] at (p, q), p <= q, per row of imaginary nodes w.
 
     The exponential of the bidiagonal matrix with diagonal w and ones
-    above it, (rows, m, m).  Every row is first shifted by the centre mu
-    of its nodes' imaginary parts, which halves the matrix norm; exp[w] =
-    e^mu exp[w - mu] restores it.
+    above it, (rows, m, m), as e^{i nu} i^(p - q) exp(i M)_pq with M real
+    (module docstring) and nu the centre of a row's w.imag, which halves
+    the norm of M.  A node off the imaginary axis raises ValueError.
     """
+    if np.any(w.real != 0):
+        raise ValueError("divided-difference nodes must be purely imaginary")
     rows, m = w.shape
-    mu = 0.5j * (w.imag.max(axis=1) + w.imag.min(axis=1))
+    nu = 0.5 * (w.imag.max(axis=1) + w.imag.min(axis=1))
     diag = np.arange(m)
-    a = np.zeros((rows, m, m), dtype=complex)
-    a[:, diag, diag] = w - mu[:, None]
+    a = np.zeros((rows, m, m))
+    a[:, diag, diag] = w.imag - nu[:, None]
     a[:, diag[:-1], diag[1:]] = 1.0
-    return np.exp(mu)[:, None, None] * _expm_upper(a)
+    turns = np.array([1, 1j, -1, -1j])[(diag[:, None] - diag) % 4]
+    return np.exp(1j * nu)[:, None, None] * turns * _expm_i_upper(a)
 
 
 def _window_keys(walk: tuple, order: int):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from llfisher.bethe import BoundaryCondition, type1_excitation, type2_excitation
+from llfisher import cli
 from llfisher.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -108,6 +109,16 @@ def test_fisher_csv_is_byte_identical_between_runs(tmp_path, capsys):
     assert run(capsys, *args, "-o", str(a))[0] == 0
     assert run(capsys, *args, "-o", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls():
+    assert cli.build_parser() is cli.build_parser()
+    state = ("imaging", "--bc", "periodic", "-N", "2", "--ground", "-c", "0.2", "-L", "10")
+    sample = ("--pixels", "4", "8", "--sample", "5", "--seed", "1")
+    first = cli.build_parser().parse_args([*state, *sample])
+    second = cli.build_parser().parse_args([*state, "--pixels", "4"])
+    assert (first.pixels, first.sample, first.seed) == ([4, 8], 5, 1)
+    assert (second.pixels, second.sample, second.seed) == ([4], None, None)
 
 
 def test_fisher_covers_excitation_state_set(tmp_path, capsys):

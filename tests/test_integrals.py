@@ -270,6 +270,38 @@ def test_every_window_of_a_confluent_row_matches_scipy_expm(n):
         assert max_rel(table[upper], want[upper]) < 1e-12
 
 
+def test_one_batch_with_mixed_scaling_powers_matches_scipy_expm():
+    # spread and confluent rows of several sizes L in one batch, so each
+    # squaring round acts on a strict subset of the matrices
+    rng = np.random.default_rng(21)
+    n = 4
+    rows = []
+    for L in (1.0, 3.0, 10.0, 40.0, 120.0, 400.0):
+        for _ in range(2):
+            z = np.array(nodes(rng.uniform(-1.5, 1.5, n), L), dtype=complex)
+            rows.append(z[integrals._layout(n, 2)[0]])
+    rows = np.concatenate(rows)
+    # 1-norm of each centred matrix: |y_p - nu| plus the one above the diagonal
+    centred = rows.imag - 0.5 * (rows.imag.max(axis=1) + rows.imag.min(axis=1))[:, None]
+    norm = np.max(np.abs(centred) + (np.arange(rows.shape[1]) > 0), axis=1)
+    powers = np.maximum(0, np.ceil(np.log2(norm / integrals._THETA13)))
+    assert powers.min() == 0 and powers.max() >= 5
+    got = integrals._divided_differences(rows)
+    upper = np.triu_indices(rows.shape[1])
+    for w, table in zip(rows, got):
+        want = scipy.linalg.expm(np.diag(w) + np.diag(np.ones(len(w) - 1), 1))
+        assert max_rel(table[upper], want[upper]) < 1e-12
+
+
+@pytest.mark.parametrize("node", [1e-300, -2.0, 0.5 + 3.0j])
+def test_divided_differences_reject_nodes_off_the_imaginary_axis(node):
+    # the kernel's real-arithmetic similarity holds on the imaginary axis only
+    rows = np.array([[-2.0j, 1.5j, 0.0], [1.0j, 0.0, 0.0]])
+    rows[1, 2] = node
+    with pytest.raises(ValueError, match="imaginary"):
+        integrals._divided_differences(rows)
+
+
 def window_contents(n, order):
     """{moment key: sorted node indices of its window} from the cached layout."""
     rows, windows = integrals._layout(n, order)
