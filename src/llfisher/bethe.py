@@ -235,7 +235,8 @@ def bethe_residual(k: np.ndarray, spec: StateSpec, params: ModelParams) -> np.nd
     """Residual of the logarithmic Bethe equations at quasimomenta ``k``."""
     k = np.asarray(k, dtype=float)
     g = _bethe_factor(spec.bc)
-    terms = np.arctan(_pair_arguments(k, _pair_signs(spec.bc)) / params.c).sum(axis=0)
+    with np.errstate(over="ignore"):  # u / c = inf at tiny c; arctan(inf) = pi/2 exactly
+        terms = np.arctan(_pair_arguments(k, _pair_signs(spec.bc)) / params.c).sum(axis=0)
     _set_diagonals(terms, 0.0)
     return params.L * k - g * np.pi * spec.qn_array + g * terms.sum(axis=1)
 
@@ -260,8 +261,10 @@ def gaudin_matrix(k: Sequence[float], params: ModelParams, bc: BoundaryCondition
     k = np.asarray(k, dtype=float)
     c = params.c
     signs = _pair_signs(bc)
-    kernel = _bethe_factor(bc) * c / _kernel_denominator(_pair_arguments(k, signs), c)
-    return _gaudin_assembly(kernel, signs, params.L)
+    # c^2 may underflow: g c / 0 = inf, then inf - inf, and the Newton step fails
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kernel = _bethe_factor(bc) * c / _kernel_denominator(_pair_arguments(k, signs), c)
+        return _gaudin_assembly(kernel, signs, params.L)
 
 
 def _residual_scale(k: np.ndarray, L: float) -> float:
@@ -421,7 +424,7 @@ def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
         )
     den = _kernel_denominator(u, c)
     matrix = _gaudin_assembly(g * c / den, signs, params.L)
-    with np.errstate(over="ignore"):  # an overflow is the inf checked next
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, checked next
         det = float(np.linalg.det(matrix))
     if not (math.isfinite(det) and det > 0):
         raise SolverError(

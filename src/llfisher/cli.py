@@ -193,6 +193,8 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
     spec = _build_state(args)
     if args.num < 1:
         raise ValueError("grid needs at least one point")
+    if not all(math.isfinite(v) and (v > 0 or not args.log) for v in (args.start, args.stop)):
+        raise ValueError("--start and --stop must be finite, and > 0 with --log")
     if args.log:
         grid = np.geomspace(args.start, args.stop, args.num)
     else:

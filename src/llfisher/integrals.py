@@ -26,12 +26,15 @@ difference exp[w_p, ..., w_q] over a window of consecutive nodes is entry
 (p, q) of the exponential of the bidiagonal matrix with diagonal w and
 ones above it (Opitz 1964; McCurdy, Ng & Parlett, Math. Comp. 43, 1984).
 One batched matrix exponential therefore yields every integral, confluent
-nodes included, without case splits.  The nodes are imaginary, w = i y, and
-diag(i^p) maps that matrix onto i M with the real M = diag(y) plus ones
-above the diagonal, so exp[w_p, ..., w_q] = i^(p - q) exp(i M)_pq.  Its
-degree-13 Pade approximant with scaling and squaring (Higham, SIAM J. Matrix
-Anal. Appl. 26, 2005) takes every power of M in real arithmetic (Al-Mohy,
-Higham & Relton, SIAM J. Sci. Comput. 37, 2015).
+nodes included, without case splits.  The nodes are imaginary, w = i y.
+For a real shift nu (the midpoint of a row's y), diag(i^p) maps that
+matrix minus i nu onto i M with the real M = diag(y - nu) plus ones above
+the diagonal, so exp[w_p, ..., w_q] = e^{i nu} i^(p - q) exp(i M)_pq.  The
+kernel builds the rows y in real arithmetic, and applies the factor
+e^{i nu} i^(p - q) only to the entries of the windows it reads.  The
+degree-13 Pade approximant of exp(i M) with scaling and squaring (Higham,
+SIAM J. Matrix Anal. Appl. 26, 2005) takes every power of M in real
+arithmetic (Al-Mohy, Higham & Relton, SIAM J. Sci. Comput. 37, 2015).
 
 The moment order k (0, 1 or 2) is the number of extra nodes on each side
 of z in a node row
@@ -147,26 +150,6 @@ def _expm_i_upper(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _divided_differences(w: np.ndarray) -> np.ndarray:
-    """Tables exp[w_p, ..., w_q] at (p, q), p <= q, per row of imaginary nodes w.
-
-    The exponential of the bidiagonal matrix with diagonal w and ones
-    above it, (rows, m, m), as e^{i nu} i^(p - q) exp(i M)_pq with M real
-    (module docstring) and nu the centre of a row's w.imag, which halves
-    the norm of M.  A node off the imaginary axis raises ValueError.
-    """
-    if np.any(w.real != 0):
-        raise ValueError("divided-difference nodes must be purely imaginary")
-    rows, m = w.shape
-    nu = 0.5 * (w.imag.max(axis=1) + w.imag.min(axis=1))
-    diag = np.arange(m)
-    a = np.zeros((rows, m, m))
-    a[:, diag, diag] = w.imag - nu[:, None]
-    a[:, diag[:-1], diag[1:]] = 1.0
-    turns = np.array([1, 1j, -1, -1j])[(diag[:, None] - diag) % 4]
-    return np.exp(1j * nu)[:, None, None] * turns * _expm_i_upper(a)
-
-
 def _window_keys(walk: tuple, order: int):
     """(moment key, first row position, extra-node count) of every window a walk's row holds.
 
@@ -227,14 +210,23 @@ def _layout(n: int, order: int):
 
 
 def _simplex_block(lam: np.ndarray, L: float, order: int):
-    """simplex_exp_integral for a (rows, n) block of wavenumber vectors."""
+    """simplex_exp_integral for a (rows, n) block of wavenumber vectors.
+
+    Each real node row y = z / i is centred at its midpoint nu, which halves
+    the norm of M; e^{i nu} i^(p - q) multiplies only the entries read off.
+    """
     rows, n = lam.shape
     tails = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
-    z = np.concatenate([-1j * L * tails, np.zeros((rows, 1))], axis=1)
     nodes, windows = _layout(n, order)
-    dd = _divided_differences(z[:, nodes].reshape(-1, nodes.shape[1]))
-    dd = dd.reshape((rows,) + nodes.shape + nodes.shape[1:])
-    d = [dd[:, r, p, q] for r, p, q in windows]
+    y = np.concatenate([-L * tails, np.zeros((rows, 1))], axis=1)[:, nodes]
+    nu = 0.5 * (y.max(axis=2) + y.min(axis=2))
+    diag = np.arange(nodes.shape[1])
+    a = np.zeros(y.shape + diag.shape)
+    a[..., diag, diag] = y - nu[..., None]
+    a[..., diag[:-1], diag[1:]] = 1.0
+    e = _expm_i_upper(a.reshape((-1,) + a.shape[2:])).reshape(a.shape)
+    phase, turns = np.exp(1j * nu), np.array([1, 1j, -1, -1j])
+    d = [(phase[:, r] * turns[(p - q) % 4]) * e[:, r, p, q] for r, p, q in windows]
 
     out = [L**n * d[0][:, 0]]
     if order >= 1:

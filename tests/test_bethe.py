@@ -395,6 +395,23 @@ def test_overflowing_kernel_denominator_raises_solver_error(c, L):
         solve_bethe(ground_state(PER, 2), ModelParams(c, L))
 
 
+@pytest.mark.parametrize(
+    "spec,c,L,match",
+    [
+        (ground_state(HW, 2), 1e-300, 1.0, "line search stalled"),
+        (type2_excitation(HW, 2, 1), 1e-300, 1e200, "line search stalled"),
+        (StateSpec(PER, 3, (-1, 1, 2)), 1e-250, 1e300, "not finite and positive"),
+    ],
+    ids=["box2-divide", "box2-type2-invalid", "ring3-det"],
+)
+def test_underflowing_coupling_raises_solver_error(spec, c, L, match):
+    # c^2 underflows, so g c / (u^2 + c^2) is g c / 0 = inf where pair
+    # arguments vanish, and the row sums and det H hold inf - inf; these
+    # raised numpy's RuntimeWarning (an error under the suite's filter)
+    with pytest.raises(SolverError, match=match):
+        solve_bethe(spec, ModelParams(c, L))
+
+
 def test_dnorm_sq_dc_single_ring_particle():
     sol = solve_bethe(ground_state(PER, 1), ModelParams(1.0, 2.0))
     assert sol.dnorm_sq_dc == pytest.approx(0.0)

@@ -546,13 +546,35 @@ RING5_GENERAL = ("--bc", "periodic", "-N", "5", "-I", "-2", "-1", "0", "1", "3")
         (("imaging", "--bc", "periodic", "-N", "2", "--ground", "-c", "1", "-L", "1",
           "--pixels", "4", "--sample", "10", "--seed", "-1", "--shots-out", "-",
           "--mle-out", "-"), 2, "error: --seed must be >= 0"),
+        # c^2 underflows: g c / 0, inf - inf and det of inf in the Gaudin
+        # matrix printed numpy's RuntimeWarning before the solver failure
+        (("solve", "--bc", "hardwall", "-N", "2", "--ground", "-c", "1e-300", "-L", "1"), 3,
+         "solver failure: Newton line search stalled"),
+        (("fisher", "--bc", "hardwall", "-N", "2", "--ground", "--axis", "c", "--start", "1e-300",
+          "--stop", "1e-300", "--num", "1", "--fixed", "1"), 3, "all sweep points failed"),
+        (("solve", "--bc", "hardwall", "-N", "2", "--type2", "1", "-c", "1e-300", "-L", "1e200"),
+         3, "solver failure: Newton line search stalled"),
+        (("solve", "--bc", "periodic", "-N", "3", "-I", "-1", "1", "2", "-c", "1e-250",
+          "-L", "1e300"), 3, "solver failure: Gaudin determinant nan"),
+        # grid ends numpy cannot space: its log10 warning or its own wording came first
+        (("fisher", "--bc", "periodic", "-N", "2", "--ground", "--axis", "c", "--start", "0",
+          "--stop", "1", "--num", "3", "--log", "--fixed", "1"), 2,
+         "error: --start and --stop must be finite, and > 0"),
+        (("fisher", "--bc", "periodic", "-N", "2", "--ground", "--axis", "c", "--start", "-1",
+          "--stop", "1", "--num", "3", "--log", "--fixed", "1"), 2,
+         "error: --start and --stop must be finite, and > 0"),
+        (("fisher", "--bc", "periodic", "-N", "2", "--ground", "--axis", "L", "--start", "1",
+          "--stop", "inf", "--num", "3", "--fixed", "1"), 2,
+         "error: --start and --stop must be finite, and > 0"),
     ],
     ids=["fisher-underflow", "lmax-underflow", "imaging-underflow", "solve-underflow",
          "imaging-collapsed", "lmax-collapsed",
          "solve-nan", "solve-nan-pair", "lmax-inf", "lmax-inf-tol",
          "fisher-box3-1e-64", "fisher-box3-1e-106", "fisher-ring5-1e-46",
          "imaging-ring4-1e53", "fisher-num-1e15", "imaging-sample-1e15",
-         "imaging-negative-seed-first", "imaging-negative-seed"],
+         "imaging-negative-seed-first", "imaging-negative-seed",
+         "solve-box2-c-1e-300", "fisher-box2-c-1e-300", "solve-box2-type2-c-1e-300",
+         "solve-ring3-c-1e-250", "fisher-log-zero", "fisher-log-negative", "fisher-stop-inf"],
 )
 def test_domain_edges_exit_with_documented_code(capsys, argv, exit_code, prefix):
     code, out, err = run(capsys, *argv)
@@ -560,8 +582,10 @@ def test_domain_edges_exit_with_documented_code(capsys, argv, exit_code, prefix)
     assert err.startswith(prefix)
     assert "Traceback" not in err and len(err.splitlines()) == 1
     if argv[0] == "fisher" and exit_code == 3:
-        # det H underflows at L = 1e-90; the other sweeps leave the double range
-        error = "SolverError: " if "1e-90" in argv else "NumericalHealthError: simplex integrals"
+        # det H underflows at L = 1e-90 and the Newton line search stalls at
+        # c = 1e-300; the other sweeps leave the double range
+        in_solver = "1e-90" in argv or "1e-300" in argv
+        error = "SolverError: " if in_solver else "NumericalHealthError: simplex integrals"
         assert f",error:{error}" in out
 
 

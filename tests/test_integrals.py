@@ -256,18 +256,37 @@ def test_kernel_matches_scipy_expm(L):
                 assert max_rel(g, w) < 1e-12
 
 
+def check_kernel_on_rows(rows):
+    """_expm_i_upper on the kernel's centred real matrices of imaginary node rows.
+
+    With y = rows.imag centred at the midpoint nu of its range, M is
+    diag(y - nu) plus ones above the diagonal.  exp(i M) is checked against
+    scipy's expm of i M, and e^{i nu} i^(p - q) exp(i M)_pq, p <= q, against
+    scipy's expm of the complex bidiagonal matrix of the row: the divided
+    difference over the window p..q.
+    """
+    y = rows.imag
+    nu = 0.5 * (y.max(axis=1) + y.min(axis=1))
+    m = rows.shape[1]
+    ones = np.diag(np.ones(m - 1), 1)
+    mats = np.array([np.diag(row - mid) + ones for row, mid in zip(y, nu)])
+    got = integrals._expm_i_upper(mats)
+    upper = np.triu_indices(m)
+    turns = 1j ** np.subtract.outer(np.arange(m), np.arange(m))
+    for w, mid, mat, table in zip(rows, nu, mats, got):
+        assert max_rel(table[upper], scipy.linalg.expm(1j * mat)[upper]) < 1e-12
+        read_off = np.exp(1j * mid) * turns * table
+        want = scipy.linalg.expm(np.diag(w) + ones)
+        assert max_rel(read_off[upper], want[upper]) < 1e-12
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_every_window_of_a_confluent_row_matches_scipy_expm(n):
     # rows with repeated nodes: every entry (p, q), p <= q, of the table
-    # is the divided difference over the window p..q
+    # gives the divided difference over the window p..q
     lam = np.random.default_rng(n).uniform(-1.5, 1.5, n)
     z = np.array(nodes(lam, 10.0), dtype=complex)
-    rows = z[integrals._layout(n, 2)[0]]
-    got = integrals._divided_differences(rows)
-    for w, table in zip(rows, got):
-        want = scipy.linalg.expm(np.diag(w) + np.diag(np.ones(len(w) - 1), 1))
-        upper = np.triu_indices(len(w))
-        assert max_rel(table[upper], want[upper]) < 1e-12
+    check_kernel_on_rows(z[integrals._layout(n, 2)[0]])
 
 
 def test_one_batch_with_mixed_scaling_powers_matches_scipy_expm():
@@ -286,20 +305,7 @@ def test_one_batch_with_mixed_scaling_powers_matches_scipy_expm():
     norm = np.max(np.abs(centred) + (np.arange(rows.shape[1]) > 0), axis=1)
     powers = np.maximum(0, np.ceil(np.log2(norm / integrals._THETA13)))
     assert powers.min() == 0 and powers.max() >= 5
-    got = integrals._divided_differences(rows)
-    upper = np.triu_indices(rows.shape[1])
-    for w, table in zip(rows, got):
-        want = scipy.linalg.expm(np.diag(w) + np.diag(np.ones(len(w) - 1), 1))
-        assert max_rel(table[upper], want[upper]) < 1e-12
-
-
-@pytest.mark.parametrize("node", [1e-300, -2.0, 0.5 + 3.0j])
-def test_divided_differences_reject_nodes_off_the_imaginary_axis(node):
-    # the kernel's real-arithmetic similarity holds on the imaginary axis only
-    rows = np.array([[-2.0j, 1.5j, 0.0], [1.0j, 0.0, 0.0]])
-    rows[1, 2] = node
-    with pytest.raises(ValueError, match="imaginary"):
-        integrals._divided_differences(rows)
+    check_kernel_on_rows(rows)
 
 
 def window_contents(n, order):
