@@ -10,6 +10,7 @@ atom positions.
 from .bethe import (
     BetheSolution,
     BoundaryCondition,
+    DegenerateStateError,
     ModelParams,
     SolverError,
     StateSpec,
@@ -51,7 +52,6 @@ from .integrals import (
 )
 from .wavefunction import (
     AmplitudeTable,
-    DegenerateStateError,
     PhaseClass,
     amplitudes,
     global_phase_class,

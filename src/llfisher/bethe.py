@@ -21,7 +21,8 @@ Jacobian for free.  At the solved quasimomenta ``solve_bethe`` builds one
 Gaudin system, H with its pair arguments, and derives from it dk/dc, the
 norm square NS of the unnormalized ansatz (det H, 2^N det H in the box)
 and dNS/dc = NS tr(H^-1 dH/dc) (Korepin, Commun. Math. Phys. 86, 391
-(1982)).
+(1982)).  It is the one place that accepts a root: k whose pair gaps
+rounding cannot resolve are a DegenerateStateError, whatever the residual.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ class SolverError(RuntimeError):
     """Newton iteration failed to reach the residual tolerance."""
 
 
+class DegenerateStateError(SolverError):
+    """Rounding cannot resolve the gaps of the solved quasimomenta (e.g. the
+    box ground state at c = 1e-30): the ansatz coefficients are singular."""
+
+
 class BoundaryCondition(enum.Enum):
     PERIODIC = "periodic"
     HARD_WALL = "hardwall"
@@ -54,6 +60,9 @@ MAX_ITERATIONS = 200
 # sqrt(c) collapse of the roots.
 CONTINUATION_CL = 10.0
 CONTINUATION_STEPS = 10
+
+# a root's rounding shift of k, relative to its smallest gap (``_finish``)
+ROOT_GAP_RTOL = 1e-6
 
 _EPS = sys.float_info.epsilon
 _SQRT_MAX = math.sqrt(sys.float_info.max)
@@ -267,62 +276,42 @@ def gaudin_matrix(k: Sequence[float], params: ModelParams, bc: BoundaryCondition
         return _gaudin_assembly(kernel, signs, params.L)
 
 
-def _residual_scale(k: np.ndarray, L: float) -> float:
-    return max(1.0, L * float(np.abs(k).max()) if k.size else 1.0)
-
-
-def _newton_step(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndarray, rnorm: float):
-    """H^-1 f, the full Newton step at ``k``; SolverError if H is singular there."""
-    try:
-        return np.linalg.solve(gaudin_matrix(k, params, spec.bc), f)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular Gaudin matrix at residual {rnorm:.3e}") from exc
-
-
-def _polish(spec: StateSpec, params: ModelParams, k: np.ndarray, f: np.ndarray, rnorm: float):
-    """Full Newton steps while they keep reducing the residual.
-
-    Quadratic convergence takes a just-under-tolerance iterate to the
-    double-precision floor in one or two steps; downstream consumers
-    (norms, fidelity overlaps) are sensitive at that level.
-    """
-    for _ in range(3):
-        k_try = k - _newton_step(spec, params, k, f, rnorm)
-        f_try = bethe_residual(k_try, spec, params)
-        r_try = float(np.abs(f_try).max())
-        if r_try >= rnorm:
-            break
-        k, f, rnorm = k_try, f_try, r_try
-    return k, rnorm
-
-
 def _newton(spec: StateSpec, params: ModelParams, k0: np.ndarray):
-    """Damped Newton with the analytic Jacobian and residual line search."""
+    """Damped Newton with the analytic Jacobian and residual line search.
+
+    Until the residual is within tolerance, each step halves (60 tries at
+    most) until it lowers the residual; then up to 3 full steps take k to
+    the double floor while they lower it, as norms and overlaps downstream
+    are sensitive there.  A NaN residual is never lower.  A singular H is
+    a SolverError chained from LinAlgError.  ``_finish`` judges the root.
+    """
     k = np.array(k0, dtype=float)
     f = bethe_residual(k, spec, params)
     rnorm = float(np.abs(f).max())
-    for _ in range(MAX_ITERATIONS):
-        tol = RESIDUAL_RTOL * _residual_scale(k, params.L)
-        if rnorm <= tol:
-            return _polish(spec, params, k, f, rnorm)
-        step = _newton_step(spec, params, k, f, rnorm)
-        damping = 1.0
-        for _ in range(60):
-            k_try = k - damping * step
+    damped = polished = 0
+    while polished < 3:
+        converged = polished > 0 or rnorm <= RESIDUAL_RTOL * max(1.0, params.L * np.abs(k).max())
+        if not converged and damped == MAX_ITERATIONS:
+            raise SolverError(f"Bethe solver did not converge in {MAX_ITERATIONS} "
+                              f"iterations (residual {rnorm:.3e})")
+        try:
+            step = np.linalg.solve(gaudin_matrix(k, params, spec.bc), f)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular Gaudin matrix at residual {rnorm:.3e}") from exc
+        for halvings in range(1 if converged else 60):
+            k_try = k - 0.5**halvings * step
             f_try = bethe_residual(k_try, spec, params)
             r_try = float(np.abs(f_try).max())
             if r_try < rnorm:
                 break
-            damping *= 0.5
         else:
+            if converged:
+                break
             raise SolverError(f"Newton line search stalled at residual {rnorm:.3e}")
         k, f, rnorm = k_try, f_try, r_try
-    tol = RESIDUAL_RTOL * _residual_scale(k, params.L)
-    if rnorm <= tol:
-        return _polish(spec, params, k, f, rnorm)
-    raise SolverError(
-        f"Bethe solver did not converge in {MAX_ITERATIONS} iterations (residual {rnorm:.3e})"
-    )
+        polished += converged
+        damped += not converged
+    return k, rnorm
 
 
 def _free_momentum_integers(spec: StateSpec) -> np.ndarray:
@@ -358,7 +347,9 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
     solution carries dk/dc, the norm and its c-derivative, all from one
     Gaudin system at the solved quasimomenta; SolverError is raised when
     that norm is not finite and positive in double precision, and when
-    the Gaudin kernels or the energy overflow.
+    the Gaudin kernels or the energy overflow.  DegenerateStateError, a
+    SolverError, is raised when rounding could close the smallest gap of k
+    (the root test of ``_finish``), as for collapsed states near c = 0.
     """
     c, L = params.c, params.L
     unit = _bethe_factor(spec.bc) * np.pi
@@ -382,11 +373,6 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
         c_path = np.geomspace(CONTINUATION_CL / L, c, CONTINUATION_STEPS + 1)
         for c_step in c_path:
             k, rnorm = _newton(spec, ModelParams(c_step, L), k)
-
-    if (k[1:] <= k[:-1]).any():
-        raise SolverError("solved quasimomenta are not strictly increasing")
-    if spec.bc is BoundaryCondition.HARD_WALL and k[0] <= 0:
-        raise SolverError("box quasimomenta must be positive")
     return _finish(spec, params, k, rnorm)
 
 
@@ -423,8 +409,8 @@ def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
             "the Gaudin kernels are out of floating-point range"
         )
     den = _kernel_denominator(u, c)
-    matrix = _gaudin_assembly(g * c / den, signs, params.L)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, checked next
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # c^2 may underflow
+        matrix = _gaudin_assembly(g * c / den, signs, params.L)
         det = float(np.linalg.det(matrix))
     if not (math.isfinite(det) and det > 0):
         raise SolverError(
@@ -441,7 +427,30 @@ def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
 
 
 def _finish(spec: StateSpec, params: ModelParams, k: np.ndarray, rnorm: float) -> BetheSolution:
+    """Accept the root ``k`` or raise, and build its BetheSolution.
+
+    The one root test: rounding leaves a residual floor of sqrt(N) eps
+    times the terms L k, g pi I and the atan sums (at most g P (N - 1)
+    pi/2 = (N - 1) pi; P pair kinds, 1 on the ring and 2 in the box).  As
+    the Hessian of the convex Yang-Yang action (Yang & Yang, J. Math.
+    Phys. 10, 1115 (1969)) H >= L I, so k moves by at most that over L,
+    which must be at most ROOT_GAP_RTOL times the smallest gap of k (with
+    k > 0 in the box also the smallest pair argument of the amplitude
+    table).  The achieved residual is no bound: where atan(u / c) rounds
+    to +-pi/2 it reads 0 for a wide range of k.
+    """
     matrix, det, deriv, dmatrix = _gaudin_system(k, params, spec.bc)
+    if spec.bc is BoundaryCondition.HARD_WALL and k[0] <= 0:
+        raise SolverError("box quasimomenta must be positive")
+    n, g, L = spec.n, _bethe_factor(spec.bc), params.L
+    terms = L * np.abs(k).max() + np.pi * (g * np.abs(spec.qn_array).max() + n - 1)
+    shift = math.sqrt(n) * _EPS * terms / L
+    gap = float(np.diff(k).min()) if n > 1 else math.inf
+    if not shift <= ROOT_GAP_RTOL * gap:
+        raise DegenerateStateError(
+            f"coincident quasimomenta: smallest gap {gap:.3e} is not resolved "
+            f"(rounding can shift k by {shift:.3e})"
+        )
     with np.errstate(over="ignore"):  # an overflow is the inf checked next
         energy = float((k * k).sum())
     if not math.isfinite(energy):

@@ -64,10 +64,10 @@ def _fmt(value: float) -> str:
 
 def _config_hash(payload: dict) -> str:
     # numeric settings are part of the provenance: a change in the solver
-    # tolerance, the QFI error bound, the CFI rule pairs and their
-    # refinement, or the slice on which the ring QFI and CFI are integrated
-    # (N - 1 dimensions at x_1 = 0) changes every row's hash
-    from .bethe import RESIDUAL_RTOL
+    # tolerance or its root test, the QFI error bound, the CFI rule pairs
+    # and their refinement, or the slice on which the ring QFI and CFI are
+    # integrated (N - 1 dimensions at x_1 = 0) changes every row's hash
+    from .bethe import RESIDUAL_RTOL, ROOT_GAP_RTOL
     from .fisher import (
         CFI_ERROR_RTOL,
         CFI_MAX_NODES,
@@ -79,6 +79,7 @@ def _config_hash(payload: dict) -> str:
     full = {
         **payload,
         "residual_rtol": RESIDUAL_RTOL,
+        "root_gap_rtol": ROOT_GAP_RTOL,
         "qfi_error_rtol": QFI_ERROR_RTOL,
         "cfi_rule_pairs": {"up_to_3d": list(CFI_RULE_PAIR), "4d": list(CFI_RULE_PAIR_4D)},
         "cfi_refinement": {"rtol": CFI_ERROR_RTOL, "max_nodes": CFI_MAX_NODES},

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (
-    BetheSolution, BoundaryCondition, ModelParams, SolverError, StateSpec, solve_bethe
-)
+from .bethe import BetheSolution, BoundaryCondition, ModelParams, StateSpec, solve_bethe
+from .bethe import DegenerateStateError  # noqa: F401  (re-exported)
 
 # Particle-number caps reflecting the ~N!^2 / 2^(2N) N!^2 cost of the
 # downstream double-permutation sums.
@@ -52,11 +51,6 @@ MAX_N_HARD_WALL = 4
 
 # Phase-matrix entries (points x terms) that ``eval_batch`` builds at once.
 _EVAL_CHUNK = 200_000
-
-
-class DegenerateStateError(SolverError):
-    """Solved quasimomenta coincide in double precision (e.g. the box ground
-    state at c = 1e-30), so the ansatz coefficients are singular."""
 
 
 class PhaseClass(enum.Enum):
@@ -118,9 +112,8 @@ def amplitudes(spec: StateSpec, params: ModelParams) -> AmplitudeTable:
 
     N! rows on the ring, 2^N N! in the box.  Raises ValueError when N
     exceeds the particle cap (MAX_N_PERIODIC, MAX_N_HARD_WALL), before
-    any solving, and DegenerateStateError when solved quasimomenta
-    coincide in double precision: a pair argument below 1e-14 max|k|.
-    The test is relative, so it does not depend on L at fixed c L.
+    any solving.  ``solve_bethe`` rejects k whose gaps rounding cannot
+    resolve (DegenerateStateError), so no pair argument u here vanishes.
     """
     n, bc = spec.n, spec.bc
     _check_particle_cap(n, bc)
@@ -145,9 +138,6 @@ def amplitudes(spec: StateSpec, params: ModelParams) -> AmplitudeTable:
     if bc is BoundaryCondition.HARD_WALL:
         u = np.hstack([u, -(kappa[:, j] + kappa[:, l])])
         du = np.hstack([du, -(dkappa[:, j] + dkappa[:, l])])
-    if np.any(np.abs(u) < 1e-14 * float(np.max(np.abs(solution.k)))):
-        raise DegenerateStateError("coincident quasimomenta or vanishing quasimomentum sum")
-
     c = params.c
     # the sign prefactor pi_eps times A; +-1 factors are exact
     amp = np.prod(signs, axis=1) * np.prod(np.sign(u) * (u + 1j * c) / np.hypot(u, c), axis=1)

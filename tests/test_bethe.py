@@ -374,6 +374,20 @@ def test_singular_newton_step_raises_solver_error():
         _newton(ground_state(PER, 2), ModelParams(1.0, 1e-300), np.array([1.0, 1.0]))
 
 
+def test_newton_never_accepts_a_nan_iterate():
+    # c^2 underflows, so a full step from the converged anchor lands on NaN;
+    # the polishing steps took it because NaN >= rnorm is False
+    from llfisher.bethe import _newton
+
+    spec, params = StateSpec(PER, 3, (-1.0, 1.0, 2.0)), ModelParams(1e-250, 1e300)
+    anchor = 2.0 * np.pi * spec.qn_array / params.L
+    try:
+        k, rnorm = _newton(spec, params, anchor)
+    except SolverError:
+        return
+    assert np.isfinite(k).all() and np.isfinite(rnorm)
+
+
 def test_singular_newton_step_is_not_continued():
     # continuation past the singular step used to end on k whose pair gaps
     # were wrong, and the QFI built on them read 2.97e-113 instead of ~1e-122

@@ -508,6 +508,15 @@ RING5_GENERAL = ("--bc", "periodic", "-N", "5", "-I", "-2", "-1", "0", "1", "3")
          "solver failure: coincident quasimomenta"),
         (("lmax", *BOX3, "-c", "1e-30", "--bracket", "0.5", "2"), 3,
          "solver failure: coincident quasimomenta"),
+        # pair gaps that rounding cannot resolve: atan(u / c) rounds to
+        # +-pi/2, the residual reads 0, and solve exited 0 with k 17 % off
+        # (ring N = 2 ground at c = 1e-20, L = 1e-10), k = +-2.2e134, and
+        # three box k equal to 10 digits
+        (("solve", "--bc", "periodic", "-N", "2", "--ground", "-c", "1e-20", "-L", "1e-10"),
+         3, "solver failure: coincident quasimomenta"),
+        (("solve", "--bc", "periodic", "-N", "2", "--ground", "-c", "1e-200", "-L", "1e-150"),
+         3, "solver failure: coincident quasimomenta"),
+        (("solve", *BOX3, "-c", "1e-30", "-L", "1"), 3, "solver failure: coincident quasimomenta"),
         # non-finite quantum numbers
         (("solve", "--bc", "periodic", "-N", "1", "-I", "nan", "-c", "1", "-L", "1"),
          2, "error: quantum numbers must be finite"),
@@ -569,6 +578,7 @@ RING5_GENERAL = ("--bc", "periodic", "-N", "5", "-I", "-2", "-1", "0", "1", "3")
     ],
     ids=["fisher-underflow", "lmax-underflow", "imaging-underflow", "solve-underflow",
          "imaging-collapsed", "lmax-collapsed",
+         "solve-ring2-unresolved", "solve-ring2-unresolved-1e-200", "solve-box3-collapsed",
          "solve-nan", "solve-nan-pair", "lmax-inf", "lmax-inf-tol",
          "fisher-box3-1e-64", "fisher-box3-1e-106", "fisher-ring5-1e-46",
          "imaging-ring4-1e53", "fisher-num-1e15", "imaging-sample-1e15",

@@ -10,6 +10,7 @@ from llfisher.bethe import (
     BoundaryCondition,
     ModelParams,
     StateSpec,
+    _finish,
     ground_state,
     solve_bethe,
     type1_excitation,
@@ -138,23 +139,14 @@ def test_table_carries_its_solution():
     assert not hasattr(table, "bc") and not hasattr(table, "weight")
 
 
-def test_coincident_quasimomenta_rejected(monkeypatch):
-    import llfisher.wavefunction
-    from llfisher.bethe import BetheSolution, SolverError
+def test_coincident_quasimomenta_rejected():
+    # solve_bethe's root test, in _finish, rejects k that coincide in
+    # double precision before any amplitude table is built on them
+    from llfisher.bethe import SolverError
     from llfisher.wavefunction import DegenerateStateError
 
-    fake = BetheSolution(
-        k=np.array([1.0, 1.0 + 1e-16]),
-        dk_dc=np.zeros(2),
-        energy=2.0,
-        momentum=0.0,
-        residual=0.0,
-        norm_sq=1.0,
-        dnorm_sq_dc=0.0,
-    )
-    monkeypatch.setattr(llfisher.wavefunction, "solve_bethe", lambda spec, params: fake)
-    with pytest.raises(DegenerateStateError) as info:
-        amplitudes(ground_state(PER, 2), ModelParams(1.0, 1.0))
+    with pytest.raises(DegenerateStateError, match="^coincident quasimomenta") as info:
+        _finish(ground_state(PER, 2), ModelParams(1.0, 1.0), np.array([1.0, 1.0 + 1e-16]), 0.0)
     # a collapsed state is a solver failure, not an invalid argument
     assert isinstance(info.value, SolverError)
     assert not isinstance(info.value, ValueError)
