@@ -21,36 +21,30 @@ it reads
     I^11_ml = L^{n+2} sum_{i <= m, j <= l} c_ij exp[z, z_i, z_j],
 
 with c_ii = 2 and c_ij = 1 otherwise: x_l is the sum of the first l + 1
-gaps, and differentiating with respect to a node repeats it.  The divided
-difference exp[w_p, ..., w_q] over a window of consecutive nodes is entry
-(p, q) of the exponential of the bidiagonal matrix with diagonal w and
-ones above it (Opitz 1964; McCurdy, Ng & Parlett, Math. Comp. 43, 1984).
-One batched matrix exponential therefore yields every integral, confluent
-nodes included, without case splits.  The nodes are imaginary, w = i y.
-For a real shift nu (the midpoint of a row's y), diag(i^p) maps that
-matrix minus i nu onto i M with the real M = diag(y - nu) plus ones above
-the diagonal, so exp[w_p, ..., w_q] = e^{i nu} i^(p - q) exp(i M)_pq.  The
-kernel builds the rows y in real arithmetic, and applies the factor
-e^{i nu} i^(p - q) only to the entries of the windows it reads.  The
+gaps, and differentiating with respect to a node repeats it.  For an
+upper-triangular matrix with diagonal w, entry (p, q) of its exponential
+is the sum over the increasing paths p -> q of the product of the edge
+entries times exp[w over the path's nodes] (Higham, Functions of
+Matrices, SIAM 2008, Thm 4.11; for a bidiagonal matrix, Opitz 1964 and
+McCurdy, Ng & Parlett, Math. Comp. 43, 1984).  So one batched matrix
+exponential yields every integral, confluent nodes included, without
+case splits, if the 0/1 edges give each wanted entry exactly one path.
+The kernel uses one such star matrix per wavenumber vector, at moment
+order k (0, 1 or 2).  Its diagonal holds the left extras z_0..z_{n-1}
+(k = 2), the centre z_0..z_n, then the right extras z_0..z_{n-1}
+(k >= 1); ones join the centre into a chain, every left extra to z_0 and
+z_n to every right extra, so the matrix has size n + 1, 2 n + 1 or
+3 n + 1.  Entry (centre z_0, centre z_n) is exp[z], (centre z_0, right
+z_j) is exp[z, z_j] and (left z_i, right z_j) is exp[z, z_i, z_j], each
+over the one path between them.  The nodes are imaginary, w = i y.  For
+a real shift nu (the midpoint of y), diag(i^d), d the edge depth of a
+node, maps the matrix minus i nu onto i M with the real M = diag(y - nu)
+plus the same ones, so an entry whose path has e edges is
+e^{i nu} i^(-e) exp(i M)_pq.  The kernel builds y in real arithmetic, and
+applies that factor only to the entries it reads.  The
 degree-13 Pade approximant of exp(i M) with scaling and squaring (Higham,
 SIAM J. Matrix Anal. Appl. 26, 2005) takes every power of M in real
 arithmetic (Al-Mohy, Higham & Relton, SIAM J. Sci. Comput. 37, 2015).
-
-The moment order k (0, 1 or 2) is the number of extra nodes on each side
-of z in a node row
-
-    (z_{w_0}, ..., z_{w_{k-1}}, z_0, ..., z_n, z_{w_k}, ..., z_{w_{2k-1}}),
-
-set by a walk w of 2k indices.  Every window that holds all of z and m <= k
-of the extra nodes is read: window (k - u, n + k + v) gives
-exp[z, z_{w_{k-u}}, ..., z_{w_{k+v-1}}].  Order 0 is the row z alone.  At
-order 1 a row (z_b, z, z_c) gives the first moments of b and c.  At order
-2 a row (z_a, z_b, z, z_c, z_d) gives I from window (2, n+2), the first
-moments of b and c from (1, n+2) and (2, n+3), and the second moments of
-the three walk edges (a, b), (b, c) and (c, d) from (0, n+2), (1, n+3)
-and (2, n+4).  A greedy cover, built once per (n, k), picks the walks so
-that every moment appears in some row: ceil(n (n+1) / 6) rows of size
-n + 5 for the n (n+1) / 2 second moments when n <= 5.
 
 ``_pair_integrals`` makes the integrals of lambda = kappa_t - kappa_s for
 every row pair (t, s) of one amplitude table, which the QFI and the
@@ -72,13 +66,12 @@ nodes and share no code with the divided-difference kernel.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable
 
 import numpy as np
 
-# Matrix entries per batched expm step: 64 KiB per real Pade array, small
+# Star-matrix entries per batched expm step: 64 KiB per real Pade array, small
 # enough to stay in cache, and a bound on the kernel's working set whatever
 # the number of wavenumber vectors.
 EXPM_CHUNK = 8192
@@ -150,89 +143,66 @@ def _expm_i_upper(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _window_keys(walk: tuple, order: int):
-    """(moment key, first row position, extra-node count) of every window a walk's row holds.
-
-    The window holds z and the extra nodes walk[start : start + size]; the
-    key is their sorted tuple: () for I, (i,) for the first moment of i,
-    (i, j) for the pair i <= j.
-    """
-    for size in range(order + 1):
-        for start in range(order - size, order + 1):
-            yield tuple(sorted(walk[start : start + size])), start, size
-
-
 @functools.lru_cache(maxsize=32)
-def _layout(n: int, order: int):
-    """Node rows and read-off windows for n wavenumbers at a moment order.
+def _star(n: int, order: int):
+    """The star matrix layout for n wavenumbers at a moment order, read-only and cached.
 
-    Returns (nodes, windows).  ``nodes`` is a read-only (rows, n + 1 +
-    2 order) index array into (z_0, ..., z_n); ``windows[m]`` holds
-    read-only (row, p, q) index arrays of the windows that give the
-    moments of m extra nodes, in the order () for m = 0, (i,) for i < n,
-    and (i, j) for i <= j in ``np.triu_indices(n)`` order.  The walks are
-    chosen greedily: each next walk covers the most still-missing second
-    moments, then first moments (first such walk in lexicographic order).
+    Returns (nodes, ones, reads, upper).  ``nodes`` indexes (z_0, ..., z_n)
+    for the diagonal: the left extras z_0..z_{n-1} (order 2 only), the
+    centre z_0..z_n, then the right extras z_0..z_{n-1} (order >= 1).
+    ``ones`` is the 0/1 template of the edges: the centre chain, every left
+    extra into z_0, and z_n into every right extra.  ``reads[k]`` is the
+    (p, q) index pair of the entries whose paths hold z and k extra nodes,
+    in the order () for k = 0, (i,) for i < n, and (i, j) for i <= j in
+    ``upper`` = ``np.triu_indices(n)`` order.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    wanted = [[()], [(i,) for i in range(n)], pairs][: order + 1]
-    missing = {key for keys in wanted for key in keys}
-    candidates = list(itertools.product(range(n), repeat=2 * order))
-
-    def covers(walk):
-        return {key for key, _, _ in _window_keys(walk, order)}
-
-    def gain(walk):
-        new = covers(walk) & missing
-        return tuple(sum(len(key) == size for key in new) for size in range(order, -1, -1))
-
-    walks = []
-    while missing:
-        walk = max(candidates, key=gain)
-        walks.append(walk)
-        missing -= covers(walk)
-
-    found = {}
-    for row, walk in enumerate(walks):
-        for key, start, size in _window_keys(walk, order):
-            found.setdefault(key, (row, start, start + n + size))
-    centre = list(range(n + 1))
-    nodes = np.array([list(w[:order]) + centre + list(w[order:]) for w in walks], dtype=int)
-    windows = tuple(
-        tuple(np.array(idx, dtype=int) for idx in zip(*(found[key] for key in keys)))
-        for keys in wanted
-    )
-    nodes.setflags(write=False)
-    for window in windows:
-        for idx in window:
-            idx.setflags(write=False)
-    return nodes, windows
+    left = n if order == 2 else 0
+    right = n if order >= 1 else 0
+    centre = np.arange(left, left + n + 1)
+    c0, cn = centre[0], centre[-1]
+    nodes = np.concatenate([np.arange(left), np.arange(n + 1), np.arange(right)])
+    ones = np.zeros((len(nodes),) * 2)
+    ones[centre[:-1], centre[1:]] = 1.0
+    ones[:left, c0] = 1.0
+    ones[cn, cn + 1 :] = 1.0
+    upper = np.triu_indices(n)
+    reads = (
+        (np.array([c0]), np.array([cn])),
+        (np.full(n, c0), cn + 1 + np.arange(n)),
+        (upper[0], cn + 1 + upper[1]),
+    )[: order + 1]
+    for arr in (nodes, ones, *upper, *(idx for read in reads for idx in read)):
+        arr.setflags(write=False)
+    return nodes, ones, reads, upper
 
 
 def _simplex_block(lam: np.ndarray, L: float, order: int):
     """simplex_exp_integral for a (rows, n) block of wavenumber vectors.
 
-    Each real node row y = z / i is centred at its midpoint nu, which halves
-    the norm of M; e^{i nu} i^(p - q) multiplies only the entries read off.
+    Each vector gets one star matrix (``_star``): M = diag(y - nu) plus the
+    0/1 edges, y = z / i centred at its midpoint nu, which halves the norm
+    of M.  Every entry read lies on one path of k + n edges, so it is
+    e^{i nu} i^(-n-k) exp(i M)_pq; that factor multiplies only those entries.
+    The (i, j) second moments are read for i <= j and mirrored, so I^11 is
+    exactly symmetric.
     """
     rows, n = lam.shape
     tails = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
-    nodes, windows = _layout(n, order)
+    nodes, ones, reads, (ii, jj) = _star(n, order)
     y = np.concatenate([-L * tails, np.zeros((rows, 1))], axis=1)[:, nodes]
-    nu = 0.5 * (y.max(axis=2) + y.min(axis=2))
-    diag = np.arange(nodes.shape[1])
-    a = np.zeros(y.shape + diag.shape)
-    a[..., diag, diag] = y - nu[..., None]
-    a[..., diag[:-1], diag[1:]] = 1.0
-    e = _expm_i_upper(a.reshape((-1,) + a.shape[2:])).reshape(a.shape)
-    phase, turns = np.exp(1j * nu), np.array([1, 1j, -1, -1j])
-    d = [(phase[:, r] * turns[(p - q) % 4]) * e[:, r, p, q] for r, p, q in windows]
+    nu = 0.5 * (y.max(axis=1) + y.min(axis=1))
+    diag = np.arange(len(nodes))
+    a = np.empty((rows,) + ones.shape)
+    a[:] = ones
+    a[:, diag, diag] = y - nu[:, None]
+    e = _expm_i_upper(a)
+    phase, turns = np.exp(1j * nu)[:, None], (1, 1j, -1, -1j)
+    d = [(phase * turns[(-n - k) % 4]) * e[:, p, q] for k, (p, q) in enumerate(reads)]
 
     out = [L**n * d[0][:, 0]]
     if order >= 1:
         out.append(L ** (n + 1) * np.cumsum(d[1], axis=1))
     if order == 2:
-        ii, jj = np.triu_indices(n)
         d2 = np.empty((rows, n, n), dtype=complex)
         d2[:, ii, jj] = d[2]
         d2[:, jj, ii] = d[2]
@@ -255,8 +225,8 @@ def simplex_exp_integral(lam, L: float, order: int = 0):
     ``order`` 0, the pair (I, I^1) at order 1 and the triple (I, I^1,
     I^11) at order 2, where I^1[..., l] and I^11[..., m, l] carry the
     coordinate moments x_l and x_m x_l (see the module docstring for the
-    divided-difference formulas and the node rows).  The vectors are
-    processed in blocks of about EXPM_CHUNK matrix entries.  Raises
+    divided-difference formulas and the star matrix).  The vectors are
+    processed in blocks of about EXPM_CHUNK star-matrix entries.  Raises
     NumericalHealthError when L^(N + order), the scale of the highest
     moment, is not a normal double.
     """
@@ -273,8 +243,8 @@ def simplex_exp_integral(lam, L: float, order: int = 0):
     lam = lam.reshape(-1, n)
     _check_double_range(L, n + order)
 
-    rows, m = _layout(n, order)[0].shape
-    step = max(1, EXPM_CHUNK // (rows * m * m))
+    m = len(_star(n, order)[0])
+    step = max(1, EXPM_CHUNK // (m * m))
     blocks = [
         _simplex_block(lam[s : s + step], L, order) for s in range(0, max(len(lam), 1), step)
     ]

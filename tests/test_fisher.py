@@ -334,6 +334,22 @@ def test_qfi_assembly_rejects_a_non_finite_value(monkeypatch):
         llfisher.fisher._qfi_with_residue(table)
 
 
+def test_qfi_assembly_rejects_a_cauchy_schwarz_violation(monkeypatch):
+    # |nd|^2 <= NS dd holds for the exact inner products, so a real QFI
+    # below 0 can only be a pair sum cancelled beyond its rounding: here
+    # |nd|^2 / NS = NS and dd = NS / 2 give -2, with no residue
+    table = amplitudes(ground_state(PER, 2), ModelParams(1.0, 1.0))
+    nn, _, _, nd_mag, dd_mag, n_bundles = _inner_products(table)
+    n2 = table.solution.norm_sq
+    monkeypatch.setattr(
+        llfisher.fisher,
+        "_inner_products",
+        lambda table: (nn, complex(n2), complex(0.5 * n2), nd_mag, dd_mag, n_bundles),
+    )
+    with pytest.raises(NumericalHealthError, match="negative value -2.000000e"):
+        llfisher.fisher._qfi_with_residue(table)
+
+
 def test_imaginary_residue_is_relative_at_tiny_qfi():
     # QFI ~ 1e-42 here: a residue divided by max(|QFI|, 1e-30) read 5e-28
     # and could never reach the health bound

@@ -256,94 +256,110 @@ def test_kernel_matches_scipy_expm(L):
                 assert max_rel(g, w) < 1e-12
 
 
-def check_kernel_on_rows(rows):
-    """_expm_i_upper on the kernel's centred real matrices of imaginary node rows.
+def star_depths(ones):
+    """Edge count from a source to each node of a 0/1 upper-triangular template."""
+    depth = np.zeros(len(ones), dtype=int)
+    for p, q in zip(*np.nonzero(ones)):  # row-major: every edge into p is seen first
+        depth[q] = max(depth[q], depth[p] + 1)
+    return depth
 
-    With y = rows.imag centred at the midpoint nu of its range, M is
-    diag(y - nu) plus ones above the diagonal.  exp(i M) is checked against
-    scipy's expm of i M, and e^{i nu} i^(p - q) exp(i M)_pq, p <= q, against
-    scipy's expm of the complex bidiagonal matrix of the row: the divided
-    difference over the window p..q.
+
+def check_kernel_on_stars(z, order):
+    """_expm_i_upper on the kernel's centred real star matrices of node vectors z.
+
+    ``z`` is a (vectors, n + 1) stack of imaginary nodes.  With y = z.imag
+    on the star's diagonal, centred at the midpoint nu of its range, M is
+    diag(y - nu) plus the star's 0/1 edges.  exp(i M) is checked against
+    scipy's expm of i M, and e^{i nu} i^(d_p - d_q) exp(i M)_pq, d the edge
+    depth of a node, against scipy's expm of the complex star matrix with
+    diagonal z: by the path-sum formula, the divided difference over the
+    nodes of the path p..q where there is one, and 0 where there is none.
     """
-    y = rows.imag
+    nodes, ones, _, _ = integrals._star(z.shape[1] - 1, order)
+    y = z.imag[:, nodes]
     nu = 0.5 * (y.max(axis=1) + y.min(axis=1))
-    m = rows.shape[1]
-    ones = np.diag(np.ones(m - 1), 1)
     mats = np.array([np.diag(row - mid) + ones for row, mid in zip(y, nu)])
     got = integrals._expm_i_upper(mats)
-    upper = np.triu_indices(m)
-    turns = 1j ** np.subtract.outer(np.arange(m), np.arange(m))
-    for w, mid, mat, table in zip(rows, nu, mats, got):
+    upper = np.triu_indices(len(nodes))
+    depth = star_depths(ones)
+    turns = 1j ** np.subtract.outer(depth, depth)
+    for w, mid, mat, table in zip(z[:, nodes], nu, mats, got):
         assert max_rel(table[upper], scipy.linalg.expm(1j * mat)[upper]) < 1e-12
         read_off = np.exp(1j * mid) * turns * table
         want = scipy.linalg.expm(np.diag(w) + ones)
         assert max_rel(read_off[upper], want[upper]) < 1e-12
+    return mats
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_every_window_of_a_confluent_row_matches_scipy_expm(n):
-    # rows with repeated nodes: every entry (p, q), p <= q, of the table
-    # gives the divided difference over the window p..q
-    lam = np.random.default_rng(n).uniform(-1.5, 1.5, n)
-    z = np.array(nodes(lam, 10.0), dtype=complex)
-    check_kernel_on_rows(z[integrals._layout(n, 2)[0]])
+    # every star repeats nodes (each extra is a centre node again), and a
+    # zero tail sum makes two centre nodes equal: every entry (p, q), p <= q,
+    # of the table is the divided difference over its path
+    rng = np.random.default_rng(n)
+    lam = rng.uniform(-1.5, 1.5, n)
+    tied = np.append(rng.uniform(-1.5, 1.5, n - 2), [0.6, -0.6])
+    z = np.array([nodes(lam, 10.0), nodes(tied, 10.0)], dtype=complex)
+    for order in (0, 1, 2):
+        check_kernel_on_stars(z, order)
 
 
 def test_one_batch_with_mixed_scaling_powers_matches_scipy_expm():
-    # spread and confluent rows of several sizes L in one batch, so each
+    # spread and confluent stars of several sizes L in one batch, so each
     # squaring round acts on a strict subset of the matrices
     rng = np.random.default_rng(21)
     n = 4
-    rows = []
-    for L in (1.0, 3.0, 10.0, 40.0, 120.0, 400.0):
-        for _ in range(2):
-            z = np.array(nodes(rng.uniform(-1.5, 1.5, n), L), dtype=complex)
-            rows.append(z[integrals._layout(n, 2)[0]])
-    rows = np.concatenate(rows)
-    # 1-norm of each centred matrix: |y_p - nu| plus the one above the diagonal
-    centred = rows.imag - 0.5 * (rows.imag.max(axis=1) + rows.imag.min(axis=1))[:, None]
-    norm = np.max(np.abs(centred) + (np.arange(rows.shape[1]) > 0), axis=1)
+    z = np.array(
+        [nodes(rng.uniform(-1.5, 1.5, n), L) for L in (1.0, 3.0, 10.0, 40.0, 120.0, 400.0)
+         for _ in range(2)],
+        dtype=complex,
+    )
+    mats = check_kernel_on_stars(z, 2)
+    norm = np.abs(mats).sum(axis=1).max(axis=1)
     powers = np.maximum(0, np.ceil(np.log2(norm / integrals._THETA13)))
     assert powers.min() == 0 and powers.max() >= 5
-    check_kernel_on_rows(rows)
 
 
-def window_contents(n, order):
-    """{moment key: sorted node indices of its window} from the cached layout."""
-    rows, windows = integrals._layout(n, order)
-    keys = [[()], [(i,) for i in range(n)], list(zip(*np.triu_indices(n)))][: order + 1]
-    return {
-        tuple(int(i) for i in key): sorted(rows[r, p : q + 1])
-        for level, (r_idx, p_idx, q_idx) in zip(keys, windows)
-        for key, r, p, q in zip(level, r_idx, p_idx, q_idx)
-    }
+def star_paths(ones, p, q):
+    """Every path p -> q along the edges of a 0/1 upper-triangular template."""
+    if p == q:
+        return [[p]]
+    return [[p] + rest for r in np.nonzero(ones[p])[0] for rest in star_paths(ones, r, q)]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_layout_windows_cover_every_moment(n, order):
-    # each window holds all of z_0..z_n plus exactly the moment's nodes
-    contents = window_contents(n, order)
+    # each entry read has exactly one path, through all of z_0..z_n plus
+    # exactly the moment's extra nodes, and n + k edges for k extras
+    nodes_idx, ones, reads, upper = integrals._star(n, order)
+    keys = [[()], [(i,) for i in range(n)], list(zip(*upper))][: order + 1]
+    assert len(reads) == order + 1
+    seen = []
+    for k, (level, (p_idx, q_idx)) in enumerate(zip(keys, reads)):
+        assert len(level) == len(p_idx) == len(q_idx)
+        for key, p, q in zip(level, p_idx, q_idx):
+            (path,) = star_paths(ones, p, q)
+            assert len(path) == n + k + 1
+            assert sorted(nodes_idx[path]) == sorted(list(range(n + 1)) + list(key))
+            seen.append(tuple(int(i) for i in key))
     wanted = [()]
     if order >= 1:
         wanted += [(i,) for i in range(n)]
     if order == 2:
         wanted += [(i, j) for i in range(n) for j in range(i, n)]
-    assert sorted(contents) == sorted(wanted)
-    for key, window in contents.items():
-        assert window == sorted(list(range(n + 1)) + list(key))
-    assert integrals._layout(n, order) is integrals._layout(n, order)
+    assert sorted(seen) == sorted(wanted)
+    assert integrals._star(n, order) is integrals._star(n, order)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_layout_row_counts(n):
-    # three second moments per order-2 row, two first moments per order-1 row
-    rows = [integrals._layout(n, order)[0] for order in (0, 1, 2)]
-    assert [r.shape for r in rows] == [
-        (1, n + 1),
-        (math.ceil(n / 2), n + 3),
-        (math.ceil(n * (n + 1) / 6), n + 5),
-    ]
+    # one star matrix per vector: the centre path, then n right extras from
+    # order 1 on and n left extras at order 2, each joined by one edge
+    for order, m in enumerate((n + 1, 2 * n + 1, 3 * n + 1)):
+        nodes_idx, ones, _, _ = integrals._star(n, order)
+        assert nodes_idx.shape == (m,) and ones.shape == (m, m)
+        assert np.array_equal(ones, np.triu(ones, 1)) and ones.sum() == n * (order + 1)
 
 
 def mp_divided_difference(w):
@@ -396,9 +412,9 @@ def test_batch_shapes_and_chunking(monkeypatch):
     for order, whole in at_each_order(lam, 4.0):
         assert [v.shape for v in whole] == [(3, 5), (3, 5, 3), (3, 5, 3, 3)][: order + 1]
 
-        # a chunk just over two vectors' matrix entries: blocks of two,
+        # a chunk just over two star matrices' entries: blocks of two,
         # and the fifteenth vector alone in a ragged last block
-        rows, m = integrals._layout(3, order)[0].shape
+        m = len(integrals._star(3, order)[0])
         sizes = []
 
         def spy(lam_block, L, order):
@@ -406,7 +422,7 @@ def test_batch_shapes_and_chunking(monkeypatch):
             return block(lam_block, L, order)
 
         with monkeypatch.context() as patch:
-            patch.setattr(integrals, "EXPM_CHUNK", 2 * rows * m * m + 1)
+            patch.setattr(integrals, "EXPM_CHUNK", 2 * m * m + 1)
             patch.setattr(integrals, "_simplex_block", spy)
             chunked = simplex_exp_integral(lam, 4.0, order)
         assert sizes == [2] * 7 + [1]
