@@ -3,8 +3,9 @@ optimal system size, and tabulate the absorption-imaging CFI.
 
 Single records are emitted as JSON, sweeps as CSV with a fixed column
 order and floats at 17 significant digits, so identical configurations
-produce byte-identical files.  Every CSV row carries the hash of the
-resolved configuration and the package version.
+produce byte-identical files at a fixed BLAS thread count (the CFI
+quadrature's matrix products split their sums by thread).  Every CSV row
+carries the hash of the resolved configuration and the package version.
 
 Exit codes: 0 success, 2 invalid arguments or an output file that cannot
 be written, 3 solver failure, 4 bracket without an interior maximum,

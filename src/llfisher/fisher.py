@@ -12,12 +12,16 @@ ansatz psi~ and its ordered-domain norm square NS, both reduce to
     QFI = (4/NS) [ <d_c psi~|d_c psi~> - |<psi~|d_c psi~>|^2 / NS ],
     CFI = (4/NS) [ int (d_c |psi~|)^2 - (d_c sqrt(NS))^2 ],
 
-with all inner products over 0 < x_1 < ... < x_N < L.  Expanding the
-permutation sums turns the QFI into a double sum over coefficient pairs
-(t, s) weighted by the simplex integrals I, I^1_l and I^11_mn of the
-wavenumber difference lambda = kappa_t - kappa_s, which
-``integrals._pair_integrals`` folds, deduplicates and contracts with
-dkappa (``fisher_report`` records the pair and bundle counts).
+with all inner products over 0 < x_1 < ... < x_N < L.  The permutation
+sums make psi~ = sum_t amp_t f_t and d_c psi~ = sum_t (damp_t f_t +
+i amp_t g_t), t over the R rows of the amplitude table, with f_t =
+e^{i kappa_t.x} and g_t = (dkappa_t.x) f_t.  ``integrals._pair_integrals``
+folds, deduplicates and contracts the simplex integrals I, I^1_l and
+I^11_mn of the pair differences lambda = kappa_t - kappa_s into the blocks
+of the Gram matrix of those 2R functions, G = [[I, A], [A^H, Q]], so the
+three inner products are Hermitian forms of G on the coefficient vectors
+(amp, 0) and (damp, i amp) (``fisher_report`` records the pair and bundle
+counts).
 The assembly is exact up to the Bethe residual and rounding.  At weak
 coupling the pair terms cancel, and that rounding is what limits it: the
 QFI's error estimate is the sum's condition number times eps, and a point
@@ -27,9 +31,9 @@ On the ring every integrand here is translation invariant: shifting
 every coordinate by a multiplies psi~ and d_c psi~ by exp(i P a), as the
 momentum P does not depend on c (sum_j dk_j = 0).  So each ordered
 N-dimensional integral is L/N times an (N - 1)-dimensional one on the
-slice x_1 = 0.  The ring QFI takes the pair integrals of that slice (the
-kappa columns 2..N); box states have no such symmetry and keep the
-N-dimensional simplex.
+slice x_1 = 0.  A ring state of N > 1 particles takes the pair integrals
+of that slice (the kappa columns 2..N); every other state, one ring
+particle included, keeps the N-dimensional simplex.
 
 The CFI either equals the QFI outright (real or purely imaginary phase
 class, where the position measurement is optimal) or is integrated
@@ -117,60 +121,30 @@ class BracketError(RuntimeError):
 def _inner_products(table: AmplitudeTable):
     """Ordered-domain <psi~|psi~>, <psi~|d_c psi~>, <d_c psi~|d_c psi~>.
 
-    Assembled from the coefficient table and its ``_pair_integrals``
-    matrices at order 2; the pair reduction is a deterministic einsum.
-    On the ring the three integrands are translation invariant (module
-    docstring), so the pair integrals are those of the (N - 1)-D slice
-    x_1 = 0, the kappa columns 2..N, and the products are L/N times their
-    slice integrals.  One particle has a 0-D slice: the integrand at
-    x_1 = 0, where the phases are 1 and no coordinate moment enters.
-    Returns the three inner products, the sums of |term| of the second
-    and third (eps times these bounds their rounding), and the number of
-    distinct pair bundles.
+    The forms psi^H G psi, psi^H G dpsi and dpsi^H G dpsi of the Gram
+    matrix G (module docstring) with psi = (amp, 0) and dpsi = (damp,
+    i amp); |psi|^T |G| |dpsi| and |dpsi|^T |G| |dpsi|, the sums of |term|
+    of the second and third, bound their rounding (times eps).  A ring
+    state of N > 1 particles takes G on the slice x_1 = 0, times L/N.
+    Returns the three inner products, the two |term| sums and the number
+    of distinct pair bundles.
     """
     n, L = table.n, table.L
-    if not table.periodic:
-        scale = 1.0
-        (i00, a, quad), n_bundles = _pair_integrals(table.kappa, table.dkappa, L, order=2)
-    else:
+    if table.periodic and n > 1:
         # the slice integrals scale as L^(N + 1); the products, as in the box, as L^(N + 2)
         _check_double_range(L, n + 2)
-        scale = L / n
-        if n > 1:
-            (i00, a, quad), n_bundles = _pair_integrals(
-                table.kappa[:, 1:], table.dkappa[:, 1:], L, order=2
-            )
-        else:
-            i00, a, quad, n_bundles = np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 0
-    # b[t, s] = sum_l I^1_l(lam_ts) dkappa[t, l] is conj(a[s, t]), as I^1(-lam) =
-    # conj I^1(lam); made contiguous, since einsum's summation order follows the layout
-    b = np.ascontiguousarray(np.conj(a.T))
-
-    w_amp, w_damp = table.amp, table.damp
-    c_amp = np.conj(w_amp)
-    c_damp = np.conj(w_damp)
-    nn = np.einsum("t,s,ts->", c_amp, w_amp, i00)
-    nd = np.einsum("t,s,ts->", c_amp, w_damp, i00) + 1j * np.einsum(
-        "t,s,ts->", c_amp, w_amp, a
-    )
-    dd = (
-        np.einsum("t,s,ts->", c_damp, w_damp, i00)
-        + 1j * np.einsum("t,s,ts->", c_damp, w_amp, a)
-        - 1j * np.einsum("t,s,ts->", c_amp, w_damp, b)
-        + np.einsum("t,s,ts->", c_amp, w_amp, quad)
-    )
-    # the same sums over |term| (|b| = |a|^T, so its sum equals the a one's)
-    m_amp, m_damp, m_i00, m_a = np.abs(w_amp), np.abs(w_damp), np.abs(i00), np.abs(a)
-    nd_mag = m_amp @ m_i00 @ m_damp + m_amp @ m_a @ m_amp
-    dd_mag = m_damp @ m_i00 @ m_damp + 2.0 * (m_damp @ m_a @ m_amp) + m_amp @ np.abs(quad) @ m_amp
-    return (
-        complex(scale * nn),
-        complex(scale * nd),
-        complex(scale * dd),
-        float(scale * nd_mag),
-        float(scale * dd_mag),
-        n_bundles,
-    )
+        scale, kappa, dkappa = L / n, table.kappa[:, 1:], table.dkappa[:, 1:]
+    else:
+        scale, kappa, dkappa = 1.0, table.kappa, table.dkappa
+    (i00, a, quad), n_bundles = _pair_integrals(kappa, dkappa, L, order=2)
+    gram = np.block([[i00, a], [np.conj(a.T), quad]])
+    psi = np.concatenate([table.amp, np.zeros_like(table.amp)])
+    dpsi = np.concatenate([table.damp, 1j * table.amp])
+    g_psi, g_dpsi = gram @ psi, gram @ dpsi
+    forms = [np.conj(psi) @ g_psi, np.conj(psi) @ g_dpsi, np.conj(dpsi) @ g_dpsi]
+    m_dpsi = np.abs(gram) @ np.abs(dpsi)
+    mags = [np.abs(psi) @ m_dpsi, np.abs(dpsi) @ m_dpsi]
+    return (*(complex(scale * f) for f in forms), *(float(scale * m) for m in mags), n_bundles)
 
 
 def _qfi_with_residue(table: AmplitudeTable):

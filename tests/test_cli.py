@@ -746,16 +746,39 @@ def test_sweep_row_names_the_collapsed_state(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_package_imports_numpy_only():
-    # the runtime needs numpy alone, and no test oracle lives in the package
-    script = (
-        "import sys, llfisher, llfisher.cli; "
-        "print(' '.join(m for m in ('scipy', 'mpmath', 'hypothesis', 'pytest', 'oracles') "
-        "if m in sys.modules))"
-    )
+def test_package_imports_numpy_only(tmp_path):
+    # the runtime needs numpy alone, and no test oracle lives in the package:
+    # with scipy, mpmath and hypothesis blocked (an import of one raises
+    # ImportError), every command runs, the CFI quadrature route included
+    script = """
+import sys
+for name in ("scipy", "mpmath", "hypothesis"):
+    sys.modules[name] = None
+import llfisher, llfisher.cli
+out = sys.argv[1]
+state = ["--bc", "hardwall", "-N", "2", "--ground"]
+runs = [
+    ["solve", *state, "-c", "1", "-L", "1", "-o", out + "/solve.json"],
+    ["fisher", "--bc", "periodic", "-N", "3", "-I", "-1", "1", "2", "--axis", "L",
+     "--start", "6", "--stop", "6", "--num", "1", "--fixed", "0.2", "-o", out + "/fisher.csv"],
+    ["lmax", *state, "-c", "0.2", "--bracket", "10", "150", "-o", out + "/lmax.json"],
+    ["imaging", *state, "-c", "0.2", "-L", "10", "--pixels", "4", "--sample", "200",
+     "--seed", "1", "-o", out + "/imaging.csv", "--shots-out", out + "/shots.ndjson",
+     "--mle-out", out + "/mle.json"],
+]
+print(*[llfisher.cli.main(argv) for argv in runs])
+print(" ".join(m for m in ("scipy", "mpmath", "hypothesis", "pytest", "oracles")
+               if sys.modules.get(m) is not None))
+"""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    codes, loaded = (done.stdout.splitlines() + [""])[:2]
+    assert codes == "0 0 0 0", done.stderr
+    assert loaded == ""
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "solve.json", "fisher.csv", "lmax.json", "imaging.csv", "shots.ndjson", "mle.json"
+    }

@@ -382,15 +382,62 @@ def test_ring_qfi_on_the_slice_matches_the_full_simplex(n, c, L):
     assert sliced == pytest.approx(_full_simplex_qfi(table), rel=1e-13, abs=0.0)
 
 
-def test_single_ring_particle_qfi_is_exactly_zero_without_the_kernel(monkeypatch):
-    # its slice has no coordinate left, so no pair integral is made
-    def broken(*args, **kwargs):
-        raise AssertionError("the pair kernel was called")
-
-    monkeypatch.setattr(llfisher.fisher, "_pair_integrals", broken)
+def test_single_ring_particle_qfi_is_exactly_zero():
+    # its x_1 = 0 slice has no coordinate left, so it takes the full simplex
+    # [0, L], one bundle; dkappa = 0 and damp = 0 make every d_c term vanish
     report = fisher_report(ground_state(PER, 1), ModelParams(1.0, 2.0))
-    assert report.qfi == 0.0 and report.method["qfi_bundles"] == 0
+    assert report.qfi == 0.0 and report.method["qfi_bundles"] == 1
     assert report.method["qfi_error_estimate"] == 0.0
+
+
+def _fsum_inner_products(table):
+    """``_inner_products`` by a loop over the pairs (t, s) and ``math.fsum``.
+
+    The 4-term expansion of the forms on the same ``_pair_integrals``
+    matrices, with b[t, s] = conj(a[s, t]), so the values are the exactly
+    rounded sums of the rounded terms.  Returns nn, nd, dd and their |term|
+    sums (nn's included).
+    """
+    if table.periodic and table.n > 1:
+        scale, kappa, dkappa = table.L / table.n, table.kappa[:, 1:], table.dkappa[:, 1:]
+    else:
+        scale, kappa, dkappa = 1.0, table.kappa, table.dkappa
+    (i00, a, quad), _ = integrals._pair_integrals(kappa, dkappa, table.L, 2)
+    amp, damp = table.amp, table.damp
+    terms = {"nn": [], "nd": [], "dd": []}
+    for t, s in itertools.product(range(len(amp)), repeat=2):
+        ca, cd = np.conj(amp[t]), np.conj(damp[t])
+        terms["nn"].append(ca * amp[s] * i00[t, s])
+        terms["nd"] += [ca * damp[s] * i00[t, s], 1j * ca * amp[s] * a[t, s]]
+        terms["dd"] += [
+            cd * damp[s] * i00[t, s],
+            1j * cd * amp[s] * a[t, s],
+            -1j * ca * damp[s] * np.conj(a[s, t]),
+            ca * amp[s] * quad[t, s],
+        ]
+    values = {
+        key: scale * complex(math.fsum(z.real for z in ts), math.fsum(z.imag for z in ts))
+        for key, ts in terms.items()
+    }
+    bounds = {key: scale * math.fsum(abs(z) for z in ts) for key, ts in terms.items()}
+    return values, bounds
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ground_state(PER, 1), StateSpec(PER, 3, (-1.0, 1.0, 2.0)), ground_state(HW, 3)],
+    ids=["ring1", "ring-112", "box3"],
+)
+def test_inner_products_are_the_forms_of_the_pair_expansion(spec):
+    # the Gram-matrix forms against an exactly rounded sum of the same terms:
+    # each value within eps of its |term| sum, and the two |term| sums equal
+    table = amplitudes(spec, ModelParams(0.2, 10.0))
+    nn, nd, dd, nd_mag, dd_mag, _ = _inner_products(table)
+    values, bounds = _fsum_inner_products(table)
+    assert nd_mag == pytest.approx(bounds["nd"], rel=1e-13, abs=0.0)
+    assert dd_mag == pytest.approx(bounds["dd"], rel=1e-13, abs=0.0)
+    for key, value in (("nn", nn), ("nd", nd), ("dd", dd)):
+        assert abs(value - values[key]) <= sys.float_info.epsilon * bounds[key], key
 
 
 @pytest.mark.parametrize("gamma", [1e-9, 1e-11, 1e-13])

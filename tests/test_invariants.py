@@ -8,12 +8,19 @@ must agree wherever both return.  Every evaluation either returns
 finite, consistent numbers or raises a documented error, and the CLI
 turns the errors into documented exit codes with one stderr line.
 
+The imaging invariants take a seeded sample of small states, couplings,
+sizes and pixel grids, covering and not, and check the image
+probabilities against each other, against the position CFI and against
+Gauss-Legendre box quadrature.
+
 The samples are drawn from fixed seeds, so the test is deterministic.
 """
 
 import math
+import warnings
 
 import numpy as np
+from oracles import box_quadrature
 
 from llfisher.bethe import (
     ROOT_GAP_RTOL,
@@ -26,7 +33,17 @@ from llfisher.bethe import (
 )
 from llfisher.cli import main
 from llfisher.fisher import fisher_report
+from llfisher.imaging import (
+    PROB_SUM_TOL,
+    PixelGrid,
+    _image_probabilities,
+    image_distribution,
+    imaging_cfi,
+    multiplicity,
+    uniform_grid,
+)
 from llfisher.integrals import NumericalHealthError
+from llfisher.wavefunction import amplitudes, eval_batch
 
 PER = BoundaryCondition.PERIODIC
 HW = BoundaryCondition.HARD_WALL
@@ -176,3 +193,79 @@ def test_cli_exit_codes_over_the_domain(capsys):
             assert code == expected, argv
             assert len(err.splitlines()) == (code != 0), (argv, err)
             assert "Traceback" not in err and "warning" not in err, (argv, err)
+
+
+def _imaging_cases(seed):
+    """(spec, c, L, grid): ring and box N <= 3 with quantum numbers near the
+    ground state's, so that an order-24 box rule resolves the density; every
+    other grid covers [0, L] (exactly or oversized), the rest are offset and
+    may end before or past L."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(32):
+        bc = PER if k % 2 == 0 else HW
+        n = int(rng.integers(1, 4))
+        if bc is PER:
+            pool = np.arange(-2, 3) + (0.5 if n % 2 == 0 else 0.0)
+        else:
+            pool = np.arange(1, 5)
+        qn = tuple(float(v) for v in np.sort(rng.choice(pool, n, replace=False)))
+        L = 10.0 ** rng.uniform(-0.5, 1.3)
+        c = 10.0 ** rng.uniform(-1.0, 1.3) / L
+        n_pix = int(rng.integers(1, 9))
+        if k % 4 < 2:
+            grid = uniform_grid(L, n_pix) if k % 8 < 4 else PixelGrid(-0.2 * L, 1.4 * L / n_pix, n_pix)
+        else:
+            grid = PixelGrid(rng.uniform(0.05, 0.5) * L, rng.uniform(0.3, 1.5) * L / n_pix, n_pix)
+        cases.append((StateSpec(bc, n, qn), c, L, grid))
+    return cases
+
+
+def _bin_bounds(grid, L):
+    """The bins' edges clipped to the support [0, L], the outer bins included."""
+    return np.array([0.0, *(min(max(float(e), 0.0), L) for e in grid.edges), L])
+
+
+def _box_probability(table, grid, image):
+    """P of one image by box quadrature of the normalized density over its bins."""
+    bounds = _bin_bounds(grid, table.L)
+    box = [(bounds[b], bounds[b + 1]) for b, count in enumerate(image) for _ in range(count)]
+    norm_full = math.factorial(table.n) * table.solution.norm_sq
+
+    def density(points):
+        vals, _ = eval_batch(table, np.sort(points, axis=1))
+        return (vals.real**2 + vals.imag**2) / norm_full
+
+    return multiplicity(image) * box_quadrature(density, box, 24).real
+
+
+def test_imaging_invariants_over_random_grids():
+    rng = np.random.default_rng(2026)
+    bad = []
+    for spec, c, L, grid in _imaging_cases(2026):
+        params = ModelParams(c, L)
+        point = f"{spec.bc.value} {spec.quantum_numbers} c={c!r} L={L!r} {grid}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a grid that misses part of [0, L] warns
+            dist = image_distribution(spec, params, grid)
+        probs_only, _ = _image_probabilities(spec, params, grid, dist.images, False)
+        # the outer bins catch what the pixels miss, so P sums to 1 on every grid
+        for name, probs in (("P", dist.probs), ("P-only P", probs_only)):
+            if not abs(probs.sum() - 1.0) <= PROB_SUM_TOL:
+                bad.append(f"{point}: {name} sums to {float(probs.sum())!r}")
+        p_max = np.max(dist.probs)
+        if not np.max(np.abs(probs_only - dist.probs)) <= 1e-13 * p_max:
+            bad.append(f"{point}: the P-only pass moved P")
+        # coarse-graining the positions into bins loses information
+        f_img, f_pos = imaging_cfi(dist), fisher_report(spec, params).cfi
+        if not f_img <= f_pos * (1 + CFI_ABOVE_QFI_RTOL):
+            bad.append(f"{point}: imaging CFI {f_img!r} above the position CFI {f_pos!r}")
+        # three images whose every occupied bin has a positive width
+        table = amplitudes(spec, params)
+        open_bins = np.diff(_bin_bounds(grid, L)) > 0
+        live = np.flatnonzero(np.all(open_bins | (dist.images == 0), axis=1))
+        for i in rng.choice(live, size=min(3, len(live)), replace=False):
+            want = _box_probability(table, grid, dist.images[i])
+            if not abs(dist.probs[i] - want) <= 1e-12 * p_max:
+                bad.append(f"{point}: image {dist.images[i]} P {dist.probs[i]!r}, quadrature {want!r}")
+    assert not bad, "\n".join(bad)
