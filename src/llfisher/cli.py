@@ -5,14 +5,18 @@ Single records are emitted as JSON, sweeps as CSV with a fixed column
 order and floats at 17 significant digits, so identical configurations
 produce byte-identical files at a fixed BLAS thread count (the CFI
 quadrature's matrix products split their sums by thread).  Every CSV row
-carries the hash of the resolved configuration and the package version.
+and JSON record carries the package version and a configuration hash: the
+hash of every parsed argument except the output paths and the sampling
+draw (``--sample`` and ``--seed``, which the shot file and the MLE record
+list beside it), together with the numeric settings.
 
-Exit codes: 0 success, 2 invalid arguments or an output file that cannot
-be written, 3 solver failure, 4 bracket without an interior maximum,
-5 size cap exceeded or an array too large to allocate (MemoryError),
-6 failed numerical health check.  A ``fisher`` sweep whose every point
-failed exits 3 whatever the errors were; each of its rows names the
-exception class.
+Exit codes: 0 success, 2 invalid arguments, an output file that cannot
+be written, or a ``--sample`` whose likelihood carries no information on
+c (N = 1, one pixel, or an imaging CFI of 0), 3 solver failure, 4 bracket
+without an interior maximum, 5 size cap exceeded or an array too large to
+allocate (MemoryError), 6 failed numerical health check.  A ``fisher``
+sweep whose every point failed exits 3 whatever the errors were; each of
+its rows names the exception class.
 """
 
 from __future__ import annotations
@@ -63,7 +67,13 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _config_hash(payload: dict) -> str:
+# Parsed arguments that are not configuration: the handler and subcommand
+# name (no two subcommands share an argument set), the output paths, and the
+# sampling draw, which the shot file and the MLE JSON record beside the hash.
+_NOT_CONFIG = ("func", "command", "output", "shots_out", "mle_out", "sample", "seed")
+
+
+def _config_hash(args: argparse.Namespace) -> str:
     # numeric settings are part of the provenance: a change in the solver
     # tolerance or its root test, the QFI error bound, the CFI rule pairs
     # and their refinement, or the slice on which the ring QFI and CFI are
@@ -78,7 +88,7 @@ def _config_hash(payload: dict) -> str:
     )
 
     full = {
-        **payload,
+        **{k: v for k, v in vars(args).items() if k not in _NOT_CONFIG},
         "residual_rtol": RESIDUAL_RTOL,
         "root_gap_rtol": ROOT_GAP_RTOL,
         "qfi_error_rtol": QFI_ERROR_RTOL,
@@ -91,12 +101,8 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _boundary(name: str) -> BoundaryCondition:
-    return BoundaryCondition.PERIODIC if name == "periodic" else BoundaryCondition.HARD_WALL
-
-
 def _build_state(args: argparse.Namespace) -> StateSpec:
-    bc = _boundary(args.bc)
+    bc = BoundaryCondition(args.bc)
     selectors = [
         args.ground,
         args.type1 is not None,
@@ -112,17 +118,6 @@ def _build_state(args: argparse.Namespace) -> StateSpec:
     if args.type2 is not None:
         return type2_excitation(bc, args.n, args.type2)
     return StateSpec(bc, args.n, tuple(args.quantum_numbers))
-
-
-def _state_payload(args: argparse.Namespace) -> dict:
-    return {
-        "bc": args.bc,
-        "n": args.n,
-        "ground": args.ground,
-        "type1": args.type1,
-        "type2": args.type2,
-        "quantum_numbers": args.quantum_numbers,
-    }
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -152,7 +147,7 @@ def _check_writable(paths: Sequence[Optional[str]]) -> None:
 
 
 def _add_state_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bc", choices=("periodic", "hardwall"), required=True)
+    parser.add_argument("--bc", choices=[b.value for b in BoundaryCondition], required=True)
     parser.add_argument("-N", "--n", type=int, required=True, help="particle count")
     parser.add_argument("--ground", action="store_true", help="ground state")
     parser.add_argument("--type1", type=int, metavar="Q", help="type-I excitation label")
@@ -173,7 +168,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     params = ModelParams(args.c, args.L)
     solution = solve_bethe(spec, params)
     payload = {
-        "config_hash": _config_hash({**_state_payload(args), "c": args.c, "L": args.L}),
+        "config_hash": _config_hash(args),
         "version": __version__,
         "bc": args.bc,
         "n": spec.n,
@@ -203,16 +198,7 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
         grid = np.linspace(args.start, args.stop, args.num)
     result = sweep(spec, args.axis, grid, args.fixed)
 
-    config = {
-        **_state_payload(args),
-        "axis": args.axis,
-        "start": args.start,
-        "stop": args.stop,
-        "num": args.num,
-        "log": args.log,
-        "fixed": args.fixed,
-    }
-    chash = _config_hash(config)
+    chash = _config_hash(args)
     lines = [f"# llfisher fisher sweep, trend({args.axis}): {result.trend()}"]
     lines.append("axis,value,qfi,cfi,gap,phase_class,cfi_route,status,config_hash,version")
     n_ok = 0
@@ -225,22 +211,9 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
             )
             continue
         n_ok += 1
-        lines.append(
-            ",".join(
-                [
-                    args.axis,
-                    _fmt(value),
-                    _fmt(report.qfi),
-                    _fmt(report.cfi),
-                    _fmt(report.phase_variance_term),
-                    report.method["phase_class"],
-                    report.method["cfi_route"],
-                    "ok",
-                    chash,
-                    __version__,
-                ]
-            )
-        )
+        numbers = (value, report.qfi, report.cfi, report.phase_variance_term)
+        route = (report.method["phase_class"], report.method["cfi_route"])
+        lines.append(",".join([args.axis, *map(_fmt, numbers), *route, "ok", chash, __version__]))
     _write_text(args.output, "\n".join(lines) + "\n")
     if n_ok == 0:
         print("all sweep points failed", file=sys.stderr)
@@ -254,9 +227,7 @@ def _cmd_lmax(args: argparse.Namespace) -> int:
     spec = _build_state(args)
     l_max, f_max = lmax(spec, args.c, (args.bracket[0], args.bracket[1]), tol=args.tol)
     payload = {
-        "config_hash": _config_hash(
-            {**_state_payload(args), "c": args.c, "bracket": args.bracket, "tol": args.tol}
-        ),
+        "config_hash": _config_hash(args),
         "version": __version__,
         "c": args.c,
         "L_max": l_max,
@@ -284,45 +255,31 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
             raise ValueError("--sample needs N >= 2 and at least 2 pixels in the last grid")
     # every output is checked before the work and written after it, so a
     # bad path or a failure on the way leaves no partial output behind
-    shots_path = args.shots_out or "shots.ndjson"
     paths = [args.output]
     if args.sample is not None:
-        paths += [shots_path, args.mle_out or "mle.json"]
+        paths += [args.shots_out, args.mle_out]
     _check_writable(paths)
     reference = cfi(spec, params)
-    config = {
-        **_state_payload(args),
-        "c": args.c,
-        "L": args.L,
-        "pixels": args.pixels,
-    }
-    chash = _config_hash(config)
+    chash = _config_hash(args)
     lines = ["n_pixels,imaging_cfi,cfi,ratio,config_hash,version"]
     for npix in args.pixels:
         last_dist = image_distribution(spec, params, uniform_grid(args.L, npix))
         f_img = imaging_cfi(last_dist)
         # a zero reference CFI (N = 1, or an underflow at huge c) has no ratio
         ratio = f_img / reference if reference != 0 else math.nan
-        lines.append(
-            ",".join(
-                [
-                    str(npix),
-                    _fmt(f_img),
-                    _fmt(reference),
-                    _fmt(ratio),
-                    chash,
-                    __version__,
-                ]
-            )
-        )
+        numbers = map(_fmt, (f_img, reference, ratio))
+        lines.append(",".join([str(npix), *numbers, chash, __version__]))
     texts = ["\n".join(lines) + "\n"]
 
     if args.sample is not None:
+        # an imaging CFI that underflowed to 0 (huge c) leaves the likelihood flat
+        if not f_img > 0:
+            raise ValueError("imaging CFI is 0: the likelihood carries no information on c")
         shots = sample_images(last_dist, args.sample, args.seed)
         meta = {"config_hash": chash, "version": __version__, "c": args.c, "L": args.L}
         texts.append(_shots_text(shots, args.seed, meta))
         # grid spans +-6 Cramer-Rao sigma of the last grid's imaging CFI
-        span = 6.0 / max(np.sqrt(args.sample * f_img), 1e-12)
+        span = 6.0 / math.sqrt(args.sample * f_img)
         lo = max(args.c - span, 0.02 * args.c)
         c_grid = np.linspace(lo, args.c + span, 21)
         # as tuples: perfbench's tracer counts the distinct shots with set()
@@ -333,7 +290,7 @@ def _cmd_imaging(args: argparse.Namespace) -> int:
             "version": __version__,
             "shots": args.sample,
             "seed": args.seed,
-            "shots_file": shots_path,
+            "shots_file": args.shots_out,
             "c_true": args.c,
             "c_hat": c_hat,
             "c_grid": list(c_grid),
@@ -387,8 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_img.add_argument("--pixels", type=int, nargs="+", required=True)
     p_img.add_argument("--sample", type=int, help="draw this many shots from the last grid")
     p_img.add_argument("--seed", type=int, help="shot RNG seed")
-    p_img.add_argument("--shots-out", help="shot file path (default shots.ndjson)")
-    p_img.add_argument("--mle-out", help="MLE summary path (default mle.json)")
+    p_img.add_argument(
+        "--shots-out", default="shots.ndjson", help="shot file path (default %(default)s)"
+    )
+    p_img.add_argument(
+        "--mle-out", default="mle.json", help="MLE summary path (default %(default)s)"
+    )
     p_img.set_defaults(func=_cmd_imaging)
 
     return parser

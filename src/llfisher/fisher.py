@@ -153,18 +153,19 @@ def _qfi_with_residue(table: AmplitudeTable):
     Returns (QFI, relative imaginary residue |Im QFI| / |QFI|, error
     estimate, number of distinct pair bundles).  |nd|^2 / NS is formed as
     (|nd| / NS) |nd|, which does not underflow when NS and nd are tiny
-    (small L).  A QFI that is not finite or has a negative real part is a
-    NumericalHealthError, like a large residue: by Cauchy-Schwarz
+    (small L).  The guards run in cause order, each a NumericalHealthError:
+    a QFI that is not finite, a negative real part, an error estimate above
+    QFI_ERROR_RTOL, then a residue above QFI_IMAG_RTOL.  By Cauchy-Schwarz
     |nd|^2 <= NS dd, so the exact QFI is never negative, and a negative
-    value means the pair sum cancelled beyond its rounding.
+    value means the pair sum cancelled beyond its rounding; a cancelled
+    sum's residue is sized by its summation order, so the estimate is first.
 
     The error estimate is kappa eps, kappa = (sum of |term|) / QFI the
     condition number of the pair sum (Higham, Accuracy and Stability of
     Numerical Algorithms, 2002, sec. 4.2), with the terms of dd and, at
     their first-order weight 2 |nd| / NS, of nd.  At weak coupling the
     plane-wave terms cancel and kappa grows as 1/(cL), so a QFI can be
-    wrong in its leading digit while its residue stays tiny; an estimate
-    above QFI_ERROR_RTOL is a NumericalHealthError too.
+    wrong in its leading digit while its residue stays tiny.
     """
     n2 = table.solution.norm_sq
     _, nd, dd, nd_mag, dd_mag, n_bundles = _inner_products(table)
@@ -172,11 +173,6 @@ def _qfi_with_residue(table: AmplitudeTable):
     qfi_c = 4.0 / n2 * (dd - (nd_abs / n2) * nd_abs)
     if not cmath.isfinite(qfi_c):
         raise NumericalHealthError(f"QFI assembly gave a non-finite value {qfi_c}")
-    residue = abs(qfi_c.imag) / abs(qfi_c) if qfi_c != 0 else 0.0
-    if residue > QFI_IMAG_RTOL:
-        raise NumericalHealthError(
-            f"QFI assembly left a relative imaginary residue {residue:.3e}"
-        )
     qfi_value = qfi_c.real
     if qfi_value < 0:
         raise NumericalHealthError(f"QFI assembly gave a negative value {qfi_value:.6e}")
@@ -189,6 +185,11 @@ def _qfi_with_residue(table: AmplitudeTable):
         raise NumericalHealthError(
             f"QFI pair sum cancelled to an error estimate of {estimate:.3e}, "
             f"above {QFI_ERROR_RTOL:g}"
+        )
+    residue = abs(qfi_c.imag) / abs(qfi_c) if qfi_c != 0 else 0.0
+    if residue > QFI_IMAG_RTOL:
+        raise NumericalHealthError(
+            f"QFI assembly left a relative imaginary residue {residue:.3e}"
         )
     return float(qfi_value), residue, estimate, n_bundles
 

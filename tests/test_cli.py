@@ -121,6 +121,63 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls():
     assert (second.pixels, second.sample, second.seed) == ([4], None, None)
 
 
+# One base command line per subcommand, and per parsed argument one change
+# of that argument alone (argparse keeps the last of a repeated option).
+# The base selects no state: the parser leaves that check to the handler.
+_HASH_STATE = ("--bc", "periodic", "-N", "2")
+_HASH_BASES = {
+    "solve": ("solve", *_HASH_STATE, "-c", "1", "-L", "2"),
+    "fisher": ("fisher", *_HASH_STATE, "--axis", "c", "--start", "1", "--stop", "2",
+               "--num", "3", "--fixed", "1"),
+    "lmax": ("lmax", *_HASH_STATE, "-c", "1", "--bracket", "5", "20"),
+    "imaging": ("imaging", *_HASH_STATE, "-c", "1", "-L", "2", "--pixels", "4"),
+}
+_HASH_COMMON_CHANGES = {
+    "bc": ("--bc", "hardwall"),
+    "n": ("-N", "3"),
+    "ground": ("--ground",),
+    "type1": ("--type1", "1"),
+    "type2": ("--type2", "1"),
+    "quantum_numbers": ("-I", "0.5", "1.5"),
+    "output": ("-o", "elsewhere"),
+}
+_HASH_CHANGES = {
+    "solve": {"c": ("-c", "1.5"), "L": ("-L", "3")},
+    "fisher": {
+        "axis": ("--axis", "L"),
+        "start": ("--start", "1.5"),
+        "stop": ("--stop", "3"),
+        "num": ("--num", "4"),
+        "log": ("--log",),
+        "fixed": ("--fixed", "2"),
+    },
+    "lmax": {"c": ("-c", "1.5"), "bracket": ("--bracket", "5", "30"), "tol": ("--tol", "0.1")},
+    "imaging": {
+        "c": ("-c", "1.5"),
+        "L": ("-L", "3"),
+        "pixels": ("--pixels", "4", "8"),
+        "sample": ("--sample", "10"),
+        "seed": ("--seed", "3"),
+        "shots_out": ("--shots-out", "elsewhere.ndjson"),
+        "mle_out": ("--mle-out", "elsewhere.json"),
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HASH_BASES))
+def test_config_hash_covers_every_argument_but_outputs_and_draw(command):
+    parse = cli.build_parser().parse_args
+    base = parse(_HASH_BASES[command])
+    changes = {**_HASH_COMMON_CHANGES, **_HASH_CHANGES[command]}
+    # an option added to the parser must be added here, and so be checked
+    assert set(changes) == set(vars(base)) - {"func", "command"}
+    for dest, extra in changes.items():
+        changed = parse([*_HASH_BASES[command], *extra])
+        assert [k for k in vars(base) if vars(changed)[k] != vars(base)[k]] == [dest]
+        moved = cli._config_hash(changed) != cli._config_hash(base)
+        assert moved == (dest not in cli._NOT_CONFIG), dest
+
+
 def test_fisher_covers_excitation_state_set(tmp_path, capsys):
     # the six box N=3 states compared in the excitation analysis, one
     # sweep file per state
@@ -357,6 +414,43 @@ def test_imaging_sample_without_information_on_c_exits_2(tmp_path, capsys, state
     assert (code, out) == (2, "")
     assert err.startswith("error: --sample needs N >= 2")
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _mle_c_grid(capsys, tmp_path, c, L):
+    outdir = tmp_path / f"{c}-{L}"
+    outdir.mkdir()
+    code, _, _ = run(
+        capsys, "imaging", "--bc", "hardwall", "-N", "2", "--ground", "-c", c, "-L", L,
+        "--pixels", "4", "--sample", "1000", "--seed", "1", "-o", str(outdir / "img.csv"),
+        "--shots-out", str(outdir / "shots.ndjson"), "--mle-out", str(outdir / "mle.json"),
+    )
+    assert code == 0
+    return np.array(json.loads((outdir / "mle.json").read_text())["c_grid"])
+
+
+def test_mle_c_grid_scales_with_the_coupling(tmp_path, capsys):
+    # F_img(c, L) = L^2 F~(cL), so +-6 Cramer-Rao sigma scale as c does under
+    # (c, L) -> (10 c, L / 10).  F_img is 5.7e-33 at c = 1e8, L = 10, and an
+    # absolute floor of 1e-12 on sqrt(shots F_img) fixed the span at 6e12
+    # for both; by c = 1e28 such a span vanished against c and the grid
+    # collapsed ("c grid must be strictly increasing")
+    grid = _mle_c_grid(capsys, tmp_path, "1e8", "10")
+    assert grid[-1] > 1e15
+    assert _mle_c_grid(capsys, tmp_path, "1e9", "1") == pytest.approx(10 * grid, rel=1e-6)
+    wide = _mle_c_grid(capsys, tmp_path, "1e50", "10")
+    assert wide[0] == 0.02 * 1e50 and wide[-1] > 1e99
+
+
+def test_mle_with_zero_imaging_cfi_exits_2(tmp_path, capsys):
+    # at c = 1e90 the imaging CFI underflows to 0 and the likelihood is flat
+    code, out, err = run(
+        capsys, "imaging", "--bc", "hardwall", "-N", "2", "--ground", "-c", "1e90", "-L", "10",
+        "--pixels", "4", "--sample", "1000", "--seed", "1", "-o", str(tmp_path / "img.csv"),
+        "--shots-out", str(tmp_path / "shots.ndjson"), "--mle-out", str(tmp_path / "mle.json"),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: imaging CFI is 0: the likelihood carries no information on c\n"
     assert list(tmp_path.iterdir()) == []
 
 

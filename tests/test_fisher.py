@@ -350,6 +350,23 @@ def test_qfi_assembly_rejects_a_cauchy_schwarz_violation(monkeypatch):
         llfisher.fisher._qfi_with_residue(table)
 
 
+def test_qfi_cancellation_is_named_before_its_residue(monkeypatch):
+    # a cancelled pair sum leaves rounding in the imaginary part too: here
+    # QFI = 4 (1 + 1e-6 i), a residue of 1e-6, and |dd| terms of 1e12 NS an
+    # error estimate of 2.2e-4; both are above their bounds, and the guard
+    # names the cause, not the residue that the summation order sized
+    table = amplitudes(ground_state(PER, 2), ModelParams(1.0, 1.0))
+    nn, _, _, nd_mag, _, n_bundles = _inner_products(table)
+    n2 = table.solution.norm_sq
+    monkeypatch.setattr(
+        llfisher.fisher,
+        "_inner_products",
+        lambda table: (nn, 0j, n2 * (1 + 1e-6j), nd_mag, 1e12 * n2, n_bundles),
+    )
+    with pytest.raises(NumericalHealthError, match="cancelled to an error estimate of 2.2"):
+        llfisher.fisher._qfi_with_residue(table)
+
+
 def test_imaginary_residue_is_relative_at_tiny_qfi():
     # QFI ~ 1e-42 here: a residue divided by max(|QFI|, 1e-30) read 5e-28
     # and could never reach the health bound
