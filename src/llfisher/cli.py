@@ -3,8 +3,8 @@ optimal system size, and tabulate the absorption-imaging CFI.
 
 Single records are emitted as JSON, sweeps as CSV with a fixed column
 order and floats at 17 significant digits, so identical configurations
-produce byte-identical files at a fixed BLAS thread count (the CFI
-quadrature's matrix products split their sums by thread).  Every CSV row
+produce byte-identical files (the CFI quadrature sums in a fixed order, so
+its values do not move with the BLAS thread count).  Every CSV row
 and JSON record carries the package version and a configuration hash: the
 hash of every parsed argument except the output paths and the sampling
 draw (``--sample`` and ``--seed``, which the shot file and the MLE record

@@ -82,7 +82,7 @@ from .wavefunction import (
     PhaseClass,
     _check_particle_cap,
     amplitudes,
-    eval_batch,
+    eval_lines,
     global_phase_class,
 )
 
@@ -93,17 +93,20 @@ QFI_IMAG_RTOL = 1e-8
 QFI_ERROR_RTOL = 1e-6
 # Gauss-Legendre orders (m, m') of the two CFI rules, up to 3-D and at
 # 4-D: the CFI is the order-m value, their difference its error estimate.
-# At 4-D (20, 14) is cheaper than (24, 16) (198,416 nodes, not 397,312)
-# and its estimate is further above the true error
+# At 4-D (20, 14) is cheaper than (24, 16) (198,416 nodes, not 397,312;
+# ring N = 5 (-2, -1, 0, 1, 3) at c = 0.2, L = 10 takes 93 ms, not 158 ms,
+# on one thread of a 2-core x86-64 host) and its estimate is further above
+# the true error
 CFI_RULE_PAIR = (24, 16)
 CFI_RULE_PAIR_4D = (20, 14)
 # Largest accepted CFI error estimate: a tenth of the 1e-4 to which the
 # quadrature CFI is held (acceptance criterion 6)
 CFI_ERROR_RTOL = 1e-5
 # Nodes that the CFI quadrature may evaluate, refinement included, before
-# it gives up: about a second of eval_batch at N = 4.  A state whose psi~
-# vanishes on lines in the 3-D slice needs far more (ring N = 4, type-I
-# q = 2 at c = 0.2, L = 10: estimate 1.8e-5 after 1.6e7 nodes) and fails
+# it gives up.  A state whose psi~ vanishes on lines in the 3-D slice
+# needs far more (ring N = 4, type-I q = 2 at c = 0.2, L = 10: estimate
+# 1.8e-5 after 1.6e7 nodes) and fails; it reaches this cap on 23 cells in
+# about 0.3 s on one thread of a 2-core x86-64 host
 CFI_MAX_NODES = 1_000_000
 # Phase classes whose position measurement is optimal (CFI = QFI).
 SATURATED_CLASSES = (PhaseClass.REAL, PhaseClass.IMAGINARY)
@@ -210,7 +213,7 @@ def _cfi_quadrature(table: AmplitudeTable) -> tuple:
     With psi = psi~ / sqrt(N! NS), h = (d NS/dc) / (2 NS) and the identity
     d_c|psi| = Re(psi* d_c psi)/|psi|, the CFI is 1/NS times the ordered
     integral of 4 Re(psi~* (d_c psi~ - h psi~))^2 / |psi~|^2: built on the
-    ``eval_batch`` values, its intermediates scale as L^(N+2) like the QFI
+    ``eval_lines`` values, its intermediates scale as L^(N+2) like the QFI
     kernel's instead of underflowing with psi.  Nodes of psi~ are guarded.
     Only general-class ring tables come here, so N >= 3; their integrand
     f is translation invariant, so
@@ -229,8 +232,14 @@ def _cfi_quadrature(table: AmplitudeTable) -> tuple:
     n2 = table.solution.norm_sq
     h = table.solution.dnorm_sq_dc / (2.0 * n2)
 
-    def integrand(y: np.ndarray) -> np.ndarray:
-        vals, dvals = eval_batch(table, np.hstack([np.zeros((len(y), 1)), y]))
+    def on_slice(y: np.ndarray) -> np.ndarray:
+        """Slice coordinates y_2..y_N with x_1 = 0 put in front."""
+        x = np.zeros(y.shape[:-1] + (n,))
+        x[..., 1:] = y
+        return x
+
+    def integrand(outer: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+        vals, dvals = eval_lines(table, on_slice(outer), on_slice(edges), u)
         abs_sq = vals.real**2 + vals.imag**2
         radial = (np.conj(vals) * (dvals - h * vals)).real
         out = np.zeros_like(abs_sq)

@@ -60,7 +60,13 @@ Iterated Gauss-Legendre rules over the same ordered domain give the
 direct CFI quadrature of general ring states: a pair of them, mapped onto
 the cells of a longest-edge bisection where they disagree
 (``refined_simplex_quadrature``).  The rules sample their integrand at
-nodes and share no code with the divided-difference kernel.
+nodes and share no code with the divided-difference kernel.  The
+innermost coordinate of an iterated rule runs fastest, so on a cell its
+nodes are m-point lines x = X + u e along the innermost edge e; the
+integrand receives them factored, as the outer points X, e and u, which
+lets ``wavefunction.eval_lines`` share the factor e^{i u kappa . e} of a
+plane wave along each line.  The weighted sum of a rule runs in a fixed
+order, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -388,13 +394,14 @@ def _gauss01(order: int):
     return t, w
 
 
+@functools.lru_cache(maxsize=32)
 def simplex_nodes(n_dim: int, order: int):
-    """Iterated Gauss-Legendre nodes/weights on 0 <= y_1 <= ... <= y_n <= 1.
+    """Iterated Gauss-Legendre nodes/weights on 0 <= y_1 <= ... <= y_n <= 1, read-only and cached.
 
     Built outermost-in: y_n on [0, 1], then each inner variable on
-    [0, y_next] with the upper limit folded into the weight.  Points come
-    back as an (n_points, n_dim) array with ascending columns.  Raises
-    ValueError unless n_dim >= 1 and order >= 2.
+    [0, y_next] with the upper limit folded into the weight, so y_1 runs
+    fastest.  Points come back as an (n_points, n_dim) array with
+    ascending columns.  Raises ValueError unless n_dim >= 1 and order >= 2.
     """
     if n_dim < 1:
         raise ValueError(f"simplex dimension must be at least 1, got {n_dim}")
@@ -408,6 +415,8 @@ def simplex_nodes(n_dim: int, order: int):
         pts = np.concatenate(
             [new_var[:, None], np.repeat(pts, order, axis=0)], axis=1
         )
+    pts.setflags(write=False)
+    wts.setflags(write=False)
     return pts, wts
 
 
@@ -417,25 +426,40 @@ def _reference_vertices(n_dim: int) -> np.ndarray:
     return (np.arange(n_dim)[None, :] >= n_dim - k).astype(float)
 
 
-def _simplex_rule(
-    f: Callable[[np.ndarray], np.ndarray], cells: np.ndarray, order: int
-) -> np.ndarray:
+def _simplex_rule(f: Callable, cells: np.ndarray, order: int) -> np.ndarray:
     """The iterated rule of ``order`` on each simplex of a (S, n + 1, n) vertex stack.
 
     The rule on the unit ordered simplex is mapped affinely: vertex k of
     that simplex ends in k ones, so a node y goes to C_0 + y E, where row
     j (from 0) of E is the edge C_{n-j} - C_{n-j-1}, and the weights scale by
-    |det E|.  On the reference cell L times the unit simplex, E = L I.
-    All nodes go to ``f`` in one call.  Returns (S,) integrals.
+    |det E|.  On the reference cell L times the unit simplex, E = L I.  The
+    innermost unit coordinate y_1 = y_2 t runs along a line for each node
+    of the outer rule on (y_2, ..., y_n), so the nodes are lines x = X + u e
+    along the innermost edge e = C_n - C_{n-1}, u = y_1.
+    All nodes go to ``f`` in one call, factored: f(outer, edges, u) gets the
+    outer points X of every cell (S, P, n), each cell's e (S, n) and the
+    innermost unit coordinates u (P, m) of every line, and returns the
+    values (S, P, m).  The weighted sum runs in a fixed order.  Returns
+    (S,) integrals.
     """
     n_dim = cells.shape[2]
-    pts, wts = simplex_nodes(n_dim, order)
+    if n_dim < 1:
+        raise ValueError(f"simplex dimension must be at least 1, got {n_dim}")
+    t, w = _gauss01(order)
+    # the last step of ``simplex_nodes``, kept factored: y_1 = y_2 t on each
+    # line of the (n - 1)-dimensional rule, whose y_2 is 1 at n = 1
+    if n_dim == 1:
+        outer, outer_wts, upper = np.zeros((1, 0)), np.ones(1), np.ones(1)
+    else:
+        outer, outer_wts = simplex_nodes(n_dim - 1, order)
+        upper = outer[:, 0]
+    u = upper[:, None] * t
+    wts = (outer_wts[:, None] * (upper[:, None] * w)).ravel()
     edges = np.diff(cells, axis=1)[:, ::-1]
-    # rebound, so the unit nodes are freed before f runs
-    pts = pts @ edges
-    pts += cells[:, None, 0]
-    vals = np.asarray(f(pts.reshape(-1, n_dim))).real.reshape(len(cells), -1)
-    return np.abs(np.linalg.det(edges)) * (vals @ wts)
+    outer = outer @ edges[:, 1:]
+    outer += cells[:, None, 0]
+    vals = np.asarray(f(outer, edges[:, 0], u)).real.reshape(len(cells), -1)
+    return np.abs(np.linalg.det(edges)) * np.einsum("sp,p->s", vals, wts)
 
 
 def _bisect(cells: np.ndarray) -> np.ndarray:
@@ -454,7 +478,7 @@ def _bisect(cells: np.ndarray) -> np.ndarray:
 
 
 def refined_simplex_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable,
     n_dim: int,
     L: float,
     orders: tuple,
@@ -463,9 +487,10 @@ def refined_simplex_quadrature(
 ) -> tuple:
     """Integrate ``f`` over 0 <= x_1 <= ... <= x_N <= L by a rule pair, bisecting where they differ.
 
-    ``orders`` = (m, m') are two iterated Gauss-Legendre orders.  Each
-    simplex cell has the order-m value Q_m and the error estimate
-    |Q_m - Q_m'| (``_simplex_rule`` of each order).  The first cell is the
+    ``f`` takes the factored nodes of ``_simplex_rule``.  ``orders`` =
+    (m, m') are two iterated Gauss-Legendre orders.  Each simplex cell has
+    the order-m value Q_m and the error estimate |Q_m - Q_m'|
+    (``_simplex_rule`` of each order).  The first cell is the
     whole domain, where the estimate is |Q_m - Q_m'| alone.  Once cells
     are split it is the sum of the cell estimates plus the change of sum
     Q_m in the last round: near a point where the integrand has no limit

@@ -27,9 +27,19 @@ N(N-1)/(2c) A term for the QFI assembly to cancel at strong coupling.
 An amplitude table is one state point: ``amplitudes(spec, params)``
 solves the Bethe equations and keeps the solution, whose norm NS and
 dNS/dc every consumer needs, next to the signed coefficients pi_eps A and
-their analytic c-derivatives (product rule through dk/dc).  Pointwise
-values and d(psi)/dc come out of a single pass over the table, summed by
-one matrix product per chunk of points.
+their analytic c-derivatives (product rule through dk/dc).
+
+Values and d(psi)/dc come out of one pass over the table, on nodes that
+lie on lines x = X + u e (``eval_lines``): the nodes of an iterated rule
+on a simplex cell, e its innermost edge.  There every plane wave
+factors, e^{i kappa_t . x} = e^{i kappa_t . X} e^{i u kappa_t . e}, and
+the terms whose beta_t = kappa_t . e are equal share the second factor.
+So the terms are summed once per outer point X within each group of equal
+beta, and the groups along each line: sum factorisation over one axis of
+a tensor-product rule (Orszag, J. Comput. Phys. 37, 70 (1980)).  On the
+reference cell of the ring CFI slice, e = (0, L, 0, ...), and the N!
+terms fall into N groups.  ``eval_batch`` is the pointwise case e = 0,
+one group.
 """
 
 from __future__ import annotations
@@ -49,7 +59,8 @@ from .bethe import DegenerateStateError  # noqa: F401  (re-exported)
 MAX_N_PERIODIC = 5
 MAX_N_HARD_WALL = 4
 
-# Phase-matrix entries (points x terms) that ``eval_batch`` builds at once.
+# Entries of the largest array that ``eval_lines`` builds at once (outer
+# points x terms x 3 columns, or nodes x groups).
 _EVAL_CHUNK = 200_000
 
 
@@ -166,31 +177,85 @@ def _unit_phases(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def eval_lines(table: AmplitudeTable, outer: np.ndarray, edges: np.ndarray, u: np.ndarray):
+    """(psi~, d psi~/dc) at the nodes x = outer[s, p] + u[p, i] edges[s], shape (S, P, m) each.
+
+    ``outer`` (S, P, N) holds the outer points of S cells, ``edges`` (S, N)
+    each cell's innermost edge e and ``u`` (P, m) the innermost unit
+    coordinates, so each (s, p) is a line of m nodes along e.  The phase of
+    term t factors as e^{i kappa_t . X} e^{i u beta_t}, beta_t = kappa_t . e,
+    and with dkappa_t . x = dkappa_t . X + u dkappa_t . e,
+
+        psi~      = sum_g e^{i u beta_g} A_g(X),
+        d psi~/dc = sum_g e^{i u beta_g} (B_g(X) + i u D_g(X)),
+
+    g over the distinct beta of the cell, A_g, B_g and D_g summing
+    amp_t, damp_t + i amp_t dkappa_t . X and amp_t dkappa_t . e times
+    e^{i kappa_t . X} over the terms with beta_t = beta_g exactly.  The
+    terms are sorted by beta in each cell, so each group is one run of
+    ``np.add.reduceat``, and one small product per line (s, p) sums its
+    groups.  So a cell of G groups costs P n_terms + P m G sines and
+    cosines, not P m n_terms.  Outer points are processed in blocks whose
+    arrays stay within _EVAL_CHUNK entries.  No sum is split by BLAS
+    thread, so the results do not depend on the thread count.
+    """
+    outer = np.asarray(outer, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n_cells, n_outer, _ = outer.shape
+    n_terms, n_inner = table.n_terms, u.shape[1]
+
+    # sort each cell's terms by beta; a group is a run of equal beta, starting
+    # at ``starts`` of the flattened (cell, term) axis, with its cell and slot
+    beta = edges @ table.kappa.T
+    order = np.argsort(beta, axis=1, kind="stable")
+    beta = np.take_along_axis(beta, order, axis=1).ravel()
+    first = np.empty(beta.size, dtype=bool)
+    np.not_equal(beta[1:], beta[:-1], out=first[1:])
+    first[::n_terms] = True
+    starts = np.flatnonzero(first)
+    cell = starts // n_terms
+    slot = np.arange(starts.size) - np.searchsorted(starts, cell * n_terms)
+    n_groups = int(slot.max()) + 1
+    group_beta = np.zeros((n_cells, n_groups))
+    group_beta[cell, slot] = beta[starts]
+
+    kappa, dkappa = table.kappa[order], table.dkappa[order]
+    amp, damp = table.amp[order][..., None], table.damp[order][..., None]
+    amp_de = amp * np.einsum("stj,sj->st", dkappa, edges)[..., None]
+
+    values = np.empty((n_cells, n_outer, n_inner), dtype=complex)
+    dvalues = np.empty_like(values)
+    per_point = n_cells * max(3 * n_terms, n_inner * max(n_groups, 3))
+    step = max(1, _EVAL_CHUNK // per_point)
+    for start in range(0, n_outer, step):
+        block = slice(start, start + step)
+        xt = outer[:, block].transpose(0, 2, 1)
+        phase = _unit_phases(kappa @ xt)
+        terms = np.empty(phase.shape + (3,), dtype=complex)
+        terms[..., 0] = amp * phase
+        terms[..., 1] = (damp + 1j * amp * (dkappa @ xt)) * phase
+        terms[..., 2] = amp_de * phase
+        sums = np.add.reduceat(terms.reshape((-1,) + terms.shape[2:]), starts, axis=0)
+        grouped = np.zeros((n_cells, phase.shape[2], n_groups, 3), dtype=complex)
+        grouped[cell, :, slot] = sums
+        ub = u[block]
+        out = _unit_phases(ub[None, :, :, None] * group_beta[:, None, None, :]) @ grouped
+        values[:, block] = out[..., 0]
+        dvalues[:, block] = out[..., 1] + 1j * ub * out[..., 2]
+    return values, dvalues
+
+
 def eval_batch(table: AmplitudeTable, points: np.ndarray):
     """(psi~, d psi~/dc) at a batch of ordered points, shape (M, N).
 
-    With phases e^{i kappa_t . x}, d psi~/dc = sum_t (damp_t + i
-    (dkappa_t . x) amp_t) e^{i kappa_t . x}, and its x-dependent part is
-    i sum_j x_j sum_t amp_t dkappa_tj e^{i kappa_t . x}.  So one matrix
-    product of the phases with the columns (amp, damp, amp dkappa_1, ...,
-    amp dkappa_N) gives both values.  Points are processed in chunks to
-    bound the (M, n_terms) phase matrix; the reduction order over terms is
-    fixed, so results are deterministic.
+    The pointwise form of ``eval_lines``: one cell whose edge is zero, so
+    every term has beta = 0 and the M points are its outer points.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m_total = points.shape[0]
-    values = np.empty(m_total, dtype=complex)
-    dvalues = np.empty(m_total, dtype=complex)
-    weights = np.column_stack([table.amp, table.damp, table.amp[:, None] * table.dkappa])
-    max_rows = max(1, _EVAL_CHUNK // max(1, table.n_terms))
-    for start in range(0, m_total, max_rows):
-        block = points[start : start + max_rows]
-        sums = _unit_phases(block @ table.kappa.T) @ weights
-        values[start : start + max_rows] = sums[:, 0]
-        dvalues[start : start + max_rows] = sums[:, 1] + 1j * np.einsum(
-            "mj,mj->m", block, sums[:, 2:]
-        )
-    return values, dvalues
+    zero = np.zeros((1, points.shape[1]))
+    values, dvalues = eval_lines(table, points[None], zero, np.zeros((len(points), 1)))
+    return values.ravel(), dvalues.ravel()
 
 
 def global_phase_class(spec: StateSpec) -> PhaseClass:

@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -559,24 +562,57 @@ def test_ring_cfi_reduction_matches_full_simplex_rule(qn):
 
 
 def test_ring_rule_pins_one_coordinate_box_rule_does_not(monkeypatch):
-    # the stub records the nodes and returns a constant, so no term is summed
+    # the stub records the factored nodes x = X + u e and returns a constant,
+    # so no term is summed
     seen = []
 
-    def stub(table, points):
-        seen.append(points)
-        return np.ones(len(points), dtype=complex), np.zeros(len(points), dtype=complex)
+    def stub(table, outer, edges, u):
+        seen.append((outer, edges, u))
+        shape = outer.shape[:2] + u.shape[1:]
+        return np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
 
-    monkeypatch.setattr(llfisher.fisher, "eval_batch", stub)
+    monkeypatch.setattr(llfisher.fisher, "eval_lines", stub)
     ring = amplitudes(StateSpec(PER, 5, (-2.0, -1.0, 0.0, 1.0, 3.0)), ModelParams(0.2, 10.0))
     assert _cfi_quadrature(ring)[1:3] == (4, (20, 14))
-    assert [points.shape for points in seen] == [(20**4, 5), (14**4, 5)]
-    assert all(np.all(points[:, 0] == 0.0) for points in seen)
+    assert [outer.shape[1] * u.shape[1] for outer, _, u in seen] == [20**4, 14**4]
+    assert [(outer.shape, edges.shape) for outer, edges, _ in seen] == [
+        ((1, 20**3, 5), (1, 5)), ((1, 14**3, 5), (1, 5))
+    ]
+    # x_1 = X_1 + u e_1 = 0 at every node
+    for outer, edges, _ in seen:
+        assert np.all(outer[..., 0] == 0.0) and np.all(edges[:, 0] == 0.0)
 
     # a box state is real or imaginary class: its report integrates no point
     seen.clear()
     report = fisher_report(ground_state(HW, 3), ModelParams(0.2, 10.0))
     assert report.method["cfi_route"] == "analytic"
     assert seen == []
+
+
+def test_quadrature_cfi_does_not_depend_on_the_blas_thread_count():
+    # the rule's weighted sum was a BLAS matrix-vector product, which split
+    # its sum by thread: ring N = 4 at L = 10 read 1.8026148317741539 with
+    # one OpenBLAS thread and 1.8026148317741544 with two
+    script = """
+from llfisher.bethe import BoundaryCondition, ModelParams, StateSpec
+from llfisher.fisher import cfi
+spec = StateSpec(BoundaryCondition.PERIODIC, 4, (-1.5, -0.5, 0.5, 2.5))
+print(*[repr(cfi(spec, ModelParams(0.2, L))) for L in (6.0, 10.0, 14.0, 18.0)])
+"""
+    package_root = Path(llfisher.fisher.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ, "PYTHONPATH": str(package_root), "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].split()) == 4
 
 
 def _cfi_with_rule(table, order):

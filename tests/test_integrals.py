@@ -513,9 +513,24 @@ def test_box4_kernel_batch_is_folded(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def pointwise(f):
+    """The factored integrand of ``_simplex_rule`` for ``f`` of a flat (M, n) point array.
+
+    It forms the nodes x = X + u e of every line itself and hands them to
+    ``f`` in one call, cell-major with u fastest.
+    """
+
+    def factored(outer, edges, u):
+        x = outer[:, :, None, :] + u[None, :, :, None] * edges[:, None, None, :]
+        return np.asarray(f(x.reshape(-1, x.shape[-1]))).reshape(x.shape[:-1])
+
+    return factored
+
+
 def _whole(f, n_dim, L, order):
     """The package's rule of ``order`` on the whole simplex 0 <= x_1 <= ... <= x_N <= L."""
-    return integrals._simplex_rule(f, L * integrals._reference_vertices(n_dim)[None], order)[0]
+    cell = L * integrals._reference_vertices(n_dim)[None]
+    return integrals._simplex_rule(pointwise(f), cell, order)[0]
 
 
 @pytest.mark.parametrize("n_dim", [1, 2, 3, 4])
@@ -547,7 +562,7 @@ def test_mapped_rule_on_the_whole_simplex_is_the_iterated_rule(n_dim):
 
     L = 1.7
     cell = L * integrals._reference_vertices(n_dim)[None]
-    got = integrals._simplex_rule(f, cell, 6)
+    got = integrals._simplex_rule(pointwise(f), cell, 6)
     assert got.shape == (1,)
     assert got[0] == pytest.approx(simplex_quadrature(f, n_dim, L, 6), rel=1e-13)
     # on the reference cell the affine map is L times the identity
@@ -557,7 +572,7 @@ def test_mapped_rule_on_the_whole_simplex_is_the_iterated_rule(n_dim):
         seen.append(pts)
         return np.ones(len(pts))
 
-    integrals._simplex_rule(record, cell, 6)
+    integrals._simplex_rule(pointwise(record), cell, 6)
     assert np.array_equal(seen[0], L * integrals.simplex_nodes(n_dim, 6)[0])
 
 
@@ -570,13 +585,14 @@ def test_bisected_cells_tile_their_parent(n_dim):
         return (pts**3).sum(axis=1) + pts[:, 0] * pts[:, -1]
 
     cells = 2.0 * integrals._reference_vertices(n_dim)[None]
-    whole = integrals._simplex_rule(f, cells, 4)[0]
+    whole = integrals._simplex_rule(pointwise(f), cells, 4)[0]
     for _ in range(3):
         cells = integrals._bisect(cells)
     assert len(cells) == 8
     volumes = np.abs(np.linalg.det(cells[:, 1:] - cells[:, :1]))
     assert volumes.sum() == pytest.approx(2.0**n_dim, rel=1e-14)
-    assert integrals._simplex_rule(f, cells, 4).sum() == pytest.approx(whole, rel=1e-13)
+    split = integrals._simplex_rule(pointwise(f), cells, 4)
+    assert split.sum() == pytest.approx(whole, rel=1e-13)
 
 
 def _angular(pts):
@@ -590,7 +606,7 @@ def test_refinement_confines_a_point_where_the_integrand_jumps():
     # estimate below 1e-6, and the result to within it of the reference, an
     # adaptive scipy quadrature of the same integrand
     value, estimate, cells = integrals.refined_simplex_quadrature(
-        _angular, 2, 1.0, (24, 16), 1e-6, 10**6
+        pointwise(_angular), 2, 1.0, (24, 16), 1e-6, 10**6
     )
     reference, _ = integrate.dblquad(
         lambda y1, y2: (y1 - 0.3) ** 2 / ((y1 - 0.3) ** 2 + (y2 - 0.7) ** 2),
@@ -603,7 +619,7 @@ def test_refinement_confines_a_point_where_the_integrand_jumps():
 def test_refinement_stops_at_its_node_budget():
     # one rule pair on the whole simplex, and no nodes for a split
     value, estimate, cells = integrals.refined_simplex_quadrature(
-        _angular, 2, 1.0, (24, 16), 1e-6, 24**2 + 16**2
+        pointwise(_angular), 2, 1.0, (24, 16), 1e-6, 24**2 + 16**2
     )
     assert cells == 1 and estimate > 1e-6
     assert value == _whole(_angular, 2, 1.0, 24)

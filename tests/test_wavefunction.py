@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import simplex_quadrature
 
+from llfisher import integrals
 from llfisher.bethe import (
     BoundaryCondition,
     ModelParams,
@@ -20,6 +21,7 @@ from llfisher.wavefunction import (
     _unit_phases,
     amplitudes,
     eval_batch,
+    eval_lines,
     global_phase_class,
 )
 
@@ -278,6 +280,48 @@ def test_eval_batch_matches_mpmath_sum(bc, n, c, L):
             ref[p], dref[p] = complex(val), complex(dval)
     assert np.max(np.abs(vals - ref)) < 4e-15 * np.max(np.abs(ref))
     assert np.max(np.abs(dvals - dref)) < 4e-15 * np.max(np.abs(dref))
+
+
+def _slice_lines(cells, order):
+    """The factored nodes that ``_simplex_rule`` makes on slice cells, with x_1 = 0 put in front."""
+    seen = []
+
+    def record(outer, edges, u):
+        seen.append((outer, edges, u))
+        return np.zeros(outer.shape[:2] + u.shape[1:])
+
+    integrals._simplex_rule(record, cells, order)
+    outer, edges, u = seen[0]
+    return np.insert(outer, 0, 0.0, axis=-1), np.insert(edges, 0, 0.0, axis=-1), u
+
+
+@pytest.mark.parametrize(
+    "qn", [(-1.0, 1.0, 2.0), (-1.5, -0.5, 0.5, 2.5), (-2.0, -1.0, 0.0, 1.0, 3.0)],
+    ids=["ring3", "ring4", "ring5"],
+)
+def test_factored_lines_match_pointwise_evaluation(qn):
+    # eval_lines sums each group of equal beta = kappa . e once per outer
+    # point, and eval_batch every term at every node; on the CFI slice's
+    # reference cell (N groups of (N - 1)! terms), three rounds of its
+    # bisection, and a cell whose innermost edge is tilted by 1e-11 L off
+    # an axis, so the beta of terms that share k_{P_2} differ by about
+    # 1e-11 of beta: merged, they would be 1e-10 off
+    n, L = len(qn), 10.0
+    table = amplitudes(StateSpec(PER, n, qn), ModelParams(0.2, L))
+    reference = L * integrals._reference_vertices(n - 1)[None]
+    tilted = reference.copy()
+    tilted[0, -1, 1] += 1e-11 * L
+    bisected = [reference]
+    for _ in range(3):
+        bisected.append(integrals._bisect(bisected[-1]))
+    for cells in bisected + [tilted]:
+        outer, edges, u = _slice_lines(cells, 6)
+        vals, dvals = eval_lines(table, outer, edges, u)
+        x = outer[:, :, None, :] + u[None, :, :, None] * edges[:, None, None, :]
+        ref, dref = (a.reshape(vals.shape) for a in eval_batch(table, x.reshape(-1, n)))
+        assert vals.shape == (len(cells), 6 ** (n - 2), 6)
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(dvals - dref)) <= 1e-13 * np.max(np.abs(dref))
 
 
 # ---------------------------------------------------------------------------
