@@ -36,15 +36,20 @@ order k (0, 1 or 2).  Its diagonal holds the left extras z_0..z_{n-1}
 z_n to every right extra, so the matrix has size n + 1, 2 n + 1 or
 3 n + 1.  Entry (centre z_0, centre z_n) is exp[z], (centre z_0, right
 z_j) is exp[z, z_j] and (left z_i, right z_j) is exp[z, z_i, z_j], each
-over the one path between them.  The nodes are imaginary, w = i y.  For
-a real shift nu (the midpoint of y), diag(i^d), d the edge depth of a
-node, maps the matrix minus i nu onto i M with the real M = diag(y - nu)
-plus the same ones, so an entry whose path has e edges is
+over the one path between them.  No path joins two extras of one side,
+so the left and the right extras are diagonal end blocks of every
+polynomial in the matrix.  The nodes are imaginary, w = i y.  For a real
+shift nu (the midpoint of y), diag(i^d), d the edge depth of a node,
+maps the matrix minus i nu onto i M with the real M = diag(y - nu) plus
+the same ones, so an entry whose path has e edges is
 e^{i nu} i^(-e) exp(i M)_pq.  The kernel builds y in real arithmetic, and
-applies that factor only to the entries it reads.  The
-degree-13 Pade approximant of exp(i M) with scaling and squaring (Higham,
-SIAM J. Matrix Anal. Appl. 26, 2005) takes every power of M in real
-arithmetic (Al-Mohy, Higham & Relton, SIAM J. Sci. Comput. 37, 2015).
+applies that factor only to the entries it reads.  The degree-13 Pade
+approximant of exp(i M) with scaling and squaring (Higham, SIAM J.
+Matrix Anal. Appl. 26, 2005) takes every power of M in real arithmetic
+(Al-Mohy, Higham & Relton, SIAM J. Sci. Comput. 37, 2015).  Its
+triangular denominator keeps the diagonal end blocks, so back
+substitution runs row by row only through the n + 1 centre rows, and
+each end block is solved by division.
 
 ``_pair_integrals`` makes the integrals of lambda = kappa_t - kappa_s for
 every row pair (t, s) of one amplitude table, which the QFI and the
@@ -77,10 +82,12 @@ from typing import Callable
 
 import numpy as np
 
-# Star-matrix entries per batched expm step: 64 KiB per real Pade array, small
-# enough to stay in cache, and a bound on the kernel's working set whatever
-# the number of wavenumber vectors.
-EXPM_CHUNK = 8192
+from .wavefunction import _EVAL_CHUNK
+
+# Star-matrix entries per batched expm step: 128 KiB per real Pade array, and
+# a bound on the kernel's working set whatever the number of wavenumber
+# vectors.  A box N = 3 QFI takes 2 steps (4 at 8192), a ring N = 5 QFI 15 (29).
+EXPM_CHUNK = 16384
 
 # Wavenumber quantum, relative to the largest |kappa|, within which two
 # pair wavenumber vectors share one set of simplex integrals.
@@ -111,41 +118,80 @@ class NumericalHealthError(RuntimeError):
     """
 
 
-def _expm_i_upper(a: np.ndarray) -> np.ndarray:
-    """exp(i a) of a stack of real upper-triangular matrices, (B, m, m).
+def _pade13(a: np.ndarray):
+    """The real [13/13] Pade polynomials (U, V) of i a, (B, m, m) each; V is written into ``a``.
 
-    Scaling and squaring with the [13/13] Pade approximant; each matrix
-    gets its own scaling power, so one large node does not cost the rest
-    of the batch extra squarings.  The Pade polynomials U, V of a are real,
-    and the triangular denominator V - iU is inverted by back substitution.
+    (i a)^(2j) = (-1)^j a^(2j), so the signs alternate along each
+    polynomial: with b the coefficients and a_k = a^k,
+
+        U = a [a_6 (b_13 a_6 - b_11 a_4 + b_9 a_2) - b_7 a_6 + b_5 a_4 - b_3 a_2 + b_1],
+        V =    a_6 (b_12 a_6 - b_10 a_4 + b_8 a_2) - b_6 a_6 + b_4 a_4 - b_2 a_2 + b_0,
+
+    and exp(i a) ~ (V - iU)^-1 (V + iU).  Each sum is formed left to right
+    in reused buffers, and its constant term is added on the diagonal.
+    """
+    b = _PADE13
+    diag = np.arange(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    acc, term, inner = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+
+    def poly(high, low, sums, out):
+        np.multiply(a6, b[high], out=sums)
+        sums -= np.multiply(a4, b[high - 2], out=term)
+        sums += np.multiply(a2, b[high - 4], out=term)
+        np.matmul(a6, sums, out=out)
+        out -= np.multiply(a6, b[low + 6], out=term)
+        out += np.multiply(a4, b[low + 4], out=term)
+        out -= np.multiply(a2, b[low + 2], out=term)
+        out[:, diag, diag] += b[low]
+        return out
+
+    u = np.matmul(a, poly(13, 1, acc, inner), out=acc)
+    return u, poly(12, 0, inner, a)
+
+
+def _expm_i_upper(a: np.ndarray, left: int = 0, right: int = 0) -> np.ndarray:
+    """exp(i a) of a stack of real upper-triangular matrices, (B, m, m); overwrites ``a``.
+
+    Scaling and squaring with the [13/13] Pade approximant (``_pade13``);
+    each matrix gets its own scaling power, so one large node does not cost
+    the rest of the batch extra squarings.  The triangular denominator
+    V - iU is inverted by back substitution.  ``left`` and ``right`` size
+    the end blocks of a, index sets with no edge inside either (a star's
+    extras, ``_star``).  Every polynomial in a keeps them exactly diagonal,
+    so the right rows take one division, the left rows one product and one
+    division, and only the rows between run row by row.  Zero sizes are
+    the generic case.
     """
     m = a.shape[-1]
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     with np.errstate(divide="ignore"):
         s = np.maximum(0.0, np.ceil(np.log2(norm / _THETA13))).astype(int)
-    a = a * np.ldexp(1.0, -s)[:, None, None]
-    b = _PADE13
-    eye = np.eye(m)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    # (i a)^(2j) = (-1)^j a^(2j): the signs alternate along each polynomial
-    u = a @ (
-        a6 @ (b[13] * a6 - b[11] * a4 + b[9] * a2)
-        - b[7] * a6 + b[5] * a4 - b[3] * a2 + b[1] * eye
-    )
-    v = (
-        a6 @ (b[12] * a6 - b[10] * a4 + b[8] * a2)
-        - b[6] * a6 + b[4] * a4 - b[2] * a2 + b[0] * eye
-    )
-    den = v - 1j * u
-    r = v + 1j * u
-    for i in range(m - 1, -1, -1):
+    a *= np.ldexp(1.0, -s)[:, None, None]
+    u, v = _pade13(a)
+    den = np.empty(a.shape, dtype=complex)
+    den.real = v
+    np.negative(u, out=den.imag)
+    r = np.empty_like(den)
+    r.real, r.imag = v, u
+    del u
+    diag = np.arange(m)
+    pivots = den[:, diag, diag]
+    end = m - right
+    r[:, end:] /= pivots[:, end:, None]
+    for i in range(end - 1, left - 1, -1):
         r[:, i : i + 1] -= den[:, i : i + 1, i + 1 :] @ r[:, i + 1 :]
-        r[:, i] /= den[:, i, i, None]
+        r[:, i] /= pivots[:, i, None]
+    if left:
+        r[:, :left] -= den[:, :left, left:] @ r[:, left:]
+        r[:, :left] /= pivots[:, :left, None]
+    del den  # the squarings gather copies: keep the working set small
     for k in range(int(s.max(initial=0))):
         sel = s > k
-        r[sel] = r[sel] @ r[sel]
+        part = r[sel]
+        r[sel] = part @ part
     return r
 
 
@@ -153,14 +199,16 @@ def _expm_i_upper(a: np.ndarray) -> np.ndarray:
 def _star(n: int, order: int):
     """The star matrix layout for n wavenumbers at a moment order, read-only and cached.
 
-    Returns (nodes, ones, reads, upper).  ``nodes`` indexes (z_0, ..., z_n)
-    for the diagonal: the left extras z_0..z_{n-1} (order 2 only), the
-    centre z_0..z_n, then the right extras z_0..z_{n-1} (order >= 1).
-    ``ones`` is the 0/1 template of the edges: the centre chain, every left
-    extra into z_0, and z_n into every right extra.  ``reads[k]`` is the
-    (p, q) index pair of the entries whose paths hold z and k extra nodes,
-    in the order () for k = 0, (i,) for i < n, and (i, j) for i <= j in
-    ``upper`` = ``np.triu_indices(n)`` order.
+    Returns (nodes, ones, reads, upper, ends).  ``nodes`` indexes
+    (z_0, ..., z_n) for the diagonal: the left extras z_0..z_{n-1} (order 2
+    only), the centre z_0..z_n, then the right extras z_0..z_{n-1} (order
+    >= 1).  ``ones`` is the 0/1 template of the edges: the centre chain,
+    every left extra into z_0, and z_n into every right extra.  ``reads[k]``
+    is the (p, q) index pair of the entries whose paths hold z and k extra
+    nodes, in the order () for k = 0, (i,) for i < n, and (i, j) for i <= j
+    in ``upper`` = ``np.triu_indices(n)`` order.  ``ends`` = (left, right)
+    counts the extras on each side; no edge joins two of one side, so those
+    are the diagonal end blocks ``_expm_i_upper`` solves by division.
     """
     left = n if order == 2 else 0
     right = n if order >= 1 else 0
@@ -179,7 +227,7 @@ def _star(n: int, order: int):
     )[: order + 1]
     for arr in (nodes, ones, *upper, *(idx for read in reads for idx in read)):
         arr.setflags(write=False)
-    return nodes, ones, reads, upper
+    return nodes, ones, reads, upper, (left, right)
 
 
 def _simplex_block(lam: np.ndarray, L: float, order: int):
@@ -194,14 +242,14 @@ def _simplex_block(lam: np.ndarray, L: float, order: int):
     """
     rows, n = lam.shape
     tails = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
-    nodes, ones, reads, (ii, jj) = _star(n, order)
+    nodes, ones, reads, (ii, jj), ends = _star(n, order)
     y = np.concatenate([-L * tails, np.zeros((rows, 1))], axis=1)[:, nodes]
     nu = 0.5 * (y.max(axis=1) + y.min(axis=1))
     diag = np.arange(len(nodes))
     a = np.empty((rows,) + ones.shape)
     a[:] = ones
     a[:, diag, diag] = y - nu[:, None]
-    e = _expm_i_upper(a)
+    e = _expm_i_upper(a, *ends)
     phase, turns = np.exp(1j * nu)[:, None], (1, 1j, -1, -1j)
     d = [(phase * turns[(-n - k) % 4]) * e[:, p, q] for k, (p, q) in enumerate(reads)]
 
@@ -327,7 +375,9 @@ def _pair_integrals(kappa: np.ndarray, dkappa: np.ndarray, L: float, order: int)
     the largest |kappa|; one lexsort groups the keys.  The distinct vectors
     go to ``simplex_exp_integral`` in one call at moment ``order`` (0, 1 or
     2), their count is the bundle count, and each pair reads its bundle in
-    its own orientation (``_reflected`` for the reversed ones).
+    its own orientation (``_reflected`` for the reversed ones).  The second
+    moments are gathered and contracted in row blocks of at most
+    _EVAL_CHUNK entries.
     """
     rows, n = kappa.shape
     kscale = float(np.max(np.abs(kappa)))
@@ -359,21 +409,22 @@ def _pair_integrals(kappa: np.ndarray, dkappa: np.ndarray, L: float, order: int)
 
     direct = simplex_exp_integral(reps, L, order)
     direct = (direct,) if order == 0 else direct
-    index = 4 * group + orient
-
-    def expand(fwd_values: np.ndarray, rev_values: np.ndarray) -> np.ndarray:
-        oriented = np.stack(
-            [fwd_values, np.conj(fwd_values), rev_values, np.conj(rev_values)], axis=1
-        )
-        values = oriented.reshape((-1,) + fwd_values.shape[1:])[index]
-        return values.reshape((rows, rows) + fwd_values.shape[1:])
-
-    i00, *moments = (expand(f, r) for f, r in zip(direct, _reflected(direct, reps, L)))
-    arrays = [i00]
+    index = (4 * group + orient).reshape(rows, rows)
+    # each pair's values in its orientation are entry 4 * group + orient
+    i00, *moments = (
+        np.stack([f, np.conj(f), r, np.conj(r)], axis=1).reshape((-1,) + f.shape[1:])
+        for f, r in zip(direct, _reflected(direct, reps, L))
+    )
+    arrays = [i00[index]]
     if order >= 1:
-        arrays.append(np.einsum("tsl,sl->ts", moments[0], dkappa))
+        arrays.append(np.einsum("tsl,sl->ts", moments[0][index], dkappa))
     if order == 2:
-        arrays.append(np.einsum("tm,tsmn,sn->ts", dkappa, moments[1], dkappa))
+        step = max(1, _EVAL_CHUNK // (rows * n * n))
+        quads = []
+        for t in range(0, rows, step):
+            part = slice(t, t + step)
+            quads.append(np.einsum("tm,tsmn,sn->ts", dkappa[part], moments[1][index[part]], dkappa))
+        arrays.append(np.concatenate(quads))
     return tuple(arrays), len(first)
 
 

@@ -589,15 +589,20 @@ def test_ring_rule_pins_one_coordinate_box_rule_does_not(monkeypatch):
     assert seen == []
 
 
-def test_quadrature_cfi_does_not_depend_on_the_blas_thread_count():
+def test_cfi_and_qfi_do_not_depend_on_the_blas_thread_count():
     # the rule's weighted sum was a BLAS matrix-vector product, which split
     # its sum by thread: ring N = 4 at L = 10 read 1.8026148317741539 with
-    # one OpenBLAS thread and 1.8026148317741544 with two
+    # one OpenBLAS thread and 1.8026148317741544 with two.  The QFIs run
+    # the star-matrix kernel with both diagonal end blocks (order 2): box
+    # N = 3 (1, 2, 4) near its L_max and the ring N = 5 ground state
     script = """
-from llfisher.bethe import BoundaryCondition, ModelParams, StateSpec
-from llfisher.fisher import cfi
+from llfisher.bethe import BoundaryCondition, ModelParams, StateSpec, ground_state
+from llfisher.fisher import cfi, qfi_analytic
 spec = StateSpec(BoundaryCondition.PERIODIC, 4, (-1.5, -0.5, 0.5, 2.5))
 print(*[repr(cfi(spec, ModelParams(0.2, L))) for L in (6.0, 10.0, 14.0, 18.0)])
+box = StateSpec(BoundaryCondition.HARD_WALL, 3, (1.0, 2.0, 4.0))
+print(repr(qfi_analytic(box, ModelParams(0.2, 66.0))))
+print(repr(qfi_analytic(ground_state(BoundaryCondition.PERIODIC, 5), ModelParams(0.2, 10.0))))
 """
     package_root = Path(llfisher.fisher.__file__).resolve().parent.parent
     outputs = []
@@ -612,7 +617,7 @@ print(*[repr(cfi(spec, ModelParams(0.2, L))) for L in (6.0, 10.0, 14.0, 18.0)])
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].split()) == 4
+    assert len(outputs[0].split()) == 6
 
 
 def _cfi_with_rule(table, order):

@@ -275,11 +275,11 @@ def check_kernel_on_stars(z, order):
     diagonal z: by the path-sum formula, the divided difference over the
     nodes of the path p..q where there is one, and 0 where there is none.
     """
-    nodes, ones, _, _ = integrals._star(z.shape[1] - 1, order)
+    nodes, ones, _, _, ends = integrals._star(z.shape[1] - 1, order)
     y = z.imag[:, nodes]
     nu = 0.5 * (y.max(axis=1) + y.min(axis=1))
     mats = np.array([np.diag(row - mid) + ones for row, mid in zip(y, nu)])
-    got = integrals._expm_i_upper(mats)
+    got = integrals._expm_i_upper(mats.copy(), *ends)  # the kernel overwrites its argument
     upper = np.triu_indices(len(nodes))
     depth = star_depths(ones)
     turns = 1j ** np.subtract.outer(depth, depth)
@@ -291,7 +291,7 @@ def check_kernel_on_stars(z, order):
     return mats
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_every_window_of_a_confluent_row_matches_scipy_expm(n):
     # every star repeats nodes (each extra is a centre node again), and a
     # zero tail sum makes two centre nodes equal: every entry (p, q), p <= q,
@@ -306,7 +306,8 @@ def test_every_window_of_a_confluent_row_matches_scipy_expm(n):
 
 def test_one_batch_with_mixed_scaling_powers_matches_scipy_expm():
     # spread and confluent stars of several sizes L in one batch, so each
-    # squaring round acts on a strict subset of the matrices
+    # squaring round acts on a strict subset of the matrices; order 1 has
+    # a right end block alone, order 2 a left one too
     rng = np.random.default_rng(21)
     n = 4
     z = np.array(
@@ -314,10 +315,23 @@ def test_one_batch_with_mixed_scaling_powers_matches_scipy_expm():
          for _ in range(2)],
         dtype=complex,
     )
-    mats = check_kernel_on_stars(z, 2)
-    norm = np.abs(mats).sum(axis=1).max(axis=1)
-    powers = np.maximum(0, np.ceil(np.log2(norm / integrals._THETA13)))
-    assert powers.min() == 0 and powers.max() >= 5
+    for order in (1, 2):
+        mats = check_kernel_on_stars(z, order)
+        norm = np.abs(mats).sum(axis=1).max(axis=1)
+        powers = np.maximum(0, np.ceil(np.log2(norm / integrals._THETA13)))
+        assert powers.min() == 0 and powers.max() >= 5
+
+
+def test_generic_upper_triangular_matrices_match_scipy_expm():
+    # no end blocks: every row is back-substituted, for dense upper
+    # triangles of norms from below theta_13 to several squarings
+    rng = np.random.default_rng(30)
+    mats = np.triu(rng.uniform(-1.0, 1.0, (5, 7, 7))) * np.array([0.3, 1.0, 4.0, 20.0, 90.0])[:, None, None]
+    got = integrals._expm_i_upper(mats.copy())
+    upper = np.triu_indices(7)
+    for mat, table in zip(mats, got):
+        assert np.array_equal(np.tril(table, -1), np.zeros((7, 7)))
+        assert max_rel(table[upper], scipy.linalg.expm(1j * mat)[upper]) < 1e-12
 
 
 def star_paths(ones, p, q):
@@ -332,7 +346,7 @@ def star_paths(ones, p, q):
 def test_layout_windows_cover_every_moment(n, order):
     # each entry read has exactly one path, through all of z_0..z_n plus
     # exactly the moment's extra nodes, and n + k edges for k extras
-    nodes_idx, ones, reads, upper = integrals._star(n, order)
+    nodes_idx, ones, reads, upper, _ = integrals._star(n, order)
     keys = [[()], [(i,) for i in range(n)], list(zip(*upper))][: order + 1]
     assert len(reads) == order + 1
     seen = []
@@ -357,9 +371,12 @@ def test_layout_row_counts(n):
     # one star matrix per vector: the centre path, then n right extras from
     # order 1 on and n left extras at order 2, each joined by one edge
     for order, m in enumerate((n + 1, 2 * n + 1, 3 * n + 1)):
-        nodes_idx, ones, _, _ = integrals._star(n, order)
+        nodes_idx, ones, *_, (left, right) = integrals._star(n, order)
         assert nodes_idx.shape == (m,) and ones.shape == (m, m)
         assert np.array_equal(ones, np.triu(ones, 1)) and ones.sum() == n * (order + 1)
+        # the extras of one side share no edge: diagonal end blocks
+        assert (left, right) == (n if order == 2 else 0, n if order >= 1 else 0)
+        assert not ones[:left, :left].any() and not ones[m - right :, m - right :].any()
 
 
 def mp_divided_difference(w):
@@ -490,6 +507,22 @@ def test_row_contraction_is_the_adjoint_of_the_column_contraction(case):
     _, i1 = simplex_exp_integral(kappa[:, None, :] - kappa[None, :, :], L, 1)
     row = (i1 * dkappa[:, None, :]).sum(axis=2)
     assert np.max(np.abs(row - np.conj(a.T))) < 1e-12 * np.max(np.abs(row))
+
+
+@pytest.mark.parametrize("spec", [ground_state(PER, 5), ground_state(HW, 3)], ids=["ring5", "box3"])
+def test_second_moments_gathered_in_row_blocks_match_one_block(spec, monkeypatch):
+    # the QFI's arguments (the ring's x_1 = 0 slice), contracted in one
+    # block and in ragged blocks of seven rows
+    table = amplitudes(spec, ModelParams(0.2, 10.0))
+    cols = slice(1, None) if spec.bc is PER else slice(None)
+    kappa, dkappa = table.kappa[:, cols], table.dkappa[:, cols]
+    rows, n = kappa.shape
+    monkeypatch.setattr(integrals, "_EVAL_CHUNK", rows * rows * n * n)
+    (*_, whole), _ = integrals._pair_integrals(kappa, dkappa, table.L, 2)
+    monkeypatch.setattr(integrals, "_EVAL_CHUNK", 7 * rows * n * n + 1)
+    (*_, blocked), _ = integrals._pair_integrals(kappa, dkappa, table.L, 2)
+    assert rows % 7 != 0
+    assert np.max(np.abs(blocked - whole)) <= 1e-15 * np.max(np.abs(whole))
 
 
 def test_box4_kernel_batch_is_folded(monkeypatch):
