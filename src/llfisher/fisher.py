@@ -31,22 +31,23 @@ On the ring every integrand here is translation invariant: shifting
 every coordinate by a multiplies psi~ and d_c psi~ by exp(i P a), as the
 momentum P does not depend on c (sum_j dk_j = 0).  So each ordered
 N-dimensional integral is L/N times an (N - 1)-dimensional one on the
-slice x_1 = 0.  A ring state of N > 1 particles takes the pair integrals
-of that slice (the kappa columns 2..N); every other state, one ring
-particle included, keeps the N-dimensional simplex.
-
-The CFI either equals the QFI outright (real or purely imaginary phase
-class, where the position measurement is optimal) or is integrated
-numerically on the slice; ``fisher_report`` alone makes that choice, and
-``cfi`` reads its result.  Only general-class ring states take the
-quadrature: two Gauss-Legendre rules of orders CFI_RULE_PAIR(_4D), whose
-relative difference is the error estimate, on cells bisected until the
-estimate is within CFI_ERROR_RTOL (``integrals.refined_simplex_quadrature``);
-an estimate left above it is a NumericalHealthError.  ``fisher_report``
-names the rule it took (dimension, orders, cells) and the estimate.  A
-state point is one amplitude table: ``amplitudes(spec, params)`` solves
-the state once, and its table carries NS and d NS/dc in its Bethe
-solution to both the QFI assembly and the CFI quadrature.
+slice x_1 = 0, where only the kappa and dkappa columns 2..N enter the
+phases.  ``_domain`` holds that reduction for the QFI's pair integrals
+and the CFI's quadrature alike: a ring state of N > 1 particles takes weight
+L/N and those columns, every other state, one ring particle included,
+weight 1 and the N-dimensional simplex.  The CFI either equals the QFI
+outright (real or purely imaginary phase class, where the position
+measurement is optimal) or is integrated numerically on the slice;
+``fisher_report`` alone makes that choice, and ``cfi`` reads its result.
+Only general-class ring states take the quadrature: two Gauss-Legendre
+rules of orders CFI_RULE_PAIR(_4D), whose relative difference is the
+error estimate, on cells bisected until the estimate is within
+CFI_ERROR_RTOL (``integrals.refined_simplex_quadrature``); an estimate
+left above it is a NumericalHealthError.  ``fisher_report`` names the
+rule it took (dimension, orders, cells) and the estimate.  A state point
+is one amplitude table: ``amplitudes(spec, params)`` solves the state
+once, and its table carries NS and d NS/dc in its Bethe solution to both
+the QFI assembly and the CFI quadrature.
 
 At fixed N, QFI(c, L) = L^2 QFI(c L, 1), and the CFI likewise.  No
 tolerance here has an absolute floor, so both follow this law wherever
@@ -121,25 +122,34 @@ class BracketError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _domain(table: AmplitudeTable):
+    """(weight, kappa, dkappa) of the ordered-domain integrals of ``table``.
+
+    A ring state of N > 1 particles integrates on the slice x_1 = 0 (module
+    docstring): weight L/N and the columns 2..N.  Every other state keeps
+    the N-dimensional simplex: weight 1 and all N columns.
+    """
+    n, L = table.n, table.L
+    if table.periodic and n > 1:
+        # the slice integrals scale as L^(N + 1); the products, as in the box, as L^(N + 2)
+        _check_double_range(L, n + 2)
+        return L / n, table.kappa[:, 1:], table.dkappa[:, 1:]
+    return 1.0, table.kappa, table.dkappa
+
+
 def _inner_products(table: AmplitudeTable):
     """Ordered-domain <psi~|psi~>, <psi~|d_c psi~>, <d_c psi~|d_c psi~>.
 
     The forms psi^H G psi, psi^H G dpsi and dpsi^H G dpsi of the Gram
     matrix G (module docstring) with psi = (amp, 0) and dpsi = (damp,
     i amp); |psi|^T |G| |dpsi| and |dpsi|^T |G| |dpsi|, the sums of |term|
-    of the second and third, bound their rounding (times eps).  A ring
-    state of N > 1 particles takes G on the slice x_1 = 0, times L/N.
-    Returns the three inner products, the two |term| sums and the number
-    of distinct pair bundles.
+    of the second and third, bound their rounding (times eps).  G is built
+    on the columns of ``_domain`` and weighted by its weight.  Returns the
+    three inner products, the two |term| sums and the number of distinct
+    pair bundles.
     """
-    n, L = table.n, table.L
-    if table.periodic and n > 1:
-        # the slice integrals scale as L^(N + 1); the products, as in the box, as L^(N + 2)
-        _check_double_range(L, n + 2)
-        scale, kappa, dkappa = L / n, table.kappa[:, 1:], table.dkappa[:, 1:]
-    else:
-        scale, kappa, dkappa = 1.0, table.kappa, table.dkappa
-    (i00, a, quad), n_bundles = _pair_integrals(kappa, dkappa, L, order=2)
+    weight, kappa, dkappa = _domain(table)
+    (i00, a, quad), n_bundles = _pair_integrals(kappa, dkappa, table.L, order=2)
     gram = np.block([[i00, a], [np.conj(a.T), quad]])
     psi = np.concatenate([table.amp, np.zeros_like(table.amp)])
     dpsi = np.concatenate([table.damp, 1j * table.amp])
@@ -147,7 +157,7 @@ def _inner_products(table: AmplitudeTable):
     forms = [np.conj(psi) @ g_psi, np.conj(psi) @ g_dpsi, np.conj(dpsi) @ g_dpsi]
     m_dpsi = np.abs(gram) @ np.abs(dpsi)
     mags = [np.abs(psi) @ m_dpsi, np.abs(dpsi) @ m_dpsi]
-    return (*(complex(scale * f) for f in forms), *(float(scale * m) for m in mags), n_bundles)
+    return (*(complex(weight * f) for f in forms), *(float(weight * m) for m in mags), n_bundles)
 
 
 def _qfi_with_residue(table: AmplitudeTable):
@@ -215,48 +225,39 @@ def _cfi_quadrature(table: AmplitudeTable) -> tuple:
     integral of 4 Re(psi~* (d_c psi~ - h psi~))^2 / |psi~|^2: built on the
     ``eval_lines`` values, its intermediates scale as L^(N+2) like the QFI
     kernel's instead of underflowing with psi.  Nodes of psi~ are guarded.
-    Only general-class ring tables come here, so N >= 3; their integrand
-    f is translation invariant, so
-
-        int_{0<x_1<...<x_N<L} f = (L/N) int_{0<y_2<...<y_N<L} f(0, y),
-
-    integrated by the two (N - 1)-dimensional rules of orders (m, m'),
-    CFI_RULE_PAIR (CFI_RULE_PAIR_4D at N = 5).  The CFI is the order-m
-    value Q_m, and |Q_m - Q_m'| / Q_m its error estimate; where that exceeds
+    Only general-class ring tables come here, so N >= 3, and the integral
+    is L/N times one over the slice x_1 = 0 (``_domain``), integrated by
+    the two (N - 1)-dimensional rules of orders (m, m'), CFI_RULE_PAIR
+    (CFI_RULE_PAIR_4D at N = 5).  The CFI is the order-m value Q_m, and
+    |Q_m - Q_m'| / Q_m its error estimate; where that exceeds
     CFI_ERROR_RTOL, ``refined_simplex_quadrature`` bisects the slice
     within CFI_MAX_NODES, and an estimate still above it is a
     NumericalHealthError.  Returns (CFI, rule dimension, rule pair, error
     estimate, cell count).
     """
-    n, L = table.n, table.L
+    weight, kappa, dkappa = _domain(table)
     n2 = table.solution.norm_sq
     h = table.solution.dnorm_sq_dc / (2.0 * n2)
 
-    def on_slice(y: np.ndarray) -> np.ndarray:
-        """Slice coordinates y_2..y_N with x_1 = 0 put in front."""
-        x = np.zeros(y.shape[:-1] + (n,))
-        x[..., 1:] = y
-        return x
-
     def integrand(outer: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
-        vals, dvals = eval_lines(table, on_slice(outer), on_slice(edges), u)
+        vals, dvals = eval_lines(table.amp, table.damp, kappa, dkappa, outer, edges, u)
         abs_sq = vals.real**2 + vals.imag**2
         radial = (np.conj(vals) * (dvals - h * vals)).real
         out = np.zeros_like(abs_sq)
         np.divide(4.0 * radial * radial, abs_sq, out=out, where=abs_sq > 0)
         return out
 
-    dim = n - 1
+    dim = kappa.shape[1]
     orders = CFI_RULE_PAIR if dim <= 3 else CFI_RULE_PAIR_4D
     value, estimate, cells = refined_simplex_quadrature(
-        integrand, dim, L, orders, CFI_ERROR_RTOL, CFI_MAX_NODES
+        integrand, dim, table.L, orders, CFI_ERROR_RTOL, CFI_MAX_NODES
     )
     if not estimate <= CFI_ERROR_RTOL:
         raise NumericalHealthError(
             f"CFI rules of orders {orders[0]} and {orders[1]} differ by {estimate:.3e} "
             f"relative on {cells} cells, above {CFI_ERROR_RTOL:g}"
         )
-    return (L / n) * value / n2, dim, orders, estimate, cells
+    return weight * value / n2, dim, orders, estimate, cells
 
 
 def cfi(spec: StateSpec, params: ModelParams) -> float:

@@ -36,10 +36,10 @@ factors, e^{i kappa_t . x} = e^{i kappa_t . X} e^{i u kappa_t . e}, and
 the terms whose beta_t = kappa_t . e are equal share the second factor.
 So the terms are summed once per outer point X within each group of equal
 beta, and the groups along each line: sum factorisation over one axis of
-a tensor-product rule (Orszag, J. Comput. Phys. 37, 70 (1980)).  On the
-reference cell of the ring CFI slice, e = (0, L, 0, ...), and the N!
-terms fall into N groups.  ``eval_batch`` is the pointwise case e = 0,
-one group.
+a tensor-product rule (Orszag, J. Comput. Phys. 37, 70 (1980)).  The
+coordinates are those of the kappa columns it is given: the ring CFI
+passes the columns 2..N of its slice x_1 = 0, whose reference cell has
+e = (L, 0, ...), and there the N! terms fall into N groups.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import BetheSolution, BoundaryCondition, ModelParams, StateSpec, solve_bethe
-from .bethe import DegenerateStateError  # noqa: F401  (re-exported)
 
 # Particle-number caps reflecting the ~N!^2 / 2^(2N) N!^2 cost of the
 # downstream double-permutation sums.
@@ -177,14 +176,24 @@ def _unit_phases(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_lines(table: AmplitudeTable, outer: np.ndarray, edges: np.ndarray, u: np.ndarray):
+def eval_lines(
+    amp: np.ndarray,
+    damp: np.ndarray,
+    kappa: np.ndarray,
+    dkappa: np.ndarray,
+    outer: np.ndarray,
+    edges: np.ndarray,
+    u: np.ndarray,
+):
     """(psi~, d psi~/dc) at the nodes x = outer[s, p] + u[p, i] edges[s], shape (S, P, m) each.
 
-    ``outer`` (S, P, N) holds the outer points of S cells, ``edges`` (S, N)
-    each cell's innermost edge e and ``u`` (P, m) the innermost unit
-    coordinates, so each (s, p) is a line of m nodes along e.  The phase of
-    term t factors as e^{i kappa_t . X} e^{i u beta_t}, beta_t = kappa_t . e,
-    and with dkappa_t . x = dkappa_t . X + u dkappa_t . e,
+    ``amp``, ``damp`` (R,) and ``kappa``, ``dkappa`` (R, D) are the R
+    terms of an amplitude table, on the D coordinates that the nodes
+    carry.  ``outer`` (S, P, D) holds the outer points of S cells,
+    ``edges`` (S, D) each cell's innermost edge e and ``u`` (P, m) the
+    innermost unit coordinates, so each (s, p) is a line of m nodes along
+    e.  The phase of term t factors as e^{i kappa_t . X} e^{i u beta_t},
+    beta_t = kappa_t . e, and with dkappa_t . x = dkappa_t . X + u dkappa_t . e,
 
         psi~      = sum_g e^{i u beta_g} A_g(X),
         d psi~/dc = sum_g e^{i u beta_g} (B_g(X) + i u D_g(X)),
@@ -194,20 +203,20 @@ def eval_lines(table: AmplitudeTable, outer: np.ndarray, edges: np.ndarray, u: n
     e^{i kappa_t . X} over the terms with beta_t = beta_g exactly.  The
     terms are sorted by beta in each cell, so each group is one run of
     ``np.add.reduceat``, and one small product per line (s, p) sums its
-    groups.  So a cell of G groups costs P n_terms + P m G sines and
-    cosines, not P m n_terms.  Outer points are processed in blocks whose
-    arrays stay within _EVAL_CHUNK entries.  No sum is split by BLAS
-    thread, so the results do not depend on the thread count.
+    groups.  So a cell of G groups costs P R + P m G sines and cosines,
+    not P m R.  Outer points are processed in blocks whose arrays stay
+    within _EVAL_CHUNK entries.  No sum is split by BLAS thread, so the
+    results do not depend on the thread count.
     """
     outer = np.asarray(outer, dtype=float)
     edges = np.asarray(edges, dtype=float)
     u = np.asarray(u, dtype=float)
     n_cells, n_outer, _ = outer.shape
-    n_terms, n_inner = table.n_terms, u.shape[1]
+    n_terms, n_inner = amp.size, u.shape[1]
 
     # sort each cell's terms by beta; a group is a run of equal beta, starting
     # at ``starts`` of the flattened (cell, term) axis, with its cell and slot
-    beta = edges @ table.kappa.T
+    beta = edges @ kappa.T
     order = np.argsort(beta, axis=1, kind="stable")
     beta = np.take_along_axis(beta, order, axis=1).ravel()
     first = np.empty(beta.size, dtype=bool)
@@ -220,8 +229,8 @@ def eval_lines(table: AmplitudeTable, outer: np.ndarray, edges: np.ndarray, u: n
     group_beta = np.zeros((n_cells, n_groups))
     group_beta[cell, slot] = beta[starts]
 
-    kappa, dkappa = table.kappa[order], table.dkappa[order]
-    amp, damp = table.amp[order][..., None], table.damp[order][..., None]
+    kappa, dkappa = kappa[order], dkappa[order]
+    amp, damp = amp[order][..., None], damp[order][..., None]
     amp_de = amp * np.einsum("stj,sj->st", dkappa, edges)[..., None]
 
     values = np.empty((n_cells, n_outer, n_inner), dtype=complex)
@@ -244,18 +253,6 @@ def eval_lines(table: AmplitudeTable, outer: np.ndarray, edges: np.ndarray, u: n
         values[:, block] = out[..., 0]
         dvalues[:, block] = out[..., 1] + 1j * ub * out[..., 2]
     return values, dvalues
-
-
-def eval_batch(table: AmplitudeTable, points: np.ndarray):
-    """(psi~, d psi~/dc) at a batch of ordered points, shape (M, N).
-
-    The pointwise form of ``eval_lines``: one cell whose edge is zero, so
-    every term has beta = 0 and the M points are its outer points.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    zero = np.zeros((1, points.shape[1]))
-    values, dvalues = eval_lines(table, points[None], zero, np.zeros((len(points), 1)))
-    return values.ravel(), dvalues.ravel()
 
 
 def global_phase_class(spec: StateSpec) -> PhaseClass:

@@ -1,14 +1,17 @@
 """Numerical oracles of the test suite, kept out of the llfisher package.
 
 The integral oracles evaluate the wavefunction at Gauss-Legendre nodes
-(``wavefunction.eval_batch``) and sum; none reads the pair integrals or
-the divided-difference kernel (``integrals._pair_integrals``,
-``integrals.simplex_exp_integral``) that the analytic QFI and the exact
-image probabilities are built from.  Their Gauss-Legendre rule is built
-here from ``scipy.special.roots_legendre``, apart from the package's own
-rule for the CFI (``integrals.refined_simplex_quadrature``), which
+by ``psi_at``, a plain sum over the amplitude table's terms, and sum;
+none reads the package's evaluator (``wavefunction.eval_lines``), nor
+the pair integrals or the divided-difference kernel
+(``integrals._pair_integrals``, ``integrals.simplex_exp_integral``) that
+the analytic QFI and the exact image probabilities are built from.
+Their Gauss-Legendre rule is built here from
+``scipy.special.roots_legendre``, apart from the package's own rule for
+the CFI (``integrals.refined_simplex_quadrature``), which
 ``cfi_full_simplex`` checks.
 
+- ``psi_at``: psi~ and d psi~/dc at a batch of points, term by term.
 - ``simplex_nodes`` and ``simplex_quadrature``: the iterated rule on the
   ordered simplex, a tensor rule on the unit cube under the conical map.
 - ``box_quadrature``: a symmetric integrand over an axis-aligned box, the
@@ -28,13 +31,33 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from llfisher.bethe import BoundaryCondition, ModelParams, StateSpec
-from llfisher.wavefunction import AmplitudeTable, amplitudes, eval_batch
+from llfisher.wavefunction import AmplitudeTable, amplitudes
 
 # Gauss-Legendre points per dimension of the fidelity overlaps
 OVERLAP_ORDER = 24
 # ... and of the full-simplex CFI rule, up to 3-D and beyond
 FULL_SIMPLEX_ORDER = 48
 FULL_SIMPLEX_ORDER_4D = 24
+
+
+def psi_at(table: AmplitudeTable, points) -> tuple:
+    """(psi~, d psi~/dc) at a batch of ordered points, shape (M, N).
+
+    Every term at every point: the sums over t of amp_t e^{i kappa_t . x}
+    and of (damp_t + i amp_t dkappa_t . x) e^{i kappa_t . x}, in blocks of
+    about 2^20 point-term entries.
+    """
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    vals = np.empty(len(x), dtype=complex)
+    dvals = np.empty(len(x), dtype=complex)
+    step = max(1, 2**20 // table.n_terms)
+    for start in range(0, len(x), step):
+        block = x[start : start + step]
+        phase = np.exp(1j * (block @ table.kappa.T))
+        vals[start : start + step] = np.sum(table.amp * phase, axis=1)
+        slope = block @ table.dkappa.T
+        dvals[start : start + step] = np.sum((table.damp + 1j * table.amp * slope) * phase, axis=1)
+    return vals, dvals
 
 
 def _gauss01(order: int):
@@ -155,7 +178,7 @@ def qfi_overlap_oracle(
     pts, wts = _overlap_rule(spec.n, params.L, spec.bc is BoundaryCondition.PERIODIC)
 
     def state(c: float) -> np.ndarray:
-        vals, _ = eval_batch(amplitudes(spec, ModelParams(c, params.L)), pts)
+        vals, _ = psi_at(amplitudes(spec, ModelParams(c, params.L)), pts)
         return vals
 
     def infidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -186,7 +209,7 @@ def cfi_full_simplex(table: AmplitudeTable) -> float:
     dlog = sol.dnorm_sq_dc / (2.0 * sol.norm_sq)
 
     def density(pts):
-        vals, dvals = eval_batch(table, pts)
+        vals, dvals = psi_at(table, pts)
         radial = (np.conj(vals) * (dvals - dlog * vals)).real
         return 4.0 * radial**2 / np.abs(vals) ** 2 / sol.norm_sq
 

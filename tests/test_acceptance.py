@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import cfi_full_simplex, qfi_overlap_oracle, simplex_quadrature
+from oracles import cfi_full_simplex, psi_at, qfi_overlap_oracle, simplex_quadrature
 
 from llfisher.bethe import (
     BoundaryCondition,
@@ -37,7 +37,7 @@ from llfisher.imaging import (
     uniform_grid,
 )
 from llfisher.integrals import simplex_exp_integral
-from llfisher.wavefunction import amplitudes, eval_batch
+from llfisher.wavefunction import amplitudes
 
 PER = BoundaryCondition.PERIODIC
 HW = BoundaryCondition.HARD_WALL
@@ -127,7 +127,7 @@ def test_criterion_05_oracle_equivalences():
         target = table.solution.norm_sq
 
         def density(points):
-            vals, _ = eval_batch(table, points)
+            vals, _ = psi_at(table, points)
             return vals.real**2 + vals.imag**2
 
         quad = simplex_quadrature(density, n, params.L, order=48)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import box_quadrature, cfi_full_simplex, qfi_overlap_oracle
+from oracles import box_quadrature, cfi_full_simplex, psi_at, qfi_overlap_oracle
 from scipy.optimize import minimize_scalar
 
 import llfisher.fisher
@@ -25,6 +25,7 @@ from llfisher.bethe import (
 from llfisher.fisher import (
     BracketError,
     _cfi_quadrature,
+    _domain,
     _inner_products,
     cfi,
     fisher_report,
@@ -34,7 +35,7 @@ from llfisher.fisher import (
 )
 from llfisher import integrals
 from llfisher.integrals import NumericalHealthError
-from llfisher.wavefunction import AmplitudeTable, amplitudes, eval_batch
+from llfisher.wavefunction import AmplitudeTable, amplitudes
 
 PER = BoundaryCondition.PERIODIC
 HW = BoundaryCondition.HARD_WALL
@@ -235,18 +236,19 @@ def test_fidelity_oracle_shares_no_kernel_with_the_qfi(monkeypatch):
         assert qfi_overlap_oracle(spec, params) == pytest.approx(expected, rel=1e-3)
 
 
-def test_oracles_share_no_gauss_legendre_rule_with_the_package(monkeypatch):
-    # with the package's Gauss-Legendre layer unusable, the CFI rule among
-    # it, every oracle still gives the values it gave before the break
-    general = (StateSpec(PER, 3, (-1.0, 1.0, 2.0)), ModelParams(0.2, 10.0))
-    table = amplitudes(*general)
+GENERAL_RING3 = (StateSpec(PER, 3, (-1.0, 1.0, 2.0)), ModelParams(0.2, 10.0))
+
+
+def _oracle_runs() -> dict:
+    """Every integral oracle, each on one case, as name -> call."""
+    table = amplitudes(*GENERAL_RING3)
     box_table = amplitudes(ground_state(HW, 2), ModelParams(1.0, 1.0))
 
     def density(pts):
-        vals, _ = eval_batch(box_table, pts)
+        vals, _ = psi_at(box_table, pts)
         return vals.real**2 + vals.imag**2
 
-    oracles = {
+    return {
         "cfi_full_simplex": lambda: cfi_full_simplex(table),
         "qfi_overlap_oracle ring": lambda: qfi_overlap_oracle(
             ground_state(PER, 3), ModelParams(0.5, 2.0)
@@ -256,6 +258,12 @@ def test_oracles_share_no_gauss_legendre_rule_with_the_package(monkeypatch):
         ),
         "box_quadrature": lambda: box_quadrature(density, [(0.25, 0.75)] * 2, 12),
     }
+
+
+def test_oracles_share_no_gauss_legendre_rule_with_the_package(monkeypatch):
+    # with the package's Gauss-Legendre layer unusable, the CFI rule among
+    # it, every oracle still gives the values it gave before the break
+    oracles = _oracle_runs()
     before = {name: run() for name, run in oracles.items()}
     _break_in_llfisher(
         monkeypatch,
@@ -263,7 +271,20 @@ def test_oracles_share_no_gauss_legendre_rule_with_the_package(monkeypatch):
         "the oracle reached the package's Gauss-Legendre rule",
     )
     with pytest.raises(AssertionError, match="Gauss-Legendre rule"):
-        cfi(*general)
+        cfi(*GENERAL_RING3)
+    assert {name: run() for name, run in oracles.items()} == before
+
+
+def test_oracles_share_no_psi_evaluator_with_the_package(monkeypatch):
+    # with the package's evaluator of psi~ and its phase routine unusable,
+    # every oracle still gives the values it gave before the break
+    oracles = _oracle_runs()
+    before = {name: run() for name, run in oracles.items()}
+    _break_in_llfisher(
+        monkeypatch, ("eval_lines", "_unit_phases"), "the oracle reached the package's evaluator"
+    )
+    with pytest.raises(AssertionError, match="package's evaluator"):
+        cfi(*GENERAL_RING3)
     assert {name: run() for name, run in oracles.items()} == before
 
 
@@ -562,31 +583,49 @@ def test_ring_cfi_reduction_matches_full_simplex_rule(qn):
 
 
 def test_ring_rule_pins_one_coordinate_box_rule_does_not(monkeypatch):
-    # the stub records the factored nodes x = X + u e and returns a constant,
-    # so no term is summed
+    # the stub records the term columns and the factored nodes x = X + u e
+    # and returns a constant, so no term is summed
     seen = []
 
-    def stub(table, outer, edges, u):
-        seen.append((outer, edges, u))
+    def stub(amp, damp, kappa, dkappa, outer, edges, u):
+        seen.append((amp, damp, kappa, dkappa, outer, edges, u))
         shape = outer.shape[:2] + u.shape[1:]
         return np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
 
     monkeypatch.setattr(llfisher.fisher, "eval_lines", stub)
     ring = amplitudes(StateSpec(PER, 5, (-2.0, -1.0, 0.0, 1.0, 3.0)), ModelParams(0.2, 10.0))
     assert _cfi_quadrature(ring)[1:3] == (4, (20, 14))
-    assert [outer.shape[1] * u.shape[1] for outer, _, u in seen] == [20**4, 14**4]
-    assert [(outer.shape, edges.shape) for outer, edges, _ in seen] == [
-        ((1, 20**3, 5), (1, 5)), ((1, 14**3, 5), (1, 5))
+    assert [outer.shape[1] * u.shape[1] for *_, outer, _, u in seen] == [20**4, 14**4]
+    # 4 coordinates per node, those of the kappa columns 2..N: x_1 = 0 is
+    # pinned by leaving its column out
+    assert [(outer.shape, edges.shape) for *_, outer, edges, _ in seen] == [
+        ((1, 20**3, 4), (1, 4)), ((1, 14**3, 4), (1, 4))
     ]
-    # x_1 = X_1 + u e_1 = 0 at every node
-    for outer, edges, _ in seen:
-        assert np.all(outer[..., 0] == 0.0) and np.all(edges[:, 0] == 0.0)
+    for amp, damp, kappa, dkappa, *_ in seen:
+        assert np.array_equal(amp, ring.amp) and np.array_equal(damp, ring.damp)
+        assert np.array_equal(kappa, ring.kappa[:, 1:])
+        assert np.array_equal(dkappa, ring.dkappa[:, 1:])
 
     # a box state is real or imaginary class: its report integrates no point
     seen.clear()
     report = fisher_report(ground_state(HW, 3), ModelParams(0.2, 10.0))
     assert report.method["cfi_route"] == "analytic"
     assert seen == []
+
+
+@pytest.mark.parametrize(
+    "bc,n,weight,dim",
+    [(PER, 4, 10.0 / 4, 3), (PER, 1, 1.0, 1), (HW, 3, 1.0, 3)],
+    ids=["ring4", "ring1", "box3"],
+)
+def test_domain_takes_the_slice_for_rings_of_more_than_one_particle(bc, n, weight, dim):
+    # the last ``dim`` columns: 2..N on the ring slice, all N otherwise
+    table = amplitudes(ground_state(bc, n), ModelParams(0.2, 10.0))
+    got_weight, kappa, dkappa = _domain(table)
+    assert got_weight == weight
+    assert np.array_equal(kappa, table.kappa[:, n - dim :])
+    assert np.array_equal(dkappa, table.dkappa[:, n - dim :])
+    assert kappa.shape == dkappa.shape == (table.n_terms, dim)
 
 
 def test_cfi_and_qfi_do_not_depend_on_the_blas_thread_count():
@@ -646,9 +685,10 @@ GENERAL_RING_POINTS = [
 # The CFI of (-1, 0, 3) at the three points where the suite runs it, by
 # scipy's adaptive quad iterated over y_2 and then y_3 on the x_1 = 0
 # slice, each split at the four nodes of psi~ there and run to 1e-12
-# relative (a run to 1e-10 agrees within 1e-15).  It shares the integrand
-# values of eval_batch but neither rule nor cells with the production
-# quadrature; about 3 s each, so recorded rather than recomputed here.
+# relative (a run to 1e-10 agrees within 1e-15).  It sums psi~ term by
+# term at each point, as ``oracles.psi_at`` does, and shares neither rule
+# nor cells with the production quadrature; about 3 s each, so recorded
+# rather than recomputed here.
 TYPE1_ITERATED_QUAD = {
     (0.2, 20.0): 1.3768091781482377,
     (0.5, 6.0): 0.15111226983266038,

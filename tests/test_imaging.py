@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import box_quadrature, compositions
+from oracles import box_quadrature, compositions, psi_at
 
 import llfisher.imaging
 from llfisher.bethe import (
@@ -31,7 +31,7 @@ from llfisher.imaging import (
     uniform_grid,
 )
 from llfisher.integrals import ResourceLimitError, _pair_integrals
-from llfisher.wavefunction import amplitudes, eval_batch
+from llfisher.wavefunction import amplitudes
 
 PER = BoundaryCondition.PERIODIC
 HW = BoundaryCondition.HARD_WALL
@@ -166,7 +166,7 @@ def test_partition_of_unity_against_norm():
     n2 = table.solution.norm_sq
 
     def density(points):
-        vals, _ = eval_batch(table, np.sort(points, axis=1))
+        vals, _ = psi_at(table, np.sort(points, axis=1))
         return vals.real**2 + vals.imag**2
 
     grid = uniform_grid(params.L, 4)
@@ -188,7 +188,7 @@ def _box_oracle(spec, params, grid, images, order):
     norm_full = math.factorial(spec.n) * table.solution.norm_sq
 
     def density(points):
-        vals, _ = eval_batch(table, np.sort(points, axis=1))
+        vals, _ = psi_at(table, np.sort(points, axis=1))
         return (vals.real**2 + vals.imag**2) / norm_full
 
     # bin bounds: the outer bins and pixels clipped to the support [0, L]

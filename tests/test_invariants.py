@@ -20,7 +20,7 @@ import math
 import warnings
 
 import numpy as np
-from oracles import box_quadrature
+from oracles import box_quadrature, psi_at
 
 from llfisher.bethe import (
     ROOT_GAP_RTOL,
@@ -43,7 +43,7 @@ from llfisher.imaging import (
     uniform_grid,
 )
 from llfisher.integrals import NumericalHealthError
-from llfisher.wavefunction import amplitudes, eval_batch
+from llfisher.wavefunction import amplitudes
 
 PER = BoundaryCondition.PERIODIC
 HW = BoundaryCondition.HARD_WALL
@@ -233,7 +233,7 @@ def _box_probability(table, grid, image):
     norm_full = math.factorial(table.n) * table.solution.norm_sq
 
     def density(points):
-        vals, _ = eval_batch(table, np.sort(points, axis=1))
+        vals, _ = psi_at(table, np.sort(points, axis=1))
         return (vals.real**2 + vals.imag**2) / norm_full
 
     return multiplicity(image) * box_quadrature(density, box, 24).real

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import simplex_quadrature
+from oracles import psi_at, simplex_quadrature
 
 from llfisher import integrals
 from llfisher.bethe import (
@@ -20,7 +20,6 @@ from llfisher.wavefunction import (
     PhaseClass,
     _unit_phases,
     amplitudes,
-    eval_batch,
     eval_lines,
     global_phase_class,
 )
@@ -144,8 +143,7 @@ def test_table_carries_its_solution():
 def test_coincident_quasimomenta_rejected():
     # solve_bethe's root test, in _finish, rejects k that coincide in
     # double precision before any amplitude table is built on them
-    from llfisher.bethe import SolverError
-    from llfisher.wavefunction import DegenerateStateError
+    from llfisher.bethe import DegenerateStateError, SolverError
 
     with pytest.raises(DegenerateStateError, match="^coincident quasimomenta") as info:
         _finish(ground_state(PER, 2), ModelParams(1.0, 1.0), np.array([1.0, 1.0 + 1e-16]), 0.0)
@@ -162,7 +160,7 @@ def test_coincident_quasimomenta_rejected():
 def test_single_particle_value_is_one():
     params = ModelParams(2.0, 1.0)
     spec, sol, table = make(PER, 1, params)
-    vals, dvals = eval_batch(table, [[0.0], [0.3], [0.99]])
+    vals, dvals = psi_at(table, [[0.0], [0.3], [0.99]])
     assert np.max(np.abs(vals - 1.0)) < 1e-14
     assert np.max(np.abs(dvals)) < 1e-14
 
@@ -172,8 +170,8 @@ def test_box_boundary_zeros():
     spec, sol, table = make(HW, 2, params)
     rng = np.random.default_rng(5)
     sample = np.sort(rng.uniform(0, 1, size=(64, 2)), axis=1)
-    scale = np.max(np.abs(eval_batch(table, sample)[0]))
-    at_zero, at_l = eval_batch(table, [[0.0, 0.6], [0.4, 1.0]])[0]
+    scale = np.max(np.abs(psi_at(table, sample)[0]))
+    at_zero, at_l = psi_at(table, [[0.0, 0.6], [0.4, 1.0]])[0]
     assert abs(at_zero) < 1e-10 * scale
     assert abs(at_l) < 1e-10 * scale
 
@@ -183,7 +181,7 @@ def test_ring_ground_state_is_real():
     spec, sol, table = make(PER, 2, params)
     rng = np.random.default_rng(11)
     sample = np.sort(rng.uniform(0, 1, size=(128, 2)), axis=1)
-    vals, _ = eval_batch(table, sample)
+    vals, _ = psi_at(table, sample)
     assert np.max(np.abs(vals.imag)) < 1e-10 * np.max(np.abs(vals))
 
 
@@ -192,7 +190,7 @@ def test_box_odd_n_is_purely_imaginary():
     spec, sol, table = make(HW, 3, params)
     rng = np.random.default_rng(13)
     sample = np.sort(rng.uniform(0, 1, size=(64, 3)), axis=1)
-    vals, _ = eval_batch(table, sample)
+    vals, _ = psi_at(table, sample)
     assert np.max(np.abs(vals.real)) < 1e-9 * np.max(np.abs(vals))
 
 
@@ -201,7 +199,7 @@ def test_continuity_at_coincidence():
     spec, sol, table = make(PER, 3, params)
     eps = 1e-9
     # x_2 crosses x_3 = 0.5: the bosonic extension orders the coordinates
-    below, above = eval_batch(table, [[0.2, 0.5 - eps, 0.5], [0.2, 0.5, 0.5 + eps]])[0]
+    below, above = psi_at(table, [[0.2, 0.5 - eps, 0.5], [0.2, 0.5, 0.5 + eps]])[0]
     scale = max(abs(below), 1.0)
     assert abs(below - above) < 1e-6 * scale
 
@@ -217,7 +215,7 @@ def test_norm_against_quadrature(bc, n, c, L):
     target = sol.norm_sq
 
     def density(points):
-        vals, _ = eval_batch(table, points)
+        vals, _ = psi_at(table, points)
         return vals.real**2 + vals.imag**2
 
     quad = simplex_quadrature(density, n, L, order=48)
@@ -244,12 +242,35 @@ def test_dvalue_dc_against_resolved_difference(bc, n, c, L):
 
     rng = np.random.default_rng(3)
     pts = np.sort(rng.uniform(0.05 * L, 0.95 * L, size=(32, n)), axis=1)
-    _, dvals = eval_batch(table, pts)
-    hi, _ = eval_batch(tab_hi, pts)
-    lo, _ = eval_batch(tab_lo, pts)
+    _, dvals = psi_at(table, pts)
+    hi, _ = psi_at(tab_hi, pts)
+    lo, _ = psi_at(tab_lo, pts)
     numeric = (hi - lo) / (2 * h)
     scale = np.max(np.abs(numeric))
     assert np.max(np.abs(dvals - numeric)) < 1e-5 * scale
+
+
+def _slice_lines(cells, order):
+    """The factored nodes (outer, edges, u) that ``_simplex_rule`` makes on slice cells."""
+    seen = []
+
+    def record(outer, edges, u):
+        seen.append((outer, edges, u))
+        return np.zeros(outer.shape[:2] + u.shape[1:])
+
+    integrals._simplex_rule(record, cells, order)
+    return seen[0]
+
+
+def _slice_points(outer, edges, u):
+    """The nodes x = X + u e of slice lines as ring points, x_1 = 0 put in front, (M, N)."""
+    y = outer[:, :, None, :] + u[None, :, :, None] * edges[:, None, None, :]
+    return np.insert(y.reshape(-1, y.shape[-1]), 0, 0.0, axis=1)
+
+
+def _slice_eval(table, outer, edges, u):
+    """``eval_lines`` of a ring table on slice lines: its kappa columns 2..N."""
+    return eval_lines(table.amp, table.damp, table.kappa[:, 1:], table.dkappa[:, 1:], outer, edges, u)
 
 
 @pytest.mark.parametrize(
@@ -257,15 +278,27 @@ def test_dvalue_dc_against_resolved_difference(bc, n, c, L):
     [(HW, 4, 0.2, 10.0), (PER, 5, 0.2, 10.0), (HW, 4, 5.0, 1.0)],
     ids=["box4", "ring5", "box4-strong"],
 )
-def test_eval_batch_matches_mpmath_sum(bc, n, c, L):
-    # the plain matrix-product sum over the 2^N N! (or N!) terms stays at
-    # machine precision against a 30-digit sum of the same table
+def test_eval_lines_matches_mpmath_sum(bc, n, c, L):
+    # the production evaluator stays at machine precision against a
+    # 30-digit sum of the same table's 2^N N! (or N!) terms: in the box
+    # on one cell of zero edge, whose outer points are the nodes (one
+    # group); on the ring on the factored lines of the CFI slice's
+    # reference cell, e = (L, 0, 0, 0), whose terms fall into N groups
     mp = pytest.importorskip("mpmath")
     params = ModelParams(c, L)
     spec, sol, table = make(bc, n, params)
-    rng = np.random.default_rng(7)
-    pts = np.sort(rng.uniform(0, L, size=(8, n)), axis=1)
-    vals, dvals = eval_batch(table, pts)
+    if bc is HW:
+        rng = np.random.default_rng(7)
+        pts = np.sort(rng.uniform(0, L, size=(8, n)), axis=1)
+        vals, dvals = eval_lines(
+            table.amp, table.damp, table.kappa, table.dkappa,
+            pts[None], np.zeros((1, n)), np.zeros((len(pts), 1)),
+        )
+    else:
+        lines = _slice_lines(L * integrals._reference_vertices(n - 1)[None], 2)
+        vals, dvals = _slice_eval(table, *lines)
+        pts = _slice_points(*lines)
+    vals, dvals = vals.ravel(), dvals.ravel()
     w_amp, w_damp = table.amp, table.damp
     ref = np.empty(len(pts), dtype=complex)
     dref = np.empty(len(pts), dtype=complex)
@@ -282,26 +315,13 @@ def test_eval_batch_matches_mpmath_sum(bc, n, c, L):
     assert np.max(np.abs(dvals - dref)) < 4e-15 * np.max(np.abs(dref))
 
 
-def _slice_lines(cells, order):
-    """The factored nodes that ``_simplex_rule`` makes on slice cells, with x_1 = 0 put in front."""
-    seen = []
-
-    def record(outer, edges, u):
-        seen.append((outer, edges, u))
-        return np.zeros(outer.shape[:2] + u.shape[1:])
-
-    integrals._simplex_rule(record, cells, order)
-    outer, edges, u = seen[0]
-    return np.insert(outer, 0, 0.0, axis=-1), np.insert(edges, 0, 0.0, axis=-1), u
-
-
 @pytest.mark.parametrize(
     "qn", [(-1.0, 1.0, 2.0), (-1.5, -0.5, 0.5, 2.5), (-2.0, -1.0, 0.0, 1.0, 3.0)],
     ids=["ring3", "ring4", "ring5"],
 )
 def test_factored_lines_match_pointwise_evaluation(qn):
     # eval_lines sums each group of equal beta = kappa . e once per outer
-    # point, and eval_batch every term at every node; on the CFI slice's
+    # point, and psi_at every term at every node; on the CFI slice's
     # reference cell (N groups of (N - 1)! terms), three rounds of its
     # bisection, and a cell whose innermost edge is tilted by 1e-11 L off
     # an axis, so the beta of terms that share k_{P_2} differ by about
@@ -315,10 +335,9 @@ def test_factored_lines_match_pointwise_evaluation(qn):
     for _ in range(3):
         bisected.append(integrals._bisect(bisected[-1]))
     for cells in bisected + [tilted]:
-        outer, edges, u = _slice_lines(cells, 6)
-        vals, dvals = eval_lines(table, outer, edges, u)
-        x = outer[:, :, None, :] + u[None, :, :, None] * edges[:, None, None, :]
-        ref, dref = (a.reshape(vals.shape) for a in eval_batch(table, x.reshape(-1, n)))
+        lines = _slice_lines(cells, 6)
+        vals, dvals = _slice_eval(table, *lines)
+        ref, dref = (a.reshape(vals.shape) for a in psi_at(table, _slice_points(*lines)))
         assert vals.shape == (len(cells), 6 ** (n - 2), 6)
         assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.max(np.abs(dvals - dref)) <= 1e-13 * np.max(np.abs(dref))
