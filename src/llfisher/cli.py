@@ -11,8 +11,9 @@ draw (``--sample`` and ``--seed``, which the shot file and the MLE record
 list beside it), together with the numeric settings.
 
 Exit codes: 0 success, 2 invalid arguments, an output file that cannot
-be written, or a ``--sample`` whose likelihood carries no information on
-c (N = 1, one pixel, or an imaging CFI of 0), 3 solver failure, 4 bracket
+be written, an ``lmax`` of one particle (its CFI is 0 at every L), or a
+``--sample`` whose likelihood carries no information on c (N = 1, one
+pixel, or an imaging CFI of 0), 3 solver failure, 4 bracket
 without an interior maximum, 5 size cap exceeded or an array too large to
 allocate (MemoryError), 6 failed numerical health check.  A ``fisher``
 sweep whose every point failed exits 3 whatever the errors were; each of

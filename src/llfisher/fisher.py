@@ -339,9 +339,12 @@ def lmax(
     no second evaluation.  Raises BracketError when L_max lies within
     2 tol of a bracket edge, i.e. the bracket holds no interior maximum;
     NumericalHealthError when the CFI at some L is not finite; and
-    ValueError unless the bracket edges are finite with 0 < lo < hi and
-    ``tol`` is finite and positive.
+    ValueError, before any evaluation, for one particle (its k does not
+    depend on c, so its CFI is 0 at every L) and unless the bracket edges
+    are finite with 0 < lo < hi and ``tol`` is finite and positive.
     """
+    if spec.n == 1:
+        raise ValueError("one particle's CFI is 0 at every L, so it has no maximum")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(hi) and hi > lo > 0):
         raise ValueError(f"bracket must be finite with 0 < lo < hi, got ({lo}, {hi})")

@@ -65,13 +65,15 @@ Iterated Gauss-Legendre rules over the same ordered domain give the
 direct CFI quadrature of general ring states: a pair of them, mapped onto
 the cells of a longest-edge bisection where they disagree
 (``refined_simplex_quadrature``).  The rules sample their integrand at
-nodes and share no code with the divided-difference kernel.  The
-innermost coordinate of an iterated rule runs fastest, so on a cell its
-nodes are m-point lines x = X + u e along the innermost edge e; the
-integrand receives them factored, as the outer points X, e and u, which
-lets ``wavefunction.eval_lines`` share the factor e^{i u kappa . e} of a
-plane wave along each line.  The weighted sum of a rule runs in a fixed
-order, whatever the BLAS thread count.
+nodes and share no code with the divided-difference kernel.  One cached
+builder, ``simplex_nodes``, makes each rule on the unit simplex; its
+innermost coordinate runs fastest, so its points reshape into m-point
+lines, and ``_simplex_rule`` maps them onto each cell as lines
+x = X + u e along the cell's innermost edge e.  The integrand receives
+them factored, as the outer points X, e and u, which lets
+``wavefunction.eval_lines`` share the factor e^{i u kappa . e} of a plane
+wave along each line.  The weighted sum of a rule runs in a fixed order,
+whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -375,7 +377,8 @@ def _pair_integrals(kappa: np.ndarray, dkappa: np.ndarray, L: float, order: int)
     the largest |kappa|; one lexsort groups the keys.  The distinct vectors
     go to ``simplex_exp_integral`` in one call at moment ``order`` (0, 1 or
     2), their count is the bundle count, and each pair reads its bundle in
-    its own orientation (``_reflected`` for the reversed ones).  The second
+    its own orientation (``_reflected`` for the reversed ones).  No
+    pair-shaped array but the bundle index outlives the grouping, and the
     moments are gathered and contracted in row blocks of at most
     _EVAL_CHUNK entries.
     """
@@ -391,7 +394,7 @@ def _pair_integrals(kappa: np.ndarray, dkappa: np.ndarray, L: float, order: int)
     # orientation of each pair against its key: lambda = key, -key, rev key, -rev key
     orient = np.where(use_rev, 2 + neg_rev, neg_fwd)
     canon = np.where(use_rev[:, None], rev, fwd)
-    del keys, fwd, rev  # pair-shaped; freed before the pair-shaped outputs are built
+    del keys, fwd, rev, neg_fwd, neg_rev, use_rev  # pair-shaped: freed once used
 
     perm = np.lexsort(canon.T[::-1])
     ordered = canon[perm]
@@ -406,25 +409,29 @@ def _pair_integrals(kappa: np.ndarray, dkappa: np.ndarray, L: float, order: int)
     reps = lam_all[first]
     reps = np.where((orient[first] % 2 == 1)[:, None], -reps, reps)
     reps = np.where((orient[first] >= 2)[:, None], reps[:, ::-1], reps)
+    # each pair's values in its orientation are entry 4 * group + orient
+    index = (4 * group + orient).reshape(rows, rows)
+    del lam_all, orient, perm, starts, group  # pair-shaped: freed before the kernel runs
 
     direct = simplex_exp_integral(reps, L, order)
     direct = (direct,) if order == 0 else direct
-    index = (4 * group + orient).reshape(rows, rows)
-    # each pair's values in its orientation are entry 4 * group + orient
     i00, *moments = (
         np.stack([f, np.conj(f), r, np.conj(r)], axis=1).reshape((-1,) + f.shape[1:])
         for f, r in zip(direct, _reflected(direct, reps, L))
     )
     arrays = [i00[index]]
     if order >= 1:
-        arrays.append(np.einsum("tsl,sl->ts", moments[0][index], dkappa))
-    if order == 2:
-        step = max(1, _EVAL_CHUNK // (rows * n * n))
-        quads = []
+        step = max(1, _EVAL_CHUNK // (rows * n**order))
+        blocks = []
         for t in range(0, rows, step):
             part = slice(t, t + step)
-            quads.append(np.einsum("tm,tsmn,sn->ts", dkappa[part], moments[1][index[part]], dkappa))
-        arrays.append(np.concatenate(quads))
+            block = [np.einsum("tsl,sl->ts", moments[0][index[part]], dkappa)]
+            if order == 2:
+                block.append(
+                    np.einsum("tm,tsmn,sn->ts", dkappa[part], moments[1][index[part]], dkappa)
+                )
+            blocks.append(block)
+        arrays.extend(np.concatenate(part) for part in zip(*blocks))
     return tuple(arrays), len(first)
 
 
@@ -434,29 +441,23 @@ def _pair_integrals(kappa: np.ndarray, dkappa: np.ndarray, L: float, order: int)
 
 
 @functools.lru_cache(maxsize=32)
-def _gauss01(order: int):
-    """Gauss-Legendre nodes/weights mapped to [0, 1], read-only and cached."""
+def simplex_nodes(n_dim: int, order: int):
+    """Iterated Gauss-Legendre nodes/weights on 0 <= y_1 <= ... <= y_n <= 1, read-only and cached.
+
+    The Gauss-Legendre rule of ``order`` mapped onto [0, 1] gives y_n;
+    each inner variable then takes it on [0, y_next], with the upper limit
+    folded into the weight.  Points come back as an (n_points, n_dim)
+    array with ascending columns, y_1 running fastest: ``pts.reshape(-1,
+    order, n_dim)`` gives lines along y_1 that share y_2..y_n, with y_1 =
+    y_2 t on each (y_1 = t at n = 1).  Raises ValueError unless n_dim >= 1
+    and order >= 2.
+    """
+    if n_dim < 1:
+        raise ValueError(f"simplex dimension must be at least 1, got {n_dim}")
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
     t, w = np.polynomial.legendre.leggauss(order)
     t, w = 0.5 * (t + 1.0), 0.5 * w
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
-
-
-@functools.lru_cache(maxsize=32)
-def simplex_nodes(n_dim: int, order: int):
-    """Iterated Gauss-Legendre nodes/weights on 0 <= y_1 <= ... <= y_n <= 1, read-only and cached.
-
-    Built outermost-in: y_n on [0, 1], then each inner variable on
-    [0, y_next] with the upper limit folded into the weight, so y_1 runs
-    fastest.  Points come back as an (n_points, n_dim) array with
-    ascending columns.  Raises ValueError unless n_dim >= 1 and order >= 2.
-    """
-    if n_dim < 1:
-        raise ValueError(f"simplex dimension must be at least 1, got {n_dim}")
-    t, w = _gauss01(order)
     pts = t[:, None]
     wts = w
     for _ in range(n_dim - 1):
@@ -484,9 +485,9 @@ def _simplex_rule(f: Callable, cells: np.ndarray, order: int) -> np.ndarray:
     that simplex ends in k ones, so a node y goes to C_0 + y E, where row
     j (from 0) of E is the edge C_{n-j} - C_{n-j-1}, and the weights scale by
     |det E|.  On the reference cell L times the unit simplex, E = L I.  The
-    innermost unit coordinate y_1 = y_2 t runs along a line for each node
-    of the outer rule on (y_2, ..., y_n), so the nodes are lines x = X + u e
-    along the innermost edge e = C_n - C_{n-1}, u = y_1.
+    points of ``simplex_nodes`` are lines along y_1 that share y_2..y_n, so
+    the nodes are lines x = X + u e along the innermost edge
+    e = C_n - C_{n-1}, u = y_1, X the image of (0, y_2, ..., y_n).
     All nodes go to ``f`` in one call, factored: f(outer, edges, u) gets the
     outer points X of every cell (S, P, n), each cell's e (S, n) and the
     innermost unit coordinates u (P, m) of every line, and returns the
@@ -494,21 +495,12 @@ def _simplex_rule(f: Callable, cells: np.ndarray, order: int) -> np.ndarray:
     (S,) integrals.
     """
     n_dim = cells.shape[2]
-    if n_dim < 1:
-        raise ValueError(f"simplex dimension must be at least 1, got {n_dim}")
-    t, w = _gauss01(order)
-    # the last step of ``simplex_nodes``, kept factored: y_1 = y_2 t on each
-    # line of the (n - 1)-dimensional rule, whose y_2 is 1 at n = 1
-    if n_dim == 1:
-        outer, outer_wts, upper = np.zeros((1, 0)), np.ones(1), np.ones(1)
-    else:
-        outer, outer_wts = simplex_nodes(n_dim - 1, order)
-        upper = outer[:, 0]
-    u = upper[:, None] * t
-    wts = (outer_wts[:, None] * (upper[:, None] * w)).ravel()
+    pts, wts = simplex_nodes(n_dim, order)
+    lines = pts.reshape(-1, order, n_dim)
     edges = np.diff(cells, axis=1)[:, ::-1]
-    outer = outer @ edges[:, 1:]
+    outer = lines[:, 0, 1:] @ edges[:, 1:]
     outer += cells[:, None, 0]
+    u = lines[:, :, 0]
     vals = np.asarray(f(outer, edges[:, 0], u)).real.reshape(len(cells), -1)
     return np.abs(np.linalg.det(edges)) * np.einsum("sp,p->s", vals, wts)
 
@@ -557,8 +549,12 @@ def refined_simplex_quadrature(
     estimate is inf when the sum is 0 and the rules differ, and the
     caller decides whether it is small enough.
     """
+
+    def rule_pair(cells: np.ndarray) -> np.ndarray:
+        return np.stack([_simplex_rule(f, cells, m) for m in orders], axis=1)
+
     cells = L * _reference_vertices(n_dim)[None]
-    values = np.stack([_simplex_rule(f, cells, m) for m in orders], axis=1)
+    values = rule_pair(cells)
     nodes = per_cell = sum(m**n_dim for m in orders)
     previous = None
     while True:
@@ -576,7 +572,5 @@ def refined_simplex_quadrature(
             return total, estimate, len(cells)
         children = _bisect(cells[split])
         cells = np.concatenate([cells[~split], children])
-        values = np.concatenate(
-            [values[~split], np.stack([_simplex_rule(f, children, m) for m in orders], axis=1)]
-        )
+        values = np.concatenate([values[~split], rule_pair(children)])
         nodes += cost

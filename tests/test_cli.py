@@ -566,6 +566,29 @@ def test_lmax_above_particle_cap_exits_2(capsys):
     assert "allow_large_n" not in err
 
 
+@pytest.mark.parametrize("bc", ["periodic", "hardwall"])
+def test_lmax_of_one_particle_exits_2(capsys, bc):
+    # its CFI is 0 at every L; the search used to end at the bracket edge
+    # and exit 4 with advice to widen a bracket that holds no maximum
+    code, out, err = run(
+        capsys, "lmax", "--bc", bc, "-N", "1", "--ground", "-c", "1", "--bracket", "1", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "one particle" in err
+
+
+@pytest.mark.parametrize("bc,n", [("periodic", 6), ("hardwall", 9)])
+def test_solve_above_particle_cap_solves(capsys, bc, n):
+    # the cap bounds the permutation sums of fisher, lmax and imaging;
+    # solve sums none, so it solves any N
+    code, out, _ = run(capsys, "solve", "--bc", bc, "-N", str(n), "--ground", "-c", "1", "-L", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n"] == n and len(payload["k"]) == n
+    assert payload["residual"] < 1e-10
+
+
 def test_lmax_qfi_residue_check_exits_6(capsys, monkeypatch):
     import llfisher.fisher
 

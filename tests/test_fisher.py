@@ -267,7 +267,7 @@ def test_oracles_share_no_gauss_legendre_rule_with_the_package(monkeypatch):
     before = {name: run() for name, run in oracles.items()}
     _break_in_llfisher(
         monkeypatch,
-        ("_gauss01", "simplex_nodes", "_simplex_rule", "refined_simplex_quadrature"),
+        ("simplex_nodes", "_simplex_rule", "refined_simplex_quadrature"),
         "the oracle reached the package's Gauss-Legendre rule",
     )
     with pytest.raises(AssertionError, match="Gauss-Legendre rule"):
@@ -830,6 +830,17 @@ def test_lmax_bracket_errors():
     for tol in (None, 0.1):
         with pytest.raises(ValueError, match="bracket"):
             lmax(spec, 0.2, (10.0, float("inf")), tol=tol)
+
+
+@pytest.mark.parametrize("bc", [PER, HW])
+def test_lmax_rejects_one_particle_before_any_evaluation(monkeypatch, bc):
+    # one particle's k does not depend on c, so its CFI is 0 at every L:
+    # the search used to run to the bracket edge and raise BracketError
+    calls = []
+    monkeypatch.setattr(llfisher.fisher, "cfi", lambda spec, params: calls.append(params))
+    with pytest.raises(ValueError, match="one particle"):
+        lmax(ground_state(bc, 1), 1.0, (1.0, 2.0))
+    assert calls == []
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])

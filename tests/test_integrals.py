@@ -7,6 +7,7 @@ folded pair layer is checked against the unfolded kernel on every pair.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scipy import integrate
 
 import llfisher.integrals as integrals
 from llfisher.bethe import BoundaryCondition, ModelParams, StateSpec, ground_state
+from llfisher.fisher import _qfi_with_residue
 from llfisher.integrals import simplex_exp_integral
 from llfisher.wavefunction import amplitudes
 
@@ -512,17 +514,37 @@ def test_row_contraction_is_the_adjoint_of_the_column_contraction(case):
 @pytest.mark.parametrize("spec", [ground_state(PER, 5), ground_state(HW, 3)], ids=["ring5", "box3"])
 def test_second_moments_gathered_in_row_blocks_match_one_block(spec, monkeypatch):
     # the QFI's arguments (the ring's x_1 = 0 slice), contracted in one
-    # block and in ragged blocks of seven rows
+    # block and in ragged blocks of seven rows; the first moments share the
+    # row blocks, at order 1 and at order 2
     table = amplitudes(spec, ModelParams(0.2, 10.0))
     cols = slice(1, None) if spec.bc is PER else slice(None)
     kappa, dkappa = table.kappa[:, cols], table.dkappa[:, cols]
     rows, n = kappa.shape
-    monkeypatch.setattr(integrals, "_EVAL_CHUNK", rows * rows * n * n)
-    (*_, whole), _ = integrals._pair_integrals(kappa, dkappa, table.L, 2)
-    monkeypatch.setattr(integrals, "_EVAL_CHUNK", 7 * rows * n * n + 1)
-    (*_, blocked), _ = integrals._pair_integrals(kappa, dkappa, table.L, 2)
     assert rows % 7 != 0
-    assert np.max(np.abs(blocked - whole)) <= 1e-15 * np.max(np.abs(whole))
+    for order in (1, 2):
+        monkeypatch.setattr(integrals, "_EVAL_CHUNK", rows * rows * n**order)
+        whole, _ = integrals._pair_integrals(kappa, dkappa, table.L, order)
+        monkeypatch.setattr(integrals, "_EVAL_CHUNK", 7 * rows * n**order + 1)
+        blocked, _ = integrals._pair_integrals(kappa, dkappa, table.L, order)
+        assert len(blocked) == len(whole) == order + 1
+        for got, want in zip(blocked, whole):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_box4_qfi_keeps_no_pair_shaped_array_past_the_grouping():
+    # the pair differences and the grouping arrays are freed before the
+    # kernel runs, and both moment orders are gathered in row blocks; one
+    # box N = 4 QFI peaked at 43.7 MB when the (rows^2, n) differences
+    # stayed alive and the first moments were gathered in one block
+    table = amplitudes(ground_state(HW, 4), ModelParams(0.2, 10.0))
+    tracemalloc.start()
+    try:
+        qfi = _qfi_with_residue(table)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert qfi == pytest.approx(2.759030651827449, rel=1e-12)
+    assert peak < 38e6
 
 
 def test_box4_kernel_batch_is_folded(monkeypatch):
@@ -676,11 +698,21 @@ def test_simplex_quadrature_rejects_low_order():
         )
 
 
-def test_gauss_rule_is_cached_and_read_only():
-    t, w = integrals._gauss01(7)
-    assert integrals._gauss01(7)[0] is t
-    assert not t.flags.writeable and not w.flags.writeable
-    assert w.sum() == pytest.approx(1.0, rel=1e-14)
+def test_simplex_nodes_are_cached_read_only_lines_along_y1():
+    # ``_simplex_rule`` reads its factored lines off this layout
+    order = 7
+    t = 0.5 * (np.polynomial.legendre.leggauss(order)[0] + 1.0)
+    for n_dim in (1, 2, 3, 4):
+        pts, wts = integrals.simplex_nodes(n_dim, order)
+        assert integrals.simplex_nodes(n_dim, order)[0] is pts
+        assert not pts.flags.writeable and not wts.flags.writeable
+        assert pts.shape == (order**n_dim, n_dim) and wts.shape == (order**n_dim,)
+        assert wts.sum() == pytest.approx(1.0 / math.factorial(n_dim), rel=1e-14)
+        lines = pts.reshape(-1, order, n_dim)
+        shared = np.broadcast_to(lines[:, :1, 1:], lines[:, :, 1:].shape)
+        assert np.array_equal(lines[:, :, 1:], shared)
+        upper = lines[:, 0, 1] if n_dim > 1 else np.ones(1)
+        np.testing.assert_allclose(lines[:, :, 0], upper[:, None] * t, rtol=1e-15, atol=0)
 
 
 def test_box_quadrature_volume():
