@@ -17,9 +17,10 @@ positive integers in the box.  The ground state (I_j = j in the box) and
 the type-I and type-II branches have the same labels on the ring, less
 (N + 1)/2.  The Jacobian of the system is the Gaudin/Hessian matrix H
 that also enters the norm formula, so Newton iterations get an exact
-Jacobian for free.  At the solved quasimomenta ``solve_bethe`` builds one
-Gaudin system, H with its pair arguments, and derives from it dk/dc, the
-norm square NS of the unnormalized ansatz (det H, 2^N det H in the box)
+Jacobian for free.  ``_gaudin`` alone builds u, u^2 + c^2 and H, over the
+s_p of ``_pair_signs`` that the residual and amplitude factors read too.
+At the solved quasimomenta ``solve_bethe`` builds one Gaudin system and
+derives from it dk/dc, the norm square NS (det H, 2^N det H in the box)
 and dNS/dc = NS tr(H^-1 dH/dc) (Korepin, Commun. Math. Phys. 86, 391
 (1982)).  It is the one place that accepts a root: k whose pair gaps
 rounding cannot resolve are a DegenerateStateError, whatever the residual.
@@ -129,7 +130,7 @@ class BetheSolution:
     """Solved quasimomenta with their c-derivatives and scalar invariants.
 
     ``solve_bethe`` derives ``dk_dc``, ``norm_sq`` and ``dnorm_sq_dc``
-    from one Gaudin system, H = :func:`gaudin_matrix` at ``k``.
+    from one build of u, u^2 + c^2 and H = :func:`gaudin_matrix` at ``k``.
     ``norm_sq`` is the integral of |psi~|^2 over the ordered domain
     0 < x_1 < ... < x_N < L, det H on the ring and 2^N det H in the box:
     the Gaudin-Korepin norm without its prefactor prod_{j<l} (1 + c^2/u^2),
@@ -227,19 +228,6 @@ def _set_diagonals(a: np.ndarray, value: float) -> None:
     a.reshape(-1, n * n)[:, :: n + 1] = value
 
 
-def _kernel_denominator(u: np.ndarray, c: float) -> np.ndarray:
-    """u^2 + c^2 with infinite diagonals: every kernel over it is exactly 0
-    on the excluded j = l entries, with no 0/0 there at c = 0.
-
-    An entry that overflows is inf as well; ``_gaudin_system`` rejects a
-    solution where that happens, so Newton iterates may pass through it.
-    """
-    with np.errstate(over="ignore"):
-        den = u * u + c * c
-    _set_diagonals(den, np.inf)
-    return den
-
-
 def bethe_residual(k: np.ndarray, spec: StateSpec, params: ModelParams) -> np.ndarray:
     """Residual of the logarithmic Bethe equations at quasimomenta ``k``."""
     k = np.asarray(k, dtype=float)
@@ -261,19 +249,27 @@ def _gaudin_assembly(kernel: np.ndarray, signs: np.ndarray, diag: float) -> np.n
     return out
 
 
-def gaudin_matrix(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> np.ndarray:
-    """Jacobian of the Bethe residual; also the norm (Gaudin/Hessian) matrix.
+def _gaudin(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
+    """The pair stack u, the denominator u^2 + c^2 and the Gaudin matrix H.
 
-    The diagonal is assembled from the l != i sums directly, which avoids
-    the 2/c - 2/c cancellation of the textbook form at small c.
+    u^2 + c^2 has infinite diagonals, so every kernel over it is exactly 0
+    on the excluded j = l entries, with no 0/0 there at c = 0.  An entry
+    that overflows is inf too; ``_gaudin_system`` rejects such a solution,
+    so Newton iterates may pass through it.  H sums its diagonal from the
+    l != j kernels directly: no 2/c - 2/c cancellation at small c.
     """
-    k = np.asarray(k, dtype=float)
-    c = params.c
-    signs = _pair_signs(bc)
+    c, signs = params.c, _pair_signs(bc)
+    u = _pair_arguments(k, signs)
     # c^2 may underflow: g c / 0 = inf, then inf - inf, and the Newton step fails
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        kernel = _bethe_factor(bc) * c / _kernel_denominator(_pair_arguments(k, signs), c)
-        return _gaudin_assembly(kernel, signs, params.L)
+        den = u * u + c * c
+        _set_diagonals(den, np.inf)
+        return u, den, _gaudin_assembly(_bethe_factor(bc) * c / den, signs, params.L)
+
+
+def gaudin_matrix(k: Sequence[float], params: ModelParams, bc: BoundaryCondition) -> np.ndarray:
+    """Jacobian of the Bethe residual; also the norm (Gaudin/Hessian) matrix."""
+    return _gaudin(np.asarray(k, dtype=float), params, bc)[2]
 
 
 def _newton(spec: StateSpec, params: ModelParams, k0: np.ndarray):
@@ -379,8 +375,8 @@ def solve_bethe(spec: StateSpec, params: ModelParams) -> BetheSolution:
 def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
     """The Gaudin matrix H at solved quasimomenta, det H, dk/dc and dH/dc.
 
-    One pair stack u and one denominator u^2 + c^2 give H (as in
-    :func:`gaudin_matrix`) and, by implicit differentiation of the Bethe
+    One ``_gaudin`` build of the pair stack u, u^2 + c^2 and H (as in
+    :func:`gaudin_matrix`) gives, by implicit differentiation of the Bethe
     equations, H . dk/dc = g sum_p sum_{l != j} u_p / (u_p^2 + c^2).  Every
     kernel entry g c / (u^2 + c^2) of H has the c-derivative
     g (u^2 - c^2 - 2 c u u') / (u^2 + c^2)^2 along the solution branch,
@@ -398,7 +394,7 @@ def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
     are not negligible beside L.
     """
     c, g, signs = params.c, _bethe_factor(bc), _pair_signs(bc)
-    u = _pair_arguments(k, signs)
+    u, den, matrix = _gaudin(k, params, bc)
     # where u^2 + c^2 overflows, g c / (u^2 + c^2) and g u / (u^2 + c^2)
     # read 0 instead of at most g / max(c, sqrt(M)); fine beside L only
     # if that is below its rounding (as at c = 1e300, L = 1)
@@ -408,9 +404,7 @@ def _gaudin_system(k: np.ndarray, params: ModelParams, bc: BoundaryCondition):
             f"u^2 + c^2 overflows (|u| up to {u_max:.3e}, c = {c:.3e}, L = {params.L:.3e}): "
             "the Gaudin kernels are out of floating-point range"
         )
-    den = _kernel_denominator(u, c)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # c^2 may underflow
-        matrix = _gaudin_assembly(g * c / den, signs, params.L)
         det = float(np.linalg.det(matrix))
     if not (math.isfinite(det) and det > 0):
         raise SolverError(

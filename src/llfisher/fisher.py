@@ -340,14 +340,15 @@ def lmax(
     2 tol of a bracket edge, i.e. the bracket holds no interior maximum;
     NumericalHealthError when the CFI at some L is not finite; and
     ValueError, before any evaluation, for one particle (its k does not
-    depend on c, so its CFI is 0 at every L) and unless the bracket edges
-    are finite with 0 < lo < hi and ``tol`` is finite and positive.
+    depend on c, so its CFI is 0 at every L) and unless the bracket is two
+    finite edges 0 < lo < hi and ``tol`` is finite and positive.
     """
     if spec.n == 1:
         raise ValueError("one particle's CFI is 0 at every L, so it has no maximum")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(hi) and hi > lo > 0):
-        raise ValueError(f"bracket must be finite with 0 < lo < hi, got ({lo}, {hi})")
+    edges = tuple(float(v) for v in bracket)
+    if not (len(edges) == 2 and math.isfinite(edges[1]) and edges[1] > edges[0] > 0):
+        raise ValueError(f"bracket must be two finite edges 0 < lo < hi, got {edges}")
+    lo, hi = edges
     if tol is None:
         tol = 1e-3 * hi
     if not (math.isfinite(tol) and tol > 0):
@@ -460,10 +461,8 @@ def sweep(
     if axis not in ("c", "L"):
         raise ValueError("axis must be 'c' or 'L'")
     grid_arr = np.asarray(grid, dtype=float)
-    if grid_arr.size == 0:
-        raise ValueError("sweep grid is empty")
-    if np.any(np.diff(grid_arr) <= 0):
-        raise ValueError("sweep grid must be strictly increasing")
+    if grid_arr.ndim != 1 or grid_arr.size == 0 or np.any(np.diff(grid_arr) <= 0):
+        raise ValueError("sweep grid must be a non-empty, strictly increasing 1-D sequence")
     _check_particle_cap(spec.n, spec.bc)
 
     if axis == "c":

@@ -113,6 +113,8 @@ class PixelGrid:
 
 def uniform_grid(L: float, n_pixels: int) -> PixelGrid:
     """Pixels exactly tiling [0, L]."""
+    if n_pixels < 1:
+        raise ValueError("need at least one pixel")
     return PixelGrid(a0=0.0, dx=L / n_pixels, n_pixels=n_pixels)
 
 
@@ -395,10 +397,8 @@ def mle_estimate(
     if len(images) == 0:
         raise ValueError("no shots")
     c_values = np.asarray(c_grid, dtype=float)
-    if c_values.size == 0:
-        raise ValueError("c grid is empty")
-    if np.any(np.diff(c_values) <= 0):
-        raise ValueError("c grid must be strictly increasing")
+    if c_values.ndim != 1 or c_values.size == 0 or np.any(np.diff(c_values) <= 0):
+        raise ValueError("c grid must be a non-empty, strictly increasing 1-D sequence")
     shots = _counts_rows(images)
     if np.any(shots.sum(axis=1) != spec.n):
         raise ValueError("shot images are inconsistent with the particle count")

@@ -51,7 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import BetheSolution, BoundaryCondition, ModelParams, StateSpec, solve_bethe
+from .bethe import (
+    BetheSolution, BoundaryCondition, ModelParams, StateSpec, _pair_signs, solve_bethe
+)
 
 # Particle-number caps reflecting the ~N!^2 / 2^(2N) N!^2 cost of the
 # downstream double-permutation sums.
@@ -122,32 +124,28 @@ def amplitudes(spec: StateSpec, params: ModelParams) -> AmplitudeTable:
 
     N! rows on the ring, 2^N N! in the box.  Raises ValueError when N
     exceeds the particle cap (MAX_N_PERIODIC, MAX_N_HARD_WALL), before
-    any solving.  ``solve_bethe`` rejects k whose gaps rounding cannot
-    resolve (DegenerateStateError), so no pair argument u here vanishes.
+    any solving.  The factors f(u) of A take u = -s_p (kap_j + s_p kap_l),
+    j < l, over the s_p of ``bethe._pair_signs``; ``solve_bethe`` rejects k
+    whose gaps rounding cannot resolve (DegenerateStateError), so no u vanishes.
     """
     n, bc = spec.n, spec.bc
     _check_particle_cap(n, bc)
     solution = solve_bethe(spec, params)
 
     perms = np.array(list(itertools.permutations(range(n))), dtype=int)
-    if bc is BoundaryCondition.PERIODIC:
-        sign_set = np.ones((1, n))
-    else:
-        sign_set = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    box = bc is BoundaryCondition.HARD_WALL
+    sign_set = np.array(list(itertools.product((1.0, -1.0) if box else (1.0,), repeat=n)))
     # rows run over every permutation within each sign vector
     signs = np.repeat(sign_set, len(perms), axis=0)
     perms = np.tile(perms, (len(sign_set), 1))
     kappa = signs * solution.k[perms]
     dkappa = signs * solution.dk_dc[perms]
 
-    # pair arguments u of the factors f(u): kap_j - kap_l, and in the box
-    # also -(kap_j + kap_l)
+    # the factor arguments u and du/dc, columns p-major
     j, l = np.triu_indices(n, 1)
-    u = kappa[:, j] - kappa[:, l]
-    du = dkappa[:, j] - dkappa[:, l]
-    if bc is BoundaryCondition.HARD_WALL:
-        u = np.hstack([u, -(kappa[:, j] + kappa[:, l])])
-        du = np.hstack([du, -(dkappa[:, j] + dkappa[:, l])])
+    s = _pair_signs(bc).reshape(-1, 1)
+    u = (-s * (kappa[:, None, j] + s * kappa[:, None, l])).reshape(len(kappa), -1)
+    du = (-s * (dkappa[:, None, j] + s * dkappa[:, None, l])).reshape(len(kappa), -1)
     c = params.c
     # the sign prefactor pi_eps times A; +-1 factors are exact
     amp = np.prod(signs, axis=1) * np.prod(np.sign(u) * (u + 1j * c) / np.hypot(u, c), axis=1)

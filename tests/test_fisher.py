@@ -830,6 +830,10 @@ def test_lmax_bracket_errors():
     for tol in (None, 0.1):
         with pytest.raises(ValueError, match="bracket"):
             lmax(spec, 0.2, (10.0, float("inf")), tol=tol)
+    # one edge raised IndexError, and a third edge was silently ignored
+    for bracket in [(1.0,), (40.0, 70.0, 100.0)]:
+        with pytest.raises(ValueError, match="two finite edges"):
+            lmax(spec, 0.2, bracket)
 
 
 @pytest.mark.parametrize("bc", [PER, HW])
@@ -1007,6 +1011,9 @@ def test_sweep_validation():
         sweep(spec, "c", [1.0, 0.5], fixed_value=1.0)
     with pytest.raises(ValueError):
         sweep(spec, "x", [1.0], fixed_value=1.0)
+    # a 2-D grid raised TypeError from float() on its rows
+    with pytest.raises(ValueError, match="1-D"):
+        sweep(spec, "c", [[1, 2], [3, 4]], 1.0)
 
 
 def test_sweep_rejects_out_of_domain_points_up_front(monkeypatch):

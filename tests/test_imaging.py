@@ -110,6 +110,10 @@ def test_grid_validation():
     for a0, dx in [(math.nan, 0.5), (0.0, math.inf), (0.0, math.nan), (-math.inf, 0.5)]:
         with pytest.raises(ValueError, match="finite"):
             PixelGrid(a0, dx, 4)
+    # 0 pixels divided by zero, and -1 was reported as a bad pixel width
+    for n_pixels in (0, -1):
+        with pytest.raises(ValueError, match="at least one pixel"):
+            uniform_grid(10.0, n_pixels)
     grid = uniform_grid(3.0, 6)
     assert grid.covers(3.0)
     assert not PixelGrid(0.5, 0.25, 4).covers(3.0)
@@ -553,6 +557,9 @@ def test_mle_validates_inputs():
     bad = np.array([(1, 0, 0, 0, 0, 0)])
     with pytest.raises(ValueError):
         mle_estimate(bad, spec, dist.grid, [0.5], params.L)
+    # a 2-D c grid raised TypeError from float() on its rows
+    with pytest.raises(ValueError, match="1-D"):
+        mle_estimate(shots, spec, dist.grid, [[0.1, 0.2], [0.3, 0.4]], params.L)
 
 
 @pytest.mark.parametrize(

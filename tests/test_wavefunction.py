@@ -115,6 +115,45 @@ def test_box_table_size_and_sign_reversal():
         assert abs(amp + rows[(perm, flipped)]) < 1e-12
 
 
+@pytest.mark.parametrize("bc,n", [(PER, n) for n in range(1, 6)] + [(HW, n) for n in range(1, 5)])
+def test_amplitude_table_bits_match_the_textbook_rows(bc, n):
+    # row by row, the factors f(kap_j - kap_l) and, in the box only,
+    # f(-(kap_j + kap_l)) for j < l, with their d ln f/dc; a row's
+    # coefficient is pi_eps times their product left to right, its
+    # derivative i times the sum of d ln f/dc times that.  numpy rounds a
+    # product over a stack of rows differently as the stack's memory layout
+    # makes it reduce along each row or across the columns, so the table
+    # must hold the bits of one of the two
+    params = ModelParams(0.7, 1.3)
+    _, sol, table = make(bc, n, params)
+    c = params.c
+    pairs = list(itertools.combinations(range(n), 2))
+    labels = row_labels(table, bc)
+    factors, logders = [], []
+    for perm, signs in labels:
+        kap = np.array(signs) * sol.k[list(perm)]
+        dkap = np.array(signs) * sol.dk_dc[list(perm)]
+        u = [kap[j] - kap[l] for j, l in pairs]
+        du = [dkap[j] - dkap[l] for j, l in pairs]
+        if bc is HW:
+            u += [-(kap[j] + kap[l]) for j, l in pairs]
+            du += [-(dkap[j] + dkap[l]) for j, l in pairs]
+        u, du = np.array(u, dtype=float), np.array(du, dtype=float)
+        factors.append(np.sign(u) * (u + 1j * c) / np.hypot(u, c))
+        logders.append((u - c * du) / (u * u + c * c))
+    factors, logders = np.array(factors), np.array(logders)
+    pi_eps = np.array([np.prod(signs) for _, signs in labels])
+    across = np.ones(len(labels), dtype=complex), np.zeros(len(labels))
+    for f, d in zip(factors.T.copy(), logders.T.copy()):
+        across = across[0] * f, across[1] + d
+    along = np.prod(factors, axis=1), np.sum(logders, axis=1)
+    assert any(
+        np.array_equal(table.amp, pi_eps * product)
+        and np.array_equal(table.damp, 1j * total * (pi_eps * product))
+        for product, total in (along, across)
+    )
+
+
 def test_particle_cap_enforced(call_counts):
     counts = call_counts("solve_bethe")
     with pytest.raises(ValueError, match="cap"):
