@@ -20,8 +20,8 @@ folds, deduplicates and contracts the simplex integrals I, I^1_l and
 I^11_mn of the pair differences lambda = kappa_t - kappa_s into the blocks
 of the Gram matrix of those 2R functions, G = [[I, A], [A^H, Q]], so the
 three inner products are Hermitian forms of G on the coefficient vectors
-(amp, 0) and (damp, i amp) (``fisher_report`` records the pair and bundle
-counts).
+(amp, 0) and (damp, i amp) (``fisher_report`` records the pair, pair-plan
+group and bundle counts).
 The assembly is exact up to the Bethe residual and rounding.  At weak
 coupling the pair terms cancel, and that rounding is what limits it: the
 QFI's error estimate is the sum's condition number times eps, and a point
@@ -76,6 +76,7 @@ from .integrals import (
     NumericalHealthError,
     _check_double_range,
     _pair_integrals,
+    _pair_plan,
     refined_simplex_quadrature,
 )
 from .wavefunction import (
@@ -144,12 +145,14 @@ def _inner_products(table: AmplitudeTable):
     matrix G (module docstring) with psi = (amp, 0) and dpsi = (damp,
     i amp); |psi|^T |G| |dpsi| and |dpsi|^T |G| |dpsi|, the sums of |term|
     of the second and third, bound their rounding (times eps).  G is built
-    on the columns of ``_domain`` and weighted by its weight.  Returns the
-    three inner products, the two |term| sums and the number of distinct
-    pair bundles.
+    on the columns of ``_domain`` and weighted by its weight, from the
+    pair plan of the table's layout on those columns.  Returns the three
+    inner products, the two |term| sums and the pair counts (plan groups,
+    distinct pair bundles).
     """
     weight, kappa, dkappa = _domain(table)
-    (i00, a, quad), n_bundles = _pair_integrals(kappa, dkappa, table.L, order=2)
+    plan = _pair_plan(table.periodic, table.n, kappa.shape[1])
+    (i00, a, quad), n_bundles = _pair_integrals(kappa, dkappa, table.L, 2, plan)
     gram = np.block([[i00, a], [np.conj(a.T), quad]])
     psi = np.concatenate([table.amp, np.zeros_like(table.amp)])
     dpsi = np.concatenate([table.damp, 1j * table.amp])
@@ -157,21 +160,23 @@ def _inner_products(table: AmplitudeTable):
     forms = [np.conj(psi) @ g_psi, np.conj(psi) @ g_dpsi, np.conj(dpsi) @ g_dpsi]
     m_dpsi = np.abs(gram) @ np.abs(dpsi)
     mags = [np.abs(psi) @ m_dpsi, np.abs(dpsi) @ m_dpsi]
-    return (*(complex(weight * f) for f in forms), *(float(weight * m) for m in mags), n_bundles)
+    counts = (len(plan.reps), n_bundles)
+    return (*(complex(weight * f) for f in forms), *(float(weight * m) for m in mags), counts)
 
 
 def _qfi_with_residue(table: AmplitudeTable):
     """QFI of one state point from its amplitude table, with its health data.
 
     Returns (QFI, relative imaginary residue |Im QFI| / |QFI|, error
-    estimate, number of distinct pair bundles).  |nd|^2 / NS is formed as
-    (|nd| / NS) |nd|, which does not underflow when NS and nd are tiny
-    (small L).  The guards run in cause order, each a NumericalHealthError:
-    a QFI that is not finite, a negative real part, an error estimate above
-    QFI_ERROR_RTOL, then a residue above QFI_IMAG_RTOL.  By Cauchy-Schwarz
-    |nd|^2 <= NS dd, so the exact QFI is never negative, and a negative
-    value means the pair sum cancelled beyond its rounding; a cancelled
-    sum's residue is sized by its summation order, so the estimate is first.
+    estimate, pair counts (plan groups, distinct pair bundles)).
+    |nd|^2 / NS is formed as (|nd| / NS) |nd|, which does not underflow
+    when NS and nd are tiny (small L).  The guards run in cause order,
+    each a NumericalHealthError: a QFI that is not finite, a negative real
+    part, an error estimate above QFI_ERROR_RTOL, then a residue above
+    QFI_IMAG_RTOL.  By Cauchy-Schwarz |nd|^2 <= NS dd, so the exact QFI is
+    never negative, and a negative value means the pair sum cancelled
+    beyond its rounding; a cancelled sum's residue is sized by its
+    summation order, so the estimate is first.
 
     The error estimate is kappa eps, kappa = (sum of |term|) / QFI the
     condition number of the pair sum (Higham, Accuracy and Stability of
@@ -181,7 +186,7 @@ def _qfi_with_residue(table: AmplitudeTable):
     wrong in its leading digit while its residue stays tiny.
     """
     n2 = table.solution.norm_sq
-    _, nd, dd, nd_mag, dd_mag, n_bundles = _inner_products(table)
+    _, nd, dd, nd_mag, dd_mag, counts = _inner_products(table)
     nd_abs = abs(nd)
     qfi_c = 4.0 / n2 * (dd - (nd_abs / n2) * nd_abs)
     if not cmath.isfinite(qfi_c):
@@ -204,7 +209,7 @@ def _qfi_with_residue(table: AmplitudeTable):
         raise NumericalHealthError(
             f"QFI assembly left a relative imaginary residue {residue:.3e}"
         )
-    return float(qfi_value), residue, estimate, n_bundles
+    return float(qfi_value), residue, estimate, counts
 
 
 def qfi_analytic(spec: StateSpec, params: ModelParams) -> float:
@@ -291,7 +296,7 @@ def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
     """QFI and CFI of one state point from one amplitude table (one solve)."""
     cls = global_phase_class(spec)
     table = amplitudes(spec, params)
-    qfi_value, residue, qfi_estimate, n_bundles = _qfi_with_residue(table)
+    qfi_value, residue, qfi_estimate, (n_groups, n_bundles) = _qfi_with_residue(table)
     if cls in SATURATED_CLASSES:
         cfi_value = qfi_value
         route = "analytic"
@@ -315,6 +320,7 @@ def fisher_report(spec: StateSpec, params: ModelParams) -> FisherReport:
             "qfi_imag_residue": residue,
             "qfi_error_estimate": qfi_estimate,
             "qfi_pairs": table.n_terms**2,
+            "qfi_plan_groups": n_groups,
             "qfi_bundles": n_bundles,
         },
     )

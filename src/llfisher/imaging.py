@@ -63,7 +63,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bethe import ModelParams, StateSpec
-from .integrals import NumericalHealthError, ResourceLimitError, _pair_integrals
+from .integrals import NumericalHealthError, ResourceLimitError, _pair_integrals, _trivial_plan
 from .wavefunction import _EVAL_CHUNK, AmplitudeTable, _unit_phases, amplitudes
 
 DEFAULT_IMAGE_CAP = 200_000
@@ -296,7 +296,8 @@ def _image_probabilities(
     run_tables = {}
     for size, width in {run for runs in runs_of for run in runs}:
         kap, dkap = sub_rows[size]
-        run_tables[size, width] = _pair_integrals(kap, dkap, width, int(derivative))[0]
+        plan = _trivial_plan(len(kap))
+        run_tables[size, width] = _pair_integrals(kap, dkap, width, int(derivative), plan)[0]
 
     raw, draw = np.zeros(len(counts)), np.zeros(len(counts))
     step = max(1, _EVAL_CHUNK // rows)

@@ -59,7 +59,13 @@ share it further: I(-lambda) = conj I(lambda), and the reflection
 x_j -> L - x_{N+1-j}, which gives the integrals of rev(lambda) as
 exp(-i L sum lambda) times conjugated linear combinations of those of
 lambda.  About a quarter of the pairs reach the kernel, and the moments
-are contracted with dkappa, so callers get (rows, rows) matrices.
+are contracted with dkappa, so callers get (rows, rows) matrices.  Which
+pairs share a vector is mostly fixed by the table's row layout: a
+cached pair plan (``_pair_plan``) per boundary, N and column count
+groups the pairs whose lambda agree bitwise up to sign and reversal at
+every k, so each point keys and merges only the groups' representatives
+(``_bundle_index``).  Rows with no layout, the imaging run tables', take
+the plan of one pair per group (``_trivial_plan``).
 
 Iterated Gauss-Legendre rules over the same ordered domain give the
 direct CFI quadrature of general ring states: a pair of them, mapped onto
@@ -80,11 +86,11 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .wavefunction import _EVAL_CHUNK
+from .wavefunction import _EVAL_CHUNK, _row_layout
 
 # Star-matrix entries per batched expm step: 128 KiB per real Pade array, and
 # a bound on the kernel's working set whatever the number of wavenumber
@@ -334,6 +340,142 @@ def _sign_min(keys: np.ndarray):
     return np.where(neg[:, None], -keys, keys), neg
 
 
+def _canonical(keys: np.ndarray):
+    """Each integer key row's canonical form and its orientation against it.
+
+    The canonical form is the lexicographically smallest of key, -key,
+    rev key and -rev key; the orientation o is 0, 1, 2 or 3 as the row is
+    that form, its negative, its reverse or its negated reverse (``_turn``
+    of the form).  A tie goes to the lowest o, so a row that equals its
+    own reverse or negated reverse keeps the forward orientation.
+    """
+    fwd, neg_fwd = _sign_min(keys)
+    rev, neg_rev = _sign_min(keys[:, ::-1])
+    use_rev = _lex_less(rev, fwd)
+    return np.where(use_rev[:, None], rev, fwd), np.where(use_rev, 2 + neg_rev, neg_fwd)
+
+
+def _turn(rows: np.ndarray, o: int) -> np.ndarray:
+    """Rows in orientation o: reversed for o >= 2, then negated for odd o."""
+    rows = rows[:, ::-1] if o >= 2 else rows
+    return -rows if o % 2 else rows
+
+
+def _bundles(canon: np.ndarray):
+    """Group equal canonical rows by one stable lexsort.
+
+    Returns (group of each row, numbered in lexicographic order of the
+    rows, and the first row of each group): the lowest row index, as the
+    sort is stable.
+    """
+    perm = np.lexsort(canon.T[::-1])
+    ordered = canon[perm]
+    starts = np.empty(len(perm), dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    group = np.empty(len(perm), dtype=np.int64)
+    group[perm] = np.cumsum(starts) - 1
+    return group, perm[starts]
+
+
+class _PairPlan(NamedTuple):
+    """The pair groups of one row layout (``_pair_plan``), read-only.
+
+    ``group`` (int32) and ``orient`` (int8) give, for pair index t * rows +
+    s, its group and the orientation o (``_turn``) of its lambda against
+    the group's representative; ``reps`` holds the representatives' pair
+    indices in ascending order, group g's at g, and ``turns`` the
+    orientations that occur, ascending from 0.
+    """
+
+    group: np.ndarray
+    orient: np.ndarray
+    reps: np.ndarray
+    turns: tuple
+
+
+def _read_only_plan(group, orient, reps) -> _PairPlan:
+    """A _PairPlan of compact read-only arrays, its ``turns`` read off ``orient``."""
+    turns = tuple(int(o) for o in np.flatnonzero(np.bincount(orient, minlength=4)))
+    plan = _PairPlan(group.astype(np.int32), orient.astype(np.int8), reps, turns)
+    for arr in plan[:3]:
+        arr.setflags(write=False)
+    return plan
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_plan(periodic: bool, n: int, dim: int) -> _PairPlan:
+    """The pair plan of the ring or box table rows of N particles on their last ``dim`` columns.
+
+    Row t has kappa_t = eps_t k[P_t] (``wavefunction._row_layout``), so
+    every lambda_ts = kappa_t - kappa_s is an integer matrix with entries
+    in {-2, ..., 2} applied to k.  Float subtraction is exactly
+    antisymmetric and addition commutes, so pairs whose matrices agree up
+    to sign and reversal have bitwise-equal lambda up to that sign and
+    reversal, and up to the sign of zeros, whatever k.  The plan groups
+    them by keying lambda at the generic k_j = 5^j, whose integer entries
+    are those matrices in balanced base 5, as ``_bundle_index`` keys a
+    state's lambda.  Each group's representative is its lowest pair index.
+    Read-only and cached.
+    """
+    signs, perms, _ = _row_layout(periodic, n)
+    kappa = (signs * 5.0**perms)[:, n - dim :].astype(np.int64)
+    codes = (kappa[:, None, :] - kappa[None, :, :]).reshape(-1, dim)
+    canon, orient = _canonical(codes)
+    group, first = _bundles(canon)
+    del codes, canon
+    # renumber the groups so that their representatives ascend
+    is_rep = np.zeros(len(group), dtype=bool)
+    is_rep[first] = True
+    reps = np.flatnonzero(is_rep)
+    group = (np.cumsum(is_rep) - 1)[first][group]
+    return _read_only_plan(group, orient ^ orient[reps][group], reps)
+
+
+@functools.lru_cache(maxsize=32)
+def _trivial_plan(rows: int) -> _PairPlan:
+    """The plan of one pair per group for ``rows`` kappa rows with no row layout, cached."""
+    pairs = np.arange(rows * rows)
+    return _read_only_plan(pairs, np.zeros(pairs.size, dtype=np.int8), pairs)
+
+
+def _bundle_index(kappa: np.ndarray, plan: _PairPlan):
+    """The bundle vectors of the row pairs of ``kappa``, and where each pair reads them.
+
+    Returns (vectors, index): the (B, n) vectors, each in the orientation
+    of its key, and index[t, s] = 4 b + o for pair (t, s) of bundle b and
+    orientation o, its entry in the bundles' integrals stacked as (I,
+    conj I, reflected, conj reflected).  A pair's key is the canonical
+    form (``_canonical``) of its lambda quantized to DEGENERACY_RTOL times
+    the largest |kappa|, and a bundle is one key.
+
+    Only the plan's representatives are keyed and grouped (``_bundles``):
+    a pair's key is its representative's, turned by the plan's
+    orientation.  The representatives ascend, so a bundle's vector is the
+    lambda of its lowest pair.  A pair's orientation is the one
+    ``_canonical`` gives its own key, the turned one, as a key equal to its
+    reverse or negated reverse breaks its tie its own way.  So the result
+    is that of keying every pair.
+    """
+    rows, n = kappa.shape
+    if plan.group.size != rows * rows:
+        raise ValueError(f"a pair plan of {plan.group.size} pairs does not fit {rows} rows")
+    kscale = float(np.max(np.abs(kappa)))
+    quantum = DEGENERACY_RTOL * kscale if kscale > 0 else 1.0
+    t, s = np.divmod(plan.reps, rows)
+    lam = kappa.take(t, axis=0) - kappa.take(s, axis=0)
+    keys = np.round(lam / quantum).astype(np.int64)
+    # every turn of the keys that the plan holds, turn 0 first
+    canon, orient = _canonical(np.concatenate([_turn(keys, o) for o in plan.turns]))
+    group, first = _bundles(canon[: len(keys)])
+    codes = np.zeros((len(keys), 4), dtype=np.int64)
+    codes[:, plan.turns] = 4 * group[:, None] + orient.reshape(len(plan.turns), -1).T
+    vectors = lam[first]
+    vectors = np.where((orient[first] % 2 == 1)[:, None], -vectors, vectors)
+    vectors = np.where((orient[first] >= 2)[:, None], vectors[:, ::-1], vectors)
+    return vectors, codes[plan.group, plan.orient].reshape(rows, rows)
+
+
 def _reflected(values: tuple, mu: np.ndarray, L: float) -> tuple:
     """Integrals of lambda = rev(mu) from ``values``, those of mu.
 
@@ -362,7 +504,9 @@ def _reflected(values: tuple, mu: np.ndarray, L: float) -> tuple:
     return tuple(out)
 
 
-def _pair_integrals(kappa: np.ndarray, dkappa: np.ndarray, L: float, order: int):
+def _pair_integrals(
+    kappa: np.ndarray, dkappa: np.ndarray, L: float, order: int, plan: _PairPlan
+):
     """Simplex integrals of every row pair of one kappa table, contracted with dkappa.
 
     With lambda_ts = kappa[t] - kappa[s], returns (arrays, bundle count),
@@ -372,52 +516,25 @@ def _pair_integrals(kappa: np.ndarray, dkappa: np.ndarray, L: float, order: int)
         a[t, s]    = sum_l I^1_l(lambda_ts) dkappa[s, l]                (order >= 1),
         quad[t, s] = sum_mn dkappa[t, m] I^11_mn(lambda_ts) dkappa[s, n]  (order 2).
 
-    A pair's bundle key is the lexicographically smallest of its lambda,
-    -lambda, rev(lambda) and -rev(lambda), quantized to DEGENERACY_RTOL times
-    the largest |kappa|; one lexsort groups the keys.  The distinct vectors
-    go to ``simplex_exp_integral`` in one call at moment ``order`` (0, 1 or
-    2), their count is the bundle count, and each pair reads its bundle in
-    its own orientation (``_reflected`` for the reversed ones).  No
-    pair-shaped array but the bundle index outlives the grouping, and the
-    moments are gathered and contracted in row blocks of at most
-    _EVAL_CHUNK entries.
+    ``plan`` is the pair plan of the rows' layout (``_pair_plan``): at this
+    point only its group representatives are keyed, and groups whose keys
+    agree merge into one bundle, each pair taking the orientation of its
+    own key, ties included (``_bundle_index``).  Rows with no layout, such
+    as the imaging run tables' sub-rows, pass ``_trivial_plan(rows)``, one
+    pair per group, and so key every pair.  The bundle vectors go to
+    ``simplex_exp_integral`` in one call at moment ``order`` (0, 1 or 2),
+    their count is the bundle count, and each pair reads its bundle in its
+    own orientation (``_reflected`` for the reversed ones).  The moments
+    are gathered and contracted in row blocks of at most _EVAL_CHUNK
+    entries.
     """
     rows, n = kappa.shape
-    kscale = float(np.max(np.abs(kappa)))
-    quantum = DEGENERACY_RTOL * kscale if kscale > 0 else 1.0
-
-    lam_all = (kappa[:, None, :] - kappa[None, :, :]).reshape(-1, n)
-    keys = np.round(lam_all / quantum).astype(np.int64)
-    fwd, neg_fwd = _sign_min(keys)
-    rev, neg_rev = _sign_min(keys[:, ::-1])
-    use_rev = _lex_less(rev, fwd)
-    # orientation of each pair against its key: lambda = key, -key, rev key, -rev key
-    orient = np.where(use_rev, 2 + neg_rev, neg_fwd)
-    canon = np.where(use_rev[:, None], rev, fwd)
-    del keys, fwd, rev, neg_fwd, neg_rev, use_rev  # pair-shaped: freed once used
-
-    perm = np.lexsort(canon.T[::-1])
-    ordered = canon[perm]
-    starts = np.empty(len(perm), dtype=bool)
-    starts[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    group = np.empty(len(perm), dtype=np.int64)
-    group[perm] = np.cumsum(starts) - 1
-    del canon, ordered
-
-    first = perm[starts]  # lexsort is stable: the lowest pair index of each group
-    reps = lam_all[first]
-    reps = np.where((orient[first] % 2 == 1)[:, None], -reps, reps)
-    reps = np.where((orient[first] >= 2)[:, None], reps[:, ::-1], reps)
-    # each pair's values in its orientation are entry 4 * group + orient
-    index = (4 * group + orient).reshape(rows, rows)
-    del lam_all, orient, perm, starts, group  # pair-shaped: freed before the kernel runs
-
-    direct = simplex_exp_integral(reps, L, order)
+    vectors, index = _bundle_index(kappa, plan)
+    direct = simplex_exp_integral(vectors, L, order)
     direct = (direct,) if order == 0 else direct
     i00, *moments = (
         np.stack([f, np.conj(f), r, np.conj(r)], axis=1).reshape((-1,) + f.shape[1:])
-        for f, r in zip(direct, _reflected(direct, reps, L))
+        for f, r in zip(direct, _reflected(direct, vectors, L))
     )
     arrays = [i00[index]]
     if order >= 1:
@@ -432,7 +549,7 @@ def _pair_integrals(kappa: np.ndarray, dkappa: np.ndarray, L: float, order: int)
                 )
             blocks.append(block)
         arrays.extend(np.concatenate(part) for part in zip(*blocks))
-    return tuple(arrays), len(first)
+    return tuple(arrays), len(vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ e = (L, 0, ...), and there the N! terms fall into N groups.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -119,25 +120,42 @@ def _check_particle_cap(n: int, bc: BoundaryCondition) -> None:
         raise ValueError(f"N = {n} exceeds the particle cap of {cap} for {bc.value} states")
 
 
+@functools.lru_cache(maxsize=32)
+def _row_layout(periodic: bool, n: int):
+    """(signs, perms, sign products) of the rows of a ring or box table, read-only and cached.
+
+    ``signs`` and ``perms`` are the (rows, N) eps and P of every row, sign
+    vectors major and permutations minor (``AmplitudeTable``), C-ordered;
+    the sign products pi_eps are (rows,).  They depend on the boundary and
+    N alone, so the amplitude tables and the pair plans
+    (``integrals._pair_plan``) read one copy.
+    """
+    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
+    sign_set = np.array(list(itertools.product((1.0,) if periodic else (1.0, -1.0), repeat=n)))
+    # rows run over every permutation within each sign vector
+    signs = np.repeat(sign_set, len(perms), axis=0)
+    perms = np.tile(perms, (len(sign_set), 1))
+    products = np.prod(signs, axis=1)
+    for arr in (signs, perms, products):
+        arr.setflags(write=False)
+    return signs, perms, products
+
+
 def amplitudes(spec: StateSpec, params: ModelParams) -> AmplitudeTable:
     """Solve ``spec`` at ``params`` and build the full coefficient table.
 
-    N! rows on the ring, 2^N N! in the box.  Raises ValueError when N
-    exceeds the particle cap (MAX_N_PERIODIC, MAX_N_HARD_WALL), before
-    any solving.  The factors f(u) of A take u = -s_p (kap_j + s_p kap_l),
-    j < l, over the s_p of ``bethe._pair_signs``; ``solve_bethe`` rejects k
-    whose gaps rounding cannot resolve (DegenerateStateError), so no u vanishes.
+    N! rows on the ring, 2^N N! in the box, laid out by ``_row_layout``.
+    Raises ValueError when N exceeds the particle cap (MAX_N_PERIODIC,
+    MAX_N_HARD_WALL), before any solving.  The factors f(u) of A take
+    u = -s_p (kap_j + s_p kap_l), j < l, over the s_p of
+    ``bethe._pair_signs``; ``solve_bethe`` rejects k whose gaps rounding
+    cannot resolve (DegenerateStateError), so no u vanishes.
     """
     n, bc = spec.n, spec.bc
     _check_particle_cap(n, bc)
     solution = solve_bethe(spec, params)
 
-    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
-    box = bc is BoundaryCondition.HARD_WALL
-    sign_set = np.array(list(itertools.product((1.0, -1.0) if box else (1.0,), repeat=n)))
-    # rows run over every permutation within each sign vector
-    signs = np.repeat(sign_set, len(perms), axis=0)
-    perms = np.tile(perms, (len(sign_set), 1))
+    signs, perms, sign_products = _row_layout(bc is BoundaryCondition.PERIODIC, n)
     kappa = signs * solution.k[perms]
     dkappa = signs * solution.dk_dc[perms]
 
@@ -148,7 +166,7 @@ def amplitudes(spec: StateSpec, params: ModelParams) -> AmplitudeTable:
     du = (-s * (dkappa[:, None, j] + s * dkappa[:, None, l])).reshape(len(kappa), -1)
     c = params.c
     # the sign prefactor pi_eps times A; +-1 factors are exact
-    amp = np.prod(signs, axis=1) * np.prod(np.sign(u) * (u + 1j * c) / np.hypot(u, c), axis=1)
+    amp = sign_products * np.prod(np.sign(u) * (u + 1j * c) / np.hypot(u, c), axis=1)
     # d ln f/dc = i Im((u' + i)/(u + ic)) = i (u - c u')/(u^2 + c^2)
     logder = np.sum((u - c * du) / (u * u + c * c), axis=1)
     return AmplitudeTable(

@@ -22,6 +22,10 @@ the CFI (``integrals.refined_simplex_quadrature``), which
 
 ``compositions`` is the combinatorial one: the order in which the images
 of ``imaging.enumerate_images`` come, by recursion on the first bin.
+``pair_bundles`` keys and groups every row pair of a kappa table on its
+own, the grouping that the pair plan and its value merge
+(``integrals._pair_plan``, ``integrals._bundle_index``) reproduce from the
+plan's representatives.
 """
 
 import math
@@ -237,3 +241,34 @@ def compositions(total: int, bins: int) -> list:
 
     fill((), total, bins)
     return out
+
+
+def pair_bundles(kappa: np.ndarray, rtol: float) -> tuple:
+    """The bundles of every row pair of a kappa table, each pair keyed on its own.
+
+    Pair (t, s) has lambda = kappa[t] - kappa[s] and the integer key
+    round(lambda / q), q = rtol times the largest |kappa|.  Its four turns
+    are key, -key, rev key and -rev key, in that order; its orientation is
+    the turn that comes first in lexicographic order, the earliest of
+    equal turns, and its bundle that smallest turn.  Every turn of every
+    pair is ranked in one lexsort, the turn number breaking ties.
+    Returns (vectors, index): the bundle vectors in lexicographic order of
+    their keys, each the lambda of the bundle's lowest pair in the
+    orientation of that pair, and index[t, s] = 4 bundle + orientation.
+    """
+    rows, n = kappa.shape
+    scale = float(np.abs(kappa).max())
+    quantum = rtol * scale if scale > 0 else 1.0
+    lam = (kappa[:, None, :] - kappa[None, :, :]).reshape(-1, n)
+    key = np.round(lam / quantum).astype(np.int64)
+    turns = np.stack([key, -key, key[:, ::-1], -key[:, ::-1]], axis=1)
+    flat = turns.reshape(-1, n)
+    number = np.tile(np.arange(4), len(key))
+    rank = np.empty(len(flat), dtype=np.int64)
+    rank[np.lexsort((number,) + tuple(flat[:, ::-1].T))] = np.arange(len(flat))
+    orient = rank.reshape(-1, 4).argmin(axis=1)
+    smallest = turns[np.arange(len(key)), orient]
+    _, first, bundle = np.unique(smallest, axis=0, return_index=True, return_inverse=True)
+    lam_turns = np.stack([lam, -lam, lam[:, ::-1], -lam[:, ::-1]], axis=1)
+    vectors = lam_turns[first, orient[first]]
+    return vectors, (4 * bundle.reshape(-1) + orient).reshape(rows, rows)

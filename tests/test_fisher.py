@@ -294,16 +294,18 @@ def test_oracles_share_no_psi_evaluator_with_the_package(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec,pairs,bundles",
+    "spec,pairs,groups,bundles",
     [
-        (StateSpec(HW, 3, (1.0, 2.0, 4.0)), 2304, 253),
-        (ground_state(PER, 4), 576, 71),
+        (StateSpec(HW, 3, (1.0, 2.0, 4.0)), 2304, 253, 253),
+        (ground_state(PER, 4), 576, 127, 71),
     ],
     ids=["box124", "ring4"],
 )
-def test_report_counts_pairs_and_bundles(spec, pairs, bundles):
+def test_report_counts_pairs_and_bundles(spec, pairs, groups, bundles):
+    # the ring's mirror-symmetric k merge plan groups into fewer bundles
     method = fisher_report(spec, ModelParams(0.2, 10.0)).method
-    assert (method["qfi_pairs"], method["qfi_bundles"]) == (pairs, bundles)
+    counts = (method["qfi_pairs"], method["qfi_plan_groups"], method["qfi_bundles"])
+    assert counts == (pairs, groups, bundles)
 
 
 SCALING_STATES = {
@@ -400,7 +402,8 @@ def test_imaginary_residue_is_relative_at_tiny_qfi():
 
 def _full_simplex_qfi(table):
     """The QFI of a table from its N-D pair integrals, with no translation reduction."""
-    (i00, a, quad), _ = integrals._pair_integrals(table.kappa, table.dkappa, table.L, 2)
+    plan = integrals._pair_plan(table.periodic, table.n, table.n)
+    (i00, a, quad), _ = integrals._pair_integrals(table.kappa, table.dkappa, table.L, 2, plan)
     amp, damp = table.amp, table.damp
     nd = np.conj(amp) @ i00 @ damp + 1j * (np.conj(amp) @ a @ amp)
     dd = (
@@ -443,7 +446,8 @@ def _fsum_inner_products(table):
         scale, kappa, dkappa = table.L / table.n, table.kappa[:, 1:], table.dkappa[:, 1:]
     else:
         scale, kappa, dkappa = 1.0, table.kappa, table.dkappa
-    (i00, a, quad), _ = integrals._pair_integrals(kappa, dkappa, table.L, 2)
+    plan = integrals._pair_plan(table.periodic, table.n, kappa.shape[1])
+    (i00, a, quad), _ = integrals._pair_integrals(kappa, dkappa, table.L, 2, plan)
     amp, damp = table.amp, table.damp
     terms = {"nn": [], "nd": [], "dd": []}
     for t, s in itertools.product(range(len(amp)), repeat=2):

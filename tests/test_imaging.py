@@ -30,7 +30,7 @@ from llfisher.imaging import (
     save_shots,
     uniform_grid,
 )
-from llfisher.integrals import ResourceLimitError, _pair_integrals
+from llfisher.integrals import ResourceLimitError, _pair_integrals, _trivial_plan
 from llfisher.wavefunction import amplitudes
 
 PER = BoundaryCondition.PERIODIC
@@ -274,7 +274,8 @@ def _per_image_oracle(spec, params, grid, images):
         for b, count in runs:
             cols = slice(start, start + count)
             (i00, a), _ = _pair_integrals(
-                table.kappa[:, cols], table.dkappa[:, cols], intervals[b][1], 1
+                table.kappa[:, cols], table.dkappa[:, cols], intervals[b][1], 1,
+                _trivial_plan(table.n_terms),
             )
             box, moments = box * i00, moments * i00 + box * a
             start += count

@@ -3,9 +3,12 @@
 The kernel is checked against adaptive scipy quadrature, iterated
 Gauss-Legendre rules, scipy.linalg.expm and mpmath partial fractions;
 none of them evaluates a matrix exponential with the kernel's code.  The
-folded pair layer is checked against the unfolded kernel on every pair.
+folded pair layer is checked against the unfolded kernel on every pair,
+and its pair plan and value merge against a grouping that keys every
+pair on its own (``oracles.pair_bundles``).
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -14,12 +17,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import box_quadrature, simplex_nodes, simplex_quadrature
+from oracles import box_quadrature, pair_bundles, simplex_nodes, simplex_quadrature
 from scipy import integrate
 
 import llfisher.integrals as integrals
 from llfisher.bethe import BoundaryCondition, ModelParams, StateSpec, ground_state
-from llfisher.fisher import _qfi_with_residue
+from llfisher.fisher import _domain, _qfi_with_residue, fisher_report
 from llfisher.integrals import simplex_exp_integral
 from llfisher.wavefunction import amplitudes
 
@@ -475,13 +478,27 @@ def test_request_validation():
 PAIR_STATES = {"box3": ground_state(HW, 3), "ring-112": StateSpec(PER, 3, (-1.0, 1.0, 2.0))}
 
 
+def _layout_plan(table, kappa):
+    """The pair plan of ``table``'s rows on the last columns that ``kappa`` holds."""
+    return integrals._pair_plan(table.periodic, table.n, kappa.shape[1])
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("case", PAIR_STATES)
 def test_folded_bundles_match_kernel_on_every_pair(case, order):
-    # the unfolded kernel on every pair vector, contracted with dkappa here
+    # the unfolded kernel on every pair vector, contracted with dkappa here;
+    # the plan of the table's layout and the plan of one pair per group
+    # give the same bundles, and the same bits
     table = amplitudes(PAIR_STATES[case], ModelParams(0.2, 10.0))
     kappa, dkappa, L = table.kappa, table.dkappa, table.L
-    folded, n_bundles = integrals._pair_integrals(kappa, dkappa, L, order)
+    folded, n_bundles = integrals._pair_integrals(
+        kappa, dkappa, L, order, _layout_plan(table, kappa)
+    )
+    trivial_plan = integrals._trivial_plan(len(kappa))
+    trivial = integrals._pair_integrals(kappa, dkappa, L, order, trivial_plan)
+    assert trivial[1] == n_bundles
+    for a, b in zip(trivial[0], folded):
+        np.testing.assert_array_equal(a, b)
     lam = kappa[:, None, :] - kappa[None, :, :]
     direct = simplex_exp_integral(lam, L, order)
     direct = (direct,) if order == 0 else direct
@@ -505,7 +522,7 @@ def test_row_contraction_is_the_adjoint_of_the_column_contraction(case):
     # conj I^1(lambda): the QFI assembly reads its row contraction this way
     table = amplitudes(PAIR_STATES[case], ModelParams(0.2, 10.0))
     kappa, dkappa, L = table.kappa, table.dkappa, table.L
-    (_, a), _ = integrals._pair_integrals(kappa, dkappa, L, 1)
+    (_, a), _ = integrals._pair_integrals(kappa, dkappa, L, 1, _layout_plan(table, kappa))
     _, i1 = simplex_exp_integral(kappa[:, None, :] - kappa[None, :, :], L, 1)
     row = (i1 * dkappa[:, None, :]).sum(axis=2)
     assert np.max(np.abs(row - np.conj(a.T))) < 1e-12 * np.max(np.abs(row))
@@ -519,23 +536,25 @@ def test_second_moments_gathered_in_row_blocks_match_one_block(spec, monkeypatch
     table = amplitudes(spec, ModelParams(0.2, 10.0))
     cols = slice(1, None) if spec.bc is PER else slice(None)
     kappa, dkappa = table.kappa[:, cols], table.dkappa[:, cols]
+    plan = _layout_plan(table, kappa)
     rows, n = kappa.shape
     assert rows % 7 != 0
     for order in (1, 2):
         monkeypatch.setattr(integrals, "_EVAL_CHUNK", rows * rows * n**order)
-        whole, _ = integrals._pair_integrals(kappa, dkappa, table.L, order)
+        whole, _ = integrals._pair_integrals(kappa, dkappa, table.L, order, plan)
         monkeypatch.setattr(integrals, "_EVAL_CHUNK", 7 * rows * n**order + 1)
-        blocked, _ = integrals._pair_integrals(kappa, dkappa, table.L, order)
+        blocked, _ = integrals._pair_integrals(kappa, dkappa, table.L, order, plan)
         assert len(blocked) == len(whole) == order + 1
         for got, want in zip(blocked, whole):
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_box4_qfi_keeps_no_pair_shaped_array_past_the_grouping():
-    # the pair differences and the grouping arrays are freed before the
-    # kernel runs, and both moment orders are gathered in row blocks; one
-    # box N = 4 QFI peaked at 43.7 MB when the (rows^2, n) differences
-    # stayed alive and the first moments were gathered in one block
+    # the pair layer keys only the pair plan's representatives, and both
+    # moment orders are gathered in row blocks: 32.4 MB with the plan
+    # cached, 33.3 MB when this call builds it.  One box N = 4 QFI peaked
+    # at 43.7 MB when the (rows^2, n) differences stayed alive and the
+    # first moments were gathered in one block
     table = amplitudes(ground_state(HW, 4), ModelParams(0.2, 10.0))
     tracemalloc.start()
     try:
@@ -559,8 +578,148 @@ def test_box4_kernel_batch_is_folded(monkeypatch):
 
     monkeypatch.setattr(integrals, "simplex_exp_integral", stub)
     table = amplitudes(ground_state(HW, 4), ModelParams(0.2, 10.0))
-    _, n_bundles = integrals._pair_integrals(table.kappa, table.dkappa, table.L, 2)
+    plan = _layout_plan(table, table.kappa)
+    _, n_bundles = integrals._pair_integrals(table.kappa, table.dkappa, table.L, 2, plan)
     assert batches == [n_bundles] == [11331]
+
+
+def _layout_kappa(periodic, k):
+    """The kappa rows of a table at k, sign vectors major and permutations minor."""
+    n = len(k)
+    signs = itertools.product((1.0,) if periodic else (1.0, -1.0), repeat=n)
+    perms = list(itertools.permutations(range(n)))
+    rows = [[e * k[p] for e, p in zip(eps, perm)] for eps in signs for perm in perms]
+    kappa = np.array(rows)
+    return kappa[:, 1:] if periodic and n > 1 else kappa
+
+
+def _bundles_against_the_oracle(kappa, plan):
+    """Plan plus merge against the pair-level grouping: the bundle count, after equal bits."""
+    reps, index = integrals._bundle_index(kappa, plan)
+    want_reps, want_index = pair_bundles(kappa, integrals.DEGENERACY_RTOL)
+    assert np.array_equal(reps.view(np.uint64), want_reps.view(np.uint64))
+    assert np.array_equal(index, want_index)
+    return len(reps)
+
+
+# the states of the benchmark workloads at c = 0.2: the fisher sweeps over
+# L = 6..18, the ring N = 5 point, and the lmax states near their L_max
+WORKLOAD_POINTS = [
+    *(
+        (spec, L)
+        for spec in (
+            ground_state(PER, 2),
+            ground_state(PER, 3),
+            ground_state(PER, 4),
+            ground_state(HW, 2),
+            ground_state(HW, 3),
+            StateSpec(PER, 3, (-1.0, 1.0, 2.0)),
+            StateSpec(PER, 4, (-1.5, -0.5, 0.5, 2.5)),
+        )
+        for L in (6.0, 10.0, 14.0, 18.0)
+    ),
+    (ground_state(PER, 5), 10.0),
+    (StateSpec(HW, 3, (1.0, 2.0, 4.0)), 66.0),
+    (StateSpec(HW, 3, (1.0, 3.0, 4.0)), 67.95),
+    (StateSpec(HW, 3, (2.0, 3.0, 4.0)), 62.0),
+]
+
+
+def test_plan_and_merge_match_the_pair_level_grouping_on_the_workload_states():
+    # the QFI's columns (the ring's x_1 = 0 slice) of every workload state;
+    # the ring ground states merge groups by value, the others keep them
+    merged = []
+    for spec, L in WORKLOAD_POINTS + [(ground_state(HW, 4), 10.0)]:
+        table = amplitudes(spec, ModelParams(0.2, L))
+        kappa = _domain(table)[1]
+        plan = _layout_plan(table, kappa)
+        bundles = _bundles_against_the_oracle(kappa, plan)
+        merged.append((spec.bc.value, spec.n, len(plan.reps), bundles))
+    assert merged[-1] == ("hardwall", 4, 13257, 11331)
+    assert ("periodic", 5, 3061, 1367) in merged and ("periodic", 4, 127, 71) in merged
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["generic", "mirror"])
+@pytest.mark.parametrize(
+    "periodic,n",
+    [(True, 3), (True, 4), (True, 5), (False, 2), (False, 3), (False, 4)],
+    ids=["ring3", "ring4", "ring5", "box2", "box3", "box4"],
+)
+def test_plan_and_merge_match_the_pair_level_grouping_on_random_k(periodic, n, symmetric):
+    # random k, and k mirror-symmetric about their centre (0 on the ring),
+    # whose equal sums merge the plan's groups by value
+    rng = np.random.default_rng(1000 * n + 10 * periodic + symmetric)
+    if symmetric:
+        half = np.sort(rng.uniform(0.2, 1.5, n // 2))
+        offsets = np.concatenate([-half[::-1], [0.0] * (n % 2), half])
+        k = offsets if periodic else 2.0 + offsets
+    else:
+        k = np.sort(rng.uniform(-3.0, 3.0, n) if periodic else rng.uniform(0.1, 3.0, n))
+    kappa = _layout_kappa(periodic, k)
+    plan = integrals._pair_plan(periodic, n, kappa.shape[1])
+    bundles = _bundles_against_the_oracle(kappa, plan)
+    if symmetric and n >= 3:
+        assert bundles < len(plan.reps)
+    elif not symmetric:
+        assert bundles == len(plan.reps)
+
+
+@pytest.mark.parametrize(
+    "periodic,n,groups",
+    [
+        (False, 2, 11), (False, 3, 253), (False, 4, 13257),
+        (True, 3, 10), (True, 4, 127), (True, 5, 3061),
+    ],
+    ids=["box2", "box3", "box4", "ring3", "ring4", "ring5"],
+)
+def test_pair_plan_groups_pairs_of_equal_lambda_up_to_sign_and_reversal(periodic, n, groups):
+    # on the QFI's columns; every pair's lambda is its representative's in
+    # the plan's orientation, equal as floats (+0 and -0 alike) at any k
+    kappa = _layout_kappa(periodic, np.random.default_rng(n).uniform(-3.0, 3.0, n))
+    plan = integrals._pair_plan(periodic, n, kappa.shape[1])
+    assert len(plan.reps) == groups
+    lam = (kappa[:, None, :] - kappa[None, :, :]).reshape(-1, kappa.shape[1])
+    rep = lam[plan.reps][plan.group]
+    turns = np.stack([rep, -rep, rep[:, ::-1], -rep[:, ::-1]], axis=1)
+    assert np.array_equal(turns[np.arange(len(lam)), plan.orient], lam)
+
+
+def test_pair_plans_are_cached_read_only_and_compact():
+    plan = integrals._pair_plan(False, 3, 3)
+    assert integrals._pair_plan(False, 3, 3) is plan
+    assert (plan.group.dtype, plan.orient.dtype) == (np.int32, np.int8)
+    assert plan.group.shape == plan.orient.shape == (48 * 48,)
+    # the representatives ascend in pair order, each in its own group unturned
+    assert np.all(np.diff(plan.reps) > 0)
+    assert np.array_equal(plan.group[plan.reps], np.arange(len(plan.reps)))
+    assert not plan.orient[plan.reps].any() and plan.turns == (0, 1, 2, 3)
+    trivial = integrals._trivial_plan(5)
+    assert integrals._trivial_plan(5) is trivial and trivial.turns == (0,)
+    assert np.array_equal(trivial.reps, np.arange(25))
+    for arr in (*plan[:3], *trivial[:3]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    with pytest.raises(ValueError, match="2304 pairs does not fit 47 rows"):
+        integrals._bundle_index(np.ones((47, 3)), plan)
+
+
+def test_a_second_qfi_of_one_shape_builds_no_plan(monkeypatch):
+    # and its merge keys the plan's 253 representatives, not the 2,304 pairs
+    spec = StateSpec(HW, 3, (1.0, 2.0, 4.0))
+    fisher_report(spec, ModelParams(0.2, 60.0))
+    before = integrals._pair_plan.cache_info()
+    grouped = []
+    bundles = integrals._bundles
+
+    def counting(canon):
+        grouped.append(len(canon))
+        return bundles(canon)
+
+    monkeypatch.setattr(integrals, "_bundles", counting)
+    report = fisher_report(spec, ModelParams(0.2, 70.0))
+    after = integrals._pair_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert grouped == [report.method["qfi_plan_groups"]] == [253]
 
 
 # ---------------------------------------------------------------------------
